@@ -33,7 +33,6 @@ from .errors import (
     TailMassError,
     TruncationQualityError,
 )
-from .fock import FockVector
 from .imperfections import sweep_efficiency, sweep_parameter_deviation
 from .optimizer import (
     Bounds,
@@ -47,17 +46,7 @@ from .optimizer import (
     vector_to_params,
 )
 from .reference_rows import ReferenceRow, all_rows, designated_rows, get_row
-from .scheme import (
-    HM,
-    SPD,
-    SchemeParams,
-    average_misfit,
-    conditional_output,
-    hm_outcome_density,
-    misfit,
-    success_prob_hm,
-    success_prob_spd,
-)
+from .scheme import HM, SPD, SchemeParams, score
 from .states import (
     AdHoc,
     AmplitudeSqueezed,
@@ -369,22 +358,6 @@ def target_label(spec: TargetSpec) -> str:
     return f"adhoc[{terms}]"
 
 
-def _score_params(
-    p: SchemeParams, tgt: FockVector, cutoff: int, strict: bool
-) -> tuple[float, float, float | None]:
-    out = conditional_output(p, cutoff, check_input_tail=strict)
-    eps = misfit(out, tgt)
-    if isinstance(p.measurement, SPD):
-        return eps, success_prob_spd(p, cutoff, check_input_tail=strict), None
-    if p.measurement.window_halfwidth > 0.0:
-        prob = success_prob_hm(p, cutoff, check_input_tail=strict)
-        eps_avg = average_misfit(p, tgt, cutoff, check_input_tail=strict)
-    else:
-        prob = hm_outcome_density(p, p.measurement.x, cutoff, check_input_tail=strict)
-        eps_avg = None
-    return eps, prob, eps_avg
-
-
 def make_table_row(
     label: str, p: SchemeParams, eps: float, prob: float, eps_avg: float | None
 ) -> list[str]:
@@ -439,19 +412,7 @@ def cmd_evaluate(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
     spec = parse_target(cfg.get("target"), "target")
 
     tgt = target_state(spec, cutoff, check_tail=strict)
-    out = conditional_output(params, cutoff, check_input_tail=strict)
-    eps = misfit(out, tgt)
-    if isinstance(params.measurement, SPD):
-        prob: float = success_prob_spd(params, cutoff, check_input_tail=strict)
-        eps_avg: float | None = None
-    else:
-        m = params.measurement
-        if m.window_halfwidth > 0.0:
-            prob = success_prob_hm(params, cutoff, check_input_tail=strict)
-            eps_avg = average_misfit(params, tgt, cutoff, check_input_tail=strict)
-        else:
-            prob = hm_outcome_density(params, m.x, cutoff, check_input_tail=strict)
-            eps_avg = None
+    out, eps, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=strict)
     label = target_label(spec)
 
     row = make_table_row(label, params, eps, prob, eps_avg)
@@ -632,7 +593,7 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
         if ov:
             params = _apply_overrides(row, ov, f"reproduce_table.overrides.{row.row_id}")
         tgt = target_state(row.target, cutoff, check_tail=False)
-        eps_raw, prob, eps_avg = _score_params(params, tgt, cutoff, strict=False)
+        _, eps_raw, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=False)
 
         eps_polished = eps_raw
         if polish_iters > 0:
@@ -728,7 +689,7 @@ def main(argv: list[str] | None = None) -> int:
         cutoff = _get_int(cfg, "", "cutoff", tol.DEFAULT_CUTOFF, lo=4)
         seed = _get_int(cfg, "", "seed", 1)
         if args.cutoff is not None:
-            cutoff = args.cutoff
+            cutoff = _get_int({"--cutoff": args.cutoff}, "", "--cutoff", lo=4)
         if args.seed is not None:
             seed = args.seed
         out_dir = Path(args.out if args.out is not None else cfg.get("output", "."))

@@ -43,10 +43,12 @@ from .scheme import (
     SPD,
     SchemeParams,
     conditional_output,
+    conditional_output_batch,
     embedded_two_mode_state,
     misfit,
+    misfit_batch,
+    params_to_vector,
 )
-from .states import SqueezedCoherentParams
 
 
 @dataclass(frozen=True)
@@ -182,17 +184,17 @@ class SweepPoint:
     herald_weight: float
 
 
-def _perturbed_input(
-    base: SqueezedCoherentParams, d: float, xi: np.ndarray
-) -> SqueezedCoherentParams:
-    """Scatter one input's parameters: magnitudes by a factor in [1-d, 1+d],
-    angles by an additive shift in [-2*pi*d, 2*pi*d]."""
-    return SqueezedCoherentParams(
-        r=base.r * (1.0 + d * xi[0]),
-        theta=base.theta + 2.0 * np.pi * d * xi[1],
-        alpha_abs=base.alpha_abs * (1.0 + d * xi[2]),
-        phi=base.phi + 2.0 * np.pi * d * xi[3],
+def _perturbed_rows(p: SchemeParams, d: float, xi: np.ndarray) -> np.ndarray:
+    """Scattered copies of p in the flat layout, one per row of the unit
+    scatter xi (columns r, theta, alpha_abs, phi of input 1, then input 2):
+    magnitudes scale by 1 + d*xi, angles shift by 2*pi*d*xi."""
+    base, _, _ = params_to_vector(p)
+    rows = np.tile(base, (len(xi), 1))
+    magnitude = np.array([True, False, True, False] * 2)
+    rows[:, :8] = np.where(
+        magnitude, base[:8] * (1.0 + d * xi), base[:8] + 2.0 * np.pi * d * xi
     )
+    return rows
 
 
 def sweep_parameter_deviation(
@@ -211,8 +213,10 @@ def sweep_parameter_deviation(
     "signed_uniform" draws the unit scatter uniformly in [-1, 1],
     "worst_case" uses random corner signs (every scatter at +/-1).  d = 0
     skips perturbation entirely and reproduces the unperturbed evaluation
-    bit for bit.  Points are processed and returned sorted ascending, and
-    misfit_max accumulates the worst value seen at any deviation <= d.
+    bit for bit.  The n_samples points of a nonzero level are evaluated in
+    one batched call (scheme.conditional_output_batch).  Points are
+    processed and returned sorted ascending, and misfit_max accumulates the
+    worst value seen at any deviation <= d.
     """
     devs = sorted(float(d) for d in rel_devs)
     if devs and not 0.0 <= devs[0] <= devs[-1] <= 0.2:
@@ -221,34 +225,25 @@ def sweep_parameter_deviation(
         raise ValueError("n_samples must be >= 1")
     if sampling not in ("signed_uniform", "worst_case"):
         raise ValueError(f"unknown sampling {sampling!r}")
+    kind = "spd" if isinstance(p.measurement, SPD) else "hm"
     children = np.random.SeedSequence(seed).spawn(len(devs))
     points: list[SweepPoint] = []
     envelope = -np.inf
     for d, child in zip(devs, children):
         if d == 0.0:
             out = conditional_output(p, cutoff, check_input_tail=False)
-            eps_list = [misfit(out, target)]
-            weights = [out.raw_weight]
+            eps = np.array([misfit(out, target)])
+            weights = np.array([out.raw_weight])
         else:
             rng = np.random.default_rng(child)
             xi = rng.uniform(-1.0, 1.0, size=(n_samples, 8))
             if sampling == "worst_case":
                 xi = np.where(xi >= 0.0, 1.0, -1.0)
-            eps_list = []
-            weights = []
-            for row in xi:
-                q = SchemeParams(
-                    _perturbed_input(p.in1, d, row[:4]),
-                    _perturbed_input(p.in2, d, row[4:]),
-                    p.transmittance,
-                    p.measurement,
-                )
-                out = conditional_output(q, cutoff, check_input_tail=False)
-                eps_list.append(misfit(out, target))
-                weights.append(out.raw_weight)
-        envelope = max(envelope, float(np.max(eps_list)))
+            states, weights = conditional_output_batch(_perturbed_rows(p, d, xi), kind, cutoff)
+            eps = misfit_batch(states, target)
+        envelope = max(envelope, float(np.max(eps)))
         points.append(
-            SweepPoint(d, float(np.mean(eps_list)), envelope, float(np.mean(weights)))
+            SweepPoint(d, float(np.mean(eps)), envelope, float(np.mean(weights)))
         )
     return points
 

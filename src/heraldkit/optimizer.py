@@ -10,6 +10,15 @@ population strictly inside the box almost surely, which matters because
 evaluation below the squeezing threshold falls back to the slow
 first-principles route.
 
+Each generation is scored in one call: objective_batch sends the whole
+population (the initial one, then each generation's children) through the
+batched closed form, which runs the input amplitudes, the Hermite
+recurrences and the heralding sums over arrays of points and falls back to
+the scalar route only for the rows it cannot evaluate regularly.  The
+random draws of a generation do not depend on how it is scored, so a seed
+means the same search either way.  Nelder-Mead polish and the final
+scoring evaluate one point at a time through the scalar route.
+
 Search runs at a reduced cutoff; the returned best point is re-scored at
 the full cutoff so the reported numbers carry no truncation shortcut.
 All randomness derives from a single seed through spawned generators, one
@@ -18,7 +27,6 @@ per restart, so a (config, seed, target) triple fixes the result exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -30,19 +38,18 @@ from .scheme import (
     HM,
     SPD,
     SchemeParams,
-    average_misfit,
     conditional_output,
-    hm_outcome_density,
+    conditional_output_batch,
+    layout_for_kind,
     misfit,
-    success_prob_hm,
-    success_prob_spd,
+    misfit_batch,
+    params_to_vector,
+    score,
+    vector_to_params,
 )
-from .states import SqueezedCoherentParams, TargetSpec, target_state
+from .states import TargetSpec, target_state
 
 _TWO_PI = 2.0 * np.pi
-
-SPD_LAYOUT = ("r1", "theta1", "alpha1", "phi1", "r2", "theta2", "alpha2", "phi2", "T")
-HM_LAYOUT = SPD_LAYOUT + ("x", "lam")
 
 _DIM_BOUNDS = {
     "r1": (0.0, 1.7, False),
@@ -57,14 +64,6 @@ _DIM_BOUNDS = {
     "x": (0.0, 4.0, False),
     "lam": (0.0, _TWO_PI, True),
 }
-
-
-def layout_for_kind(kind: str) -> tuple[str, ...]:
-    if kind == "spd":
-        return SPD_LAYOUT
-    if kind == "hm":
-        return HM_LAYOUT
-    raise ValueError(f"unknown measurement kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -151,35 +150,6 @@ class OptimizationResult:
     evaluations_count: int
 
 
-def vector_to_params(
-    vec: Sequence[float], kind: str, window_halfwidth: float = 0.0
-) -> SchemeParams:
-    """Assemble SchemeParams from a search vector, wrapping angle entries."""
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (len(layout_for_kind(kind)),):
-        raise ValueError(f"expected {len(layout_for_kind(kind))} entries for {kind}")
-    in1 = SqueezedCoherentParams(v[0], v[1] % _TWO_PI, v[2], v[3] % _TWO_PI)
-    in2 = SqueezedCoherentParams(v[4], v[5] % _TWO_PI, v[6], v[7] % _TWO_PI)
-    if kind == "spd":
-        meas: SPD | HM = SPD()
-    else:
-        meas = HM(v[9], v[10] % _TWO_PI, window_halfwidth)
-    return SchemeParams(in1, in2, v[8], meas)
-
-
-def params_to_vector(p: SchemeParams) -> tuple[np.ndarray, str, float]:
-    """Inverse of vector_to_params; returns (vector, kind, window_halfwidth)."""
-    head = [
-        p.in1.r, p.in1.theta, p.in1.alpha_abs, p.in1.phi,
-        p.in2.r, p.in2.theta, p.in2.alpha_abs, p.in2.phi,
-        p.transmittance,
-    ]
-    if isinstance(p.measurement, SPD):
-        return np.array(head), "spd", 0.0
-    m = p.measurement
-    return np.array(head + [m.x, m.lam]), "hm", m.window_halfwidth
-
-
 def _target_vector(target: TargetSpec | FockVector, cutoff: int) -> FockVector:
     if isinstance(target, FockVector):
         if target.cutoff != cutoff:
@@ -205,6 +175,20 @@ def objective(
     tgt = _target_vector(target, cutoff)
     out = conditional_output(params, cutoff, check_input_tail=False)
     return misfit(out, tgt)
+
+
+def objective_batch(
+    V: np.ndarray, kind, target: TargetSpec | FockVector, cutoff: int
+) -> np.ndarray:
+    """objective for every row of V, a stack of search vectors, in one call.
+
+    Row i equals objective(vector_to_params(V[i], kind), target, cutoff) up
+    to rounding, and the call raises wherever one of those would.  The rows
+    go through the batched closed form (scheme.conditional_output_batch).
+    """
+    kname, _ = _normalize_kind(kind)
+    states, _ = conditional_output_batch(V, kname, cutoff)
+    return misfit_batch(states, _target_vector(target, cutoff))
 
 
 def _reflect_into(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -243,7 +227,7 @@ def _run_restart(
 
     pop = lo + rng.uniform(size=(cfg.population_size, lo.size)) * span
     pop[:, pinned] = pin_vals[pinned]
-    fit = np.array([evaluate(row) for row in pop])
+    fit = evaluate(pop)
     evals = cfg.population_size
     gen_best: list[float] = []
 
@@ -274,7 +258,7 @@ def _run_restart(
         children[:, hard] = _reflect_into(children[:, hard], lo[hard], hi[hard])
         children[:, pinned] = pin_vals[pinned]
 
-        child_fit = np.array([evaluate(row) for row in children])
+        child_fit = evaluate(children)
         evals += n_child
         pop = np.vstack([elites, children])
         fit = np.concatenate([elite_fit, child_fit])
@@ -282,24 +266,6 @@ def _run_restart(
 
     best = int(np.argmin(fit))
     return pop[best].copy(), float(fit[best]), gen_best, evals
-
-
-def _score(
-    params: SchemeParams, target: TargetSpec | FockVector, cutoff: int
-) -> tuple[float, float, float | None]:
-    """Misfit, success probability, and windowed average misfit at a cutoff."""
-    tgt = _target_vector(target, cutoff)
-    out = conditional_output(params, cutoff, check_input_tail=False)
-    eps = misfit(out, tgt)
-    if isinstance(params.measurement, SPD):
-        return eps, success_prob_spd(params, cutoff, check_input_tail=False), None
-    if params.measurement.window_halfwidth > 0.0:
-        prob = success_prob_hm(params, cutoff, check_input_tail=False)
-        eps_avg = average_misfit(params, tgt, cutoff, check_input_tail=False)
-    else:
-        prob = hm_outcome_density(params, params.measurement.x, cutoff, check_input_tail=False)
-        eps_avg = None
-    return eps, prob, eps_avg
 
 
 def optimize(
@@ -341,14 +307,10 @@ def optimize(
         if v is not None and not lo <= v <= hi:
             raise ValueError(f"pinned {name}={v} outside [{lo}, {hi}]")
 
-    tgt_search = _target_vector(target, search_cutoff) if not isinstance(
-        target, FockVector
-    ) else target
+    tgt_search = _target_vector(target, search_cutoff)
 
-    def evaluate(vec: np.ndarray) -> float:
-        p = vector_to_params(vec, kname, whw)
-        out = conditional_output(p, search_cutoff, check_input_tail=False)
-        return misfit(out, tgt_search)
+    def evaluate(pop: np.ndarray) -> np.ndarray:
+        return objective_batch(pop, kname, tgt_search, search_cutoff)
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_vec: np.ndarray | None = None
@@ -367,7 +329,9 @@ def optimize(
 
     trace = tuple(np.minimum.accumulate(all_gen_best))
     best_params = vector_to_params(best_vec, kname, whw)
-    eps, prob, eps_avg = _score(best_params, target, final_cutoff)
+    _, eps, prob, eps_avg = score(
+        best_params, _target_vector(target, final_cutoff), final_cutoff, check_input_tail=False
+    )
     return OptimizationResult(
         best_params=best_params,
         best_misfit=eps,
@@ -449,7 +413,7 @@ def local_polish(
         best_params = assemble(x0)
         eps_here = eps_start
 
-    eps, prob, eps_avg = _score(best_params, target, cutoff)
+    _, eps, prob, eps_avg = score(best_params, tgt, cutoff, check_input_tail=False)
     trace = prior_trace if prior_trace else (eps_start, eps_here)
     return OptimizationResult(
         best_params=best_params,

@@ -29,8 +29,6 @@ from .states import (
     TargetSpec,
 )
 
-DATASET_VERSION = 1
-
 _PI_4 = np.pi / 4.0
 _PI_2 = np.pi / 2.0
 _SQRT3 = float(np.sqrt(3.0))

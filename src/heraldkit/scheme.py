@@ -19,12 +19,13 @@ before truncating, so their retained and discarded masses agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 from scipy.signal import convolve2d
-from scipy.special import comb
+from scipy.special import comb, gammaln
 
 from . import tolerances as tol
 from .errors import QuadratureError, SingularSqueezingError
@@ -34,6 +35,7 @@ from .fock import (
     DensityMatrix,
     FockVector,
     TwoModeState,
+    _require_unit_norm,
     beam_splitter_apply,
     fidelity,
     hermite_sequence,
@@ -45,6 +47,10 @@ from .fock import (
 from .states import SqueezedCoherentParams, check_tail_mass, squeezed_coherent_amplitudes
 
 _PHASE_CYCLE = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
+
+# Admissible heralded quadrature values and beam-splitter transmittances.
+_X_RANGE = (0.0, 4.0)
+_T_RANGE = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class HM:
     window_halfwidth: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.x <= 4.0:
+        if not _X_RANGE[0] <= self.x <= _X_RANGE[1]:
             raise ValueError(f"heralded quadrature value {self.x} outside [0, 4]")
         if self.window_halfwidth < 0.0:
             raise ValueError("window_halfwidth must be >= 0")
@@ -85,8 +91,53 @@ class SchemeParams:
     measurement: Measurement
 
     def __post_init__(self):
-        if not 0.1 <= self.transmittance <= 0.9:
+        if not _T_RANGE[0] <= self.transmittance <= _T_RANGE[1]:
             raise ValueError(f"transmittance {self.transmittance} outside [0.1, 0.9]")
+
+
+_TWO_PI = 2.0 * np.pi
+
+# Flat layout of a parameter point, shared by the search vectors of the
+# optimizer and the batched closed form.
+SPD_LAYOUT = ("r1", "theta1", "alpha1", "phi1", "r2", "theta2", "alpha2", "phi2", "T")
+HM_LAYOUT = SPD_LAYOUT + ("x", "lam")
+
+
+def layout_for_kind(kind: str) -> tuple[str, ...]:
+    if kind == "spd":
+        return SPD_LAYOUT
+    if kind == "hm":
+        return HM_LAYOUT
+    raise ValueError(f"unknown measurement kind {kind!r}")
+
+
+def vector_to_params(
+    vec: Sequence[float], kind: str, window_halfwidth: float = 0.0
+) -> SchemeParams:
+    """Assemble SchemeParams from a flat vector, wrapping angle entries."""
+    v = np.asarray(vec, dtype=float)
+    if v.shape != (len(layout_for_kind(kind)),):
+        raise ValueError(f"expected {len(layout_for_kind(kind))} entries for {kind}")
+    in1 = SqueezedCoherentParams(v[0], v[1] % _TWO_PI, v[2], v[3] % _TWO_PI)
+    in2 = SqueezedCoherentParams(v[4], v[5] % _TWO_PI, v[6], v[7] % _TWO_PI)
+    if kind == "spd":
+        meas: SPD | HM = SPD()
+    else:
+        meas = HM(v[9], v[10] % _TWO_PI, window_halfwidth)
+    return SchemeParams(in1, in2, v[8], meas)
+
+
+def params_to_vector(p: SchemeParams) -> tuple[np.ndarray, str, float]:
+    """Inverse of vector_to_params; returns (vector, kind, window_halfwidth)."""
+    head = [
+        p.in1.r, p.in1.theta, p.in1.alpha_abs, p.in1.phi,
+        p.in2.r, p.in2.theta, p.in2.alpha_abs, p.in2.phi,
+        p.transmittance,
+    ]
+    if isinstance(p.measurement, SPD):
+        return np.array(head), "spd", 0.0
+    m = p.measurement
+    return np.array(head + [m.x, m.lam]), "hm", m.window_halfwidth
 
 
 @dataclass(frozen=True)
@@ -137,52 +188,114 @@ def _split_output(full: np.ndarray, cutoff: int) -> ConditionalOutput:
     return ConditionalOutput(state, raw_weight, loss)
 
 
-def _spd_full_amplitudes(a1: np.ndarray, a2: np.ndarray, t: float) -> np.ndarray:
-    """Unnormalized SPD output over |0>..|2*cutoff-1>.
+def _scaled_sqrt_factorials(n_max: int) -> tuple[np.ndarray, float]:
+    """(s, kappa) with s[k] = sqrt(k!) / kappa**k for k = 0..n_max.
 
-    Only two reflect/transmit splittings can leave one photon in the
-    measured arm, which collapses the heralding to a double sum over the
-    input photon numbers n, m:
+    kappa = sqrt(n_max / e) keeps every entry between about
+    exp(-n_max / (2 e)) and sqrt(n_max), so the factorial ratios of the
+    collapsed sums stay finite at cutoffs where sqrt(k!) itself overflows.
+    """
+    kappa = np.sqrt(max(n_max, 1) / np.e)
+    k = np.arange(n_max + 1)
+    return np.exp(0.5 * gammaln(k + 1.0) - k * np.log(kappa)), kappa
+
+
+def _spd_full_amplitudes(a1: np.ndarray, a2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unnormalized SPD outputs over |0>..|2*cutoff-1>, one row per point.
+
+    a1, a2 hold the truncated input amplitudes with a leading batch axis and
+    t the matching transmittances.  Only two reflect/transmit splittings can
+    leave one photon in the measured arm, which collapses the heralding to a
+    double sum over the input photon numbers n, m:
 
         c[n+m-1] += i^{n+1} (a1[n]/sqrt(n!)) (a2[m]/sqrt(m!)) sqrt((n+m-1)!)
                     * [m R^{(n+1)/2} T^{(m-1)/2} - n R^{(n-1)/2} T^{(m+1)/2}]
 
     with R = 1 - T.  The m = 0 and n = 0 legs vanish with their prefactor,
-    so the half-integer powers below zero never contribute.
+    so the half-integer powers below zero never contribute.  The factorials
+    are carried as kappa**k * s[k] (_scaled_sqrt_factorials); the powers of
+    kappa cancel up to one overall 1/kappa.
     """
-    n_cut = len(a1) - 1
+    n_cut = a1.shape[-1] - 1
+    n = np.arange(n_cut + 1)
+    sqf2, kappa = _scaled_sqrt_factorials(2 * n_cut)
+    a1s = _PHASE_CYCLE[(n + 1) % 4] * a1 / sqf2[: n_cut + 1]
+    a2s = a2 / sqf2[: n_cut + 1]
+    # powers sqrt(.)**e for e = -1..n_cut+1, stored at index e + 1
+    e = np.arange(-1, n_cut + 2)
+    pow_t = np.sqrt(t)[:, None] ** e
+    pow_r = np.sqrt(1.0 - t)[:, None] ** e
+    # the bracket has rank two in (n, m)
+    u1 = a1s * pow_r[:, 2:]
+    v1 = a2s * n * pow_t[:, : n_cut + 1]
+    u2 = a1s * n * pow_r[:, : n_cut + 1]
+    v2 = a2s * pow_t[:, 2:]
+    m_mat = u1[:, :, None] * v1[:, None, :]
+    m_mat -= u2[:, :, None] * v2[:, None, :]
+    return sqf2[: 2 * n_cut] * _antidiagonal_sums(m_mat)[:, 1:] / kappa
+
+
+def _antidiagonal_sums(q: np.ndarray) -> np.ndarray:
+    """out[b, s] = sum over i + j = s of q[b, i, j], for square q[b].
+
+    Row i of q is written into row i of a zero array shifted right by i
+    places, so that column sums give the anti-diagonal sums, each in
+    increasing i.
+    """
+    b, d, _ = q.shape
+    skew = np.zeros((b, d, 2 * d), dtype=q.dtype)
+    sb, si, sj = skew.strides
+    as_strided(skew, shape=q.shape, strides=(sb, si + sj, sj))[...] = q
+    return skew.sum(axis=1)[:, : 2 * d - 1]
+
+
+def _hm_arm_matrices(
+    a1: np.ndarray, a2: np.ndarray, t: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arm matrices of the homodyne closed form, one pair per point.
+
+    Returns U1[b, d1, k] and U2[b, d2, l]: d counts the photons an input
+    sends to the measured arm, where the two meet in H_{d1+d2}(x), and k, l
+    those it sends to the signal arm; see _HMEvaluator for the contraction.
+    """
+    n_cut = a1.shape[-1] - 1
     n = np.arange(n_cut + 1)
     sqf = sqrt_factorials(n_cut)
-    a1s = a1 / sqf
-    a2s = a2 / sqf
-    sq_t = np.sqrt(t)
-    sq_r = np.sqrt(1.0 - t)
-    pow_t = sq_t ** np.arange(n_cut + 2)
-    pow_r = sq_r ** np.arange(n_cut + 2)
-    col_m = np.zeros(n_cut + 1)
-    col_m[1:] = n[1:] * pow_t[: n_cut]
-    row_n = np.zeros(n_cut + 1)
-    row_n[1:] = n[1:] * pow_r[: n_cut]
-    geom = np.outer(pow_r[1:], col_m) - np.outer(row_n, pow_t[1:])
-    m_mat = (_PHASE_CYCLE[(n + 1) % 4] * a1s)[:, None] * a2s[None, :] * geom
-    t_idx = np.add.outer(n, n).ravel()
-    flat = m_mat.ravel()
-    conv = np.bincount(t_idx, weights=flat.real, minlength=2 * n_cut + 1) + 1j * np.bincount(
-        t_idx, weights=flat.imag, minlength=2 * n_cut + 1
-    )
-    sqf2 = sqrt_factorials(2 * n_cut)
-    return sqf2[: 2 * n_cut] * conv[1:]
+    e_lam = (np.exp(-1j * lam) / np.sqrt(2.0))[:, None]
+    # inputs padded with zeros up to 2*cutoff, gathered at index d + k
+    a1s = np.zeros((len(a1), 2 * n_cut + 1), dtype=np.complex128)
+    a2s = np.zeros_like(a1s)
+    a1s[:, : n_cut + 1] = a1 * e_lam**n / sqf
+    a2s[:, : n_cut + 1] = a2 * (1j * e_lam) ** n / sqf
+    sq_t = np.sqrt(t)[:, None]
+    sq_r = np.sqrt(1.0 - t)[:, None]
+    w = (np.sqrt(2.0) * 1j * np.exp(1j * lam))[:, None]
+    idx = np.add.outer(n, n)
+    binom = np.where(idx <= n_cut, comb(np.minimum(idx, n_cut) + 0.0, n[:, None]), 0.0)
+    u1 = _hankel_rows(a1s, n_cut + 1) * binom
+    u1 *= (sq_t**n)[:, :, None]
+    u1 *= ((sq_r * w) ** n)[:, None, :]
+    u2 = _hankel_rows(a2s, n_cut + 1) * binom
+    u2 *= (sq_r**n)[:, :, None]
+    u2 *= ((-sq_t * w) ** n)[:, None, :]
+    return u1, u2
+
+
+def _hankel_rows(v: np.ndarray, size: int) -> np.ndarray:
+    """Read-only view M[b, i, j] = v[b, i + j] for i, j < size <= (len + 1) / 2."""
+    sb, si = v.strides
+    return as_strided(v, shape=(len(v), size, size), strides=(sb, si, si), writeable=False)
 
 
 class _HMEvaluator:
     """Homodyne closed form with the x-independent work hoisted out.
 
-    The quadruple sum factors into per-arm matrices U1[k, d1], U2[l, d2]
-    (d = photons sent to the signal arm, k/l = photons sent to the measured
+    The quadruple sum factors into per-arm matrices U1[d1, k], U2[d2, l]
+    (d = photons sent to the measured arm, k/l = photons sent to the signal
     arm) contracted against the Hankel matrix H_{d1+d2}(x):
 
         c[s] = pi^{-1/4} e^{-x^2/2} sqrt(s!)
-               sum_{k+l=s} (U1 @ Hankel(x) @ U2^T)[k, l].
+               sum_{k+l=s} (U1^T @ Hankel(x) @ U2)[k, l].
 
     A single quadrature value is cheapest through the two matrix products
     above.  For loops over many x the U1/U2 pair is convolved once into
@@ -191,50 +304,26 @@ class _HMEvaluator:
     """
 
     def __init__(self, a1: np.ndarray, a2: np.ndarray, t: float, lam: float):
-        n_cut = len(a1) - 1
-        n = np.arange(n_cut + 1)
-        sqf = sqrt_factorials(n_cut)
-        e_lam = np.exp(-1j * lam) / np.sqrt(2.0)
-        a1s = a1 * e_lam**n / sqf
-        a2s = a2 * (1j * e_lam) ** n / sqf
-        sq_t = np.sqrt(t)
-        sq_r = np.sqrt(1.0 - t)
-        w = np.sqrt(2.0) * 1j * np.exp(1j * lam)
-        idx = np.add.outer(n, n)
-        valid = idx <= n_cut
-        binom = np.where(valid, comb(np.minimum(idx, n_cut) + 0.0, n[:, None]), 0.0)
-        amp1_ext = np.where(valid, a1s[np.minimum(idx, n_cut)], 0.0)
-        amp2_ext = np.where(valid, a2s[np.minimum(idx, n_cut)], 0.0)
-        self.u1 = amp1_ext * binom * (sq_r * w) ** n[:, None] * sq_t ** n[None, :]
-        self.u2 = (
-            (-1.0) ** n[:, None]
-            * amp2_ext
-            * binom
-            * (sq_t * w) ** n[:, None]
-            * sq_r ** n[None, :]
-        )
-        self.n_cut = n_cut
-        self.sqf2 = sqrt_factorials(2 * n_cut)
+        u1, u2 = _hm_arm_matrices(a1[None], a2[None], np.array([t]), np.array([lam]))
+        self.u1 = u1[0]
+        self.u2 = u2[0]
+        self.n_cut = len(a1) - 1
+        self.sqf2 = sqrt_factorials(2 * self.n_cut)
         self._w_mat = None
-        self._anti_idx = np.add.outer(n, n).ravel()
 
     def amplitudes_once(self, x: float) -> np.ndarray:
         """One-shot unnormalized HM output over |0>..|2*cutoff>."""
         n_cut = self.n_cut
         h = hermite_sequence(complex(x), 2 * n_cut).real
         hankel = h[np.add.outer(np.arange(n_cut + 1), np.arange(n_cut + 1))]
-        q = (self.u1 @ hankel @ self.u2.T).ravel()
-        anti = np.bincount(self._anti_idx, weights=q.real, minlength=2 * n_cut + 1)
-        anti = anti + 1j * np.bincount(
-            self._anti_idx, weights=q.imag, minlength=2 * n_cut + 1
-        )
+        q = self.u1.T @ hankel @ self.u2
         pref = np.pi**-0.25 * np.exp(-0.5 * x * x)
-        return pref * self.sqf2 * anti
+        return pref * self.sqf2 * _antidiagonal_sums(q[None])[0]
 
     def full_amplitudes(self, x: float) -> np.ndarray:
         """Loop-friendly unnormalized HM output over |0>..|2*cutoff>."""
         if self._w_mat is None:
-            self._w_mat = convolve2d(self.u1.T, self.u2.T, mode="full")
+            self._w_mat = convolve2d(self.u1, self.u2, mode="full")
         h = hermite_sequence(complex(x), 2 * self.n_cut).real
         pref = np.pi**-0.25 * np.exp(-0.5 * x * x)
         return pref * self.sqf2 * (h @ self._w_mat)
@@ -256,7 +345,7 @@ def output_spd_closed_form(
         raise TypeError("measurement must be SPD")
     _require_regular_squeezing(p)
     a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    full = _spd_full_amplitudes(a1, a2, p.transmittance)
+    full = _spd_full_amplitudes(a1[None], a2[None], np.array([p.transmittance]))[0]
     return _split_output(full, cutoff)
 
 
@@ -344,6 +433,143 @@ def misfit(
     return 1.0 - fidelity(target, state)
 
 
+# ---------------------------------------------------------------------------
+# batched closed form
+
+
+def _regular_rows(rows: np.ndarray, kind: str) -> np.ndarray:
+    """Rows the batched closed form evaluates: finite, inside the parameter
+    ranges, and with both squeezing magnitudes at or above MIN_SQUEEZING."""
+    r1, a1, r2, a2, t = rows[:, [0, 2, 4, 6, 8]].T
+    ok = (
+        np.isfinite(rows).all(axis=1)
+        & (np.minimum(r1, r2) >= tol.MIN_SQUEEZING)
+        & (a1 >= 0.0)
+        & (a2 >= 0.0)
+        & (t >= _T_RANGE[0])
+        & (t <= _T_RANGE[1])
+    )
+    if kind == "hm":
+        ok &= (rows[:, 9] >= _X_RANGE[0]) & (rows[:, 9] <= _X_RANGE[1])
+    return ok
+
+
+def _hermite_rows(z: np.ndarray, n_max: int) -> np.ndarray:
+    """H_0(z)..H_n_max(z) for a vector of points, shape (len(z), n_max + 1).
+
+    Same recurrence as fock.hermite_sequence; an overflow leaves inf or nan
+    in its row instead of raising.
+    """
+    two_z = 2.0 * z
+    h = np.empty((n_max + 1, len(z)), dtype=z.dtype)
+    h[0] = 1.0
+    if n_max >= 1:
+        h[1] = two_z
+    for k in range(1, n_max):
+        h[k + 1] = two_z * h[k] - 2.0 * k * h[k - 1]
+    return h.T
+
+
+def _squeezed_amplitudes_rows(arm: np.ndarray, cutoff: int) -> np.ndarray:
+    """squeezed_coherent_amplitudes (squeezed branch) for a column block
+    r, theta, alpha_abs, phi; one input per row, shape (B, cutoff + 1)."""
+    r, theta, a_abs, phi = arm.T
+    alpha = a_abs * np.exp(1j * phi)
+    eith = np.exp(1j * theta)
+    th = np.tanh(r)
+    pref = np.exp(-0.5 * a_abs**2 - 0.5 * np.conj(alpha) ** 2 * eith * th)
+    pref = pref / np.sqrt(np.cosh(r))
+    g = np.sqrt(0.5 * eith * th)
+    h = np.sqrt(eith * np.sinh(2.0 * r))
+    beta = alpha * np.cosh(r) + np.conj(alpha) * eith * np.sinh(r)
+    herm = _hermite_rows(beta / h, cutoff)
+    return pref[:, None] * g[:, None] ** np.arange(cutoff + 1) * herm / sqrt_factorials(cutoff)
+
+
+def _hm_full_amplitudes(u1: np.ndarray, u2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_HMEvaluator.amplitudes_once for a stack of arm matrices and readings."""
+    n_cut = u1.shape[-1] - 1
+    hankel = np.ascontiguousarray(_hankel_rows(_hermite_rows(x, 2 * n_cut), n_cut + 1))
+    # Hankel(x) @ U1 with the real Hankel applied to the real and imaginary
+    # parts at once: (Hankel @ U1)[d2, k] = (U1^T @ Hankel)[k, d2]
+    h_u1 = (hankel @ np.ascontiguousarray(u1).view(np.float64)).view(np.complex128)
+    # (U2^T @ Hankel @ U1)[l, k] is the transposed contraction; its
+    # anti-diagonal sums are the same
+    q = np.swapaxes(u2, 1, 2) @ h_u1
+    pref = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    return pref[:, None] * sqrt_factorials(2 * n_cut) * _antidiagonal_sums(q)
+
+
+def _closed_form_rows(rows: np.ndarray, kind: str, cutoff: int) -> np.ndarray:
+    """Unnormalized outputs over |0>..|2*cutoff(-1)> of regular rows."""
+    # both inputs of every row in one pass over the recurrence
+    arms = np.vstack([rows[:, 0:4], rows[:, 4:8]])
+    a1, a2 = np.split(_squeezed_amplitudes_rows(arms, cutoff), 2)
+    t = rows[:, 8]
+    if kind == "spd":
+        return _spd_full_amplitudes(a1, a2, t)
+    u1, u2 = _hm_arm_matrices(a1, a2, t, rows[:, 10])
+    return _hm_full_amplitudes(u1, u2, rows[:, 9])
+
+
+def conditional_output_batch(
+    rows: np.ndarray, kind: str, cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heralded states of many points at once, one point per row.
+
+    rows follow the flat layout of layout_for_kind(kind); angles need not
+    be wrapped.  Returns the normalized states, shape (B, cutoff + 1), and
+    the raw weights, shape (B,): row by row those of
+    conditional_output(vector_to_params(row, kind), cutoff,
+    check_input_tail=False), up to rounding.
+
+    Regular rows run through the closed form in equal chunks of at most
+    tol.BATCH_ROWS rows.  A row that is not regular (a squeezing below MIN_SQUEEZING, a value
+    outside the parameter ranges) or whose closed form is not finite goes
+    through conditional_output itself, so it falls back to the oracle or
+    raises exactly where the scalar route does.
+    """
+    rows = np.asarray(rows, dtype=float)
+    width = len(layout_for_kind(kind))
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"expected rows of {width} entries for {kind}")
+    states = np.zeros((len(rows), cutoff + 1), dtype=np.complex128)
+    weights = np.zeros(len(rows))
+    scalar = ~_regular_rows(rows, kind)
+    regular = np.flatnonzero(~scalar)
+    n_chunks = -(-len(regular) // tol.BATCH_ROWS)
+    for sel in np.array_split(regular, n_chunks) if n_chunks else []:
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = _closed_form_rows(rows[sel], kind, cutoff)
+            retained = full[:, : cutoff + 1]
+            raw = np.sum(np.abs(retained) ** 2, axis=1)
+        finite = np.isfinite(full).all(axis=1) & np.isfinite(raw)
+        scalar[sel[~finite]] = True
+        sel, retained, raw = sel[finite], retained[finite], raw[finite]
+        # an impossible outcome keeps its zero vector, as in _split_output
+        states[sel] = retained / np.sqrt(np.where(raw > 0.0, raw, 1.0))[:, None]
+        weights[sel] = raw
+    for i in np.flatnonzero(scalar):
+        out = conditional_output(vector_to_params(rows[i], kind), cutoff, check_input_tail=False)
+        states[i] = out.state.amps
+        weights[i] = out.raw_weight
+    return states, weights
+
+
+def misfit_batch(states: np.ndarray, target: FockVector) -> np.ndarray:
+    """misfit of each row of states against the target.
+
+    Raises NormalizationError where fidelity would: an unnormalized target
+    or row (a zero row from an impossible outcome, for instance).
+    """
+    _require_unit_norm("target", target.norm_sq())
+    norms = np.sum(np.abs(states) ** 2, axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > tol.INPUT_NORM_ATOL)
+    if bad.size:
+        _require_unit_norm("out", float(norms[bad[0]]))
+    return 1.0 - np.abs(states @ target.amps.conj()) ** 2
+
+
 def _input_norm_sq(a1: np.ndarray, a2: np.ndarray) -> float:
     return float(np.sum(np.abs(a1) ** 2) * np.sum(np.abs(a2) ** 2))
 
@@ -353,7 +579,7 @@ def success_prob_spd(p: SchemeParams, cutoff: int, check_input_tail: bool = True
     if not isinstance(p.measurement, SPD):
         raise TypeError("measurement must be SPD")
     a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    full = _spd_full_amplitudes(a1, a2, p.transmittance)
+    full = _spd_full_amplitudes(a1[None], a2[None], np.array([p.transmittance]))[0]
     return float(np.sum(np.abs(full) ** 2)) / _input_norm_sq(a1, a2)
 
 
@@ -442,3 +668,35 @@ def average_misfit(
     if weight_sum <= 0.0:
         raise QuadratureError("acceptance window carries no probability mass")
     return weighted_misfit / weight_sum
+
+
+class Score(NamedTuple):
+    """The reported figures of one parameter point at one cutoff."""
+
+    output: ConditionalOutput
+    eps: float
+    success_prob: float
+    eps_avg: float | None
+
+
+def score(
+    p: SchemeParams, target: FockVector, cutoff: int, check_input_tail: bool = True
+) -> Score:
+    """Heralded output, misfit, success probability and average misfit.
+
+    success_prob is the herald probability for SPD; for HM it is the
+    probability of a reading inside x +/- window_halfwidth, or the outcome
+    density at x when there is no window.  eps_avg is the window-averaged
+    misfit, None without a window.
+    """
+    out = conditional_output(p, cutoff, check_input_tail=check_input_tail)
+    eps = misfit(out, target)
+    if isinstance(p.measurement, SPD):
+        prob = success_prob_spd(p, cutoff, check_input_tail=check_input_tail)
+        return Score(out, eps, prob, None)
+    if p.measurement.window_halfwidth > 0.0:
+        prob = success_prob_hm(p, cutoff, check_input_tail=check_input_tail)
+        eps_avg = average_misfit(p, target, cutoff, check_input_tail=check_input_tail)
+        return Score(out, eps, prob, eps_avg)
+    prob = hm_outcome_density(p, p.measurement.x, cutoff, check_input_tail=check_input_tail)
+    return Score(out, eps, prob, None)

@@ -11,15 +11,6 @@ NORM_ATOL = 1e-12
 # Hermiticity tolerance for density matrices.
 HERMITICITY_ATOL = 1e-12
 
-# Trace agreement for trace-preserving maps and normalized density matrices.
-TRACE_ATOL = 1e-10
-
-# Most negative eigenvalue tolerated in a physical density matrix.
-EIGENVALUE_FLOOR = -1e-10
-
-# Unitarity tolerance of the beam-splitter block matrices.
-UNITARITY_ATOL = 1e-12
-
 # Norm tolerance when validating caller-supplied states (looser than
 # NORM_ATOL because callers may have accumulated rounding of their own).
 INPUT_NORM_ATOL = 1e-8
@@ -49,3 +40,8 @@ SEARCH_CUTOFF = 30
 
 # Default number of subranges for window-averaged misfit.
 DEFAULT_SUBRANGES = 21
+
+# Rows per chunk of the batched closed form.  Bounds its temporaries: one
+# homodyne chunk holds a few complex (rows, cutoff + 1, cutoff + 1) arrays,
+# about 1.7 MB each at cutoff 40.
+BATCH_ROWS = 64

@@ -155,6 +155,36 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cutoff_override_below_minimum_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "target": {"family": "binomial", "p": 0.5, "M": 1},
+        "evaluate": {"kind": "spd", "params": ROW2_PARAMS},
+    })
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--cutoff", "3"]) == 1
+    assert "--cutoff: 3 below minimum 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_spd_high_cutoff_is_finite(tmp_path):
+    cfg = write_config(tmp_path, {
+        "target": {"family": "binomial", "p": 0.3, "M": 7},
+        "evaluate": {"kind": "spd", "params": ROW2_PARAMS},
+    })
+    rows = {}
+    for cutoff in (100, 200):
+        out = tmp_path / f"c{cutoff}"
+        assert main(["evaluate", "--config", cfg, "--out", str(out), "--quiet",
+                     "--cutoff", str(cutoff)]) == 0
+        rows[cutoff] = read_rows(out / "row.csv")[0]
+        amps = read_rows(out / "amplitudes.csv")
+        assert len(amps) == cutoff + 1
+        values = [float(v) for r in amps for v in (r["re"], r["im"])]
+        values += [float(v) for k, v in rows[cutoff].items() if k != "label" and v != ""]
+        assert np.all(np.isfinite(values))
+    assert float(rows[200]["P"]) == pytest.approx(float(rows[100]["P"]), abs=1e-8)
+
+
 def test_quiet_flag_suppresses_chatter(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "target": {"family": "binomial", "p": 0.3, "M": 7},

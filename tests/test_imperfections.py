@@ -220,6 +220,37 @@ def test_deviation_sweep_zero_point_is_exact():
     assert pts[0].misfit_max == ideal
 
 
+def test_deviation_sweep_levels_match_scalar_evaluations():
+    levels = [0.0, 0.02, 0.1]
+    for row, tgt in ((ROW_BINOM_SPD, binomial_state(0.3, 7, 30)),
+                     (ROW_BINOM_HM, binomial_state(0.45, 8, 30))):
+        pts = sweep_parameter_deviation(row, tgt, levels, n_samples=12, seed=4, cutoff=30)
+        envelope = -np.inf
+        for d, child, pt in zip(levels, np.random.SeedSequence(4).spawn(3), pts):
+            if d == 0.0:
+                xi = np.zeros((1, 8))
+            else:
+                xi = np.random.default_rng(child).uniform(-1.0, 1.0, size=(12, 8))
+            eps, weights = [], []
+            for s in xi:
+                arms = [
+                    SqueezedCoherentParams(
+                        base.r * (1.0 + d * s[k]), base.theta + 2.0 * np.pi * d * s[k + 1],
+                        base.alpha_abs * (1.0 + d * s[k + 2]),
+                        base.phi + 2.0 * np.pi * d * s[k + 3],
+                    )
+                    for base, k in ((row.in1, 0), (row.in2, 4))
+                ]
+                q = SchemeParams(*arms, row.transmittance, row.measurement)
+                out = conditional_output(q, 30, check_input_tail=False)
+                eps.append(misfit(out, tgt))
+                weights.append(out.raw_weight)
+            envelope = max(envelope, max(eps))
+            assert pt.misfit_mean == pytest.approx(np.mean(eps), abs=1e-12)
+            assert pt.misfit_max == pytest.approx(envelope, abs=1e-12)
+            assert pt.herald_weight == pytest.approx(np.mean(weights), rel=1e-12)
+
+
 def test_deviation_sweep_deterministic_and_order_insensitive():
     tgt = binomial_state(0.3, 7, 30)
     kw = dict(n_samples=6, seed=9, cutoff=30)

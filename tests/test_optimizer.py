@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from heraldkit.errors import ConfigError
+from heraldkit.errors import ConfigError, NormalizationError
 from heraldkit.optimizer import (
     Bounds,
     FixedMask,
     GAConfig,
     local_polish,
     objective,
+    objective_batch,
     optimize,
     params_to_vector,
     vector_to_params,
@@ -156,6 +157,41 @@ def test_objective_rejects_cutoff_mismatch():
 
 
 # ----------------------------------------------------------------- search
+
+
+def test_objective_batch_matches_objective():
+    rng = np.random.default_rng(11)
+    for kind, row in (("spd", ROW_BINOM_SPD), ("hm", ROW_BINOM_HM)):
+        b = Bounds.for_kind(kind)
+        vecs = np.array(b.lower) + rng.uniform(size=(7, len(b.names))) * (
+            np.array(b.upper) - np.array(b.lower)
+        )
+        vecs[0] = params_to_vector(row)[0]
+        vecs[1, 0] = 0.0  # coherent input 1 takes the scalar route
+        got = objective_batch(vecs, kind, Binomial(0.3, 7), 30)
+        want = [objective(vector_to_params(v, kind), Binomial(0.3, 7), 30) for v in vecs]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_objective_batch_raises_on_impossible_outcome():
+    vecs = np.tile(params_to_vector(ROW_BINOM_SPD)[0], (3, 1))
+    vecs[2, [0, 2, 4, 6]] = 0.0  # vacuum inputs never click
+    with pytest.raises(NormalizationError):
+        objective(vector_to_params(vecs[2], "spd"), Binomial(0.3, 7), 20)
+    with pytest.raises(NormalizationError):
+        objective_batch(vecs, "spd", Binomial(0.3, 7), 20)
+
+
+def test_optimize_with_coherent_input_reports_objective():
+    # r1 pinned to 0: every evaluation falls back to the scalar route
+    cfg = GAConfig(population_size=6, generations=3, restarts=1, seed=2)
+    res = optimize(
+        Binomial(0.5, 1), "spd", mask=FixedMask.pin("spd", r1=0.0), cfg=cfg,
+        search_cutoff=12, final_cutoff=12,
+    )
+    assert res.best_params.in1.r == 0.0
+    assert np.isfinite(res.best_misfit)
+    assert res.best_misfit == objective(res.best_params, Binomial(0.5, 1), 12)
 
 
 def test_optimize_deterministic():

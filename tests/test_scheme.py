@@ -11,6 +11,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from heraldkit import tolerances as tol
 from heraldkit.errors import SingularSqueezingError, TailMassError
 from heraldkit.fock import (
     MODE_FIRST,
@@ -28,14 +29,17 @@ from heraldkit.scheme import (
     SchemeParams,
     average_misfit,
     conditional_output,
+    conditional_output_batch,
     embedded_two_mode_state,
     hm_outcome_density,
     misfit,
     output_hm_closed_form,
     output_oracle,
     output_spd_closed_form,
+    params_to_vector,
     success_prob_hm,
     success_prob_spd,
+    vector_to_params,
 )
 from heraldkit.states import SqueezedCoherentParams, binomial_state, squeezed_coherent
 
@@ -456,3 +460,86 @@ def test_parameter_validation():
         HM(1.0, 0.0, -0.1)
     with pytest.raises(ValueError):
         SqueezedCoherentParams(-0.1, 0.0, 0.0, 0.0)
+
+
+# ------------------------------------------------------------ batched route
+
+
+def box_draws(rng: np.random.Generator, kind: str, count: int) -> list[SchemeParams]:
+    """Uniform draws from the acceptance criterion-1 box, in its draw order."""
+    def arm() -> SqueezedCoherentParams:
+        return SqueezedCoherentParams(
+            rng.uniform(0.05, 1.7), rng.uniform(0.0, 2.0 * math.pi),
+            rng.uniform(0.0, 4.0), rng.uniform(0.0, 2.0 * math.pi),
+        )
+
+    out = []
+    for _ in range(count):
+        meas = SPD() if kind == "spd" else HM(rng.uniform(0.0, 4.0),
+                                              rng.uniform(0.0, 2.0 * math.pi))
+        out.append(SchemeParams(arm(), arm(), rng.uniform(0.1, 0.9), meas))
+    return out
+
+
+def test_batch_matches_scalar_closed_form():
+    # the 400 draws of acceptance criterion 1, at its tolerances
+    rng = np.random.default_rng(20260823)
+    for kind in ("spd", "hm"):
+        points = box_draws(rng, kind, 200)
+        rows = np.array([params_to_vector(p)[0] for p in points])
+        states, weights = conditional_output_batch(rows, kind, 30)
+        assert states.shape == (200, 31) and weights.shape == (200,)
+        for p, state, weight in zip(points, states, weights):
+            ref = conditional_output(p, 30, check_input_tail=False)
+            assert abs(np.vdot(ref.state.amps, state)) >= 1.0 - 1e-10
+            assert abs(weight - ref.raw_weight) <= 1e-9 * ref.raw_weight
+
+
+def test_batch_routes_irregular_rows_through_scalar_route():
+    vec, _, _ = params_to_vector(SchemeParams(GENERIC_A, GENERIC_B, 0.42, HM(0.8, 0.4)))
+    rows = np.tile(vec, (5, 1))
+    rows[1, 0] = 0.0                       # coherent input 1: oracle fallback
+    rows[3, 4] = 0.5 * tol.MIN_SQUEEZING   # nearly coherent input 2
+    rows[4, 1] += 2.0 * math.pi            # unwrapped angle stays regular
+    for kind, width in (("hm", 11), ("spd", 9)):
+        states, weights = conditional_output_batch(rows[:, :width], kind, 20)
+        for i in (1, 3):
+            ref = conditional_output(vector_to_params(rows[i, :width], kind), 20,
+                                     check_input_tail=False)
+            np.testing.assert_array_equal(states[i], ref.state.amps)
+            assert weights[i] == ref.raw_weight
+        assert abs(np.vdot(states[0], states[4])) == pytest.approx(1.0, abs=1e-12)
+        assert weights[4] == pytest.approx(weights[0], rel=1e-12)
+
+
+def test_batch_raises_where_scalar_route_raises():
+    vec, _, _ = params_to_vector(SchemeParams(GENERIC_A, GENERIC_B, 0.42, HM(0.8, 0.4)))
+    rows = np.tile(vec, (3, 1))
+    rows[2, 8] = 0.95
+    with pytest.raises(ValueError, match="transmittance"):
+        conditional_output_batch(rows[:, :9], "spd", 20)
+    rows[2, 8] = 0.42
+    rows[1, 9] = 4.5
+    with pytest.raises(ValueError, match="quadrature value"):
+        conditional_output_batch(rows, "hm", 20)
+
+
+def test_batch_chunks_agree_with_one_chunk(monkeypatch):
+    rows = np.array([params_to_vector(p)[0]
+                     for p in box_draws(np.random.default_rng(4), "hm", 9)])
+    whole = conditional_output_batch(rows, "hm", 20)
+    monkeypatch.setattr(tol, "BATCH_ROWS", 2)
+    chunked = conditional_output_batch(rows, "hm", 20)
+    np.testing.assert_allclose(chunked[0], whole[0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-13)
+
+
+def test_spd_high_cutoff_stays_finite():
+    # sqrt((2N)!) overflows a double above 2N = 340
+    lo = conditional_output(ROW_BINOM_SPD, 100)
+    hi = conditional_output(ROW_BINOM_SPD, 200)
+    assert np.all(np.isfinite(hi.state.amps))
+    assert abs(np.vdot(lo.state.amps, hi.state.amps[:101])) == pytest.approx(1.0, abs=1e-12)
+    assert success_prob_spd(ROW_BINOM_SPD, 200) == pytest.approx(
+        success_prob_spd(ROW_BINOM_SPD, 100), abs=1e-12
+    )
