@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
 import yaml
 
 from . import tolerances as tol
@@ -38,7 +37,6 @@ from .optimizer import (
     Bounds,
     FixedMask,
     GAConfig,
-    OptimizationResult,
     layout_for_kind,
     local_polish,
     optimize,

@@ -139,9 +139,6 @@ class DensityMatrix:
             raise NormalizationError("cannot normalize a trace-zero operator")
         return DensityMatrix(self.rho / t, self.cutoff)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.rho)))
-
     def expectation(self, vec: FockVector) -> float:
         """<vec| rho |vec> as a real number."""
         if vec.cutoff != self.cutoff:

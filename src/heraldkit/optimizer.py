@@ -26,7 +26,7 @@ per restart, so a (config, seed, target) triple fixes the result exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize

@@ -9,7 +9,8 @@ projects mode 4 onto the conditional state returned here.
 Each measurement kind has two interchangeable evaluation routes:
 
 * a closed form that collapses the measurement analytically and never builds
-  the two-mode array (fast; used by the optimizer), and
+  the two-mode array (fast; used by the optimizer; for HM a Hankel product
+  per reading, or one convolution per point for a vector of readings), and
 * an oracle that embeds the inputs at twice the cutoff, applies the exact
   sector-by-sector beam splitter and projects (slow; used to cross-check).
 
@@ -19,16 +20,16 @@ before truncating, so their retained and discarded masses agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import convolve2d
 from scipy.special import comb, gammaln
 
 from . import tolerances as tol
-from .errors import QuadratureError, SingularSqueezingError
+from .errors import HermiteOverflowError, QuadratureError, SingularSqueezingError
 from .fock import (
     MODE_FIRST,
     BeamSplitterSpec,
@@ -256,7 +257,7 @@ def _hm_arm_matrices(
 
     Returns U1[b, d1, k] and U2[b, d2, l]: d counts the photons an input
     sends to the measured arm, where the two meet in H_{d1+d2}(x), and k, l
-    those it sends to the signal arm; see _HMEvaluator for the contraction.
+    those it sends to the signal arm; see _hm_hankel_amplitudes, _hm_window.
     """
     n_cut = a1.shape[-1] - 1
     n = np.arange(n_cut + 1)
@@ -287,49 +288,51 @@ def _hankel_rows(v: np.ndarray, size: int) -> np.ndarray:
     return as_strided(v, shape=(len(v), size, size), strides=(sb, si, si), writeable=False)
 
 
-class _HMEvaluator:
-    """Homodyne closed form with the x-independent work hoisted out.
+def _hm_point(p: SchemeParams, cutoff: int, check_input_tail: bool):
+    """Arm matrices of one HM point (batch axis of one) and its input norm."""
+    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
+    t, lam = np.array([p.transmittance]), np.array([p.measurement.lam])
+    return (*_hm_arm_matrices(a1[None], a2[None], t, lam), _input_norm_sq(a1, a2))
 
-    The quadruple sum factors into per-arm matrices U1[d1, k], U2[d2, l]
-    (d = photons sent to the measured arm, k/l = photons sent to the signal
-    arm) contracted against the Hankel matrix H_{d1+d2}(x):
 
-        c[s] = pi^{-1/4} e^{-x^2/2} sqrt(s!)
-               sum_{k+l=s} (U1^T @ Hankel(x) @ U2)[k, l].
+def _hm_amplitudes_at(p: SchemeParams, x: float, cutoff: int, check_input_tail: bool):
+    """Hankel kernel on one point: its output at reading x and its input norm."""
+    u1, u2, norm = _hm_point(p, cutoff, check_input_tail)
+    # the scalar recurrence is cheaper on one point and raises HermiteOverflowError
+    h = hermite_sequence(complex(x), 2 * cutoff).real[None]
+    return _hm_hankel_amplitudes(u1, u2, np.array([x], dtype=float), h)[0], norm
 
-    A single quadrature value is cheapest through the two matrix products
-    above.  For loops over many x the U1/U2 pair is convolved once into
-    W[j, s] so each value costs one O(cutoff^2) dot product,
-    c[s] = pref sqrt(s!) sum_j H_j(x) W[j, s].
-    """
 
-    def __init__(self, a1: np.ndarray, a2: np.ndarray, t: float, lam: float):
-        u1, u2 = _hm_arm_matrices(a1[None], a2[None], np.array([t]), np.array([lam]))
-        self.u1 = u1[0]
-        self.u2 = u2[0]
-        self.n_cut = len(a1) - 1
-        self.sqf2 = sqrt_factorials(2 * self.n_cut)
-        self._w_mat = None
+def _hm_window(p: SchemeParams, cutoff: int, check_input_tail: bool):
+    """Unnormalized HM outputs over |0>..|2*cutoff> and outcome density of one
+    point as functions of a vector of readings.  The arm matrices are convolved,
+    once and after the first readings pass the overflow check, into
+    W[j, s] = sum_{d1+d2=j, k+l=s} U1[d1, k] U2[d2, l] (one Toeplitz product per
+    row d1), so all readings take one product:
+    c(x)[s] = pi^{-1/4} e^{-x^2/2} sqrt(s!) sum_j H_j(x) W[j, s]."""
+    u1, u2, norm = _hm_point(p, cutoff, check_input_tail)
 
-    def amplitudes_once(self, x: float) -> np.ndarray:
-        """One-shot unnormalized HM output over |0>..|2*cutoff>."""
-        n_cut = self.n_cut
-        h = hermite_sequence(complex(x), 2 * n_cut).real
-        hankel = h[np.add.outer(np.arange(n_cut + 1), np.arange(n_cut + 1))]
-        q = self.u1.T @ hankel @ self.u2
-        pref = np.pi**-0.25 * np.exp(-0.5 * x * x)
-        return pref * self.sqf2 * _antidiagonal_sums(q[None])[0]
+    @cache
+    def window_matrix() -> np.ndarray:
+        # padded[d1, cutoff + k] = U1[d1, k], so U2[:, ::-1] @ padded[d1, hankel] holds
+        # each row of U2 convolved with U1[d1]
+        padded = np.zeros((cutoff + 1, 3 * cutoff + 1), dtype=np.complex128)
+        padded[:, cutoff : 2 * cutoff + 1] = u1[0]
+        hankel = np.add.outer(np.arange(cutoff + 1), np.arange(2 * cutoff + 1))
+        w = np.zeros((2 * cutoff + 1, 2 * cutoff + 1), dtype=np.complex128)
+        for d1 in range(cutoff + 1):
+            w[d1 : d1 + cutoff + 1] += u2[0, :, ::-1] @ padded[d1, hankel]
+        return w
 
-    def full_amplitudes(self, x: float) -> np.ndarray:
-        """Loop-friendly unnormalized HM output over |0>..|2*cutoff>."""
-        if self._w_mat is None:
-            self._w_mat = convolve2d(self.u1, self.u2, mode="full")
-        h = hermite_sequence(complex(x), 2 * self.n_cut).real
-        pref = np.pi**-0.25 * np.exp(-0.5 * x * x)
-        return pref * self.sqf2 * (h @ self._w_mat)
+    def amplitudes(xs: np.ndarray) -> np.ndarray:
+        h = _hermite_rows(xs, 2 * cutoff)
+        if not np.isfinite(h).all():
+            i, k = np.argwhere(~np.isfinite(h))[0]
+            raise HermiteOverflowError(int(k), complex(xs[i]))
+        h_w = (h @ window_matrix().view(np.float64)).view(np.complex128)
+        return (np.pi**-0.25 * np.exp(-0.5 * xs * xs))[:, None] * sqrt_factorials(2 * cutoff) * h_w
 
-    def mass(self, x: float) -> float:
-        return float(np.sum(np.abs(self.full_amplitudes(x)) ** 2))
+    return amplitudes, lambda xs: np.sum(np.abs(amplitudes(xs)) ** 2, axis=1) / norm
 
 
 def output_spd_closed_form(
@@ -359,9 +362,8 @@ def output_hm_closed_form(
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
     _require_regular_squeezing(p)
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    ev = _HMEvaluator(a1, a2, p.transmittance, p.measurement.lam)
-    return _split_output(ev.amplitudes_once(p.measurement.x), cutoff)
+    full, _ = _hm_amplitudes_at(p, p.measurement.x, cutoff, check_input_tail)
+    return _split_output(full, cutoff)
 
 
 def embedded_two_mode_state(
@@ -465,8 +467,9 @@ def _hermite_rows(z: np.ndarray, n_max: int) -> np.ndarray:
     h[0] = 1.0
     if n_max >= 1:
         h[1] = two_z
-    for k in range(1, n_max):
-        h[k + 1] = two_z * h[k] - 2.0 * k * h[k - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_max):
+            h[k + 1] = two_z * h[k] - 2.0 * k * h[k - 1]
     return h.T
 
 
@@ -486,10 +489,14 @@ def _squeezed_amplitudes_rows(arm: np.ndarray, cutoff: int) -> np.ndarray:
     return pref[:, None] * g[:, None] ** np.arange(cutoff + 1) * herm / sqrt_factorials(cutoff)
 
 
-def _hm_full_amplitudes(u1: np.ndarray, u2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_HMEvaluator.amplitudes_once for a stack of arm matrices and readings."""
+def _hm_hankel_amplitudes(u1: np.ndarray, u2: np.ndarray, x: np.ndarray, h: np.ndarray):
+    """Unnormalized HM outputs over |0>..|2*cutoff>, point b read at x[b] with
+    h[b] = H_0..H_{2 cutoff}(x[b]).  The arms meet in the Hankel matrix H_{d1+d2}(x):
+
+        c[s] = pi^{-1/4} e^{-x^2/2} sqrt(s!) sum_{k+l=s} (U1^T @ Hankel(x) @ U2)[k, l].
+    """
     n_cut = u1.shape[-1] - 1
-    hankel = np.ascontiguousarray(_hankel_rows(_hermite_rows(x, 2 * n_cut), n_cut + 1))
+    hankel = np.ascontiguousarray(_hankel_rows(h, n_cut + 1))
     # Hankel(x) @ U1 with the real Hankel applied to the real and imaginary
     # parts at once: (Hankel @ U1)[d2, k] = (U1^T @ Hankel)[k, d2]
     h_u1 = (hankel @ np.ascontiguousarray(u1).view(np.float64)).view(np.complex128)
@@ -509,7 +516,8 @@ def _closed_form_rows(rows: np.ndarray, kind: str, cutoff: int) -> np.ndarray:
     if kind == "spd":
         return _spd_full_amplitudes(a1, a2, t)
     u1, u2 = _hm_arm_matrices(a1, a2, t, rows[:, 10])
-    return _hm_full_amplitudes(u1, u2, rows[:, 9])
+    x = rows[:, 9]
+    return _hm_hankel_amplitudes(u1, u2, x, _hermite_rows(x, 2 * cutoff))
 
 
 def conditional_output_batch(
@@ -583,20 +591,24 @@ def success_prob_spd(p: SchemeParams, cutoff: int, check_input_tail: bool = True
     return float(np.sum(np.abs(full) ** 2)) / _input_norm_sq(a1, a2)
 
 
+_gauss_legendre_rule = cache(leggauss)
+
+
 def _gauss_legendre_adaptive(f, lo: float, hi: float) -> float:
     """Integrate f over [lo, hi], doubling the node count until stable.
 
-    Starts at QUADRATURE_MIN_NODES and raises QuadratureError if successive
-    estimates still differ by more than QUADRATURE_STEP_ATOL at the node
-    budget.
+    f maps an array of nodes to their integrand values, one call per node
+    count.  Starts at QUADRATURE_MIN_NODES and raises QuadratureError if
+    successive estimates still differ by more than QUADRATURE_STEP_ATOL at
+    the node budget.
     """
     prev = None
     nodes = tol.QUADRATURE_MIN_NODES
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     while nodes <= tol.QUADRATURE_MAX_NODES:
-        xs, ws = leggauss(nodes)
-        val = half * float(sum(w * f(mid + half * x) for x, w in zip(xs, ws)))
+        xs, ws = _gauss_legendre_rule(nodes)
+        val = half * float(ws @ f(mid + half * xs))
         if prev is not None and abs(val - prev) <= tol.QUADRATURE_STEP_ATOL:
             return val
         prev = val
@@ -613,9 +625,8 @@ def hm_outcome_density(
     """Probability density of reading x_value on the measured arm."""
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    ev = _HMEvaluator(a1, a2, p.transmittance, p.measurement.lam)
-    return ev.mass(x_value) / _input_norm_sq(a1, a2)
+    full, norm = _hm_amplitudes_at(p, x_value, cutoff, check_input_tail)
+    return float(np.sum(np.abs(full) ** 2)) / norm
 
 
 def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True) -> float:
@@ -625,11 +636,8 @@ def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True)
     delta = p.measurement.window_halfwidth
     if delta == 0.0:
         return 0.0
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    ev = _HMEvaluator(a1, a2, p.transmittance, p.measurement.lam)
-    norm = _input_norm_sq(a1, a2)
-    x0 = p.measurement.x
-    return _gauss_legendre_adaptive(lambda x: ev.mass(x) / norm, x0 - delta, x0 + delta)
+    _, density = _hm_window(p, cutoff, check_input_tail)
+    return _gauss_legendre_adaptive(density, p.measurement.x - delta, p.measurement.x + delta)
 
 
 def average_misfit(
@@ -652,17 +660,13 @@ def average_misfit(
         raise ValueError("measurement.window_halfwidth must be > 0")
     if n_subranges < 1:
         raise ValueError("n_subranges must be >= 1")
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    ev = _HMEvaluator(a1, a2, p.transmittance, p.measurement.lam)
-    norm = _input_norm_sq(a1, a2)
+    amplitudes, density = _hm_window(p, cutoff, check_input_tail)
     edges = np.linspace(p.measurement.x - delta, p.measurement.x + delta, n_subranges + 1)
     weight_sum = 0.0
     weighted_misfit = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        state = _split_output(ev.full_amplitudes(mid), cutoff).state
-        eps = misfit(state, target)
-        prob = _gauss_legendre_adaptive(lambda x: ev.mass(x) / norm, lo, hi)
+    for lo, hi, full in zip(edges[:-1], edges[1:], amplitudes(0.5 * (edges[:-1] + edges[1:]))):
+        eps = misfit(_split_output(full, cutoff).state, target)
+        prob = _gauss_legendre_adaptive(density, lo, hi)
         weight_sum += prob
         weighted_misfit += eps * prob
     if weight_sum <= 0.0:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import tolerances as tol
-from .errors import SingularSqueezingError, TailMassError, TruncationQualityError
+from .errors import TailMassError, TruncationQualityError
 from .fock import FockVector, hermite_sequence, sqrt_factorials
 
 

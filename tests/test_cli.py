@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import heraldkit
 from heraldkit.cli import main
 from heraldkit.scheme import SPD, SchemeParams, conditional_output, misfit, success_prob_spd
 from heraldkit.states import Binomial, SqueezedCoherentParams, target_state
@@ -183,6 +187,17 @@ def test_evaluate_spd_high_cutoff_is_finite(tmp_path):
         values += [float(v) for k, v in rows[cutoff].items() if k != "label" and v != ""]
         assert np.all(np.isfinite(values))
     assert float(rows[200]["P"]) == pytest.approx(float(rows[100]["P"]), abs=1e-8)
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal was most of the CLI's import time; nothing needs it
+    src = str(Path(heraldkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, heraldkit.cli; print('scipy.signal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_quiet_flag_suppresses_chatter(tmp_path, capsys):

@@ -6,13 +6,19 @@ beam-splitter expansion so the pipeline itself is not self-certifying.
 """
 
 import math
+import warnings
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from heraldkit import tolerances as tol
-from heraldkit.errors import SingularSqueezingError, TailMassError
+from heraldkit.errors import (
+    HermiteOverflowError,
+    QuadratureError,
+    SingularSqueezingError,
+    TailMassError,
+)
 from heraldkit.fock import (
     MODE_FIRST,
     MODE_SECOND,
@@ -396,6 +402,45 @@ def test_hm_outcome_density_matches_quadrature_projection():
     assert got == pytest.approx(density / norm_sq, rel=1e-9)
 
 
+def oracle_window_prob(st, lam: float, lo: float, hi: float) -> float:
+    """Probability of a reading in [lo, hi] on the embedded two-mode state st:
+    a fixed 128-node Gauss-Legendre sum of project_quadrature densities."""
+    nodes, node_weights = np.polynomial.legendre.leggauss(128)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    dens = [project_quadrature(st, MODE_FIRST, mid + half * t, lam)[1] for t in nodes]
+    return half * float(node_weights @ np.array(dens)) / float(np.sum(np.abs(st.amps) ** 2))
+
+
+def test_success_prob_hm_matches_oracle_quadrature():
+    m = ROW_BINOM_HM.measurement
+    st = embedded_two_mode_state(ROW_BINOM_HM, 30, check_input_tail=False)
+    want = oracle_window_prob(st, m.lam, m.x - m.window_halfwidth, m.x + m.window_halfwidth)
+    got = success_prob_hm(ROW_BINOM_HM, 30, check_input_tail=False)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_success_prob_hm_quadrature_budget(monkeypatch):
+    monkeypatch.setattr(tol, "QUADRATURE_MAX_NODES", tol.QUADRATURE_MIN_NODES)
+    with pytest.raises(QuadratureError):
+        success_prob_hm(ROW_BINOM_HM, 30, check_input_tail=False)
+
+
+def test_hm_overflow_raises_without_warnings():
+    # H_400(0.61) overflows at order 269, inside every figure at cutoff 200
+    tgt = binomial_state(0.45, 8, 200)
+    figures = (
+        lambda: conditional_output(ROW_BINOM_HM, 200),
+        lambda: hm_outcome_density(ROW_BINOM_HM, 0.61, 200),
+        lambda: success_prob_hm(ROW_BINOM_HM, 200),
+        lambda: average_misfit(ROW_BINOM_HM, tgt, 200),
+    )
+    for figure in figures:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(HermiteOverflowError):
+                figure()
+
+
 # ----------------------------------------------------------- average misfit
 
 
@@ -430,6 +475,24 @@ def test_average_misfit_bounded_by_subrange_misfits():
     got = average_misfit(ROW_BINOM_HM, tgt, 40, n_subranges=n_sub,
                          check_input_tail=False)
     assert min(eps_j) <= got <= max(eps_j)
+
+
+def test_average_misfit_matches_oracle_weighted_sum():
+    # midpoint misfits from the scalar closed form, weights from the oracle
+    tgt = binomial_state(0.45, 8, 30)
+    m = ROW_BINOM_HM.measurement
+    st = embedded_two_mode_state(ROW_BINOM_HM, 30, check_input_tail=False)
+    edges = np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth,
+                        tol.DEFAULT_SUBRANGES + 1)
+    weights, eps = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        weights.append(oracle_window_prob(st, m.lam, lo, hi))
+        p_mid = SchemeParams(ROW_BINOM_HM.in1, ROW_BINOM_HM.in2,
+                             ROW_BINOM_HM.transmittance, HM(0.5 * (lo + hi), m.lam))
+        eps.append(misfit(conditional_output(p_mid, 30, check_input_tail=False), tgt))
+    want = float(np.dot(weights, eps) / np.sum(weights))
+    got = average_misfit(ROW_BINOM_HM, tgt, 30, check_input_tail=False)
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_average_misfit_refinement_stable():
