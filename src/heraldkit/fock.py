@@ -45,10 +45,6 @@ def sqrt_factorials(n_max: int) -> np.ndarray:
     return np.exp(0.5 * gammaln(np.arange(n_max + 1) + 1.0))
 
 
-def factorials(n_max: int) -> np.ndarray:
-    return np.exp(gammaln(np.arange(n_max + 1) + 1.0))
-
-
 @dataclass
 class FockVector:
     """Amplitudes of a single-mode state over |0>..|cutoff>.
@@ -339,7 +335,8 @@ def partial_trace(state: TwoModeState, traced_mode: int) -> DensityMatrix:
 
 
 def _require_unit_norm(label: str, value: float):
-    if abs(value - 1.0) > tol.INPUT_NORM_ATOL:
+    # written so that a NaN norm fails the check too
+    if not abs(value - 1.0) <= tol.INPUT_NORM_ATOL:
         raise NormalizationError(f"{label} must be normalized, got squared norm {value}")
 
 

@@ -2,9 +2,10 @@
 
 Photon loss is modeled by a fictitious beam splitter coupling the lossy
 mode to vacuum, with transmittance equal to the efficiency eta; tracing out
-the ancilla gives the channel.  The Kraus operators used for mixed states
-are read off the same beam-splitter blocks, so both routes agree to machine
-precision by construction.
+the ancilla gives the channel.  Pure states run through that dilation
+explicitly.  Everything else uses the closed-form loss amplitudes
+sqrt(C(n, p) eta^p (1-eta)^(n-p)) of p out of n photons surviving, so the
+dilation is an independent reference for the closed form.
 
 An inefficient single-photon detector is loss followed by an ideal
 projection: the measured arm passes through the eta_det channel before the
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from . import tolerances as tol
 from .errors import NormalizationError
@@ -34,7 +36,6 @@ from .fock import (
     beam_splitter_apply,
     hermite_gaussian_columns,
     partial_trace,
-    sector_unitary,
     tensor,
     vacuum,
 )
@@ -65,27 +66,24 @@ class ImperfectionSpec:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def _dilation_columns(eta: float, n_max: int) -> list[np.ndarray]:
-    """Per-photon-number amplitudes of the loss beam splitter.
+def _loss_amplitudes(eta: float, n_max: int) -> np.ndarray:
+    """Loss amplitudes L[p, n] = sqrt(C(n, p) eta^p (1-eta)^(n-p)), 0 for p > n.
 
-    cols[n][p] is the amplitude for p of n photons surviving (n - p going
-    to the ancilla), taken directly from the |n, 0> column of the exact
-    beam-splitter sector block.
+    L[p, n] is the amplitude for p of n photons surviving (n - p going to
+    the ancilla), computed in log space so no binomial overflows.  The
+    symmetric convention's phase i^(n-p) is common to every entry of one
+    Kraus operator, so it cancels in every use and is left out.
     """
-    spec = BeamSplitterSpec(eta)
-    return [sector_unitary(n, spec)[:, n].copy() for n in range(n_max + 1)]
-
-
-def _loss_kraus(eta: float, cutoff: int) -> list[np.ndarray]:
-    """Kraus operators K_q (q photons lost) built from the dilation columns."""
-    cols = _dilation_columns(eta, cutoff)
-    ops = []
-    for q in range(cutoff + 1):
-        k = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-        for n in range(q, cutoff + 1):
-            k[n - q, n] = cols[n][n - q]
-        ops.append(k)
-    return ops
+    n = np.arange(n_max + 1)
+    kept = n[:, None]
+    lost = n[None, :] - kept
+    valid = lost >= 0
+    lost = np.where(valid, lost, 0)
+    log_sq = (
+        gammaln(n + 1.0) - gammaln(kept + 1.0) - gammaln(lost + 1.0)
+        + xlogy(kept, eta) + xlogy(lost, 1.0 - eta)
+    )
+    return np.where(valid, np.exp(0.5 * log_sq), 0.0)
 
 
 def loss_channel(
@@ -95,8 +93,9 @@ def loss_channel(
 
     Pure inputs run through the explicit dilate-and-trace pipeline (exact on
     the truncated space because the ancilla starts in vacuum, so no sector
-    exceeds the cutoff).  Mixed inputs use the Kraus form read off the same
-    dilation.
+    exceeds the cutoff).  Mixed inputs use the Kraus sum over the number q
+    of lost photons, each term a shifted slice of rho weighted by the
+    closed-form loss amplitudes; the two routes are built independently.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
@@ -108,9 +107,11 @@ def loss_channel(
         if dropped != 0.0:
             raise AssertionError("loss dilation must conserve the truncated support")
         return partial_trace(mixed, MODE_SECOND)
+    amps = _loss_amplitudes(eta, cutoff)
     out = np.zeros_like(state.rho)
-    for k in _loss_kraus(eta, cutoff):
-        out += k @ state.rho @ k.conj().T
+    for q in range(cutoff + 1):
+        l_q = np.diagonal(amps, offset=q)
+        out[: cutoff + 1 - q, : cutoff + 1 - q] += l_q[:, None] * state.rho[q:, q:] * l_q
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out, cutoff)
 
@@ -134,36 +135,27 @@ def conditional_output_lossy(
     c = mixed.amps
     big = mixed.cutoff
     total = mixed.norm_sq()
-    cols = _dilation_columns(imp.eta_det, big)
-    rho_big = np.zeros((big + 1, big + 1), dtype=np.complex128)
-    weight = 0.0
+    amps = _loss_amplitudes(imp.eta_det, big)
     if isinstance(p.measurement, SPD):
         # Losing q photons before an n=1 click means 1+q were present.
-        for q in range(big):
-            coef = cols[1 + q][1]
-            if coef == 0.0:
-                continue
-            row = c[1 + q, :]
-            rho_big += (abs(coef) ** 2) * np.outer(row, row.conj())
-            weight += (abs(coef) ** 2) * float(np.sum(np.abs(row) ** 2))
+        v = amps[1, 1:, None] * c[1:]
     elif isinstance(p.measurement, HM):
+        # Row q of the bra matrix reads x after q photons were lost.
         n_idx = np.arange(big + 1)
         phi = hermite_gaussian_columns(big, p.measurement.x) * np.exp(
             -1j * p.measurement.lam * n_idx
         )
-        for q in range(big + 1):
-            bra = np.zeros(big + 1, dtype=np.complex128)
-            for n in range(q, big + 1):
-                bra[n] = phi[n - q] * cols[n][n - q]
-            v = bra @ c
-            rho_big += np.outer(v, v.conj())
-            weight += float(np.sum(np.abs(v) ** 2))
+        kept = n_idx[None, :] - n_idx[:, None]
+        valid = kept >= 0
+        kept = np.where(valid, kept, 0)
+        v = np.where(valid, phi[kept] * amps[kept, n_idx], 0.0) @ c
     else:
         raise TypeError(f"unknown measurement {type(p.measurement).__name__}")
-    weight /= total
+    weight = float(np.sum(np.abs(v) ** 2)) / total
     if weight == 0.0:
         return None, 0.0
-    rho_t = rho_big[: cutoff + 1, : cutoff + 1]
+    head = v[:, : cutoff + 1]
+    rho_t = head.T @ head.conj()
     rho_t = 0.5 * (rho_t + rho_t.conj().T)
     tr = float(np.real(np.trace(rho_t)))
     if tr <= 0.0:

@@ -572,7 +572,7 @@ def misfit_batch(states: np.ndarray, target: FockVector) -> np.ndarray:
     """
     _require_unit_norm("target", target.norm_sq())
     norms = np.sum(np.abs(states) ** 2, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > tol.INPUT_NORM_ATOL)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol.INPUT_NORM_ATOL))
     if bad.size:
         _require_unit_norm("out", float(norms[bad[0]]))
     return 1.0 - np.abs(states @ target.amps.conj()) ** 2
@@ -602,20 +602,21 @@ def _gauss_legendre_adaptive(f, lo: float, hi: float) -> float:
     successive estimates still differ by more than QUADRATURE_STEP_ATOL at
     the node budget.
     """
-    prev = None
+    prev = change = np.inf
     nodes = tol.QUADRATURE_MIN_NODES
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     while nodes <= tol.QUADRATURE_MAX_NODES:
         xs, ws = _gauss_legendre_rule(nodes)
         val = half * float(ws @ f(mid + half * xs))
-        if prev is not None and abs(val - prev) <= tol.QUADRATURE_STEP_ATOL:
+        change = abs(val - prev)
+        if change <= tol.QUADRATURE_STEP_ATOL:
             return val
         prev = val
         nodes *= 2
     raise QuadratureError(
         f"quadrature over [{lo:.6g}, {hi:.6g}] did not stabilize within "
-        f"{tol.QUADRATURE_MAX_NODES} nodes (last change {abs(val - prev):.3e})"
+        f"{tol.QUADRATURE_MAX_NODES} nodes (last change {change:.3e})"
     )
 
 

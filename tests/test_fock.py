@@ -25,6 +25,7 @@ from heraldkit.fock import (
     tensor,
     vacuum,
 )
+from heraldkit.scheme import misfit_batch
 
 
 def random_fock(cutoff: int, seed: int) -> FockVector:
@@ -287,3 +288,13 @@ def test_fidelity_rejects_unnormalized():
         fidelity(bad, basis_state(0, 1))
     with pytest.raises(NormalizationError):
         fidelity(basis_state(0, 1), bad)
+
+
+def test_nan_state_raises():
+    # a NaN squared norm is not within the tolerance of 1 either
+    nan_state = FockVector(np.full(4, np.nan), 3)
+    with pytest.raises(NormalizationError):
+        fidelity(basis_state(0, 3), nan_state)
+    rows = np.stack([basis_state(1, 3).amps, nan_state.amps])
+    with pytest.raises(NormalizationError):
+        misfit_batch(rows, basis_state(0, 3))

@@ -24,6 +24,7 @@ from heraldkit.scheme import (
     SchemeParams,
     conditional_output,
     embedded_two_mode_state,
+    hm_outcome_density,
     misfit,
     success_prob_spd,
 )
@@ -105,13 +106,14 @@ def test_channel_composition():
     np.testing.assert_allclose(once.rho, direct.rho, atol=1e-10)
 
 
-def test_kraus_route_matches_dilation_route():
+@pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+def test_kraus_route_matches_dilation_route(eta):
     # pure inputs go through the explicit vacuum-ancilla dilation, density
-    # matrices through the Kraus sum; both must be the same channel
+    # matrices through the closed-form Kraus sum; both must be the same channel
     psi = random_pure(12, seed=13)
-    via_pure = loss_channel(psi, 0.6, 12)
+    via_pure = loss_channel(psi, eta, 12)
     rho_in = DensityMatrix(np.outer(psi.amps, psi.amps.conj()), 12)
-    via_mixed = loss_channel(rho_in, 0.6, 12)
+    via_mixed = loss_channel(rho_in, eta, 12)
     np.testing.assert_allclose(via_pure.rho, via_mixed.rho, atol=1e-12)
 
 
@@ -193,6 +195,20 @@ def test_inefficient_spd_herald_weight_matches_povm():
     povm = n * eta * (1.0 - eta) ** (n - 1)
     povm[0] = 0.0
     assert weight == pytest.approx(float(np.dot(povm, diag)), rel=1e-10)
+
+
+def test_inefficient_hm_herald_weight_matches_noisy_density():
+    # loss eta before homodyne adds vacuum noise: the density of reading x
+    # is the ideal outcome density at y smeared by N(x; sqrt(eta) y, (1-eta)/2)
+    eta, x = 0.8, ROW_BINOM_HM.measurement.x
+    _, weight = conditional_output_lossy(
+        ROW_BINOM_HM, ImperfectionSpec(eta_det=eta), 30, check_input_tail=False
+    )
+    ys = np.linspace(-9.0, 9.0, 361)
+    density = [hm_outcome_density(ROW_BINOM_HM, y, 30, check_input_tail=False) for y in ys]
+    var = 0.5 * (1.0 - eta)
+    noise = np.exp(-((x - np.sqrt(eta) * ys) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    assert weight == pytest.approx(float(np.trapezoid(density * noise, ys)), rel=1e-10)
 
 
 @pytest.mark.parametrize("p", [ROW_BINOM_SPD, ROW_BINOM_HM], ids=["spd", "hm"])

@@ -423,6 +423,13 @@ def test_success_prob_hm_quadrature_budget(monkeypatch):
     monkeypatch.setattr(tol, "QUADRATURE_MAX_NODES", tol.QUADRATURE_MIN_NODES)
     with pytest.raises(QuadratureError):
         success_prob_hm(ROW_BINOM_HM, 30, check_input_tail=False)
+    # two node levels on a window far wider than the outcome density differ
+    # by a real amount, and the message reports it
+    monkeypatch.setattr(tol, "QUADRATURE_MAX_NODES", 2 * tol.QUADRATURE_MIN_NODES)
+    wide = SchemeParams(ROW_BINOM_HM.in1, ROW_BINOM_HM.in2, ROW_BINOM_HM.transmittance,
+                        HM(0.61, 0.04, 20.0))
+    with pytest.raises(QuadratureError, match=r"last change [1-9]\.\d+e-0[1-7]\)"):
+        success_prob_hm(wide, 30, check_input_tail=False)
 
 
 def test_hm_overflow_raises_without_warnings():
