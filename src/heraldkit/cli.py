@@ -13,8 +13,10 @@ failing run leaves no partial outputs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -28,7 +30,6 @@ from .errors import (
     HermiteOverflowError,
     NormalizationError,
     QuadratureError,
-    SingularSqueezingError,
     TailMassError,
     TruncationQualityError,
 )
@@ -67,7 +68,6 @@ _NUMERIC_ERRORS = (
     QuadratureError,
     TruncationQualityError,
     NormalizationError,
-    SingularSqueezingError,
 )
 
 TABLE_COLUMNS = (
@@ -114,20 +114,37 @@ def _sub(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(v: Any, path: str) -> float:
+    """A finite real config value; YAML's .nan and .inf are refused."""
+    if not _is_number(v):
+        raise ConfigError(path, f"expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
+    return float(v)
+
+
 def _get_number(d: dict, path: str, key: str, default=None, lo=None, hi=None) -> float:
     if key not in d:
         if default is None:
             raise ConfigError(_sub(path, key), "required key missing")
         return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(_sub(path, key), f"expected a number, got {v!r}")
-    v = float(v)
+    v = _number(d[key], _sub(path, key))
     if lo is not None and v < lo:
         raise ConfigError(_sub(path, key), f"{v} below minimum {lo}")
     if hi is not None and v > hi:
         raise ConfigError(_sub(path, key), f"{v} above maximum {hi}")
     return v
+
+
+def _get_number_list(d: dict, path: str, key: str) -> list[float]:
+    v = d.get(key)
+    if not isinstance(v, list) or not all(map(_is_number, v)):
+        raise ConfigError(_sub(path, key), "expected a list of numbers")
+    return [_number(x, f"{_sub(path, key)}[{i}]") for i, x in enumerate(v)]
 
 
 def _get_int(d: dict, path: str, key: str, default=None, lo=None) -> int:
@@ -171,19 +188,21 @@ def _get_complex(d: dict, path: str, key: str) -> complex:
     if isinstance(v, bool):
         raise ConfigError(_sub(path, key), f"expected a number, got {v!r}")
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, str):
+        z = complex(v)
+    elif isinstance(v, str):
         try:
-            return complex(v.replace(" ", ""))
+            z = complex(v.replace(" ", ""))
         except ValueError:
             raise ConfigError(_sub(path, key), f"cannot parse {v!r} as complex") from None
-    if isinstance(v, list) and len(v) == 2 and all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in v
-    ):
-        return complex(v[0], v[1])
-    raise ConfigError(
-        _sub(path, key), "expected a number, an [re, im] pair, or a complex literal"
-    )
+    elif isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
+        z = complex(v[0], v[1])
+    else:
+        raise ConfigError(
+            _sub(path, key), "expected a number, an [re, im] pair, or a complex literal"
+        )
+    if not cmath.isfinite(z):
+        raise ConfigError(_sub(path, key), f"expected a finite number, got {v!r}")
+    return z
 
 
 def parse_target(d: Any, path: str = "target") -> TargetSpec:
@@ -317,16 +336,12 @@ def parse_bounds(d: Any, kind: str, path: str) -> Bounds:
     lower = list(base.lower)
     upper = list(base.upper)
     for key, pair in d.items():
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
             raise ConfigError(_sub(path, key), "expected a [lo, hi] pair")
         i = base.names.index(key)
         if base.periodic[i]:
             raise ConfigError(_sub(path, key), "angle bounds are fixed at [0, 2*pi)")
-        lower[i], upper[i] = float(pair[0]), float(pair[1])
+        lower[i], upper[i] = (_number(c, f"{_sub(path, key)}[{j}]") for j, c in enumerate(pair))
     return Bounds(base.names, tuple(lower), tuple(upper), base.periodic)
 
 
@@ -491,29 +506,21 @@ def cmd_sweep(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> 
     tgt = target_state(spec, cutoff, check_tail=False)
 
     if mode == "deviation":
-        devs = section.get("deviations")
-        if not isinstance(devs, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in devs
-        ):
-            raise ConfigError("sweep.deviations", "expected a list of numbers")
+        devs = _get_number_list(section, "sweep", "deviations")
         sampling = _get_str(
             section, "sweep", "sampling", ("signed_uniform", "worst_case"), "signed_uniform"
         )
         n_samples = _get_int(section, "sweep", "n_samples", 50, lo=1)
         points = sweep_parameter_deviation(
-            params, tgt, [float(v) for v in devs],
+            params, tgt, devs,
             sampling=sampling, n_samples=n_samples, seed=seed, cutoff=cutoff,
         )
     else:
-        etas = section.get("etas")
-        if not isinstance(etas, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in etas
-        ):
-            raise ConfigError("sweep.etas", "expected a list of numbers")
+        etas = _get_number_list(section, "sweep", "etas")
         which = _get_str(section, "sweep", "which", ("det", "signal", "both"), "det")
         strict = _get_bool(section, "sweep", "strict_tails", False)
         points = sweep_efficiency(
-            params, tgt, [float(v) for v in etas],
+            params, tgt, etas,
             which=which, cutoff=cutoff, check_input_tail=strict,
         )
 
@@ -548,9 +555,7 @@ def _apply_overrides(row: ReferenceRow, overrides: dict, path: str) -> SchemePar
     for key, val in overrides.items():
         if key not in names:
             raise ConfigError(f"{path}.{key}", f"unknown dimension for a {kind} row")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
-        vec[names.index(key)] = float(val)
+        vec[names.index(key)] = _number(val, f"{path}.{key}")
     return _construct(path, vector_to_params, vec, kind, whw)
 
 

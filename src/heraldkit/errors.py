@@ -37,11 +37,6 @@ class TailMassError(HeraldkitError):
         )
 
 
-class SingularSqueezingError(HeraldkitError):
-    """Raised when a closed-form expansion is evaluated below the minimum
-    squeezing magnitude where its Hermite arguments diverge."""
-
-
 class TruncationQualityError(HeraldkitError):
     """Raised when a truncated operator matrix fails its quality checks
     (column norms or block unitarity)."""

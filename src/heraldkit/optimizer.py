@@ -5,10 +5,8 @@ beam-splitter transmittance, and for quadrature conditioning also the
 outcome x and the phase lam.  Angle dimensions live on [0, 2*pi) and use
 wrapped arithmetic in crossover and mutation, so 0 and 2*pi are the same
 point and the boundary attracts nothing.  Bounded dimensions reflect
-off their limits during mutation instead of clipping; this keeps the
-population strictly inside the box almost surely, which matters because
-evaluation below the squeezing threshold falls back to the slow
-first-principles route.
+off their limits during mutation instead of clipping, which keeps the
+population strictly inside the box almost surely.
 
 Each generation is scored in one call: objective_batch sends the whole
 population (the initial one, then each generation's children) through the

@@ -29,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import comb, gammaln
 
 from . import tolerances as tol
-from .errors import HermiteOverflowError, QuadratureError, SingularSqueezingError
+from .errors import HermiteOverflowError, QuadratureError
 from .fock import (
     MODE_FIRST,
     BeamSplitterSpec,
@@ -45,7 +45,12 @@ from .fock import (
     sqrt_factorials,
     tensor,
 )
-from .states import SqueezedCoherentParams, check_tail_mass, squeezed_coherent_amplitudes
+from .states import (
+    SqueezedCoherentParams,
+    _squeezed_amplitudes_rows,
+    check_tail_mass,
+    squeezed_coherent_amplitudes,
+)
 
 _PHASE_CYCLE = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
@@ -165,15 +170,6 @@ def _input_amplitudes(
         check_tail_mass(a1, cutoff)
         check_tail_mass(a2, cutoff)
     return a1, a2
-
-
-def _require_regular_squeezing(p: SchemeParams):
-    r_small = min(p.in1.r, p.in2.r)
-    if r_small < tol.MIN_SQUEEZING:
-        raise SingularSqueezingError(
-            f"squeezing magnitude {r_small:.3e} below {tol.MIN_SQUEEZING:.0e}; "
-            "the Hermite-argument form degenerates there, use the oracle route"
-        )
 
 
 def _split_output(full: np.ndarray, cutoff: int) -> ConditionalOutput:
@@ -338,15 +334,9 @@ def _hm_window(p: SchemeParams, cutoff: int, check_input_tail: bool):
 def output_spd_closed_form(
     p: SchemeParams, cutoff: int, check_input_tail: bool = True
 ) -> ConditionalOutput:
-    """SPD conditional state from the collapsed double sum.
-
-    Requires both squeezing magnitudes at or above MIN_SQUEEZING; below
-    that the analytic form is treated as degenerate and conditional_output
-    falls back to the oracle route.
-    """
+    """SPD conditional state from the collapsed double sum."""
     if not isinstance(p.measurement, SPD):
         raise TypeError("measurement must be SPD")
-    _require_regular_squeezing(p)
     a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
     full = _spd_full_amplitudes(a1[None], a2[None], np.array([p.transmittance]))[0]
     return _split_output(full, cutoff)
@@ -355,13 +345,9 @@ def output_spd_closed_form(
 def output_hm_closed_form(
     p: SchemeParams, cutoff: int, check_input_tail: bool = True
 ) -> ConditionalOutput:
-    """HM conditional state from the factorized quadruple sum.
-
-    Same squeezing-regularity requirement as the SPD closed form.
-    """
+    """HM conditional state from the factorized quadruple sum."""
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
-    _require_regular_squeezing(p)
     full, _ = _hm_amplitudes_at(p, p.measurement.x, cutoff, check_input_tail)
     return _split_output(full, cutoff)
 
@@ -410,16 +396,13 @@ def conditional_output(
 ) -> ConditionalOutput:
     """Heralded signal state for either measurement kind.
 
-    method selects the evaluation route: "closed" (default; falls back to
-    the oracle when a squeezing magnitude is below MIN_SQUEEZING) or
-    "oracle".
+    method selects the evaluation route: "closed" (default) or "oracle".
+    Both take every squeezing magnitude r >= 0, coherent inputs included.
     """
     if method == "oracle":
         return output_oracle(p, cutoff, check_input_tail)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
-    if min(p.in1.r, p.in2.r) < tol.MIN_SQUEEZING:
-        return output_oracle(p, cutoff, check_input_tail)
     if isinstance(p.measurement, SPD):
         return output_spd_closed_form(p, cutoff, check_input_tail)
     if isinstance(p.measurement, HM):
@@ -440,14 +423,13 @@ def misfit(
 
 
 def _regular_rows(rows: np.ndarray, kind: str) -> np.ndarray:
-    """Rows the batched closed form evaluates: finite, inside the parameter
-    ranges, and with both squeezing magnitudes at or above MIN_SQUEEZING."""
-    r1, a1, r2, a2, t = rows[:, [0, 2, 4, 6, 8]].T
+    """Rows the batched closed form evaluates: finite and inside the
+    parameter ranges."""
+    t = rows[:, 8]
     ok = (
         np.isfinite(rows).all(axis=1)
-        & (np.minimum(r1, r2) >= tol.MIN_SQUEEZING)
-        & (a1 >= 0.0)
-        & (a2 >= 0.0)
+        # r1, alpha1, r2, alpha2
+        & (rows[:, [0, 2, 4, 6]] >= 0.0).all(axis=1)
         & (t >= _T_RANGE[0])
         & (t <= _T_RANGE[1])
     )
@@ -471,22 +453,6 @@ def _hermite_rows(z: np.ndarray, n_max: int) -> np.ndarray:
         for k in range(1, n_max):
             h[k + 1] = two_z * h[k] - 2.0 * k * h[k - 1]
     return h.T
-
-
-def _squeezed_amplitudes_rows(arm: np.ndarray, cutoff: int) -> np.ndarray:
-    """squeezed_coherent_amplitudes (squeezed branch) for a column block
-    r, theta, alpha_abs, phi; one input per row, shape (B, cutoff + 1)."""
-    r, theta, a_abs, phi = arm.T
-    alpha = a_abs * np.exp(1j * phi)
-    eith = np.exp(1j * theta)
-    th = np.tanh(r)
-    pref = np.exp(-0.5 * a_abs**2 - 0.5 * np.conj(alpha) ** 2 * eith * th)
-    pref = pref / np.sqrt(np.cosh(r))
-    g = np.sqrt(0.5 * eith * th)
-    h = np.sqrt(eith * np.sinh(2.0 * r))
-    beta = alpha * np.cosh(r) + np.conj(alpha) * eith * np.sinh(r)
-    herm = _hermite_rows(beta / h, cutoff)
-    return pref[:, None] * g[:, None] ** np.arange(cutoff + 1) * herm / sqrt_factorials(cutoff)
 
 
 def _hm_hankel_amplitudes(u1: np.ndarray, u2: np.ndarray, x: np.ndarray, h: np.ndarray):
@@ -532,10 +498,10 @@ def conditional_output_batch(
     check_input_tail=False), up to rounding.
 
     Regular rows run through the closed form in equal chunks of at most
-    tol.BATCH_ROWS rows.  A row that is not regular (a squeezing below MIN_SQUEEZING, a value
-    outside the parameter ranges) or whose closed form is not finite goes
-    through conditional_output itself, so it falls back to the oracle or
-    raises exactly where the scalar route does.
+    tol.BATCH_ROWS rows; coherent inputs (r = 0) are regular.  A row with a
+    value outside the parameter ranges, or whose closed form is not finite,
+    goes through conditional_output itself, so it raises exactly where the
+    scalar route does.
     """
     rows = np.asarray(rows, dtype=float)
     width = len(layout_for_kind(kind))

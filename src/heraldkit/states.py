@@ -4,7 +4,9 @@ Inputs are squeezed coherent states |zeta, alpha> = D(alpha) S(zeta) |0> with
 zeta = r e^{i theta}, alpha = |alpha| e^{i phi} and the squeeze operator in
 the convention S(zeta) = exp(zeta* a^2 / 2 - zeta a'^2 / 2), which gives the
 squeezed-vacuum column <2k|S(r)|0> = (-tanh(r)/2)^k sqrt((2k)!)/k! /
-sqrt(cosh r).
+sqrt(cosh r).  Their number amplitudes come from one regular recurrence for
+every r >= 0 (see squeezed_coherent_amplitudes); at r = 0 it is the coherent
+ladder.
 
 Target families: binomial, negative binomial, amplitude squeezed, squeezed
 few-term superpositions (useful as resources for cubic nonlinear gates), and
@@ -13,6 +15,7 @@ literal ad hoc superpositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -20,7 +23,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from . import tolerances as tol
 from .errors import TailMassError, TruncationQualityError
-from .fock import FockVector, hermite_sequence, sqrt_factorials
+from .fock import FockVector
 
 
 @dataclass(frozen=True)
@@ -49,34 +52,62 @@ def check_tail_mass(amps: np.ndarray, cutoff: int):
         raise TailMassError(tail, cutoff)
 
 
+def _bargmann_coefficients(r, theta, alpha_abs, phi):
+    """(a, b, c_0) of the Bargmann function c_0 exp(a z^2 / 2 + b z) of
+    D(alpha)S(zeta)|0>, elementwise over arrays of arm parameters."""
+    alpha = alpha_abs * np.exp(1j * phi)
+    s = np.exp(1j * theta) * np.tanh(r)
+    c0 = np.exp(-0.5 * alpha_abs**2 - 0.5 * np.conj(alpha) ** 2 * s) / np.sqrt(np.cosh(r))
+    return -s, alpha + np.conj(alpha) * s, c0
+
+
+@cache
+def _recurrence_roots(cutoff: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """sqrt(n) for n = 0..cutoff - 1 and 1 / sqrt(n + 1) for the same n."""
+    roots = np.sqrt(np.arange(cutoff + 1))
+    return tuple(roots[:-1].tolist()), tuple((1.0 / roots[1:]).tolist())
+
+
 def squeezed_coherent_amplitudes(p: SqueezedCoherentParams, cutoff: int) -> np.ndarray:
-    """Unnormalized truncated amplitudes of D(alpha)S(zeta)|0>.
+    """Unnormalized truncated amplitudes c_0..c_cutoff of D(alpha)S(zeta)|0>.
 
-    For r >= MIN_SQUEEZING these are
+    The state has the Bargmann function c_0 exp(a z^2 / 2 + b z) with
 
-        c_n = pref * (e^{i theta} tanh(r) / 2)^{n/2} H_n(beta h^{-1}) / sqrt(n!)
+        a = -e^{i theta} tanh(r),   b = alpha + alpha* e^{i theta} tanh(r),
+        c_0 = exp(-|alpha|^2/2 - alpha*^2 e^{i theta} tanh(r)/2) / sqrt(cosh r),
 
-    with pref = exp(-|alpha|^2/2 - alpha*^2 e^{i theta} tanh(r)/2)/sqrt(cosh r),
-    beta = alpha cosh(r) + alpha* e^{i theta} sinh(r) and h = sqrt(e^{i theta}
-    sinh(2r)).  Both principal square roots carry the same branch of
-    e^{i theta/2}, which keeps the product (..)^{n/2} H_n(..) single-valued.
-    Below MIN_SQUEEZING the Hermite form is 0/0-singular and the coherent
-    branch c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!) is used instead.
+    so the amplitudes follow the normalized recurrence
+
+        sqrt(n+1) c_{n+1} = b c_n + a sqrt(n) c_{n-1},
+
+    which is regular for every r >= 0 and gives the coherent ladder
+    alpha^n e^{-|alpha|^2/2} / sqrt(n!) at r = 0 (Miatto & Quesada, Quantum 4,
+    366 (2020)).  One input loops in Python complex arithmetic, which is
+    cheaper than per-step numpy calls; _squeezed_amplitudes_rows runs the
+    same recurrence over many inputs.
     """
-    n = np.arange(cutoff + 1)
-    alpha = p.alpha_abs * np.exp(1j * p.phi)
-    sqf = sqrt_factorials(cutoff)
-    if p.r < tol.MIN_SQUEEZING:
-        return np.exp(-0.5 * p.alpha_abs**2) * alpha**n / sqf
-    eith = np.exp(1j * p.theta)
-    th = np.tanh(p.r)
-    pref = np.exp(-0.5 * p.alpha_abs**2 - 0.5 * np.conj(alpha) ** 2 * eith * th)
-    pref = pref / np.sqrt(np.cosh(p.r))
-    g = np.sqrt(0.5 * eith * th)
-    h = np.sqrt(eith * np.sinh(2.0 * p.r))
-    beta = alpha * np.cosh(p.r) + np.conj(alpha) * eith * np.sinh(p.r)
-    herm = hermite_sequence(complex(beta / h), cutoff)
-    return pref * g**n * herm / sqf
+    a, b, c = (complex(v) for v in _bargmann_coefficients(p.r, p.theta, p.alpha_abs, p.phi))
+    roots, inv_roots = _recurrence_roots(cutoff)
+    amps = [c]
+    prev = 0j
+    for n in range(cutoff):
+        c, prev = (b * c + a * roots[n] * prev) * inv_roots[n], c
+        amps.append(c)
+    return np.array(amps)
+
+
+def _squeezed_amplitudes_rows(arms: np.ndarray, cutoff: int) -> np.ndarray:
+    """squeezed_coherent_amplitudes for a column block r, theta, alpha_abs,
+    phi; one input per row, shape (B, cutoff + 1)."""
+    a, b, c0 = _bargmann_coefficients(*arms.T)
+    roots, inv_roots = _recurrence_roots(cutoff)
+    amps = np.empty((cutoff + 1, len(arms)), dtype=np.complex128)
+    amps[0] = c0
+    prev = np.zeros(len(arms), dtype=np.complex128)
+    for n in range(cutoff):
+        amps[n + 1] = (b * amps[n] + a * roots[n] * prev) * inv_roots[n]
+        prev = amps[n]
+    return amps.T
 
 
 def squeezed_coherent(

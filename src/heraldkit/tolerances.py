@@ -22,10 +22,6 @@ TAIL_WINDOW = 5
 # computation is considered invalid.
 TAIL_MASS_LIMIT = 1e-8
 
-# Below this squeezing magnitude the Hermite-form expansions are singular
-# and the coherent-state branch (or the numeric pipeline) must be used.
-MIN_SQUEEZING = 1e-8
-
 # Node-doubling agreement required from the window quadrature, and the node
 # counts between which the doubling search runs.
 QUADRATURE_STEP_ATOL = 1e-8

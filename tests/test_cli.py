@@ -159,6 +159,45 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,payload,path", [
+    ("reproduce-table",
+     {"reproduce_table": {"rows": ["02-binom-0.3-7-spd"], "polish_iters": 0,
+                          "tolerance": {"eps_polish_factor": NAN, "p_abs": NAN}}},
+     "reproduce_table.tolerance.eps_polish_factor"),
+    ("evaluate",
+     {"target": {"family": "binomial", "p": 0.45, "M": 8},
+      "evaluate": {"kind": "hm", "params": dict(ROW3_PARAMS, lam=INF)}},
+     "evaluate.params.lam"),
+    ("evaluate",
+     {"target": {"family": "resource", "zeta": "nan+0.1j", "chi_prime": 0.5},
+      "evaluate": {"kind": "spd", "params": ROW2_PARAMS}},
+     "target.zeta"),
+    ("optimize",
+     {"target": {"family": "binomial", "p": 0.5, "M": 1},
+      "optimize": {"kind": "spd", "bounds": {"T": [0.2, INF]}}},
+     "optimize.bounds.T[1]"),
+    ("sweep",
+     {"target": {"family": "binomial", "p": 0.3, "M": 7},
+      "sweep": {"mode": "deviation", "kind": "spd", "params": ROW2_PARAMS,
+                "deviations": [0.0, NAN]}},
+     "sweep.deviations[1]"),
+    ("reproduce-table",
+     {"reproduce_table": {"rows": ["02-binom-0.3-7-spd"], "polish_iters": 0,
+                          "overrides": {"02-binom-0.3-7-spd": {"phi1": NAN}}}},
+     "reproduce_table.overrides.02-binom-0.3-7-spd.phi1"),
+])
+def test_non_finite_config_number_rejected(tmp_path, capsys, command, payload, path):
+    # YAML .nan / .inf would switch gates off or fail as a numeric error
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert f"config error: {path}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cutoff_override_below_minimum_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "target": {"family": "binomial", "p": 0.5, "M": 1},

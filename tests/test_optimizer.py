@@ -183,7 +183,8 @@ def test_objective_batch_raises_on_impossible_outcome():
 
 
 def test_optimize_with_coherent_input_reports_objective():
-    # r1 pinned to 0: every evaluation falls back to the scalar route
+    # r1 pinned to 0: the coherent input 1 goes through the batched closed
+    # form like any other row
     cfg = GAConfig(population_size=6, generations=3, restarts=1, seed=2)
     res = optimize(
         Binomial(0.5, 1), "spd", mask=FixedMask.pin("spd", r1=0.0), cfg=cfg,

@@ -8,17 +8,14 @@ beam-splitter expansion so the pipeline itself is not self-certifying.
 import math
 import warnings
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from heraldkit import scheme
 from heraldkit import tolerances as tol
-from heraldkit.errors import (
-    HermiteOverflowError,
-    QuadratureError,
-    SingularSqueezingError,
-    TailMassError,
-)
+from heraldkit.errors import HermiteOverflowError, QuadratureError, TailMassError
 from heraldkit.fock import (
     MODE_FIRST,
     MODE_SECOND,
@@ -180,15 +177,46 @@ def test_hm_closed_form_matches_oracle(x, lam):
     assert closed.raw_weight == pytest.approx(oracle.raw_weight, rel=1e-9)
 
 
-def test_closed_form_requires_regular_squeezing():
-    degenerate = SqueezedCoherentParams(0.0, 0.0, 1.0, 0.0)
-    p = SchemeParams(degenerate, GENERIC_B, 0.5, SPD())
-    with pytest.raises(SingularSqueezingError):
-        output_spd_closed_form(p, 20)
-    # the dispatcher silently takes the oracle route instead
-    out = conditional_output(p, 20, check_input_tail=False)
-    ref = output_oracle(p, 20, check_input_tail=False)
-    np.testing.assert_array_equal(out.state.amps, ref.state.amps)
+def _no_route(*args, **kwargs):
+    raise AssertionError("route must not be taken")
+
+
+@pytest.mark.parametrize("meas", [SPD(), HM(0.8, 0.4)], ids=["spd", "hm"])
+def test_zero_squeezing_takes_closed_route(meas, monkeypatch):
+    # coherent inputs are regular for the input recurrence, so neither the
+    # scalar nor the batched closed form needs the oracle
+    points = [
+        SchemeParams(replace(GENERIC_A, r=0.0), GENERIC_B, 0.42, meas),
+        SchemeParams(GENERIC_A, replace(GENERIC_B, r=0.0), 0.42, meas),
+        SchemeParams(replace(GENERIC_A, r=0.0), replace(GENERIC_B, r=0.0), 0.42, meas),
+    ]
+    refs = [output_oracle(p, 30) for p in points]
+    monkeypatch.setattr(scheme, "output_oracle", _no_route)
+    kind = params_to_vector(points[0])[1]
+    rows = np.array([params_to_vector(p)[0] for p in points])
+    states, weights = conditional_output_batch(rows, kind, 30)
+    for p, ref, state, weight in zip(points, refs, states, weights):
+        out = conditional_output(p, 30)
+        for amps, w in ((out.state.amps, out.raw_weight), (state, weight)):
+            assert overlap_deficit(amps, ref.state.amps) <= 1e-10
+            assert w == pytest.approx(ref.raw_weight, rel=1e-9)
+
+
+def test_nearly_coherent_input_stays_finite_at_high_cutoff():
+    # r = 1e-6 with |alpha| = 3 once overflowed the Hermite form at order 85
+    p = SchemeParams(
+        SqueezedCoherentParams(1e-6, 0.3, 3.0, 0.2),
+        SqueezedCoherentParams(0.5, 1.0, 1.0, 0.5),
+        0.5,
+        SPD(),
+    )
+    lo, hi = conditional_output(p, 60), conditional_output(p, 100)
+    assert np.all(np.isfinite(hi.state.amps)) and np.isfinite(hi.raw_weight)
+    assert overlap_deficit(lo.state.amps, hi.state.amps[:61]) <= 1e-12
+    assert hi.raw_weight == pytest.approx(lo.raw_weight, rel=1e-12)
+    prob = success_prob_spd(p, 100)
+    assert np.isfinite(prob)
+    assert prob == pytest.approx(success_prob_spd(p, 60), rel=1e-12)
 
 
 def test_conditional_output_rejects_unknown_method():
@@ -565,19 +593,25 @@ def test_batch_matches_scalar_closed_form():
             assert abs(weight - ref.raw_weight) <= 1e-9 * ref.raw_weight
 
 
-def test_batch_routes_irregular_rows_through_scalar_route():
+def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
     vec, _, _ = params_to_vector(SchemeParams(GENERIC_A, GENERIC_B, 0.42, HM(0.8, 0.4)))
     rows = np.tile(vec, (5, 1))
-    rows[1, 0] = 0.0                       # coherent input 1: oracle fallback
-    rows[3, 4] = 0.5 * tol.MIN_SQUEEZING   # nearly coherent input 2
+    rows[1, 0] = 0.0                       # coherent input 1
+    rows[3, 4] = 5e-9                      # nearly coherent input 2
     rows[4, 1] += 2.0 * math.pi            # unwrapped angle stays regular
     for kind, width in (("hm", 11), ("spd", 9)):
-        states, weights = conditional_output_batch(rows[:, :width], kind, 20)
-        for i in (1, 3):
-            ref = conditional_output(vector_to_params(rows[i, :width], kind), 20,
-                                     check_input_tail=False)
-            np.testing.assert_array_equal(states[i], ref.state.amps)
-            assert weights[i] == ref.raw_weight
+        refs = {
+            i: conditional_output(vector_to_params(rows[i, :width], kind), 20,
+                                  check_input_tail=False)
+            for i in (1, 3)
+        }
+        # no row leaves the batch for the scalar route
+        with monkeypatch.context() as m:
+            m.setattr(scheme, "conditional_output", _no_route)
+            states, weights = conditional_output_batch(rows[:, :width], kind, 20)
+        for i, ref in refs.items():
+            assert abs(np.vdot(ref.state.amps, states[i])) == pytest.approx(1.0, abs=1e-12)
+            assert weights[i] == pytest.approx(ref.raw_weight, rel=1e-12)
         assert abs(np.vdot(states[0], states[4])) == pytest.approx(1.0, abs=1e-12)
         assert weights[4] == pytest.approx(weights[0], rel=1e-12)
 

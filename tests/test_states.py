@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from heraldkit.errors import TailMassError
@@ -15,6 +17,7 @@ from heraldkit.states import (
     NegativeBinomial,
     Resource,
     SqueezedCoherentParams,
+    _squeezed_amplitudes_rows,
     adhoc_superposition,
     amplitude_squeezed_state,
     binomial_state,
@@ -24,6 +27,7 @@ from heraldkit.states import (
     resource_state,
     squeeze_operator_matrix,
     squeezed_coherent,
+    squeezed_coherent_amplitudes,
     target_state,
 )
 
@@ -86,11 +90,38 @@ def test_squeezed_coherent_oracle_across_range(p):
 
 
 def test_squeezed_coherent_continuous_at_branch_switch():
-    # just below MIN_SQUEEZING the coherent branch takes over; the state
-    # must not jump
+    # one recurrence covers every r >= 0, so the nearly coherent state
+    # must not jump between these two squeezings
     lo = squeezed_coherent(SqueezedCoherentParams(1e-9, 0.4, 0.8, 1.1), 40)
     hi = squeezed_coherent(SqueezedCoherentParams(1e-6, 0.4, 0.8, 1.1), 40)
     assert overlap(lo, hi) >= 1 - 1e-9
+
+
+_ANGLE = st.floats(-20.0, 20.0)
+# one input arm over the search box: r, theta, |alpha|, phi
+_ARM = st.tuples(st.floats(0.0, 1.7), _ANGLE, st.floats(0.0, 4.0), _ANGLE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arms=st.lists(_ARM, min_size=1, max_size=6), cutoff=st.integers(12, 40))
+@example(arms=[(0.0, 0.3, 1.3, 1.1), (0.0, 0.0, 0.0, 0.0), (1.7, 2.0, 4.0, 5.0)], cutoff=40)
+def test_amplitude_loops_agree(arms, cutoff):
+    # the one-input loop and the rows loop run the same recurrence in
+    # different arithmetic
+    rows = _squeezed_amplitudes_rows(np.array(arms), cutoff)
+    for arm, row in zip(arms, rows):
+        one = squeezed_coherent_amplitudes(SqueezedCoherentParams(*arm), cutoff)
+        assert np.max(np.abs(row - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_zero_squeezing_is_coherent_ladder():
+    alpha = 1.3 * np.exp(1.1j)
+    n = np.arange(41)
+    ladder = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / [
+        math.sqrt(math.factorial(k)) for k in n
+    ]
+    amps = squeezed_coherent_amplitudes(SqueezedCoherentParams(0.0, 0.4, 1.3, 1.1), 40)
+    np.testing.assert_allclose(amps, ladder, rtol=1e-13, atol=0.0)
 
 
 def test_squeezed_coherent_tail_guard():
