@@ -33,6 +33,7 @@ from .fock import (
     BeamSplitterSpec,
     DensityMatrix,
     FockVector,
+    TwoModeState,
     beam_splitter_apply,
     hermite_gaussian_columns,
     partial_trace,
@@ -131,7 +132,13 @@ def conditional_output_lossy(
     for HM.  When the herald can never fire (eta_det = 0 with SPD) the
     weight is exactly 0 and the state is None.
     """
-    mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
+    return _herald_lossy(embedded_two_mode_state(p, cutoff, check_input_tail), p, imp, cutoff)
+
+
+def _herald_lossy(
+    mixed: TwoModeState, p: SchemeParams, imp: ImperfectionSpec, cutoff: int
+) -> tuple[DensityMatrix | None, float]:
+    """conditional_output_lossy on an already embedded two-mode state."""
     c = mixed.amps
     big = mixed.cutoff
     total = mixed.norm_sq()
@@ -251,17 +258,21 @@ def sweep_efficiency(
     """Misfit of the lossy pipeline over an efficiency grid, sorted ascending.
 
     which selects where the loss sits: the measurement path ("det"), the
-    signal path ("signal"), or both ("both").
+    signal path ("signal"), or both ("both").  The two-mode state does not
+    depend on eta, so it is embedded once for the whole grid.
     """
     if which not in ("det", "signal", "both"):
         raise ValueError(f"unknown placement {which!r}")
     points = []
+    mixed = None
     for eta in sorted(float(e) for e in eta_grid):
         imp = ImperfectionSpec(
             eta_det=eta if which in ("det", "both") else 1.0,
             eta_signal=eta if which in ("signal", "both") else 1.0,
         )
-        rho, weight = conditional_output_lossy(p, imp, cutoff, check_input_tail)
+        if mixed is None:
+            mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
+        rho, weight = _herald_lossy(mixed, p, imp, cutoff)
         eps = 1.0 if rho is None else misfit(rho, target)
         points.append(SweepPoint(eta, eps, eps, weight))
     return points

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heraldkit.errors import HermiteOverflowError, NormalizationError
 from heraldkit.fock import (
     MODE_FIRST,
     MODE_SECOND,
+    BeamSplitterConvention,
     BeamSplitterSpec,
     DensityMatrix,
     FockVector,
@@ -24,6 +27,7 @@ from heraldkit.fock import (
     sqrt_factorials,
     tensor,
     vacuum,
+    _sector_blocks,
 )
 from heraldkit.scheme import misfit_batch
 
@@ -144,6 +148,64 @@ def test_tensor_cutoff_mismatch_rejected():
 def test_sector_unitary_is_unitary(s, t):
     u = sector_unitary(s, BeamSplitterSpec(t))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(s + 1), atol=1e-12)
+
+
+def test_sector_unitary_rejects_negative_sector():
+    with pytest.raises(ValueError):
+        sector_unitary(-1, BeamSplitterSpec(0.5))
+
+
+def _mpmath_sector_block(s: int, t: float):
+    """Block s of the symmetric splitter as a 50-digit binomial sum."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        tt = [mp.sqrt(mp.mpf(t)) ** k for k in range(s + 1)]
+        rr = [(1j * mp.sqrt(1 - mp.mpf(t))) ** k for k in range(s + 1)]
+        fact = [mp.factorial(k) for k in range(s + 1)]
+        block = np.empty((s + 1, s + 1), dtype=np.complex128)
+        for n in range(s + 1):
+            # (t x + i r y)**n (i r x + t y)**(s - n), coefficient of x**p at col[p]
+            first = [math.comb(n, k) * tt[k] * rr[n - k] for k in range(n + 1)]
+            second = [math.comb(s - n, k) * rr[k] * tt[s - n - k] for k in range(s - n + 1)]
+            col = [mp.mpc(0)] * (s + 1)
+            for k1, a in enumerate(first):
+                for k2, b in enumerate(second):
+                    col[k1 + k2] += a * b
+            for p in range(s + 1):
+                norm = mp.sqrt(fact[p] * fact[s - p] / (fact[n] * fact[s - n]))
+                block[p, n] = complex(col[p] * norm)
+    return block
+
+
+@pytest.mark.parametrize("t", [0.37, 0.9])
+def test_sector_unitary_matches_high_precision_block(t):
+    # s = 60 is the top sector of an oracle evaluation at cutoff 30
+    ref = _mpmath_sector_block(60, t)
+    block = sector_unitary(60, BeamSplitterSpec(t))
+    assert np.max(np.abs(block - ref)) <= 1e-12
+
+
+_CONVENTIONS = st.sampled_from(list(BeamSplitterConvention))
+
+
+@settings(max_examples=60, deadline=None)
+@given(s_max=st.integers(0, 40), t=st.floats(0.0, 1.0), convention=_CONVENTIONS)
+@example(s_max=40, t=0.0, convention=BeamSplitterConvention.SYMMETRIC)
+@example(s_max=40, t=1.0, convention=BeamSplitterConvention.SYMMETRIC)
+@example(s_max=40, t=0.0, convention=BeamSplitterConvention.ROTATION)
+@example(s_max=40, t=1.0, convention=BeamSplitterConvention.ROTATION)
+def test_sector_blocks_unitary_and_norm_preserving(s_max, t, convention):
+    spec = BeamSplitterSpec(t, convention)
+    for s, block in enumerate(_sector_blocks(spec, s_max)):
+        assert block.shape == (s + 1, s + 1)
+        assert np.max(np.abs(block @ block.conj().T - np.eye(s + 1))) <= 1e-12
+    st_in = random_two_mode(s_max, seed=s_max)
+    out, _ = beam_splitter_apply(st_in, spec)
+    for s in range(s_max + 1):
+        p = np.arange(s + 1)
+        before = np.sum(np.abs(st_in.amps[p, s - p]) ** 2)
+        after = np.sum(np.abs(out.amps[p, s - p]) ** 2)
+        assert after == pytest.approx(before, rel=1e-12, abs=1e-15)
 
 
 def test_beam_splitter_transparent():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from heraldkit import imperfections
 from heraldkit.fock import (
     MODE_SECOND,
     DensityMatrix,
@@ -327,6 +328,31 @@ def test_efficiency_sweep_signal_blackout():
     # total absorption leaves vacuum on the signal arm
     expect = 1.0 - abs(tgt.amps[0]) ** 2
     assert pts[0].misfit_mean == pytest.approx(expect, abs=1e-10)
+
+
+def test_efficiency_sweep_embeds_once(monkeypatch):
+    tgt = binomial_state(0.45, 8, 30)
+    etas = [0.95, 0.7, 0.85]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return embedded_two_mode_state(*args, **kwargs)
+
+    monkeypatch.setattr(imperfections, "embedded_two_mode_state", counting)
+    pts = sweep_efficiency(
+        ROW_BINOM_HM, tgt, etas, which="both", cutoff=30, check_input_tail=False
+    )
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for pt, eta in zip(pts, sorted(etas)):
+        rho, weight = conditional_output_lossy(
+            ROW_BINOM_HM, ImperfectionSpec(eta, eta), 30, check_input_tail=False
+        )
+        eps = misfit(rho, tgt)
+        assert (pt.sweep_var, pt.misfit_mean, pt.misfit_max, pt.herald_weight) == (
+            eta, eps, eps, weight
+        )
 
 
 def test_efficiency_sweep_validation():

@@ -6,6 +6,7 @@ beam-splitter expansion so the pipeline itself is not self-certifying.
 """
 
 import math
+import tracemalloc
 import warnings
 from collections import defaultdict
 from dataclasses import replace
@@ -314,6 +315,19 @@ def test_relabeling_both_arms_is_exact():
     va, _ = project_fock(st_a, MODE_FIRST, 1)
     vb, _ = project_fock(st_b, MODE_SECOND, 1)
     np.testing.assert_allclose(va.amps, vb.amps, atol=1e-12)
+
+
+def test_embedding_memory_stays_bounded():
+    # the beam-splitter blocks are streamed, so one embedding at cutoff 60
+    # (sectors up to 120) never holds the ~10 MB of all its blocks at once
+    embedded_two_mode_state(ROW_BINOM_HM, 60, check_input_tail=False)
+    tracemalloc.start()
+    try:
+        embedded_two_mode_state(ROW_BINOM_HM, 60, check_input_tail=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ----------------------------------------------------------------- misfit
