@@ -5,10 +5,10 @@ carry no timestamps, floats print with 17 significant digits, and rows
 are emitted in a fixed order, so re-runs are byte-identical.
 
 Exit codes: 0 success, 1 config or validation error, 2 numeric failure
-(truncation tails, overflow, quadrature), 3 regression gate failure from
-reproduce-table.  Config files are validated before any computation, and
-output files are only written once the computation has finished, so a
-failing run leaves no partial outputs.
+(truncation tails, Hermite overflow, normalization/truncation-quality
+guards), 3 regression gate failure from reproduce-table.  Config files are
+validated before any computation, and output files are only written once
+the computation has finished, so a failing run leaves no partial outputs.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .errors import (
     HeraldkitError,
     HermiteOverflowError,
     NormalizationError,
-    QuadratureError,
     TailMassError,
     TruncationQualityError,
 )
@@ -65,7 +64,6 @@ EXIT_REPRODUCE = 3
 _NUMERIC_ERRORS = (
     TailMassError,
     HermiteOverflowError,
-    QuadratureError,
     TruncationQualityError,
     NormalizationError,
 )

@@ -42,10 +42,6 @@ class TruncationQualityError(HeraldkitError):
     (column norms or block unitarity)."""
 
 
-class QuadratureError(HeraldkitError):
-    """Raised when node doubling fails to converge a window integral."""
-
-
 class NormalizationError(HeraldkitError):
     """Raised when a state that must be normalized is not, or when a zero
     vector is asked to normalize itself."""

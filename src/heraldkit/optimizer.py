@@ -165,10 +165,9 @@ def objective(
 ) -> float:
     """Misfit of the conditional output against the target.
 
-    Pure and deterministic.  Uses the closed-form output path, falling back
-    to the first-principles route when an input squeezing sits below the
-    regular-evaluation threshold.  The input tail check is disabled so the
-    whole bounded search box evaluates to a finite number.
+    Pure and deterministic.  Uses the closed-form output path, which takes
+    every squeezing r >= 0.  The input tail check is disabled so the whole
+    bounded search box evaluates to a finite number.
     """
     tgt = _target_vector(target, cutoff)
     out = conditional_output(params, cutoff, check_input_tail=False)

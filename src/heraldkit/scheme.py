@@ -10,26 +10,30 @@ Each measurement kind has two interchangeable evaluation routes:
 
 * a closed form that collapses the measurement analytically and never builds
   the two-mode array (fast; used by the optimizer; for HM a Hankel product
-  per reading, or one convolution per point for a vector of readings), and
+  per reading), and
 * an oracle that embeds the inputs at twice the cutoff, applies the exact
   sector-by-sector beam splitter and projects (slow; used to cross-check).
 
 Both routes keep every output amplitude up to total photon number 2*cutoff
 before truncating, so their retained and discarded masses agree exactly.
+
+The HM window figures, the success probability over x +/- delta and the
+window-averaged misfit, need no numerical quadrature: on truncated inputs
+the outcome density is a quadratic form in Hermite functions, and its
+primitive has a closed form (_hm_window).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from numpy.polynomial.legendre import leggauss
-from scipy.special import comb, gammaln
+from scipy.special import comb, erf, gammaln
 
 from . import tolerances as tol
-from .errors import HermiteOverflowError, QuadratureError
+from .errors import HermiteOverflowError, NormalizationError
 from .fock import (
     MODE_FIRST,
     BeamSplitterSpec,
@@ -39,6 +43,7 @@ from .fock import (
     _require_unit_norm,
     beam_splitter_apply,
     fidelity,
+    hermite_gaussian_columns,
     hermite_sequence,
     project_fock,
     project_quadrature,
@@ -80,8 +85,10 @@ class HM:
     def __post_init__(self):
         if not _X_RANGE[0] <= self.x <= _X_RANGE[1]:
             raise ValueError(f"heralded quadrature value {self.x} outside [0, 4]")
-        if self.window_halfwidth < 0.0:
-            raise ValueError("window_halfwidth must be >= 0")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"local-oscillator phase lam={self.lam} must be finite")
+        if not 0.0 <= self.window_halfwidth < math.inf:
+            raise ValueError(f"window_halfwidth={self.window_halfwidth} must be finite and >= 0")
 
 
 Measurement = Union[SPD, HM]
@@ -252,8 +259,9 @@ def _hm_arm_matrices(
     """Per-arm matrices of the homodyne closed form, one pair per point.
 
     Returns U1[b, d1, k] and U2[b, d2, l]: d counts the photons an input
-    sends to the measured arm, where the two meet in H_{d1+d2}(x), and k, l
-    those it sends to the signal arm; see _hm_hankel_amplitudes, _hm_window.
+    sends to the measured arm and k, l those it sends to the signal arm.  The
+    arms meet in H_{d1+d2}(x) at one reading (_hm_hankel_amplitudes) or, for
+    a window of readings, in their convolution W (_hm_window).
     """
     n_cut = a1.shape[-1] - 1
     n = np.arange(n_cut + 1)
@@ -299,36 +307,63 @@ def _hm_amplitudes_at(p: SchemeParams, x: float, cutoff: int, check_input_tail: 
     return _hm_hankel_amplitudes(u1, u2, np.array([x], dtype=float), h)[0], norm
 
 
-def _hm_window(p: SchemeParams, cutoff: int, check_input_tail: bool):
-    """Unnormalized HM outputs over |0>..|2*cutoff> and outcome density of one
-    point as functions of a vector of readings.  The arm matrices are convolved,
-    once and after the first readings pass the overflow check, into
-    W[j, s] = sum_{d1+d2=j, k+l=s} U1[d1, k] U2[d2, l] (one Toeplitz product per
-    row d1), so all readings take one product:
-    c(x)[s] = pi^{-1/4} e^{-x^2/2} sqrt(s!) sum_j H_j(x) W[j, s]."""
+def _hm_window(p: SchemeParams, edges: np.ndarray, cutoff: int, check_input_tail: bool):
+    """Window matrix V of one HM point, and the probability of a reading
+    between each pair of consecutive edges.
+
+    V holds the unnormalized outputs over |0>..|2*cutoff> in the basis of
+    the normalized Hermite functions phi_j (fock.hermite_gaussian_columns):
+    c(x) = phi(x)^T V.  The arm matrices are convolved into
+    W[j, s] = sum_{d1+d2=j, k+l=s} U1[d1, k] U2[d2, l] (one Toeplitz product
+    per row d1), and V[j, s] = sqrt(2^j j!) sqrt(s!) W[j, s].  The square
+    roots are carried as (sqrt(2) kappa)^j kappa^s times
+    _scaled_sqrt_factorials, with the powers of kappa folded into the arm
+    matrices, so no factor leaves the double range at any cutoff the
+    Hermite overflow check of the closed form admits; the edges pass that
+    check before W is built.
+
+    The outcome density is the quadratic form p(x) = phi(x)^T G phi(x) with
+    G = Re(V V^dagger) / norm.  As phi_n'' = (x^2 - 2n - 1) phi_n and
+    (phi_{n-1} phi_n)' = sqrt(2n) (phi_{n-1}^2 - phi_n^2), its primitive is
+
+        B(x) = 2 phi^T M phi' + sum_n G[n, n] D_n(x),
+
+    with M[j, k] = G[j, k] / (2 (j - k)) off the diagonal and 0 on it,
+    phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, D_0 = erf(x) / 2
+    and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n).  The probabilities are
+    the differences of B over the edges.
+    """
     u1, u2, norm = _hm_point(p, cutoff, check_input_tail)
+    h = _hermite_rows(edges, 2 * cutoff)
+    if not np.isfinite(h).all():
+        i, k = np.argwhere(~np.isfinite(h))[0]
+        raise HermiteOverflowError(int(k), complex(edges[i]))
+    sqf, kappa = _scaled_sqrt_factorials(2 * cutoff)
+    n = np.arange(cutoff + 1)
+    # (sqrt(2) kappa)^d kappa^k, needed only where U[d, k] != 0, i.e. d + k <= cutoff
+    scale = np.sqrt(2.0) ** n[:, None] * kappa ** np.minimum(np.add.outer(n, n), cutoff)
+    # padded[d1, cutoff + k] = U1[d1, k], so U2[:, ::-1] @ padded[d1, hankel] holds
+    # each row of U2 convolved with U1[d1]
+    padded = np.zeros((cutoff + 1, 3 * cutoff + 1), dtype=np.complex128)
+    padded[:, cutoff : 2 * cutoff + 1] = u1[0] * scale
+    hankel = np.add.outer(n, np.arange(2 * cutoff + 1))
+    u2_rev = (u2[0] * scale)[:, ::-1]
+    v = np.zeros((2 * cutoff + 1, 2 * cutoff + 1), dtype=np.complex128)
+    for d1 in range(cutoff + 1):
+        v[d1 : d1 + cutoff + 1] += u2_rev @ padded[d1, hankel]
+    v *= sqf[:, None] * sqf
 
-    @cache
-    def window_matrix() -> np.ndarray:
-        # padded[d1, cutoff + k] = U1[d1, k], so U2[:, ::-1] @ padded[d1, hankel] holds
-        # each row of U2 convolved with U1[d1]
-        padded = np.zeros((cutoff + 1, 3 * cutoff + 1), dtype=np.complex128)
-        padded[:, cutoff : 2 * cutoff + 1] = u1[0]
-        hankel = np.add.outer(np.arange(cutoff + 1), np.arange(2 * cutoff + 1))
-        w = np.zeros((2 * cutoff + 1, 2 * cutoff + 1), dtype=np.complex128)
-        for d1 in range(cutoff + 1):
-            w[d1 : d1 + cutoff + 1] += u2[0, :, ::-1] @ padded[d1, hankel]
-        return w
-
-    def amplitudes(xs: np.ndarray) -> np.ndarray:
-        h = _hermite_rows(xs, 2 * cutoff)
-        if not np.isfinite(h).all():
-            i, k = np.argwhere(~np.isfinite(h))[0]
-            raise HermiteOverflowError(int(k), complex(xs[i]))
-        h_w = (h @ window_matrix().view(np.float64)).view(np.complex128)
-        return (np.pi**-0.25 * np.exp(-0.5 * xs * xs))[:, None] * sqrt_factorials(2 * cutoff) * h_w
-
-    return amplitudes, lambda xs: np.sum(np.abs(amplitudes(xs)) ** 2, axis=1) / norm
+    g = (v @ v.conj().T).real / norm
+    j = np.arange(2 * cutoff + 1)
+    gap = np.subtract.outer(j, j)
+    m = g / np.where(gap == 0, np.inf, 2.0 * gap)
+    phi = hermite_gaussian_columns(2 * cutoff + 1, edges)
+    # at j = 0 the first term reads phi[-1] times 0
+    dphi = np.sqrt(j / 2.0)[:, None] * phi[j - 1] - np.sqrt((j + 1) / 2.0)[:, None] * phi[j + 1]
+    steps = phi[: 2 * cutoff] * phi[1 : 2 * cutoff + 1] / np.sqrt(2.0 * j[1:])[:, None]
+    d = 0.5 * erf(edges) - np.vstack([np.zeros_like(edges), np.cumsum(steps, axis=0)])
+    primitive = 2.0 * np.sum(phi[:-1] * (m @ dphi), axis=0) + np.diag(g) @ d
+    return v, np.diff(primitive)
 
 
 def output_spd_closed_form(
@@ -557,35 +592,6 @@ def success_prob_spd(p: SchemeParams, cutoff: int, check_input_tail: bool = True
     return float(np.sum(np.abs(full) ** 2)) / _input_norm_sq(a1, a2)
 
 
-_gauss_legendre_rule = cache(leggauss)
-
-
-def _gauss_legendre_adaptive(f, lo: float, hi: float) -> float:
-    """Integrate f over [lo, hi], doubling the node count until stable.
-
-    f maps an array of nodes to their integrand values, one call per node
-    count.  Starts at QUADRATURE_MIN_NODES and raises QuadratureError if
-    successive estimates still differ by more than QUADRATURE_STEP_ATOL at
-    the node budget.
-    """
-    prev = change = np.inf
-    nodes = tol.QUADRATURE_MIN_NODES
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    while nodes <= tol.QUADRATURE_MAX_NODES:
-        xs, ws = _gauss_legendre_rule(nodes)
-        val = half * float(ws @ f(mid + half * xs))
-        change = abs(val - prev)
-        if change <= tol.QUADRATURE_STEP_ATOL:
-            return val
-        prev = val
-        nodes *= 2
-    raise QuadratureError(
-        f"quadrature over [{lo:.6g}, {hi:.6g}] did not stabilize within "
-        f"{tol.QUADRATURE_MAX_NODES} nodes (last change {change:.3e})"
-    )
-
-
 def hm_outcome_density(
     p: SchemeParams, x_value: float, cutoff: int, check_input_tail: bool = True
 ) -> float:
@@ -603,8 +609,9 @@ def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True)
     delta = p.measurement.window_halfwidth
     if delta == 0.0:
         return 0.0
-    _, density = _hm_window(p, cutoff, check_input_tail)
-    return _gauss_legendre_adaptive(density, p.measurement.x - delta, p.measurement.x + delta)
+    edges = np.array([p.measurement.x - delta, p.measurement.x + delta])
+    _, probs = _hm_window(p, edges, cutoff, check_input_tail)
+    return float(probs[0])
 
 
 def average_misfit(
@@ -627,18 +634,15 @@ def average_misfit(
         raise ValueError("measurement.window_halfwidth must be > 0")
     if n_subranges < 1:
         raise ValueError("n_subranges must be >= 1")
-    amplitudes, density = _hm_window(p, cutoff, check_input_tail)
     edges = np.linspace(p.measurement.x - delta, p.measurement.x + delta, n_subranges + 1)
-    weight_sum = 0.0
-    weighted_misfit = 0.0
-    for lo, hi, full in zip(edges[:-1], edges[1:], amplitudes(0.5 * (edges[:-1] + edges[1:]))):
-        eps = misfit(_split_output(full, cutoff).state, target)
-        prob = _gauss_legendre_adaptive(density, lo, hi)
-        weight_sum += prob
-        weighted_misfit += eps * prob
-    if weight_sum <= 0.0:
-        raise QuadratureError("acceptance window carries no probability mass")
-    return weighted_misfit / weight_sum
+    v, probs = _hm_window(p, edges, cutoff, check_input_tail)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    eps = [misfit(_split_output(full, cutoff).state, target)
+           for full in hermite_gaussian_columns(2 * cutoff, mids).T @ v]
+    weight_sum = float(np.sum(probs))
+    if not weight_sum > 0.0:
+        raise NormalizationError("acceptance window carries no probability mass")
+    return float(probs @ eps) / weight_sum
 
 
 class Score(NamedTuple):

@@ -14,6 +14,7 @@ literal ad hoc superpositions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence, Union
@@ -36,6 +37,8 @@ class SqueezedCoherentParams:
     phi: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.theta, self.alpha_abs, self.phi))):
+            raise ValueError(f"input parameters must be finite, got {self}")
         if self.r < 0:
             raise ValueError(f"squeezing magnitude r={self.r} must be >= 0")
         if self.alpha_abs < 0:

@@ -5,14 +5,11 @@ calling code can reference the same named constants instead of repeating
 magic numbers.
 """
 
-# Unit-norm agreement required after any operation documented as normalizing.
-NORM_ATOL = 1e-12
-
 # Hermiticity tolerance for density matrices.
 HERMITICITY_ATOL = 1e-12
 
-# Norm tolerance when validating caller-supplied states (looser than
-# NORM_ATOL because callers may have accumulated rounding of their own).
+# Norm tolerance when validating caller-supplied states (loose, because
+# callers may have accumulated rounding of their own).
 INPUT_NORM_ATOL = 1e-8
 
 # Number of top Fock levels inspected by the tail-mass diagnostic.
@@ -21,12 +18,6 @@ TAIL_WINDOW = 5
 # Relative probability mass allowed in the tail window before a truncated
 # computation is considered invalid.
 TAIL_MASS_LIMIT = 1e-8
-
-# Node-doubling agreement required from the window quadrature, and the node
-# counts between which the doubling search runs.
-QUADRATURE_STEP_ATOL = 1e-8
-QUADRATURE_MIN_NODES = 64
-QUADRATURE_MAX_NODES = 1024
 
 # Default photon-number cutoff for final scoring and reporting.
 DEFAULT_CUTOFF = 40

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from heraldkit.errors import HermiteOverflowError, NormalizationError
 from heraldkit.fock import (
@@ -112,7 +113,7 @@ def test_quadrature_wavefunction_values():
 
 def test_quadrature_wavefunction_normalized_over_x():
     # integral of |<x|n>|^2 over x is 1 for each n
-    x, w = np.polynomial.legendre.leggauss(200)
+    x, w = roots_legendre(200)
     x = x * 10.0
     w = w * 10.0
     for n in (0, 1, 5, 12):
@@ -284,7 +285,7 @@ def test_project_quadrature_periodic_in_lambda():
 
 def test_project_quadrature_density_integrates_to_one():
     st = random_two_mode(8, seed=13)
-    x, w = np.polynomial.legendre.leggauss(400)
+    x, w = roots_legendre(400)
     x = x * 12.0
     w = w * 12.0
     total = sum(

@@ -13,16 +13,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from heraldkit import scheme
 from heraldkit import tolerances as tol
-from heraldkit.errors import HermiteOverflowError, QuadratureError, TailMassError
+from heraldkit.errors import HermiteOverflowError, TailMassError
 from heraldkit.fock import (
     MODE_FIRST,
     MODE_SECOND,
     DensityMatrix,
     FockVector,
     basis_state,
+    hermite_gaussian_columns,
     partial_trace,
     project_fock,
     project_quadrature,
@@ -425,6 +429,11 @@ def test_success_prob_hm_window_limits():
     )
 
 
+def test_success_prob_hm_wide_window_holds_all_mass():
+    p = SchemeParams(GENERIC_A, GENERIC_B, 0.42, HM(0.0, 0.4, 20.0))
+    assert success_prob_hm(p, 30, check_input_tail=False) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_success_prob_hm_monotone_in_window():
     last = 0.0
     for delta in (0.05, 0.1, 0.3, 0.6, 1.2, 2.5):
@@ -447,7 +456,7 @@ def test_hm_outcome_density_matches_quadrature_projection():
 def oracle_window_prob(st, lam: float, lo: float, hi: float) -> float:
     """Probability of a reading in [lo, hi] on the embedded two-mode state st:
     a fixed 128-node Gauss-Legendre sum of project_quadrature densities."""
-    nodes, node_weights = np.polynomial.legendre.leggauss(128)
+    nodes, node_weights = roots_legendre(128)
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     dens = [project_quadrature(st, MODE_FIRST, mid + half * t, lam)[1] for t in nodes]
     return half * float(node_weights @ np.array(dens)) / float(np.sum(np.abs(st.amps) ** 2))
@@ -461,17 +470,34 @@ def test_success_prob_hm_matches_oracle_quadrature():
     assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_success_prob_hm_quadrature_budget(monkeypatch):
-    monkeypatch.setattr(tol, "QUADRATURE_MAX_NODES", tol.QUADRATURE_MIN_NODES)
-    with pytest.raises(QuadratureError):
-        success_prob_hm(ROW_BINOM_HM, 30, check_input_tail=False)
-    # two node levels on a window far wider than the outcome density differ
-    # by a real amount, and the message reports it
-    monkeypatch.setattr(tol, "QUADRATURE_MAX_NODES", 2 * tol.QUADRATURE_MIN_NODES)
-    wide = SchemeParams(ROW_BINOM_HM.in1, ROW_BINOM_HM.in2, ROW_BINOM_HM.transmittance,
-                        HM(0.61, 0.04, 20.0))
-    with pytest.raises(QuadratureError, match=r"last change [1-9]\.\d+e-0[1-7]\)"):
-        success_prob_hm(wide, 30, check_input_tail=False)
+_ARMS = st.builds(
+    SqueezedCoherentParams,
+    st.floats(0.0, 1.2), st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 2.5), st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    in1=_ARMS, in2=_ARMS, t=st.floats(0.1, 0.9), x=st.floats(0.0, 4.0),
+    lam=st.floats(0.0, 2.0 * math.pi), delta=st.floats(0.0, 3.0, exclude_min=True),
+    cutoff=st.integers(12, 30), n_sub=st.integers(1, 41),
+)
+def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff, n_sub):
+    p = SchemeParams(in1, in2, t, HM(x, lam, delta))
+    got = success_prob_hm(p, cutoff, check_input_tail=False)
+    # fixed 256-node Gauss-Legendre sum of oracle densities, all nodes at once
+    amps = embedded_two_mode_state(p, cutoff, check_input_tail=False).amps
+    nodes, node_weights = roots_legendre(256)
+    n = np.arange(2 * cutoff + 1)
+    bra = hermite_gaussian_columns(2 * cutoff, x + delta * nodes) * np.exp(-1j * lam * n)[:, None]
+    dens = np.sum(np.abs(bra.T @ amps) ** 2, axis=1) / np.sum(np.abs(amps) ** 2)
+    assert got == pytest.approx(delta * float(node_weights @ dens), abs=1e-10)
+    assert got <= 1.0 + 1e-12
+    # the subrange weights of average_misfit telescope to P
+    edges = np.linspace(x - delta, x + delta, n_sub + 1)
+    _, weights = scheme._hm_window(p, edges, cutoff, False)
+    assert abs(np.sum(weights) - got) <= 1e-14
 
 
 def test_hm_overflow_raises_without_warnings():
@@ -572,6 +598,33 @@ def test_parameter_validation():
         HM(1.0, 0.0, -0.1)
     with pytest.raises(ValueError):
         SqueezedCoherentParams(-0.1, 0.0, 0.0, 0.0)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (HM, (0.6, 0.1, _NAN)),
+        (HM, (0.6, 0.1, _INF)),
+        (HM, (0.6, _NAN)),
+        (HM, (0.6, -_INF)),
+        (SqueezedCoherentParams, (_NAN, 0.0, 0.5, 0.0)),
+        (SqueezedCoherentParams, (_INF, 0.0, 0.5, 0.0)),
+        (SqueezedCoherentParams, (0.3, _NAN, 0.5, 0.0)),
+        (SqueezedCoherentParams, (0.3, 0.0, _NAN, 0.0)),
+        (SqueezedCoherentParams, (0.3, 0.0, _INF, 0.0)),
+        (SqueezedCoherentParams, (0.3, 0.0, 0.5, -_INF)),
+    ],
+    ids=[
+        "halfwidth-nan", "halfwidth-inf", "lam-nan", "lam-inf",
+        "r-nan", "r-inf", "theta-nan", "alpha-nan", "alpha-inf", "phi-inf",
+    ],
+)
+def test_non_finite_parameters_rejected(cls, args):
+    with pytest.raises(ValueError, match="finite"):
+        cls(*args)
 
 
 # ------------------------------------------------------------ batched route
