@@ -6,9 +6,10 @@ are emitted in a fixed order, so re-runs are byte-identical.
 
 Exit codes: 0 success, 1 config or validation error, 2 numeric failure
 (truncation tails, Hermite overflow, normalization/truncation-quality
-guards), 3 regression gate failure from reproduce-table.  Config files are
-validated before any computation, and output files are only written once
-the computation has finished, so a failing run leaves no partial outputs.
+guards, a NaN or infinite output value), 3 regression gate failure from
+reproduce-table.  Config files are validated before any computation, and
+output files are only written once the computation has finished and every
+value bound for them is finite, so a failing run leaves no partial outputs.
 """
 from __future__ import annotations
 
@@ -61,7 +62,13 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_REPRODUCE = 3
 
+
+class _NonFiniteOutput(HeraldkitError):
+    """A value bound for an output file is NaN or infinite."""
+
+
 _NUMERIC_ERRORS = (
+    _NonFiniteOutput,
     TailMassError,
     HermiteOverflowError,
     TruncationQualityError,
@@ -83,8 +90,14 @@ REPORT_COLUMNS = (
 SWEEP_COLUMNS = ("sweep_var", "misfit_mean", "misfit_max", "herald_weight")
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise _NonFiniteOutput(f"output value {value!r} is not finite")
+    return value
+
+
 def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.17g}"
+    return "" if value is None else f"{_finite(value):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +362,8 @@ def parse_bounds(d: Any, kind: str, path: str) -> Bounds:
 
 def _fmt_c(value: complex) -> str:
     value = complex(value)
+    _finite(value.real)
+    _finite(value.imag)
     if value.imag == 0.0:
         return f"{value.real:g}"
     if value.real == 0.0:
@@ -479,11 +494,13 @@ def cmd_optimize(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
         "params": _params_record(result.best_params),
         "trace": list(result.trace),
     }
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise _NonFiniteOutput("result.json would hold a value that is not finite") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "row.csv", TABLE_COLUMNS, [row])
-    with open(out_dir / "result.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "result.json").write_text(text + "\n")
     _say(quiet, f"{label} {kind}: best misfit {_fmt(result.best_misfit)}  "
          f"P {_fmt(result.success_prob)}  evals {result.evaluations_count}")
     return EXIT_OK

@@ -213,9 +213,11 @@ def sweep_parameter_deviation(
     "worst_case" uses random corner signs (every scatter at +/-1).  d = 0
     skips perturbation entirely and reproduces the unperturbed evaluation
     bit for bit.  The n_samples points of a nonzero level are evaluated in
-    one batched call (scheme.conditional_output_batch).  Points are
-    processed and returned sorted ascending, and misfit_max accumulates the
-    worst value seen at any deviation <= d.
+    one batched call on the exact Gaussian core
+    (scheme.conditional_output_batch), which keeps the inputs whole; where
+    their tails above the cutoff vanish it agrees with the scalar route.
+    Points are processed and returned sorted ascending, and misfit_max
+    accumulates the worst value seen at any deviation <= d.
     """
     devs = sorted(float(d) for d in rel_devs)
     if devs and not 0.0 <= devs[0] <= devs[-1] <= 0.2:

@@ -10,12 +10,13 @@ population strictly inside the box almost surely.
 
 Each generation is scored in one call: objective_batch sends the whole
 population (the initial one, then each generation's children) through the
-batched closed form, which runs the input amplitudes, the Hermite
-recurrences and the heralding sums over arrays of points and falls back to
-the scalar route only for the rows it cannot evaluate regularly.  The
-random draws of a generation do not depend on how it is scored, so a seed
-means the same search either way.  Nelder-Mead polish and the final
-scoring evaluate one point at a time through the scalar route.
+exact Gaussian core (scheme.conditional_output_batch), which keeps the
+inputs whole, costs O(cutoff) per point and falls back to the scalar route
+only for the rows it cannot evaluate regularly.  The random draws of a
+generation do not depend on how it is scored, so a seed means the same
+search either way.  Nelder-Mead polish and the final scoring evaluate one
+point at a time through the scalar route, which truncates the inputs at
+the cutoff; every reported number comes from it.
 
 Search runs at a reduced cutoff; the returned best point is re-scored at
 the full cutoff so the reported numbers carry no truncation shortcut.
@@ -177,11 +178,14 @@ def objective(
 def objective_batch(
     V: np.ndarray, kind, target: TargetSpec | FockVector, cutoff: int
 ) -> np.ndarray:
-    """objective for every row of V, a stack of search vectors, in one call.
+    """Misfit of every row of V, a stack of search vectors, in one call.
 
-    Row i equals objective(vector_to_params(V[i], kind), target, cutoff) up
-    to rounding, and the call raises wherever one of those would.  The rows
-    go through the batched closed form (scheme.conditional_output_batch).
+    The rows go through the exact Gaussian core
+    (scheme.conditional_output_batch), which keeps the inputs whole and
+    truncates only the output.  Where the input tails above the cutoff
+    vanish, row i equals objective(vector_to_params(V[i], kind), target,
+    cutoff) up to rounding; elsewhere the two differ by about the input
+    tail mass.  The call raises wherever one of those would.
     """
     kname, _ = _normalize_kind(kind)
     states, _ = conditional_output_batch(V, kname, cutoff)

@@ -6,16 +6,23 @@ detection (SPD) heralds exactly one photon, or a homodyne measurement (HM)
 records a rotated-quadrature value x along phase lam.  Either outcome
 projects mode 4 onto the conditional state returned here.
 
-Each measurement kind has two interchangeable evaluation routes:
+Each measurement kind has two interchangeable evaluation routes on inputs
+truncated at the cutoff:
 
 * a closed form that collapses the measurement analytically and never builds
-  the two-mode array (fast; used by the optimizer; for HM a Hankel product
-  per reading), and
+  the two-mode array (used for every reported number and by the
+  Nelder-Mead polish; for HM a Hankel product per reading), and
 * an oracle that embeds the inputs at twice the cutoff, applies the exact
   sector-by-sector beam splitter and projects (slow; used to cross-check).
 
 Both routes keep every output amplitude up to total photon number 2*cutoff
 before truncating, so their retained and discarded masses agree exactly.
+
+The batched route (conditional_output_batch, which scores the GA
+generations and the deviation-sweep levels) runs on the exact Gaussian
+core instead: both heralds act on a Gaussian two-mode state, so each
+output follows from a few complex numbers and the input recurrence, in
+O(cutoff) per point, with the inputs kept whole (_closed_form_rows).
 
 The HM window figures, the success probability over x +/- delta and the
 window-averaged misfit, need no numerical quadrature: on truncated inputs
@@ -52,7 +59,8 @@ from .fock import (
 )
 from .states import (
     SqueezedCoherentParams,
-    _squeezed_amplitudes_rows,
+    _bargmann_coefficients,
+    _recurrence_rows,
     check_tail_mass,
     squeezed_coherent_amplitudes,
 )
@@ -508,17 +516,59 @@ def _hm_hankel_amplitudes(u1: np.ndarray, u2: np.ndarray, x: np.ndarray, h: np.n
     return pref[:, None] * sqrt_factorials(2 * n_cut) * _antidiagonal_sums(q)
 
 
-def _closed_form_rows(rows: np.ndarray, kind: str, cutoff: int) -> np.ndarray:
-    """Unnormalized outputs over |0>..|2*cutoff(-1)> of regular rows."""
-    # both inputs of every row in one pass over the recurrence
-    arms = np.vstack([rows[:, 0:4], rows[:, 4:8]])
-    a1, a2 = np.split(_squeezed_amplitudes_rows(arms, cutoff), 2)
+def _closed_form_rows(rows: np.ndarray, kind: str, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heralded outputs of regular rows from the exact Gaussian core.
+
+    Returns (d, log_c) with the unnormalized output over |0>..|cutoff> of
+    row b equal to exp(log_c[b]) d[b].  The inputs are untruncated: the
+    beam splitter turns their Bargmann functions c0_j exp(a_j z^2/2 + b_j z)
+    (states._bargmann_coefficients) into C exp(z^T A z / 2 + B^T z) in the
+    modes z = (z3, z4), with R = 1 - T,
+
+        A33 = T a1 - R a2,  A34 = i sqrt(TR) (a1 + a2),  A44 = T a2 - R a1,
+        B3 = sqrt(T) b1 + i sqrt(R) b2,  B4 = i sqrt(R) b1 + sqrt(T) b2,
+
+    and C = c0_1 c0_2.  The SPD herald keeps the z3 coefficient,
+    C (B3 + A34 z4) exp(A44 z4^2/2 + B4 z4), so log_c = log C and
+    d_m = B3 e_m + A34 sqrt(m) e_{m-1}, with e the input recurrence
+    (states._recurrence_rows) on (A44, B4).  The HM herald contracts z3
+    with the quadrature eigenstate, a Gaussian integral: with
+    p = -e^{-2i lam}, q = sqrt(2) x e^{-i lam} and Delta = 1 - A33 p
+    (Re Delta > 0 since |A33| < 1) the output is c0 exp(a z^2/2 + b z) with
+
+        a = A44 + A34^2 p / Delta,   b = B4 + A34 (B3 p + q) / Delta,
+        c0 = C pi^{-1/4} e^{-x^2/2} Delta^{-1/2}
+             exp((B3^2 p / 2 + B3 q + A33 q^2 / 2) / Delta),
+
+    so log_c = log c0 and d is the recurrence on (a, b).  Each recurrence
+    starts at 1 and the scale stays in log form, because some points in the
+    search box herald with a weight below the smallest double.  O(cutoff)
+    per row (Miatto & Quesada, Quantum 4, 366 (2020)).
+    """
+    a1, b1, c1 = _bargmann_coefficients(*rows[:, 0:4].T)
+    a2, b2, c2 = _bargmann_coefficients(*rows[:, 4:8].T)
     t = rows[:, 8]
+    sq_t, sq_r = np.sqrt(t), np.sqrt(1.0 - t)
+    a33 = t * a1 - (1.0 - t) * a2
+    a34 = 1j * sq_t * sq_r * (a1 + a2)
+    a44 = t * a2 - (1.0 - t) * a1
+    b3 = sq_t * b1 + 1j * sq_r * b2
+    b4 = 1j * sq_r * b1 + sq_t * b2
+    log_c = np.log(c1) + np.log(c2)
     if kind == "spd":
-        return _spd_full_amplitudes(a1, a2, t)
-    u1, u2 = _hm_arm_matrices(a1, a2, t, rows[:, 10])
-    x = rows[:, 9]
-    return _hm_hankel_amplitudes(u1, u2, x, _hermite_rows(x, 2 * cutoff))
+        e = _recurrence_rows(a44, b4, 1.0, cutoff)
+        d = b3[:, None] * e
+        d[:, 1:] += a34[:, None] * np.sqrt(np.arange(1, cutoff + 1)) * e[:, :-1]
+        return d, log_c
+    x, lam = rows[:, 9], rows[:, 10]
+    p = -np.exp(-2j * lam)
+    q = np.sqrt(2.0) * x * np.exp(-1j * lam)
+    delta = 1.0 - a33 * p
+    a = a44 + a34**2 * p / delta
+    b = b4 + a34 * (b3 * p + q) / delta
+    log_c += (-0.25 * np.log(np.pi) - 0.5 * x * x - 0.5 * np.log(delta)
+              + (0.5 * b3**2 * p + b3 * q + 0.5 * a33 * q * q) / delta)
+    return _recurrence_rows(a, b, 1.0, cutoff), log_c
 
 
 def conditional_output_batch(
@@ -528,15 +578,18 @@ def conditional_output_batch(
 
     rows follow the flat layout of layout_for_kind(kind); angles need not
     be wrapped.  Returns the normalized states, shape (B, cutoff + 1), and
-    the raw weights, shape (B,): row by row those of
+    the raw weights, shape (B,), of the exact Gaussian core
+    (_closed_form_rows): the heralded state of untruncated inputs,
+    truncated at the output.  Where the input tails above the cutoff
+    vanish, these are row by row the state and weight of
     conditional_output(vector_to_params(row, kind), cutoff,
-    check_input_tail=False), up to rounding.
+    check_input_tail=False), which truncates the inputs; elsewhere they
+    differ by about the input tail mass.
 
-    Regular rows run through the closed form in equal chunks of at most
-    tol.BATCH_ROWS rows; coherent inputs (r = 0) are regular.  A row with a
-    value outside the parameter ranges, or whose closed form is not finite,
-    goes through conditional_output itself, so it raises exactly where the
-    scalar route does.
+    Coherent inputs (r = 0) are regular.  A row with a value outside the
+    parameter ranges, or whose core output is not finite, goes through
+    conditional_output itself, so it raises exactly where the scalar route
+    does.
     """
     rows = np.asarray(rows, dtype=float)
     width = len(layout_for_kind(kind))
@@ -545,19 +598,18 @@ def conditional_output_batch(
     states = np.zeros((len(rows), cutoff + 1), dtype=np.complex128)
     weights = np.zeros(len(rows))
     scalar = ~_regular_rows(rows, kind)
-    regular = np.flatnonzero(~scalar)
-    n_chunks = -(-len(regular) // tol.BATCH_ROWS)
-    for sel in np.array_split(regular, n_chunks) if n_chunks else []:
-        with np.errstate(over="ignore", invalid="ignore"):
-            full = _closed_form_rows(rows[sel], kind, cutoff)
-            retained = full[:, : cutoff + 1]
-            raw = np.sum(np.abs(retained) ** 2, axis=1)
-        finite = np.isfinite(full).all(axis=1) & np.isfinite(raw)
-        scalar[sel[~finite]] = True
-        sel, retained, raw = sel[finite], retained[finite], raw[finite]
-        # an impossible outcome keeps its zero vector, as in _split_output
-        states[sel] = retained / np.sqrt(np.where(raw > 0.0, raw, 1.0))[:, None]
-        weights[sel] = raw
+    sel = np.flatnonzero(~scalar)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d, log_c = _closed_form_rows(rows[sel], kind, cutoff)
+        norm_sq = np.sum(np.abs(d) ** 2, axis=1)
+        weight = np.exp(2.0 * log_c.real + np.log(norm_sq))
+    finite = np.isfinite(d).all(axis=1) & np.isfinite(norm_sq) & np.isfinite(log_c)
+    scalar[sel[~finite]] = True
+    sel, d, log_c, norm_sq = sel[finite], d[finite], log_c[finite], norm_sq[finite]
+    # an impossible outcome keeps its zero vector, as in _split_output
+    scale = np.exp(1j * log_c.imag) / np.sqrt(np.where(norm_sq > 0.0, norm_sq, 1.0))
+    states[sel] = d * scale[:, None]
+    weights[sel] = weight[finite]
     for i in np.flatnonzero(scalar):
         out = conditional_output(vector_to_params(rows[i], kind), cutoff, check_input_tail=False)
         states[i] = out.state.amps

@@ -86,8 +86,8 @@ def squeezed_coherent_amplitudes(p: SqueezedCoherentParams, cutoff: int) -> np.n
     which is regular for every r >= 0 and gives the coherent ladder
     alpha^n e^{-|alpha|^2/2} / sqrt(n!) at r = 0 (Miatto & Quesada, Quantum 4,
     366 (2020)).  One input loops in Python complex arithmetic, which is
-    cheaper than per-step numpy calls; _squeezed_amplitudes_rows runs the
-    same recurrence over many inputs.
+    cheaper than per-step numpy calls; _recurrence_rows runs the same
+    recurrence over many coefficient triples.
     """
     a, b, c = (complex(v) for v in _bargmann_coefficients(p.r, p.theta, p.alpha_abs, p.phi))
     roots, inv_roots = _recurrence_roots(cutoff)
@@ -99,14 +99,15 @@ def squeezed_coherent_amplitudes(p: SqueezedCoherentParams, cutoff: int) -> np.n
     return np.array(amps)
 
 
-def _squeezed_amplitudes_rows(arms: np.ndarray, cutoff: int) -> np.ndarray:
-    """squeezed_coherent_amplitudes for a column block r, theta, alpha_abs,
-    phi; one input per row, shape (B, cutoff + 1)."""
-    a, b, c0 = _bargmann_coefficients(*arms.T)
+def _recurrence_rows(a: np.ndarray, b: np.ndarray, c0, cutoff: int) -> np.ndarray:
+    """Amplitudes c_0..c_cutoff of the Bargmann function c_0 exp(a z^2 / 2 + b z)
+    for arrays a, b of equal length and a scalar or matching c0; one state
+    per row, shape (B, cutoff + 1).  Same recurrence as
+    squeezed_coherent_amplitudes."""
     roots, inv_roots = _recurrence_roots(cutoff)
-    amps = np.empty((cutoff + 1, len(arms)), dtype=np.complex128)
+    amps = np.empty((cutoff + 1, len(a)), dtype=np.complex128)
     amps[0] = c0
-    prev = np.zeros(len(arms), dtype=np.complex128)
+    prev = np.zeros(len(a), dtype=np.complex128)
     for n in range(cutoff):
         amps[n + 1] = (b * amps[n] + a * roots[n] * prev) * inv_roots[n]
         prev = amps[n]

@@ -27,8 +27,3 @@ SEARCH_CUTOFF = 30
 
 # Default number of subranges for window-averaged misfit.
 DEFAULT_SUBRANGES = 21
-
-# Rows per chunk of the batched closed form.  Bounds its temporaries: one
-# homodyne chunk holds a few complex (rows, cutoff + 1, cutoff + 1) arrays,
-# about 1.7 MB each at cutoff 40.
-BATCH_ROWS = 64

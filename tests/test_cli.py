@@ -1,6 +1,7 @@
 """Config-driven front end: validation, outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,8 +13,16 @@ import pytest
 import yaml
 
 import heraldkit
+from heraldkit import cli
 from heraldkit.cli import main
-from heraldkit.scheme import SPD, SchemeParams, conditional_output, misfit, success_prob_spd
+from heraldkit.scheme import (
+    SPD,
+    SchemeParams,
+    Score,
+    conditional_output,
+    misfit,
+    success_prob_spd,
+)
 from heraldkit.states import Binomial, SqueezedCoherentParams, target_state
 
 ROW2_PARAMS = {
@@ -195,6 +204,46 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, command, payload, p
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
     assert f"config error: {path}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _nan_score(p, target, cutoff, check_input_tail=True):
+    out = conditional_output(p, cutoff, check_input_tail=False)
+    return Score(out, NAN, NAN, None)
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("evaluate",
+     {"target": {"family": "binomial", "p": 0.3, "M": 7},
+      "evaluate": {"kind": "spd", "params": ROW2_PARAMS}}),
+    ("reproduce-table",
+     {"reproduce_table": {"rows": ["02-binom-0.3-7-spd"], "polish_iters": 0}}),
+])
+def test_non_finite_output_is_a_numeric_failure(tmp_path, capsys, monkeypatch, command, payload):
+    monkeypatch.setattr(cli, "score", _nan_score)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "numeric failure: output value nan is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_trace_blocks_result_json(tmp_path, capsys, monkeypatch):
+    # the trace goes only into result.json, which must not be written either
+    real = cli.optimize
+
+    def nan_trace(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), trace=(0.5, NAN))
+
+    monkeypatch.setattr(cli, "optimize", nan_trace)
+    cfg = write_config(tmp_path, {
+        "target": {"family": "binomial", "p": 0.5, "M": 1},
+        "optimize": {"kind": "spd",
+                     "ga": {"population_size": 6, "generations": 1, "restarts": 1}},
+    })
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "numeric failure: result.json" in capsys.readouterr().err
     assert not out.exists()
 
 

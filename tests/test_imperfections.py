@@ -259,9 +259,17 @@ def test_deviation_sweep_levels_match_scalar_evaluations():
                     for base, k in ((row.in1, 0), (row.in2, 4))
                 ]
                 q = SchemeParams(*arms, row.transmittance, row.measurement)
-                out = conditional_output(q, 30, check_input_tail=False)
-                eps.append(misfit(out, tgt))
-                weights.append(out.raw_weight)
+                if d == 0.0:
+                    out = conditional_output(q, 30, check_input_tail=False)
+                    eps.append(misfit(out, tgt))
+                    weights.append(out.raw_weight)
+                    continue
+                # the batched levels keep the inputs whole: compare with the
+                # scalar route on inputs kept to |100>, truncated at the output
+                out = conditional_output(q, 100, check_input_tail=False)
+                amps = out.state.amps[:31]
+                eps.append(misfit(FockVector(amps, 30).normalized(), tgt))
+                weights.append(out.raw_weight * float(np.sum(np.abs(amps) ** 2)))
             envelope = max(envelope, max(eps))
             assert pt.misfit_mean == pytest.approx(np.mean(eps), abs=1e-12)
             assert pt.misfit_max == pytest.approx(envelope, abs=1e-12)

@@ -160,16 +160,18 @@ def test_objective_rejects_cutoff_mismatch():
 
 
 def test_objective_batch_matches_objective():
+    # the batch keeps the inputs whole and objective truncates them, so they
+    # agree where the input tails vanish: r <= 0.3, |alpha| <= 1.5, cutoff 60
     rng = np.random.default_rng(11)
-    for kind, row in (("spd", ROW_BINOM_SPD), ("hm", ROW_BINOM_HM)):
+    for kind in ("spd", "hm"):
         b = Bounds.for_kind(kind)
-        vecs = np.array(b.lower) + rng.uniform(size=(7, len(b.names))) * (
-            np.array(b.upper) - np.array(b.lower)
-        )
-        vecs[0] = params_to_vector(row)[0]
-        vecs[1, 0] = 0.0  # coherent input 1 takes the scalar route
-        got = objective_batch(vecs, kind, Binomial(0.3, 7), 30)
-        want = [objective(vector_to_params(v, kind), Binomial(0.3, 7), 30) for v in vecs]
+        lo, hi = np.array(b.lower), np.array(b.upper)
+        hi[[0, 4]] = 0.3
+        hi[[2, 6]] = 1.5
+        vecs = lo + rng.uniform(size=(7, len(b.names))) * (hi - lo)
+        vecs[1, 0] = 0.0  # coherent input 1
+        got = objective_batch(vecs, kind, Binomial(0.3, 7), 60)
+        want = [objective(vector_to_params(v, kind), Binomial(0.3, 7), 60) for v in vecs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 

@@ -5,6 +5,7 @@ agreement; on top of that this file carries an independent brute-force
 beam-splitter expansion so the pipeline itself is not self-certifying.
 """
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
@@ -49,7 +50,13 @@ from heraldkit.scheme import (
     success_prob_spd,
     vector_to_params,
 )
-from heraldkit.states import SqueezedCoherentParams, binomial_state, squeezed_coherent
+from heraldkit.optimizer import Bounds
+from heraldkit.states import (
+    SqueezedCoherentParams,
+    binomial_state,
+    squeezed_coherent,
+    squeezed_coherent_amplitudes,
+)
 
 # Table row used throughout: binomial(0.3, 7) target prepared by SPD
 ROW_BINOM_SPD = SchemeParams(
@@ -195,13 +202,15 @@ def test_zero_squeezing_takes_closed_route(meas, monkeypatch):
         SchemeParams(GENERIC_A, replace(GENERIC_B, r=0.0), 0.42, meas),
         SchemeParams(replace(GENERIC_A, r=0.0), replace(GENERIC_B, r=0.0), 0.42, meas),
     ]
-    refs = [output_oracle(p, 30) for p in points]
+    # at cutoff 60 the input tails vanish, so the batch, which keeps the
+    # inputs whole, agrees with the truncating routes
+    refs = [output_oracle(p, 60) for p in points]
     monkeypatch.setattr(scheme, "output_oracle", _no_route)
     kind = params_to_vector(points[0])[1]
     rows = np.array([params_to_vector(p)[0] for p in points])
-    states, weights = conditional_output_batch(rows, kind, 30)
+    states, weights = conditional_output_batch(rows, kind, 60)
     for p, ref, state, weight in zip(points, refs, states, weights):
-        out = conditional_output(p, 30)
+        out = conditional_output(p, 60)
         for amps, w in ((out.state.amps, out.raw_weight), (state, weight)):
             assert overlap_deficit(amps, ref.state.amps) <= 1e-10
             assert w == pytest.approx(ref.raw_weight, rel=1e-9)
@@ -646,18 +655,99 @@ def box_draws(rng: np.random.Generator, kind: str, count: int) -> list[SchemePar
     return out
 
 
+def input_tail_norm(arm: SqueezedCoherentParams, cutoff: int) -> float:
+    """Norm of an input's amplitudes above the cutoff."""
+    a = squeezed_coherent_amplitudes(arm, 1000)
+    head = float(np.sum(np.abs(a[: cutoff + 1]) ** 2))
+    # 1 - head is exact to rounding for heavy tails, the partial sum for light ones
+    return math.sqrt(max(1.0 - head, float(np.sum(np.abs(a[cutoff + 1:]) ** 2))))
+
+
+def batch_amplitudes(points: list[SchemeParams], cutoff: int) -> np.ndarray:
+    """Unnormalized batched outputs over |0>..|cutoff>, one row per point."""
+    kind = params_to_vector(points[0])[1]
+    rows = np.array([params_to_vector(p)[0] for p in points])
+    states, weights = conditional_output_batch(rows, kind, cutoff)
+    return states * np.sqrt(weights)[:, None]
+
+
+def closed_amplitudes(p: SchemeParams, cutoff: int) -> np.ndarray:
+    out = conditional_output(p, cutoff, check_input_tail=False)
+    return out.state.amps * math.sqrt(out.raw_weight)
+
+
 def test_batch_matches_scalar_closed_form():
-    # the 400 draws of acceptance criterion 1, at its tolerances
+    # the 400 draws of acceptance criterion 1: the closed form truncates the
+    # inputs at the cutoff, the batch keeps them whole
     rng = np.random.default_rng(20260823)
-    for kind in ("spd", "hm"):
-        points = box_draws(rng, kind, 200)
-        rows = np.array([params_to_vector(p)[0] for p in points])
-        states, weights = conditional_output_batch(rows, kind, 30)
-        assert states.shape == (200, 31) and weights.shape == (200,)
-        for p, state, weight in zip(points, states, weights):
-            ref = conditional_output(p, 30, check_input_tail=False)
-            assert abs(np.vdot(ref.state.amps, state)) >= 1.0 - 1e-10
-            assert abs(weight - ref.raw_weight) <= 1e-9 * ref.raw_weight
+    spd = box_draws(rng, "spd", 200)
+    # the SPD projection is a contraction, so the truncated inputs move the
+    # retained output by at most the norms of the two input tails
+    for p, core in zip(spd, batch_amplitudes(spd, 30)):
+        gap = np.linalg.norm(closed_amplitudes(p, 30) - core)
+        assert gap <= input_tail_norm(p.in1, 30) + input_tail_norm(p.in2, 30) + 1e-12
+    # HM: on the draws with heavy input tails the closed form closes in on
+    # the batch as the cutoff doubles
+    hm = [p for p in box_draws(rng, "hm", 200)
+          if input_tail_norm(p.in1, 30) + input_tail_norm(p.in2, 30) > 1e-4]
+    assert len(hm) > 150
+    for p, core in zip(hm, batch_amplitudes(hm, 30)):
+        gap_30 = np.linalg.norm(closed_amplitudes(p, 30) - core)
+        gap_60 = np.linalg.norm(closed_amplitudes(p, 60)[:31] - core)
+        assert gap_60 <= 0.6 * gap_30
+
+
+# a sub-box whose input tails above |60> hold below 1e-32 of the mass
+_LIGHT_ARMS = st.builds(
+    SqueezedCoherentParams,
+    st.floats(0.0, 0.3), st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 1.5), st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    in1=_LIGHT_ARMS, in2=_LIGHT_ARMS, t=st.floats(0.1, 0.9),
+    meas=st.one_of(st.just(SPD()),
+                   st.builds(HM, st.floats(0.0, 4.0), st.floats(0.0, 2.0 * math.pi))),
+)
+def test_core_matches_closed_form_where_input_tails_vanish(in1, in2, t, meas):
+    p = SchemeParams(in1, in2, t, meas)
+    vec, kind, _ = params_to_vector(p)
+    states, weights = conditional_output_batch(vec[None], kind, 60)
+    ref = conditional_output(p, 60, check_input_tail=False)
+    # below a density of about 1e-8 the input tails, small as they are, move
+    # the closed form by more than 1e-12 (a 50-digit evaluation of the
+    # truncated sum agrees with the closed form there, and one at cutoff 90
+    # with the batch)
+    assume(ref.raw_weight >= 1e-8)
+    assert overlap_deficit(states[0], ref.state.amps) <= 1e-12
+    assert weights[0] == pytest.approx(ref.raw_weight, rel=1e-10)
+
+
+def test_batch_keeps_underflowing_weight_in_log_form(monkeypatch):
+    # the literal weight of this box point, about 1e-331, is below the
+    # smallest double; the state must still come out whole from the batch
+    row = np.array([1.306, 3.966, 3.238, 5.876, 1.557, 1.413, 2.692, 3.725, 0.223, 3.469, 2.249])
+    monkeypatch.setattr(scheme, "conditional_output", _no_route)
+    states, weights = conditional_output_batch(row[None], "hm", 30)
+    assert np.all(np.isfinite(states))
+    assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= weights[0] < 1e-300
+
+
+@pytest.mark.parametrize("kind", ["spd", "hm"])
+def test_batch_evaluates_every_box_corner(kind, monkeypatch):
+    b = Bounds.for_kind(kind)
+    rows = np.array(list(itertools.product(*zip(b.lower, b.upper))))
+    monkeypatch.setattr(scheme, "conditional_output", _no_route)
+    states, weights = conditional_output_batch(rows, kind, tol.SEARCH_CUTOFF)
+    assert np.all(np.isfinite(states)) and np.all(np.isfinite(weights))
+    norms = np.linalg.norm(states, axis=1)
+    # only vacuum in both arms cannot herald, and only under SPD
+    vacuum = (rows[:, [0, 2, 4, 6]] == 0.0).all(axis=1) & (kind == "spd")
+    np.testing.assert_allclose(norms[~vacuum], 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(norms[vacuum] == 0.0) and np.all(weights[vacuum] == 0.0)
 
 
 def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
@@ -667,15 +757,16 @@ def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
     rows[3, 4] = 5e-9                      # nearly coherent input 2
     rows[4, 1] += 2.0 * math.pi            # unwrapped angle stays regular
     for kind, width in (("hm", 11), ("spd", 9)):
+        # at cutoff 60 the input tails vanish, so the scalar route agrees
         refs = {
-            i: conditional_output(vector_to_params(rows[i, :width], kind), 20,
+            i: conditional_output(vector_to_params(rows[i, :width], kind), 60,
                                   check_input_tail=False)
             for i in (1, 3)
         }
         # no row leaves the batch for the scalar route
         with monkeypatch.context() as m:
             m.setattr(scheme, "conditional_output", _no_route)
-            states, weights = conditional_output_batch(rows[:, :width], kind, 20)
+            states, weights = conditional_output_batch(rows[:, :width], kind, 60)
         for i, ref in refs.items():
             assert abs(np.vdot(ref.state.amps, states[i])) == pytest.approx(1.0, abs=1e-12)
             assert weights[i] == pytest.approx(ref.raw_weight, rel=1e-12)
@@ -693,16 +784,6 @@ def test_batch_raises_where_scalar_route_raises():
     rows[1, 9] = 4.5
     with pytest.raises(ValueError, match="quadrature value"):
         conditional_output_batch(rows, "hm", 20)
-
-
-def test_batch_chunks_agree_with_one_chunk(monkeypatch):
-    rows = np.array([params_to_vector(p)[0]
-                     for p in box_draws(np.random.default_rng(4), "hm", 9)])
-    whole = conditional_output_batch(rows, "hm", 20)
-    monkeypatch.setattr(tol, "BATCH_ROWS", 2)
-    chunked = conditional_output_batch(rows, "hm", 20)
-    np.testing.assert_allclose(chunked[0], whole[0], rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-13)
 
 
 def test_spd_high_cutoff_stays_finite():

@@ -17,7 +17,8 @@ from heraldkit.states import (
     NegativeBinomial,
     Resource,
     SqueezedCoherentParams,
-    _squeezed_amplitudes_rows,
+    _bargmann_coefficients,
+    _recurrence_rows,
     adhoc_superposition,
     amplitude_squeezed_state,
     binomial_state,
@@ -108,7 +109,7 @@ _ARM = st.tuples(st.floats(0.0, 1.7), _ANGLE, st.floats(0.0, 4.0), _ANGLE)
 def test_amplitude_loops_agree(arms, cutoff):
     # the one-input loop and the rows loop run the same recurrence in
     # different arithmetic
-    rows = _squeezed_amplitudes_rows(np.array(arms), cutoff)
+    rows = _recurrence_rows(*_bargmann_coefficients(*np.array(arms).T), cutoff)
     for arm, row in zip(arms, rows):
         one = squeezed_coherent_amplitudes(SqueezedCoherentParams(*arm), cutoff)
         assert np.max(np.abs(row - one)) <= 1e-13 * np.max(np.abs(one))
