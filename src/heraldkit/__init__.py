@@ -16,7 +16,6 @@ from .errors import (
     TruncationQualityError,
 )
 from .fock import (
-    BeamSplitterConvention,
     BeamSplitterSpec,
     DensityMatrix,
     FockVector,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdHoc",
     "AmplitudeSqueezed",
-    "BeamSplitterConvention",
     "BeamSplitterSpec",
     "Binomial",
     "Bounds",

@@ -5,8 +5,8 @@ carry no timestamps, floats print with 17 significant digits, and rows
 are emitted in a fixed order, so re-runs are byte-identical.
 
 Exit codes: 0 success, 1 config or validation error, 2 numeric failure
-(truncation tails, Hermite overflow, normalization/truncation-quality
-guards, a NaN or infinite output value), 3 regression gate failure from
+(truncation tails, normalization/truncation-quality guards, a NaN or
+infinite output value), 3 regression gate failure from
 reproduce-table.  Config files are validated before any computation, and
 output files are only written once the computation has finished and every
 value bound for them is finite, so a failing run leaves no partial outputs.
@@ -28,7 +28,6 @@ from . import tolerances as tol
 from .errors import (
     ConfigError,
     HeraldkitError,
-    HermiteOverflowError,
     NormalizationError,
     TailMassError,
     TruncationQualityError,
@@ -70,7 +69,6 @@ class _NonFiniteOutput(HeraldkitError):
 _NUMERIC_ERRORS = (
     _NonFiniteOutput,
     TailMassError,
-    HermiteOverflowError,
     TruncationQualityError,
     NormalizationError,
 )

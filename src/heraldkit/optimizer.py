@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import tolerances as tol
 from .errors import ConfigError
@@ -391,6 +390,9 @@ def local_polish(
     def fun(x: np.ndarray) -> float:
         out = conditional_output(assemble(x), cutoff, check_input_tail=False)
         return misfit(out, tgt)
+
+    # imported here, so commands that never polish never load scipy.optimize
+    from scipy.optimize import minimize
 
     x0 = full[free]
     eps_start = fun(x0)

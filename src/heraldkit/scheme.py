@@ -6,55 +6,60 @@ detection (SPD) heralds exactly one photon, or a homodyne measurement (HM)
 records a rotated-quadrature value x along phase lam.  Either outcome
 projects mode 4 onto the conditional state returned here.
 
-Each measurement kind has two interchangeable evaluation routes on inputs
-truncated at the cutoff:
+Both heralds read one two-mode array.  On inputs truncated at the cutoff N
+the beam-splitter output is V[j, m] over 0..2N in each mode, with j the
+photons in the measured mode 3 and m those in the signal mode 4.  Each
+input contributes a kappa-scaled arm matrix U_j[d, k] (_arms), and V is
+their two-dimensional convolution rescaled by sqrt factorials
+(_two_mode_array).  Every reported number reads V in one of two ways:
 
-* a closed form that collapses the measurement analytically and never builds
-  the two-mode array (used for every reported number and by the
-  Nelder-Mead polish; for HM a Hankel product per reading), and
-* an oracle that embeds the inputs at twice the cutoff, applies the exact
-  sector-by-sector beam splitter and projects (slow; used to cross-check).
+* SPD keeps row j = 1, which needs only rows d <= 1 of the arms: two
+  one-dimensional convolutions (_spd_amplitudes);
+* HM contracts j with the Hermite functions phi_j(x) at the reading, in one
+  Hankel product of the arms that never forms V (_hm_amplitudes).  The
+  window figures, the success probability over x +/- delta and the
+  window-averaged misfit, form V once: the outcome density is a quadratic
+  form in Hermite functions, and its primitive has a closed form
+  (_hm_window).
 
-Both routes keep every output amplitude up to total photon number 2*cutoff
-before truncating, so their retained and discarded masses agree exactly.
+This closed route is what "closed" means in conditional_output.  The
+"oracle" route embeds the inputs at 2N, applies the sector-by-sector beam
+splitter and projects (slow; used to cross-check).  Both keep every output
+amplitude up to total photon number 2N before truncating, so their retained
+and discarded masses agree.
 
 The batched route (conditional_output_batch, which scores the GA
 generations and the deviation-sweep levels) runs on the exact Gaussian
 core instead: both heralds act on a Gaussian two-mode state, so each
 output follows from a few complex numbers and the input recurrence, in
 O(cutoff) per point, with the inputs kept whole (_closed_form_rows).
-
-The HM window figures, the success probability over x +/- delta and the
-window-averaged misfit, need no numerical quadrature: on truncated inputs
-the outcome density is a quadratic form in Hermite functions, and its
-primitive has a closed form (_hm_window).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import comb, erf, gammaln
+from scipy.special import erf, gammaln
 
 from . import tolerances as tol
-from .errors import HermiteOverflowError, NormalizationError
+from .errors import NormalizationError
 from .fock import (
     MODE_FIRST,
     BeamSplitterSpec,
     DensityMatrix,
     FockVector,
     TwoModeState,
+    _freeze,
     _require_unit_norm,
     beam_splitter_apply,
     fidelity,
     hermite_gaussian_columns,
-    hermite_sequence,
     project_fock,
     project_quadrature,
-    sqrt_factorials,
     tensor,
 )
 from .states import (
@@ -64,8 +69,6 @@ from .states import (
     check_tail_mass,
     squeezed_coherent_amplitudes,
 )
-
-_PHASE_CYCLE = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
 # Admissible heralded quadrature values and beam-splitter transmittances.
 _X_RANGE = (0.0, 4.0)
@@ -200,199 +203,198 @@ def _split_output(full: np.ndarray, cutoff: int) -> ConditionalOutput:
     return ConditionalOutput(state, raw_weight, loss)
 
 
-def _scaled_sqrt_factorials(n_max: int) -> tuple[np.ndarray, float]:
-    """(s, kappa) with s[k] = sqrt(k!) / kappa**k for k = 0..n_max.
+@cache
+def _scaled_sqrt_factorials(n_max: int) -> np.ndarray:
+    """s[n] = sqrt(n!) / kappa**n for n = 0..n_max, with kappa = sqrt(n_max / e).
 
-    kappa = sqrt(n_max / e) keeps every entry between about
-    exp(-n_max / (2 e)) and sqrt(n_max), so the factorial ratios of the
-    collapsed sums stay finite at cutoffs where sqrt(k!) itself overflows.
+    The scale keeps every entry between about exp(-n_max / (2 e)) and
+    sqrt(n_max), so the factorial ratios of the two-mode array stay finite
+    at cutoffs where sqrt(n!) itself overflows.
     """
     kappa = np.sqrt(max(n_max, 1) / np.e)
-    k = np.arange(n_max + 1)
-    return np.exp(0.5 * gammaln(k + 1.0) - k * np.log(kappa)), kappa
+    n = np.arange(n_max + 1)
+    return _freeze(np.exp(0.5 * gammaln(n + 1.0) - n * np.log(kappa)))
 
 
-def _spd_full_amplitudes(a1: np.ndarray, a2: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Unnormalized SPD outputs over |0>..|2*cutoff-1>, one row per point.
+@cache
+def _binomials(cutoff: int) -> np.ndarray:
+    """C(d + k, d) at [d, k] for d + k <= cutoff and 0 elsewhere, each the
+    exact integer rounded once."""
+    b = np.zeros((cutoff + 1, cutoff + 1))
+    for d in range(cutoff + 1):
+        b[d, : cutoff + 1 - d] = [float(math.comb(d + k, d)) for k in range(cutoff + 1 - d)]
+    return _freeze(b)
 
-    a1, a2 hold the truncated input amplitudes with a leading batch axis and
-    t the matching transmittances.  Only two reflect/transmit splittings can
-    leave one photon in the measured arm, which collapses the heralding to a
-    double sum over the input photon numbers n, m:
 
-        c[n+m-1] += i^{n+1} (a1[n]/sqrt(n!)) (a2[m]/sqrt(m!)) sqrt((n+m-1)!)
-                    * [m R^{(n+1)/2} T^{(m-1)/2} - n R^{(n-1)/2} T^{(m+1)/2}]
+def _hankel(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Read-only view M[i, j] = v[i + j], for rows + cols - 1 <= len(v)."""
+    (step,) = v.strides
+    return as_strided(v, shape=(rows, cols), strides=(step, step), writeable=False)
 
-    with R = 1 - T.  The m = 0 and n = 0 legs vanish with their prefactor,
-    so the half-integer powers below zero never contribute.  The factorials
-    are carried as kappa**k * s[k] (_scaled_sqrt_factorials); the powers of
-    kappa cancel up to one overall 1/kappa.
+
+def _arms(
+    p: SchemeParams, cutoff: int, check_input_tail: bool, depth: int | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The kappa-scaled arm matrices U1, U2 of one point, and the squared
+    norm of its truncated inputs.
+
+    Input j sends d of its photons to the measured mode 3 and k to the
+    signal mode 4:
+
+        U_j[d, k] = (a_j[d+k] / s[d+k]) C(d+k, d) g_j3^d g_j4^k,
+
+    with s = _scaled_sqrt_factorials(2 cutoff), R = 1 - T and the couplings
+    g_13 = g_24 = sqrt(T), g_14 = g_23 = i sqrt(R) of the symmetric
+    convention.  Only the rows d < depth are built (all of them by default).
     """
-    n_cut = a1.shape[-1] - 1
-    n = np.arange(n_cut + 1)
-    sqf2, kappa = _scaled_sqrt_factorials(2 * n_cut)
-    a1s = _PHASE_CYCLE[(n + 1) % 4] * a1 / sqf2[: n_cut + 1]
-    a2s = a2 / sqf2[: n_cut + 1]
-    # powers sqrt(.)**e for e = -1..n_cut+1, stored at index e + 1
-    e = np.arange(-1, n_cut + 2)
-    pow_t = np.sqrt(t)[:, None] ** e
-    pow_r = np.sqrt(1.0 - t)[:, None] ** e
-    # the bracket has rank two in (n, m)
-    u1 = a1s * pow_r[:, 2:]
-    v1 = a2s * n * pow_t[:, : n_cut + 1]
-    u2 = a1s * n * pow_r[:, : n_cut + 1]
-    v2 = a2s * pow_t[:, 2:]
-    m_mat = u1[:, :, None] * v1[:, None, :]
-    m_mat -= u2[:, :, None] * v2[:, None, :]
-    return sqf2[: 2 * n_cut] * _antidiagonal_sums(m_mat)[:, 1:] / kappa
+    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
+    s = _scaled_sqrt_factorials(2 * cutoff)
+    binom = _binomials(cutoff)[:depth]
+    n = np.arange(cutoff + 1)
+    sq_t, sq_r = math.sqrt(p.transmittance), math.sqrt(1.0 - p.transmittance)
+
+    def arm(a: np.ndarray, g3: complex, g4: complex) -> np.ndarray:
+        # zero-padded to 2 cutoff, so the Hankel view reads 0 where binom is 0
+        scaled = np.zeros(2 * cutoff + 1, dtype=np.complex128)
+        scaled[: cutoff + 1] = a / s[: cutoff + 1]
+        u = _hankel(scaled, len(binom), cutoff + 1) * binom
+        u *= (g3 ** n[: len(binom)])[:, None]
+        u *= g4**n
+        return u
+
+    u1 = arm(a1, sq_t, 1j * sq_r)
+    u2 = arm(a2, 1j * sq_r, sq_t)
+    norm = float(np.sum(np.abs(a1) ** 2) * np.sum(np.abs(a2) ** 2))
+    return u1, u2, norm
+
+
+def _two_mode_array(u1: np.ndarray, u2: np.ndarray, cutoff: int) -> np.ndarray:
+    """V[j, m] = s[j] s[m] W[j, m] over j, m = 0..2 cutoff, with W the
+    two-dimensional convolution W[j, m] = sum U1[d1, k] U2[d2, l] over
+    d1 + d2 = j, k + l = m (one Toeplitz product per row d1).
+
+    The powers of kappa in s and in the arms cancel, so V is the
+    beam-splitter output of the truncated inputs,
+    embedded_two_mode_state(p, cutoff).
+    """
+    # padded[cutoff + k] = U1[d1, k], so U2[:, ::-1] @ Hankel(padded) holds
+    # each row of U2 convolved with U1[d1]
+    padded = np.zeros(3 * cutoff + 1, dtype=np.complex128)
+    u2_rev = u2[:, ::-1]
+    v = np.zeros((2 * cutoff + 1, 2 * cutoff + 1), dtype=np.complex128)
+    for d1 in range(cutoff + 1):
+        padded[cutoff : 2 * cutoff + 1] = u1[d1]
+        # a contiguous copy, so the product runs in BLAS
+        toeplitz = np.ascontiguousarray(_hankel(padded, cutoff + 1, 2 * cutoff + 1))
+        v[d1 : d1 + cutoff + 1] += u2_rev @ toeplitz
+    s = _scaled_sqrt_factorials(2 * cutoff)
+    v *= s[:, None]
+    v *= s
+    return v
+
+
+def _spd_amplitudes(u1: np.ndarray, u2: np.ndarray, cutoff: int) -> np.ndarray:
+    """Row j = 1 of V, the unnormalized SPD output over |0>..|2*cutoff-1>.
+
+    One photon in the measured mode comes from row d = 1 of one arm and
+    row 0 of the other, so two convolutions over the signal photons give it.
+    """
+    s = _scaled_sqrt_factorials(2 * cutoff)
+    w = np.convolve(u1[1], u2[0]) + np.convolve(u1[0], u2[1])
+    return s[1] * s[: 2 * cutoff] * w[: 2 * cutoff]
 
 
 def _antidiagonal_sums(q: np.ndarray) -> np.ndarray:
-    """out[b, s] = sum over i + j = s of q[b, i, j], for square q[b].
+    """out[c] = sum over i + j = c of q[i, j], for a square q.
 
     Row i of q is written into row i of a zero array shifted right by i
     places, so that column sums give the anti-diagonal sums, each in
     increasing i.
     """
-    b, d, _ = q.shape
-    skew = np.zeros((b, d, 2 * d), dtype=q.dtype)
-    sb, si, sj = skew.strides
-    as_strided(skew, shape=q.shape, strides=(sb, si + sj, sj))[...] = q
-    return skew.sum(axis=1)[:, : 2 * d - 1]
+    d = len(q)
+    skew = np.zeros((d, 2 * d), dtype=q.dtype)
+    si, sj = skew.strides
+    as_strided(skew, shape=q.shape, strides=(si + sj, sj))[...] = q
+    return skew.sum(axis=0)[: 2 * d - 1]
 
 
-def _hm_arm_matrices(
-    a1: np.ndarray, a2: np.ndarray, t: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm matrices of the homodyne closed form, one pair per point.
+def _reading_phases(lam: float, cutoff: int) -> np.ndarray:
+    """e^{-i j lam} for j = 0..2 cutoff, the phases of <x|_lam j>."""
+    return np.exp(-1j * lam * np.arange(2 * cutoff + 1))
 
-    Returns U1[b, d1, k] and U2[b, d2, l]: d counts the photons an input
-    sends to the measured arm and k, l those it sends to the signal arm.  The
-    arms meet in H_{d1+d2}(x) at one reading (_hm_hankel_amplitudes) or, for
-    a window of readings, in their convolution W (_hm_window).
+
+def _hm_amplitudes(
+    u1: np.ndarray, u2: np.ndarray, x: float, lam: float, cutoff: int
+) -> np.ndarray:
+    """<x|_lam V, the unnormalized HM output at reading x over
+    |0>..|2*cutoff>, without forming V.  The arms meet in the Hankel matrix
+    of h[j] = phi_j(x) e^{-i j lam} s[j]:
+
+        c[m] = s[m] sum_{k+l=m} (U1^T @ Hankel(h) @ U2)[k, l].
+
+    The reading phases sit on h rather than in the arms: on 800 box draws
+    at cutoff 30 that kept the worst weight error against the oracle at
+    6e-10, against 1.6e-9 with the phases in the arms.
     """
-    n_cut = a1.shape[-1] - 1
-    n = np.arange(n_cut + 1)
-    sqf = sqrt_factorials(n_cut)
-    e_lam = (np.exp(-1j * lam) / np.sqrt(2.0))[:, None]
-    # inputs padded with zeros up to 2*cutoff, gathered at index d + k
-    a1s = np.zeros((len(a1), 2 * n_cut + 1), dtype=np.complex128)
-    a2s = np.zeros_like(a1s)
-    a1s[:, : n_cut + 1] = a1 * e_lam**n / sqf
-    a2s[:, : n_cut + 1] = a2 * (1j * e_lam) ** n / sqf
-    sq_t = np.sqrt(t)[:, None]
-    sq_r = np.sqrt(1.0 - t)[:, None]
-    w = (np.sqrt(2.0) * 1j * np.exp(1j * lam))[:, None]
-    idx = np.add.outer(n, n)
-    binom = np.where(idx <= n_cut, comb(np.minimum(idx, n_cut) + 0.0, n[:, None]), 0.0)
-    u1 = _hankel_rows(a1s, n_cut + 1) * binom
-    u1 *= (sq_t**n)[:, :, None]
-    u1 *= ((sq_r * w) ** n)[:, None, :]
-    u2 = _hankel_rows(a2s, n_cut + 1) * binom
-    u2 *= (sq_r**n)[:, :, None]
-    u2 *= ((-sq_t * w) ** n)[:, None, :]
-    return u1, u2
+    s = _scaled_sqrt_factorials(2 * cutoff)
+    h = hermite_gaussian_columns(2 * cutoff, x) * s * _reading_phases(lam, cutoff)
+    hankel = np.ascontiguousarray(_hankel(h, cutoff + 1, cutoff + 1))
+    # (U2^T @ Hankel @ U1)[l, k] is the transposed contraction; its
+    # anti-diagonal sums are the same
+    return s * _antidiagonal_sums(u2.T @ (hankel @ u1))
 
 
-def _hankel_rows(v: np.ndarray, size: int) -> np.ndarray:
-    """Read-only view M[b, i, j] = v[b, i + j] for i, j < size <= (len + 1) / 2."""
-    sb, si = v.strides
-    return as_strided(v, shape=(len(v), size, size), strides=(sb, si, si), writeable=False)
+def _hm_window(
+    arms: tuple[np.ndarray, np.ndarray, float], lam: float, edges: np.ndarray, cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-mode array of one HM point with the reading phase e^{-i j lam}
+    on row j, V_lam (so c(x) = phi(x)^T V_lam), and the primitive of its
+    outcome density at each edge.
 
-
-def _hm_point(p: SchemeParams, cutoff: int, check_input_tail: bool):
-    """Arm matrices of one HM point (batch axis of one) and its input norm."""
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    t, lam = np.array([p.transmittance]), np.array([p.measurement.lam])
-    return (*_hm_arm_matrices(a1[None], a2[None], t, lam), _input_norm_sq(a1, a2))
-
-
-def _hm_amplitudes_at(p: SchemeParams, x: float, cutoff: int, check_input_tail: bool):
-    """Hankel kernel on one point: its output at reading x and its input norm."""
-    u1, u2, norm = _hm_point(p, cutoff, check_input_tail)
-    # the scalar recurrence is cheaper on one point and raises HermiteOverflowError
-    h = hermite_sequence(complex(x), 2 * cutoff).real[None]
-    return _hm_hankel_amplitudes(u1, u2, np.array([x], dtype=float), h)[0], norm
-
-
-def _hm_window(p: SchemeParams, edges: np.ndarray, cutoff: int, check_input_tail: bool):
-    """Window matrix V of one HM point, and the probability of a reading
-    between each pair of consecutive edges.
-
-    V holds the unnormalized outputs over |0>..|2*cutoff> in the basis of
-    the normalized Hermite functions phi_j (fock.hermite_gaussian_columns):
-    c(x) = phi(x)^T V.  The arm matrices are convolved into
-    W[j, s] = sum_{d1+d2=j, k+l=s} U1[d1, k] U2[d2, l] (one Toeplitz product
-    per row d1), and V[j, s] = sqrt(2^j j!) sqrt(s!) W[j, s].  The square
-    roots are carried as (sqrt(2) kappa)^j kappa^s times
-    _scaled_sqrt_factorials, with the powers of kappa folded into the arm
-    matrices, so no factor leaves the double range at any cutoff the
-    Hermite overflow check of the closed form admits; the edges pass that
-    check before W is built.
-
-    The outcome density is the quadratic form p(x) = phi(x)^T G phi(x) with
-    G = Re(V V^dagger) / norm.  As phi_n'' = (x^2 - 2n - 1) phi_n and
+    The outcome density is the quadratic form p(x) = phi(x)^T G phi(x) in
+    the normalized Hermite functions (fock.hermite_gaussian_columns), with
+    G = Re(V_lam V_lam^dagger) / norm.  As phi_n'' = (x^2 - 2n - 1) phi_n and
     (phi_{n-1} phi_n)' = sqrt(2n) (phi_{n-1}^2 - phi_n^2), its primitive is
 
         B(x) = 2 phi^T M phi' + sum_n G[n, n] D_n(x),
 
     with M[j, k] = G[j, k] / (2 (j - k)) off the diagonal and 0 on it,
     phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, D_0 = erf(x) / 2
-    and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n).  The probabilities are
-    the differences of B over the edges.
+    and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n).  The probability of a
+    reading between two edges is the difference of B over them.
     """
-    u1, u2, norm = _hm_point(p, cutoff, check_input_tail)
-    h = _hermite_rows(edges, 2 * cutoff)
-    if not np.isfinite(h).all():
-        i, k = np.argwhere(~np.isfinite(h))[0]
-        raise HermiteOverflowError(int(k), complex(edges[i]))
-    sqf, kappa = _scaled_sqrt_factorials(2 * cutoff)
-    n = np.arange(cutoff + 1)
-    # (sqrt(2) kappa)^d kappa^k, needed only where U[d, k] != 0, i.e. d + k <= cutoff
-    scale = np.sqrt(2.0) ** n[:, None] * kappa ** np.minimum(np.add.outer(n, n), cutoff)
-    # padded[d1, cutoff + k] = U1[d1, k], so U2[:, ::-1] @ padded[d1, hankel] holds
-    # each row of U2 convolved with U1[d1]
-    padded = np.zeros((cutoff + 1, 3 * cutoff + 1), dtype=np.complex128)
-    padded[:, cutoff : 2 * cutoff + 1] = u1[0] * scale
-    hankel = np.add.outer(n, np.arange(2 * cutoff + 1))
-    u2_rev = (u2[0] * scale)[:, ::-1]
-    v = np.zeros((2 * cutoff + 1, 2 * cutoff + 1), dtype=np.complex128)
-    for d1 in range(cutoff + 1):
-        v[d1 : d1 + cutoff + 1] += u2_rev @ padded[d1, hankel]
-    v *= sqf[:, None] * sqf
-
-    g = (v @ v.conj().T).real / norm
+    u1, u2, norm = arms
+    v = _two_mode_array(u1, u2, cutoff)
+    v *= _reading_phases(lam, cutoff)[:, None]
+    # Re(V V^dagger) is X X^T for the real and imaginary parts side by side
+    x = v.view(np.float64)
+    g = x @ x.T
+    g /= norm
     j = np.arange(2 * cutoff + 1)
-    gap = np.subtract.outer(j, j)
-    m = g / np.where(gap == 0, np.inf, 2.0 * gap)
+    m = 2.0 * np.subtract.outer(j, j.astype(float))
+    np.fill_diagonal(m, np.inf)
+    np.divide(g, m, out=m)
     phi = hermite_gaussian_columns(2 * cutoff + 1, edges)
     # at j = 0 the first term reads phi[-1] times 0
     dphi = np.sqrt(j / 2.0)[:, None] * phi[j - 1] - np.sqrt((j + 1) / 2.0)[:, None] * phi[j + 1]
     steps = phi[: 2 * cutoff] * phi[1 : 2 * cutoff + 1] / np.sqrt(2.0 * j[1:])[:, None]
     d = 0.5 * erf(edges) - np.vstack([np.zeros_like(edges), np.cumsum(steps, axis=0)])
-    primitive = 2.0 * np.sum(phi[:-1] * (m @ dphi), axis=0) + np.diag(g) @ d
-    return v, np.diff(primitive)
+    return v, 2.0 * np.sum(phi[:-1] * (m @ dphi), axis=0) + np.diag(g) @ d
 
 
-def output_spd_closed_form(
-    p: SchemeParams, cutoff: int, check_input_tail: bool = True
-) -> ConditionalOutput:
-    """SPD conditional state from the collapsed double sum."""
-    if not isinstance(p.measurement, SPD):
-        raise TypeError("measurement must be SPD")
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    full = _spd_full_amplitudes(a1[None], a2[None], np.array([p.transmittance]))[0]
-    return _split_output(full, cutoff)
-
-
-def output_hm_closed_form(
-    p: SchemeParams, cutoff: int, check_input_tail: bool = True
-) -> ConditionalOutput:
-    """HM conditional state from the factorized quadruple sum."""
-    if not isinstance(p.measurement, HM):
-        raise TypeError("measurement must be HM")
-    full, _ = _hm_amplitudes_at(p, p.measurement.x, cutoff, check_input_tail)
-    return _split_output(full, cutoff)
+def _herald(
+    p: SchemeParams, cutoff: int, check_input_tail: bool
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, float]]:
+    """Unnormalized closed-route output of one point before truncation at
+    the cutoff, and the arms it was read from (only rows d <= 1 for SPD)."""
+    if isinstance(p.measurement, SPD):
+        arms = _arms(p, cutoff, check_input_tail, depth=2)
+        return _spd_amplitudes(arms[0], arms[1], cutoff), arms
+    if isinstance(p.measurement, HM):
+        arms = _arms(p, cutoff, check_input_tail)
+        m = p.measurement
+        return _hm_amplitudes(arms[0], arms[1], m.x, m.lam, cutoff), arms
+    raise TypeError(f"unknown measurement {type(p.measurement).__name__}")
 
 
 def embedded_two_mode_state(
@@ -439,18 +441,15 @@ def conditional_output(
 ) -> ConditionalOutput:
     """Heralded signal state for either measurement kind.
 
-    method selects the evaluation route: "closed" (default) or "oracle".
-    Both take every squeezing magnitude r >= 0, coherent inputs included.
+    method selects the evaluation route: "closed" (default; one reading of
+    the two-mode array, _herald) or "oracle".  Both take every squeezing
+    magnitude r >= 0, coherent inputs included.
     """
     if method == "oracle":
         return output_oracle(p, cutoff, check_input_tail)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
-    if isinstance(p.measurement, SPD):
-        return output_spd_closed_form(p, cutoff, check_input_tail)
-    if isinstance(p.measurement, HM):
-        return output_hm_closed_form(p, cutoff, check_input_tail)
-    raise TypeError(f"unknown measurement {type(p.measurement).__name__}")
+    return _split_output(_herald(p, cutoff, check_input_tail)[0], cutoff)
 
 
 def misfit(
@@ -479,41 +478,6 @@ def _regular_rows(rows: np.ndarray, kind: str) -> np.ndarray:
     if kind == "hm":
         ok &= (rows[:, 9] >= _X_RANGE[0]) & (rows[:, 9] <= _X_RANGE[1])
     return ok
-
-
-def _hermite_rows(z: np.ndarray, n_max: int) -> np.ndarray:
-    """H_0(z)..H_n_max(z) for a vector of points, shape (len(z), n_max + 1).
-
-    Same recurrence as fock.hermite_sequence; an overflow leaves inf or nan
-    in its row instead of raising.
-    """
-    two_z = 2.0 * z
-    h = np.empty((n_max + 1, len(z)), dtype=z.dtype)
-    h[0] = 1.0
-    if n_max >= 1:
-        h[1] = two_z
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_max):
-            h[k + 1] = two_z * h[k] - 2.0 * k * h[k - 1]
-    return h.T
-
-
-def _hm_hankel_amplitudes(u1: np.ndarray, u2: np.ndarray, x: np.ndarray, h: np.ndarray):
-    """Unnormalized HM outputs over |0>..|2*cutoff>, point b read at x[b] with
-    h[b] = H_0..H_{2 cutoff}(x[b]).  The arms meet in the Hankel matrix H_{d1+d2}(x):
-
-        c[s] = pi^{-1/4} e^{-x^2/2} sqrt(s!) sum_{k+l=s} (U1^T @ Hankel(x) @ U2)[k, l].
-    """
-    n_cut = u1.shape[-1] - 1
-    hankel = np.ascontiguousarray(_hankel_rows(h, n_cut + 1))
-    # Hankel(x) @ U1 with the real Hankel applied to the real and imaginary
-    # parts at once: (Hankel @ U1)[d2, k] = (U1^T @ Hankel)[k, d2]
-    h_u1 = (hankel @ np.ascontiguousarray(u1).view(np.float64)).view(np.complex128)
-    # (U2^T @ Hankel @ U1)[l, k] is the transposed contraction; its
-    # anti-diagonal sums are the same
-    q = np.swapaxes(u2, 1, 2) @ h_u1
-    pref = np.pi**-0.25 * np.exp(-0.5 * x * x)
-    return pref[:, None] * sqrt_factorials(2 * n_cut) * _antidiagonal_sums(q)
 
 
 def _closed_form_rows(rows: np.ndarray, kind: str, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
@@ -631,17 +595,17 @@ def misfit_batch(states: np.ndarray, target: FockVector) -> np.ndarray:
     return 1.0 - np.abs(states @ target.amps.conj()) ** 2
 
 
-def _input_norm_sq(a1: np.ndarray, a2: np.ndarray) -> float:
-    return float(np.sum(np.abs(a1) ** 2) * np.sum(np.abs(a2) ** 2))
+def _probability(full: np.ndarray, norm: float) -> float:
+    """Squared norm of an unnormalized output relative to that of the inputs."""
+    return float(np.sum(np.abs(full) ** 2)) / norm
 
 
 def success_prob_spd(p: SchemeParams, cutoff: int, check_input_tail: bool = True) -> float:
     """Probability of the single-photon herald, including mass above the cutoff."""
     if not isinstance(p.measurement, SPD):
         raise TypeError("measurement must be SPD")
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    full = _spd_full_amplitudes(a1[None], a2[None], np.array([p.transmittance]))[0]
-    return float(np.sum(np.abs(full) ** 2)) / _input_norm_sq(a1, a2)
+    full, (_, _, norm) = _herald(p, cutoff, check_input_tail)
+    return _probability(full, norm)
 
 
 def hm_outcome_density(
@@ -650,8 +614,8 @@ def hm_outcome_density(
     """Probability density of reading x_value on the measured arm."""
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
-    full, norm = _hm_amplitudes_at(p, x_value, cutoff, check_input_tail)
-    return float(np.sum(np.abs(full) ** 2)) / norm
+    u1, u2, norm = _arms(p, cutoff, check_input_tail)
+    return _probability(_hm_amplitudes(u1, u2, x_value, p.measurement.lam, cutoff), norm)
 
 
 def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True) -> float:
@@ -662,8 +626,28 @@ def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True)
     if delta == 0.0:
         return 0.0
     edges = np.array([p.measurement.x - delta, p.measurement.x + delta])
-    _, probs = _hm_window(p, edges, cutoff, check_input_tail)
-    return float(probs[0])
+    arms = _arms(p, cutoff, check_input_tail)
+    _, primitive = _hm_window(arms, p.measurement.lam, edges, cutoff)
+    return float(primitive[1] - primitive[0])
+
+
+def _window_average(
+    v: np.ndarray, primitive: np.ndarray, edges: np.ndarray, target: FockVector, cutoff: int
+) -> float:
+    """Misfit at the midpoint of each pair of edges, weighted by the
+    probability of a reading between them (_hm_window)."""
+    probs = np.diff(primitive)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    eps = [misfit(_split_output(full, cutoff).state, target)
+           for full in hermite_gaussian_columns(2 * cutoff, mids).T @ v]
+    weight_sum = float(np.sum(probs))
+    if not weight_sum > 0.0:
+        raise NormalizationError("acceptance window carries no probability mass")
+    return float(probs @ eps) / weight_sum
+
+
+def _subrange_edges(m: HM, n_subranges: int) -> np.ndarray:
+    return np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth, n_subranges + 1)
 
 
 def average_misfit(
@@ -681,20 +665,14 @@ def average_misfit(
     """
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
-    delta = p.measurement.window_halfwidth
-    if delta <= 0.0:
+    if p.measurement.window_halfwidth <= 0.0:
         raise ValueError("measurement.window_halfwidth must be > 0")
     if n_subranges < 1:
         raise ValueError("n_subranges must be >= 1")
-    edges = np.linspace(p.measurement.x - delta, p.measurement.x + delta, n_subranges + 1)
-    v, probs = _hm_window(p, edges, cutoff, check_input_tail)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    eps = [misfit(_split_output(full, cutoff).state, target)
-           for full in hermite_gaussian_columns(2 * cutoff, mids).T @ v]
-    weight_sum = float(np.sum(probs))
-    if not weight_sum > 0.0:
-        raise NormalizationError("acceptance window carries no probability mass")
-    return float(probs @ eps) / weight_sum
+    edges = _subrange_edges(p.measurement, n_subranges)
+    arms = _arms(p, cutoff, check_input_tail)
+    v, primitive = _hm_window(arms, p.measurement.lam, edges, cutoff)
+    return _window_average(v, primitive, edges, target, cutoff)
 
 
 class Score(NamedTuple):
@@ -714,16 +692,17 @@ def score(
     success_prob is the herald probability for SPD; for HM it is the
     probability of a reading inside x +/- window_halfwidth, or the outcome
     density at x when there is no window.  eps_avg is the window-averaged
-    misfit, None without a window.
+    misfit, None without a window.  The arms are built once, and a window
+    forms the two-mode array once for both of its figures; each figure
+    equals that of the function of the same name to rounding.
     """
-    out = conditional_output(p, cutoff, check_input_tail=check_input_tail)
+    full, arms = _herald(p, cutoff, check_input_tail)
+    out = _split_output(full, cutoff)
     eps = misfit(out, target)
-    if isinstance(p.measurement, SPD):
-        prob = success_prob_spd(p, cutoff, check_input_tail=check_input_tail)
-        return Score(out, eps, prob, None)
-    if p.measurement.window_halfwidth > 0.0:
-        prob = success_prob_hm(p, cutoff, check_input_tail=check_input_tail)
-        eps_avg = average_misfit(p, target, cutoff, check_input_tail=check_input_tail)
-        return Score(out, eps, prob, eps_avg)
-    prob = hm_outcome_density(p, p.measurement.x, cutoff, check_input_tail=check_input_tail)
-    return Score(out, eps, prob, None)
+    m = p.measurement
+    if isinstance(m, HM) and m.window_halfwidth > 0.0:
+        edges = _subrange_edges(m, tol.DEFAULT_SUBRANGES)
+        v, primitive = _hm_window(arms, m.lam, edges, cutoff)
+        eps_avg = _window_average(v, primitive, edges, target, cutoff)
+        return Score(out, eps, float(primitive[-1] - primitive[0]), eps_avg)
+    return Score(out, eps, _probability(full, arms[2]), None)

@@ -288,6 +288,17 @@ def test_cli_import_leaves_out_scipy_signal():
     assert run.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the polish needs scipy.optimize; evaluate and sweep never load it
+    src = str(Path(heraldkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, heraldkit.cli; print('scipy.optimize' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "False"
+
+
 def test_quiet_flag_suppresses_chatter(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "target": {"family": "binomial", "p": 0.3, "M": 7},

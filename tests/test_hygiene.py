@@ -1,12 +1,17 @@
-"""Package hygiene: every name a module imports is used in that module, and
-every private module-level name and every tolerance constant is read."""
+"""Package hygiene: every name a module imports is used in that module,
+every private module-level name and every tolerance constant is read, and
+every function the benchmark tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heraldkit"
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -89,3 +94,22 @@ def test_module_uses_every_import(path):
 def test_private_names_and_tolerances_are_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # bench/tracing.py wraps functions by name; a renamed one would crash
+    # every traced benchmark run
+    importlib.import_module("heraldkit.cli")
+    spec = importlib.util.spec_from_file_location("heraldkit_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = {(mod, fn): getattr(sys.modules[mod], fn) for mod, fn, _ in tracing.TRACED}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (mod, fn), orig in originals.items():
+            assert getattr(sys.modules[mod], fn).__wrapped__ is orig
+    finally:
+        tracer.uninstall()
+    for (mod, fn), orig in originals.items():
+        assert getattr(sys.modules[mod], fn) is orig

@@ -20,7 +20,7 @@ from scipy.special import roots_legendre
 
 from heraldkit import scheme
 from heraldkit import tolerances as tol
-from heraldkit.errors import HermiteOverflowError, TailMassError
+from heraldkit.errors import TailMassError
 from heraldkit.fock import (
     MODE_FIRST,
     MODE_SECOND,
@@ -42,9 +42,7 @@ from heraldkit.scheme import (
     embedded_two_mode_state,
     hm_outcome_density,
     misfit,
-    output_hm_closed_form,
     output_oracle,
-    output_spd_closed_form,
     params_to_vector,
     success_prob_hm,
     success_prob_spd,
@@ -138,6 +136,44 @@ def truncated_inputs(p: SchemeParams, cutoff: int):
     return a1, a2
 
 
+def test_scaled_sqrt_factorials_match_math_factorial():
+    for n_max in (1, 60, 400):
+        s = scheme._scaled_sqrt_factorials(n_max)
+        log_kappa = 0.5 * math.log(n_max / math.e)
+        for n in range(n_max + 1):
+            want = math.exp(0.5 * math.lgamma(n + 1.0) - n * log_kappa)
+            assert s[n] == pytest.approx(want, rel=1e-13)
+
+
+def test_binomials_are_exact():
+    b = scheme._binomials(200)
+    for d, k in ((0, 0), (1, 5), (17, 23), (100, 100), (3, 197), (150, 50)):
+        assert b[d, k] == float(math.comb(d + k, d))
+    assert b[100, 101] == 0.0 and b[200, 1] == 0.0
+
+
+# criterion-1 box; the two-mode array does not depend on the measurement
+_BOX_ARMS = st.builds(
+    SqueezedCoherentParams,
+    st.floats(0.05, 1.7), st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 4.0), st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(in1=_BOX_ARMS, in2=_BOX_ARMS, t=st.floats(0.1, 0.9), cutoff=st.integers(6, 30))
+def test_two_mode_array_matches_embedding(in1, in2, t, cutoff):
+    p = SchemeParams(in1, in2, t, HM(1.0, 0.0))
+    u1, u2, _ = scheme._arms(p, cutoff, check_input_tail=False)
+    v = scheme._two_mode_array(u1, u2, cutoff)
+    ref = embedded_two_mode_state(p, cutoff, check_input_tail=False).amps
+    # the binomial convolution of two heavy-tailed inputs cancels: at the box
+    # corners (r = 1.7, |alpha| = 4, cutoff 30) it keeps about 1e-9 of the
+    # largest entry, while the unitary sector blocks of the embedding stay
+    # at 1e-16; a slipped index or phase would be off by order 1
+    assert np.max(np.abs(v - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
 def test_spd_route_matches_brute_force():
     n = 10
     p = SchemeParams(GENERIC_A, GENERIC_B, 0.7, SPD())
@@ -173,7 +209,7 @@ def test_hm_route_matches_brute_force():
 @pytest.mark.parametrize("t", [0.15, 0.5, 0.69])
 def test_spd_closed_form_matches_oracle(t):
     p = SchemeParams(GENERIC_A, GENERIC_B, t, SPD())
-    closed = output_spd_closed_form(p, 30, check_input_tail=False)
+    closed = conditional_output(p, 30, method="closed", check_input_tail=False)
     oracle = output_oracle(p, 30, check_input_tail=False)
     assert overlap_deficit(closed.state.amps, oracle.state.amps) <= 1e-10
     assert closed.raw_weight == pytest.approx(oracle.raw_weight, rel=1e-9)
@@ -183,7 +219,7 @@ def test_spd_closed_form_matches_oracle(t):
 @pytest.mark.parametrize("x,lam", [(0.0, 0.0), (0.8, 0.4), (2.5, 5.0)])
 def test_hm_closed_form_matches_oracle(x, lam):
     p = SchemeParams(GENERIC_A, GENERIC_B, 0.42, HM(x, lam))
-    closed = output_hm_closed_form(p, 30, check_input_tail=False)
+    closed = conditional_output(p, 30, method="closed", check_input_tail=False)
     oracle = output_oracle(p, 30, check_input_tail=False)
     assert overlap_deficit(closed.state.amps, oracle.state.amps) <= 1e-10
     assert closed.raw_weight == pytest.approx(oracle.raw_weight, rel=1e-9)
@@ -258,7 +294,7 @@ def test_vacuum_inputs_cannot_herald():
     # near-vacuum through the closed form: weight vanishes quadratically
     faint = SqueezedCoherentParams(1e-8, 0.0, 0.0, 0.0)
     p = SchemeParams(faint, faint, 0.5, SPD())
-    assert output_spd_closed_form(p, 20).raw_weight <= 1e-12
+    assert conditional_output(p, 20, method="closed").raw_weight <= 1e-12
 
 
 def test_conditional_output_invariants():
@@ -505,24 +541,27 @@ def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff, n
     assert got <= 1.0 + 1e-12
     # the subrange weights of average_misfit telescope to P
     edges = np.linspace(x - delta, x + delta, n_sub + 1)
-    _, weights = scheme._hm_window(p, edges, cutoff, False)
-    assert abs(np.sum(weights) - got) <= 1e-14
+    _, primitive = scheme._hm_window(scheme._arms(p, cutoff, False), lam, edges, cutoff)
+    assert abs(np.sum(np.diff(primitive)) - got) <= 1e-14
 
 
-def test_hm_overflow_raises_without_warnings():
-    # H_400(0.61) overflows at order 269, inside every figure at cutoff 200
-    tgt = binomial_state(0.45, 8, 200)
-    figures = (
-        lambda: conditional_output(ROW_BINOM_HM, 200),
-        lambda: hm_outcome_density(ROW_BINOM_HM, 0.61, 200),
-        lambda: success_prob_hm(ROW_BINOM_HM, 200),
-        lambda: average_misfit(ROW_BINOM_HM, tgt, 200),
-    )
-    for figure in figures:
+def test_hm_figures_at_cutoff_200_match_cutoff_134():
+    # the unnormalized H_400(0.61) overflows at order 269; the figures read
+    # Hermite functions, so they stay finite and converged above cutoff 134
+    def figures(cutoff):
+        tgt = binomial_state(0.45, 8, cutoff)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(HermiteOverflowError):
-                figure()
+            return (conditional_output(ROW_BINOM_HM, cutoff),
+                    hm_outcome_density(ROW_BINOM_HM, 0.61, cutoff),
+                    success_prob_hm(ROW_BINOM_HM, cutoff),
+                    average_misfit(ROW_BINOM_HM, tgt, cutoff))
+
+    (out_lo, dens_lo, p_lo, avg_lo), (out_hi, dens_hi, p_hi, avg_hi) = figures(134), figures(200)
+    assert overlap_deficit(out_hi.state.amps[:135], out_lo.state.amps) <= 1e-12
+    assert dens_hi == pytest.approx(dens_lo, rel=1e-12)
+    assert abs(p_hi - p_lo) <= 1e-12
+    assert abs(avg_hi - avg_lo) <= 1e-12
 
 
 # ----------------------------------------------------------- average misfit
