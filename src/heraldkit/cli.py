@@ -44,7 +44,7 @@ from .optimizer import (
     vector_to_params,
 )
 from .reference_rows import ReferenceRow, all_rows, designated_rows, get_row
-from .scheme import HM, SPD, SchemeParams, score
+from .scheme import HM, SPD, SPD_LAYOUT, SchemeParams, score
 from .states import (
     AdHoc,
     AmplitudeSqueezed,
@@ -260,9 +260,6 @@ def parse_target(d: Any, path: str = "target") -> TargetSpec:
     return _construct(path, AdHoc, tuple(parsed))
 
 
-_PARAM_KEYS = ("r1", "theta1", "alpha1", "phi1", "r2", "theta2", "alpha2", "phi2", "T")
-
-
 def _construct(path: str, builder, *args):
     """Turn dataclass range violations into config diagnostics."""
     try:
@@ -273,13 +270,13 @@ def _construct(path: str, builder, *args):
 
 def parse_params(d: Any, kind: str, path: str) -> SchemeParams:
     d = _as_mapping(d, path)
-    allowed = set(_PARAM_KEYS)
-    required = set(_PARAM_KEYS)
+    allowed = set(SPD_LAYOUT)
+    required = set(SPD_LAYOUT)
     if kind == "hm":
         allowed |= {"x", "lam", "delta"}
         required |= {"x", "lam"}
     _check_keys(d, path, allowed, required)
-    vals = {k: _get_number(d, path, k) for k in _PARAM_KEYS}
+    vals = {k: _get_number(d, path, k) for k in SPD_LAYOUT}
     if kind == "hm":
         meas: SPD | HM = _construct(
             path,
@@ -406,15 +403,10 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> No
 
 
 def _params_record(p: SchemeParams) -> dict:
-    rec = {
-        "r1": p.in1.r, "theta1": p.in1.theta, "alpha1": p.in1.alpha_abs, "phi1": p.in1.phi,
-        "r2": p.in2.r, "theta2": p.in2.theta, "alpha2": p.in2.alpha_abs, "phi2": p.in2.phi,
-        "T": p.transmittance,
-    }
-    if isinstance(p.measurement, HM):
-        rec["x"] = p.measurement.x
-        rec["lam"] = p.measurement.lam
-        rec["delta"] = p.measurement.window_halfwidth
+    vec, kind, delta = params_to_vector(p)
+    rec = dict(zip(layout_for_kind(kind), vec.tolist()))
+    if kind == "hm":
+        rec["delta"] = delta
     return rec
 
 

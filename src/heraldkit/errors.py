@@ -38,8 +38,8 @@ class TailMassError(HeraldkitError):
 
 
 class TruncationQualityError(HeraldkitError):
-    """Raised when a truncated operator matrix fails its quality checks
-    (column norms or block unitarity)."""
+    """Raised when squeezing pushes more than TAIL_MASS_LIMIT of the
+    resource target's mass above the cutoff."""
 
 
 class NormalizationError(HeraldkitError):

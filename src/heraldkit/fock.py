@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -50,6 +51,12 @@ _PI_QUARTER = np.pi ** -0.25
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+@cache
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log(n!) for n = 0..n_max, the one log-factorial table of the package."""
+    return _freeze(np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)]))
 
 
 @dataclass

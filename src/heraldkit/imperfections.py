@@ -20,11 +20,11 @@ current one, so it is monotone by construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import tolerances as tol
 from .errors import NormalizationError
@@ -34,6 +34,7 @@ from .fock import (
     DensityMatrix,
     FockVector,
     TwoModeState,
+    _log_factorials,
     beam_splitter_apply,
     hermite_gaussian_columns,
     partial_trace,
@@ -71,7 +72,8 @@ def _loss_amplitudes(eta: float, n_max: int) -> np.ndarray:
     """Loss amplitudes L[p, n] = sqrt(C(n, p) eta^p (1-eta)^(n-p)), 0 for p > n.
 
     L[p, n] is the amplitude for p of n photons surviving (n - p going to
-    the ancilla), computed in log space so no binomial overflows.  The
+    the ancilla), computed in log space so no binomial overflows; a zero
+    power of a zero base counts as 1, so eta = 0 and eta = 1 are exact.  The
     symmetric convention's phase i^(n-p) is common to every entry of one
     Kraus operator, so it cancels in every use and is left out.
     """
@@ -80,11 +82,16 @@ def _loss_amplitudes(eta: float, n_max: int) -> np.ndarray:
     lost = n[None, :] - kept
     valid = lost >= 0
     lost = np.where(valid, lost, 0)
-    log_sq = (
-        gammaln(n + 1.0) - gammaln(kept + 1.0) - gammaln(lost + 1.0)
-        + xlogy(kept, eta) + xlogy(lost, 1.0 - eta)
-    )
+    lf = _log_factorials(n_max)
+    log_sq = lf[n] - lf[kept] - lf[lost] + _log_power(kept, eta) + _log_power(lost, 1.0 - eta)
     return np.where(valid, np.exp(0.5 * log_sq), 0.0)
+
+
+def _log_power(k: np.ndarray, base: float) -> np.ndarray:
+    """log(base^k) elementwise for integer powers k >= 0, with 0^0 = 1."""
+    if base > 0.0:
+        return k * math.log(base)
+    return np.where(k > 0, -np.inf, 0.0)
 
 
 def loss_channel(

@@ -380,7 +380,7 @@ def local_polish(
     full = vec.copy()
     full[~free] = [v for v in mask.values if v is not None]
 
-    tgt = _target_vector(target, cutoff) if not isinstance(target, FockVector) else target
+    tgt = _target_vector(target, cutoff)
 
     def assemble(x: np.ndarray) -> SchemeParams:
         w = full.copy()
@@ -391,7 +391,7 @@ def local_polish(
         out = conditional_output(assemble(x), cutoff, check_input_tail=False)
         return misfit(out, tgt)
 
-    # imported here, so commands that never polish never load scipy.optimize
+    # imported here, so commands that never polish never load it
     from scipy.optimize import minimize
 
     x0 = full[free]

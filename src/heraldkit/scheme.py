@@ -43,7 +43,6 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf, gammaln
 
 from . import tolerances as tol
 from .errors import NormalizationError
@@ -54,6 +53,7 @@ from .fock import (
     FockVector,
     TwoModeState,
     _freeze,
+    _log_factorials,
     _require_unit_norm,
     beam_splitter_apply,
     fidelity,
@@ -213,7 +213,7 @@ def _scaled_sqrt_factorials(n_max: int) -> np.ndarray:
     """
     kappa = np.sqrt(max(n_max, 1) / np.e)
     n = np.arange(n_max + 1)
-    return _freeze(np.exp(0.5 * gammaln(n + 1.0) - n * np.log(kappa)))
+    return _freeze(np.exp(0.5 * _log_factorials(n_max) - n * np.log(kappa)))
 
 
 @cache
@@ -378,7 +378,8 @@ def _hm_window(
     # at j = 0 the first term reads phi[-1] times 0
     dphi = np.sqrt(j / 2.0)[:, None] * phi[j - 1] - np.sqrt((j + 1) / 2.0)[:, None] * phi[j + 1]
     steps = phi[: 2 * cutoff] * phi[1 : 2 * cutoff + 1] / np.sqrt(2.0 * j[1:])[:, None]
-    d = 0.5 * erf(edges) - np.vstack([np.zeros_like(edges), np.cumsum(steps, axis=0)])
+    erf = np.array([math.erf(e) for e in edges])
+    d = 0.5 * erf - np.vstack([np.zeros_like(edges), np.cumsum(steps, axis=0)])
     return v, 2.0 * np.sum(phi[:-1] * (m @ dphi), axis=0) + np.diag(g) @ d
 
 

@@ -10,21 +10,24 @@ ladder.
 
 Target families: binomial, negative binomial, amplitude squeezed, squeezed
 few-term superpositions (useful as resources for cubic nonlinear gates), and
-literal ad hoc superpositions.
+literal ad hoc superpositions.  Every target is built in O(cutoff) with
+exact amplitudes up to the cutoff: the squeezed resource from the input
+recurrence and a three-step column recurrence of the squeeze operator (see
+resource_state), the others from closed forms over one log-factorial table.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from . import tolerances as tol
 from .errors import TailMassError, TruncationQualityError
-from .fock import FockVector
+from .fock import FockVector, _log_factorials
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,8 @@ def binomial_state(p: float, M: int, cutoff: int) -> FockVector:
         raise ValueError(f"M={M} must lie in 0..cutoff={cutoff}")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     n = np.arange(M + 1)
-    log_comb = gammaln(M + 1) - gammaln(n + 1) - gammaln(M - n + 1)
+    lf = _log_factorials(M)
+    log_comb = lf[M] - lf[n] - lf[M - n]
     with np.errstate(divide="ignore"):
         log_pn = np.where(n > 0, n * np.log(np.maximum(p, 1e-300)), 0.0)
         log_qn = np.where(M - n > 0, (M - n) * np.log(np.maximum(1.0 - p, 1e-300)), 0.0)
@@ -173,7 +177,8 @@ def negative_binomial_state(
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
     n = np.arange(cutoff + 1)
-    log_comb = gammaln(M + n) - gammaln(n + 1) - gammaln(M)
+    lf = _log_factorials(M + cutoff)
+    log_comb = lf[M - 1 + n] - lf[n] - lf[M - 1]
     with np.errstate(divide="ignore"):
         mag = np.exp(0.5 * log_comb + n * np.log(np.maximum(eta_nb, 1e-300)))
     if eta_nb == 0.0:
@@ -200,90 +205,14 @@ def amplitude_squeezed_state(
     if delta_as < 0:
         raise ValueError("delta_as must be >= 0")
     n = np.arange(cutoff + 1)
-    log_mag = n * np.log(alpha0) - gammaln(n + 1) / 2.0 - (delta_as - n) ** 2 / (2.0 * u * u)
+    log_mag = (
+        n * np.log(alpha0) - _log_factorials(cutoff) / 2.0 - (delta_as - n) ** 2 / (2.0 * u * u)
+    )
     log_mag -= np.max(log_mag)
     amps = (np.sqrt(2.0 * np.pi) / u) * np.exp(log_mag).astype(np.complex128)
     if check_tail:
         check_tail_mass(amps, cutoff)
     return FockVector(amps, cutoff).normalized()
-
-
-def squeeze_operator_matrix(
-    zeta: complex, cutoff: int, quality_columns: int | None = None
-) -> np.ndarray:
-    """Number-basis matrix <m|S(zeta)|n> of the squeeze operator.
-
-    Built from the disentangled closed form
-
-        S = exp(-c a'^2) mu^{-(a'a + 1/2)} exp(c* a^2),
-        mu = cosh|zeta|,  c = (zeta / |zeta|) tanh|zeta| / 2,
-
-    which gives a finite single sum per element with integer complex powers
-    only (no branch ambiguity).  Elements with m - n odd are exactly zero.
-
-    Truncation degrades with |zeta|; magnitudes above 2 are refused.  When
-    quality_columns is given, columns 0..quality_columns must keep norm 1
-    within 1e-8 at this cutoff or TruncationQualityError is raised.  High
-    columns inevitably spill past any cutoff once |zeta| is sizable, so the
-    guard is applied to the columns a caller actually consumes.
-    """
-    z = complex(zeta)
-    if abs(z) > 2.0:
-        raise ValueError(f"|zeta|={abs(z):.3f} above 2; truncation untrustworthy")
-    dim = cutoff + 1
-    if abs(z) == 0.0:
-        return np.eye(dim, dtype=np.complex128)
-    mu = np.cosh(abs(z))
-    c = (z / abs(z)) * np.tanh(abs(z)) / 2.0
-    lg = gammaln(np.arange(2 * dim + 2) + 1.0)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for n_col in range(dim):
-        for m_row in range(n_col % 2, dim, 2):
-            j_lo = max(0, (n_col - m_row + 1) // 2)
-            j_hi = n_col // 2
-            acc = 0.0 + 0.0j
-            for j in range(j_lo, j_hi + 1):
-                k = (m_row - n_col + 2 * j) // 2
-                log_mag = 0.5 * (lg[n_col] + lg[m_row]) - lg[k] - lg[j] - lg[n_col - 2 * j]
-                acc += (
-                    (-c) ** k
-                    * np.conj(c) ** j
-                    * mu ** (-(n_col - 2 * j))
-                    * np.exp(log_mag)
-                )
-            out[m_row, n_col] = acc / np.sqrt(mu)
-    if quality_columns is not None:
-        norms = np.linalg.norm(out[:, : quality_columns + 1], axis=0)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > 1e-8:
-            raise TruncationQualityError(
-                f"squeeze matrix columns 0..{quality_columns} deviate from unit "
-                f"norm by {worst:.3e} at cutoff {cutoff}; increase the cutoff"
-            )
-    return out
-
-
-def displacement_operator_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Number-basis matrix <m|D(alpha)|n> with D(alpha) = exp(alpha a' - alpha* a).
-
-    Uses the associated-Laguerre closed form; the lower triangle follows from
-    D(alpha)^dagger = D(-alpha).
-    """
-    a = complex(alpha)
-    dim = cutoff + 1
-    out = np.empty((dim, dim), dtype=np.complex128)
-    x = abs(a) ** 2
-    lg = gammaln(np.arange(dim) + 1.0)
-    for n_col in range(dim):
-        for m_row in range(n_col, dim):
-            d = m_row - n_col
-            base = np.exp(0.5 * (lg[n_col] - lg[m_row]) - 0.5 * x) * eval_genlaguerre(
-                n_col, d, x
-            )
-            out[m_row, n_col] = base * a**d
-            if m_row != n_col:
-                out[n_col, m_row] = base * (-np.conj(a)) ** d
-    return out
 
 
 def resource_state(
@@ -293,18 +222,38 @@ def resource_state(
 
         N S(zeta) (|0> + chi' (3 / (2 sqrt(2))) |1> + chi' (sqrt(3)/2) |3>),
 
-    used as a resource for cubic nonlinear gates.  Squeezing pushes mass
-    upward, so the truncated image is checked: if more than TAIL_MASS_LIMIT
-    of the exact state falls above the cutoff the construction refuses.
+    used as a resource for cubic nonlinear gates, built exactly in
+    O(cutoff).  With zeta = r e^{i theta}, S a' S^dagger = cosh(r) a' +
+    e^{-i theta} sinh(r) a, and the vacuum-column recurrence turn the
+    columns S|n> = S a' |n-1> / sqrt(n) into
+
+        sqrt(n) <m|S|n> = sech(r) sqrt(m) <m-1|S|n-1>
+                          + e^{-i theta} tanh(r) sqrt(n-1) <m|S|n-2>,
+
+    whose coefficients are at most 1 in size, started from the squeezed
+    vacuum S|0> of the input recurrence.  Column n up to the cutoff needs
+    only columns below it up to the cutoff, so every kept amplitude is
+    exact.  |zeta| above 2 is refused.  Squeezing pushes mass upward, so
+    the truncated image is checked: if more than TAIL_MASS_LIMIT of the
+    exact state falls above the cutoff the construction refuses.
     check_tail=False accepts the truncation instead.
     """
-    core = np.zeros(cutoff + 1, dtype=np.complex128)
-    core[0] = 1.0
-    core[1] = chi_prime * 3.0 / (2.0 * np.sqrt(2.0))
-    core[3] = chi_prime * np.sqrt(3.0) / 2.0
-    core /= np.linalg.norm(core)
-    s = squeeze_operator_matrix(zeta, cutoff)
-    amps = s @ core
+    z = complex(zeta)
+    r = abs(z)
+    if r > 2.0:
+        raise ValueError(f"|zeta|={r:.3f} above 2; truncation untrustworthy")
+    theta = cmath.phase(z)
+    core = np.array([1.0, chi_prime * 3.0 / (2.0 * math.sqrt(2.0)), chi_prime * math.sqrt(3.0) / 2.0])
+    c0, c1, c3 = core / np.linalg.norm(core)
+    vac = squeezed_coherent_amplitudes(SqueezedCoherentParams(r, theta, 0.0, 0.0), cutoff)
+    roots = np.sqrt(np.arange(cutoff + 1))
+    sech, t = 1.0 / math.cosh(r), cmath.exp(-1j * theta) * math.tanh(r)
+    cols = [np.zeros_like(vac), vac]  # cols[n + 1] is S|n>
+    for n in range(1, 4):
+        raised = np.zeros_like(vac)
+        raised[1:] = roots[1:] * cols[-1][:-1]
+        cols.append((sech * raised + t * math.sqrt(n - 1) * cols[-2]) / math.sqrt(n))
+    amps = c0 * vac + c1 * cols[2] + c3 * cols[4]
     if check_tail:
         lost = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
         if lost > tol.TAIL_MASS_LIMIT:

@@ -25,6 +25,8 @@ from heraldkit.scheme import (
 )
 from heraldkit.states import Binomial, SqueezedCoherentParams, target_state
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 ROW2_PARAMS = {
     "r1": 0.74, "theta1": 3.50, "alpha1": 0.10, "phi1": 2.14,
     "r2": 0.16, "theta2": 4.43, "alpha2": 1.97, "phi2": 0.08, "T": 0.69,
@@ -168,6 +170,21 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_resource_target_mass_above_cutoff_is_a_numeric_failure(tmp_path, capsys):
+    # squeezing at |zeta| = 1.2 pushes the target's mass past cutoff 20
+    cfg = write_config(tmp_path, {
+        "target": {"family": "resource", "zeta": 1.2, "chi_prime": 0.5},
+        "cutoff": 20,
+        "evaluate": {"kind": "spd", "params": ROW2_PARAMS},
+    })
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure:" in err
+    assert "above cutoff 20" in err
+    assert not out.exists()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -277,26 +294,41 @@ def test_evaluate_spd_high_cutoff_is_finite(tmp_path):
     assert float(rows[200]["P"]) == pytest.approx(float(rows[100]["P"]), abs=1e-8)
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal was most of the CLI's import time; nothing needs it
+def _scipy_modules_after(code: str) -> list[str]:
+    """Run code in a fresh interpreter on this source tree; the scipy
+    modules loaded by then."""
     src = str(Path(heraldkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, heraldkit.cli; print('scipy.signal' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.strip() == "False"
+    code = "import json, sys\n" + code + (
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # only the polish needs scipy.optimize; evaluate and sweep never load it
-    src = str(Path(heraldkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, heraldkit.cli; print('scipy.optimize' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.strip() == "False"
+def test_cli_import_leaves_out_scipy():
+    # only the polish needs scipy (scipy.optimize, imported inside it)
+    assert _scipy_modules_after("import heraldkit.cli") == []
+
+
+@pytest.mark.parametrize("config,edit", [
+    ("evaluate_binomial_hm.yaml", {}),
+    ("sweep_efficiency.yaml", {}),
+    ("sweep_deviation.yaml", {"deviations": [0.0, 0.05], "n_samples": 3}),
+])
+def test_commands_without_polish_leave_out_scipy(tmp_path, config, edit):
+    cfg = yaml.safe_load((CONFIGS / config).read_text())
+    command = "evaluate" if "evaluate" in cfg else "sweep"
+    cfg[command].update(edit)
+    path = write_config(tmp_path, cfg)
+    code = (
+        "from heraldkit.cli import main\n"
+        f"assert main({[command, '--config', path, '--out', str(tmp_path / 'o'), '--quiet']!r}) == 0"
+    )
+    assert _scipy_modules_after(code) == []
+    assert any((tmp_path / "o").iterdir())
 
 
 def test_quiet_flag_suppresses_chatter(tmp_path, capsys):

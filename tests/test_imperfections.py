@@ -1,5 +1,7 @@
 """Loss modeling and the sensitivity sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,32 @@ def test_kraus_route_matches_dilation_route(eta):
     rho_in = DensityMatrix(np.outer(psi.amps, psi.amps.conj()), 12)
     via_mixed = loss_channel(rho_in, eta, 12)
     np.testing.assert_allclose(via_pure.rho, via_mixed.rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.8, 1.0])
+def test_loss_amplitudes_match_gammaln_formula(eta):
+    # scipy's gammaln and xlogy as an independent reference.  Both sides
+    # round log-factorials near 460 at n = 120, where one unit in the last
+    # place is 1e-13, so they differ by a few 1e-14 in the interior (the
+    # reference itself is 2e-14 off a 50-digit evaluation); the endpoints
+    # are exact and raise no warning.
+    from scipy.special import gammaln, xlogy
+
+    n = np.arange(121)
+    kept = n[:, None]
+    lost = n[None, :] - kept
+    valid = lost >= 0
+    lost = np.where(valid, lost, 0)
+    log_sq = (
+        gammaln(n + 1.0) - gammaln(kept + 1.0) - gammaln(lost + 1.0)
+        + xlogy(kept, eta) + xlogy(lost, 1.0 - eta)
+    )
+    ref = np.where(valid, np.exp(0.5 * log_sq), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        amps = imperfections._loss_amplitudes(eta, 120)
+    bound = 0.0 if eta in (0.0, 1.0) else 1e-13
+    assert np.max(np.abs(amps - ref)) <= bound
 
 
 def test_loss_channel_validates_eta():

@@ -305,6 +305,17 @@ def test_polish_stays_put_at_converged_point():
     assert first.best_misfit - second.best_misfit <= 1e-12
 
 
+def test_polish_rejects_target_vector_at_another_cutoff():
+    # checked before the simplex starts, with the message optimize gives
+    tgt = target_state(Binomial(0.3, 7), 20)
+    with pytest.raises(ValueError) as polish_error:
+        local_polish(ROW_BINOM_SPD, tgt, cutoff=30, max_iters=10)
+    with pytest.raises(ValueError) as search_error:
+        optimize(tgt, "spd", cfg=TINY, search_cutoff=30, final_cutoff=30)
+    assert str(polish_error.value) == str(search_error.value)
+    assert "does not match evaluation cutoff 30" in str(polish_error.value)
+
+
 def test_polish_recovers_rounding_loss_on_hm_row():
     polished = local_polish(ROW_BINOM_HM, Binomial(0.45, 8), cutoff=40, max_iters=400)
     assert polished.best_misfit <= 10 * 8.06e-4

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from _operator_reference import displacement_operator_matrix, squeeze_operator_matrix
 from scipy.linalg import expm
 
-from heraldkit.errors import TailMassError
+from heraldkit.errors import TailMassError, TruncationQualityError
 from heraldkit.fock import basis_state, fidelity
 from heraldkit.states import (
     AdHoc,
@@ -23,10 +24,8 @@ from heraldkit.states import (
     amplitude_squeezed_state,
     binomial_state,
     coherent_state,
-    displacement_operator_matrix,
     negative_binomial_state,
     resource_state,
-    squeeze_operator_matrix,
     squeezed_coherent,
     squeezed_coherent_amplitudes,
     target_state,
@@ -231,18 +230,12 @@ def test_squeeze_matrix_parity_rule_exact():
 
 
 def test_squeeze_matrix_block_unitarity():
-    # squeezing spreads high columns past any cutoff; the inner block that
-    # satisfies the column-norm gate shrinks accordingly
-    s = squeeze_operator_matrix(0.6, 120, quality_columns=20)
+    # squeezing spreads high columns past any cutoff; only an inner block
+    # keeps unit column norms
+    s = squeeze_operator_matrix(0.6, 120)
     inner = s[:, :21]
+    np.testing.assert_allclose(np.linalg.norm(inner, axis=0), 1.0, atol=1e-8)
     np.testing.assert_allclose(inner.conj().T @ inner, np.eye(21), atol=1e-8)
-
-
-def test_squeeze_matrix_quality_gate_trips_when_block_too_wide():
-    from heraldkit.errors import TruncationQualityError
-
-    with pytest.raises(TruncationQualityError):
-        squeeze_operator_matrix(0.6, 60, quality_columns=30)
 
 
 def test_squeeze_matrix_against_expm():
@@ -258,8 +251,9 @@ def test_squeeze_matrix_against_expm():
 
 
 def test_squeeze_matrix_refuses_large_argument():
+    # the package refuses |zeta| > 2 where it squeezes: in the resource target
     with pytest.raises(ValueError):
-        squeeze_operator_matrix(2.5, 40)
+        resource_state(2.5, 0.1, 40)
 
 
 def test_displacement_matrix_vacuum_column_is_coherent():
@@ -283,6 +277,35 @@ def test_resource_state_zero_squeezing():
 
 def test_resource_state_squeezed_case_normalized():
     v = resource_state(0.6, 0.03, 40)
+    assert np.linalg.norm(v.amps) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(0.0, 1.9),
+    theta=_ANGLE,
+    chi_abs=st.floats(0.0, 1.0),
+    chi_arg=_ANGLE,
+    cutoff=st.integers(8, 60),
+)
+@example(r=1.9, theta=0.7, chi_abs=0.5, chi_arg=0.0, cutoff=60)
+def test_resource_state_matches_squeeze_matrix(r, theta, chi_abs, chi_arg, cutoff):
+    # every element of the reference matrix is exact, so S @ core truncated
+    # at the cutoff is the exact image the recurrence must reproduce
+    zeta = r * np.exp(1j * theta)
+    chi = chi_abs * np.exp(1j * chi_arg)
+    core = np.zeros(cutoff + 1, dtype=complex)
+    core[[0, 1, 3]] = 1.0, chi * 3.0 / (2.0 * math.sqrt(2.0)), chi * math.sqrt(3.0) / 2.0
+    ref = squeeze_operator_matrix(zeta, cutoff) @ core
+    ref /= np.linalg.norm(ref)
+    v = resource_state(zeta, chi, cutoff, check_tail=False)
+    assert np.max(np.abs(v.amps - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_resource_state_refuses_mass_above_cutoff():
+    with pytest.raises(TruncationQualityError):
+        resource_state(1.2, 0.5, 20)
+    v = resource_state(1.2, 0.5, 20, check_tail=False)
     assert np.linalg.norm(v.amps) == pytest.approx(1.0, abs=1e-12)
 
 
