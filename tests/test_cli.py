@@ -308,9 +308,24 @@ def _scipy_modules_after(code: str) -> list[str]:
     return json.loads(run.stdout.splitlines()[-1])
 
 
-def test_cli_import_leaves_out_scipy():
+@pytest.fixture(scope="module")
+def cli_import_scipy_modules():
+    return _scipy_modules_after("import heraldkit.cli")
+
+
+def test_cli_import_leaves_out_scipy(cli_import_scipy_modules):
     # only the polish needs scipy (scipy.optimize, imported inside it)
-    assert _scipy_modules_after("import heraldkit.cli") == []
+    assert cli_import_scipy_modules == []
+
+
+def test_cli_import_leaves_out_scipy_signal(cli_import_scipy_modules):
+    # scipy.signal was most of the CLI's import time; nothing needs it
+    assert "scipy.signal" not in cli_import_scipy_modules
+
+
+def test_cli_import_leaves_out_scipy_optimize(cli_import_scipy_modules):
+    # only the polish needs scipy.optimize; evaluate and sweep never load it
+    assert "scipy.optimize" not in cli_import_scipy_modules
 
 
 @pytest.mark.parametrize("config,edit", [
