@@ -193,6 +193,12 @@ def hermite_sequence(z: complex, n_max: int) -> np.ndarray:
     return h
 
 
+@cache
+def _hermite_coefficients(n_max: int) -> tuple[tuple[float, float], ...]:
+    """(sqrt(2 / k), sqrt((k - 1) / k)) for k = 1..n_max."""
+    return tuple((math.sqrt(2.0 / k), math.sqrt((k - 1.0) / k)) for k in range(1, n_max + 1))
+
+
 def hermite_gaussian_columns(n_max: int, x: np.ndarray | float) -> np.ndarray:
     """Normalized Hermite-Gaussian values phi_n(x) for n = 0..n_max.
 
@@ -206,8 +212,8 @@ def hermite_gaussian_columns(n_max: int, x: np.ndarray | float) -> np.ndarray:
         xf = float(x)
         prev, cur = 0.0, float(_PI_QUARTER * np.exp(-0.5 * x * x))
         vals = [cur]
-        for k in range(1, n_max + 1):
-            prev, cur = cur, math.sqrt(2.0 / k) * xf * cur - math.sqrt((k - 1.0) / k) * prev
+        for up, down in _hermite_coefficients(n_max):
+            prev, cur = cur, up * xf * cur - down * prev
             vals.append(cur)
         return np.array(vals)
     out = np.empty((n_max + 1,) + x.shape, dtype=np.float64)

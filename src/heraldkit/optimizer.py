@@ -16,7 +16,10 @@ only for the rows it cannot evaluate regularly.  The random draws of a
 generation do not depend on how it is scored, so a seed means the same
 search either way.  Nelder-Mead polish and the final scoring evaluate one
 point at a time through the scalar route, which truncates the inputs at
-the cutoff; every reported number comes from it.
+the cutoff; every reported number comes from it.  The polish evaluates
+its own search vector through that route's kernel (scheme._herald) and
+one shared misfit read (scheme._output_misfit), so no evaluation builds a
+SchemeParams or a FockVector; objective wraps the same two calls.
 
 Search runs at a reduced cutoff; the returned best point is re-scored at
 the full cutoff so the reported numbers carry no truncation shortcut.
@@ -36,10 +39,10 @@ from .scheme import (
     HM,
     SPD,
     SchemeParams,
-    conditional_output,
+    _herald,
+    _output_misfit,
     conditional_output_batch,
     layout_for_kind,
-    misfit,
     misfit_batch,
     params_to_vector,
     score,
@@ -165,13 +168,14 @@ def objective(
 ) -> float:
     """Misfit of the conditional output against the target.
 
-    Pure and deterministic.  Uses the closed-form output path, which takes
-    every squeezing r >= 0.  The input tail check is disabled so the whole
-    bounded search box evaluates to a finite number.
+    Pure and deterministic: misfit(conditional_output(params, cutoff,
+    check_input_tail=False), target), read straight off the closed-route
+    kernel (scheme._herald), which takes every squeezing r >= 0.  The input
+    tail check is disabled so the whole bounded search box evaluates to a
+    finite number.
     """
     tgt = _target_vector(target, cutoff)
-    out = conditional_output(params, cutoff, check_input_tail=False)
-    return misfit(out, tgt)
+    return _output_misfit(_herald(params_to_vector(params)[0], cutoff)[0], cutoff, tgt)
 
 
 def objective_batch(
@@ -381,6 +385,7 @@ def local_polish(
     full[~free] = [v for v in mask.values if v is not None]
 
     tgt = _target_vector(target, cutoff)
+    periodic = np.array(bounds.periodic)
 
     def assemble(x: np.ndarray) -> SchemeParams:
         w = full.copy()
@@ -388,13 +393,18 @@ def local_polish(
         return vector_to_params(w, kname, whw)
 
     def fun(x: np.ndarray) -> float:
-        out = conditional_output(assemble(x), cutoff, check_input_tail=False)
-        return misfit(out, tgt)
+        # objective on the search vector itself, angles wrapped as
+        # vector_to_params wraps them
+        w = full.copy()
+        w[free] = x
+        w[periodic] %= _TWO_PI
+        return _output_misfit(_herald(w, cutoff)[0], cutoff, tgt)
 
     # imported here, so commands that never polish never load it
     from scipy.optimize import minimize
 
     x0 = full[free]
+    start = assemble(x0)  # rejects a pin outside the parameter ranges
     eps_start = fun(x0)
     nm_bounds = [
         (-np.inf, np.inf) if p else (lo, hi)
@@ -413,7 +423,7 @@ def local_polish(
         best_params = assemble(res.x)
         eps_here = float(res.fun)
     else:
-        best_params = assemble(x0)
+        best_params = start
         eps_here = eps_start
 
     _, eps, prob, eps_avg = score(best_params, tgt, cutoff, check_input_tail=False)

@@ -11,22 +11,25 @@ the beam-splitter output is V[j, m] over 0..2N in each mode, with j the
 photons in the measured mode 3 and m those in the signal mode 4.  Each
 input contributes a kappa-scaled arm matrix U_j[d, k] (_arms), and V is
 their two-dimensional convolution rescaled by sqrt factorials
-(_two_mode_array).  Every reported number reads V in one of two ways:
+(_two_mode_array).  One kernel, _herald, reads V for a point given as a
+flat SPD_LAYOUT or HM_LAYOUT vector, from tables cached per cutoff:
 
 * SPD keeps row j = 1, which needs only rows d <= 1 of the arms: two
-  one-dimensional convolutions (_spd_amplitudes);
+  one-dimensional convolutions;
 * HM contracts j with the Hermite functions phi_j(x) at the reading, in one
-  Hankel product of the arms that never forms V (_hm_amplitudes).  The
-  window figures, the success probability over x +/- delta and the
-  window-averaged misfit, form V once: the outcome density is a quadratic
-  form in Hermite functions, and its primitive has a closed form
-  (_hm_window).
+  Hankel product of the arms that never forms V.
 
-This closed route is what "closed" means in conditional_output.  The
-"oracle" route embeds the inputs at 2N, applies the sector-by-sector beam
-splitter and projects (slow; used to cross-check).  Both keep every output
-amplitude up to total photon number 2N before truncating, so their retained
-and discarded masses agree.
+This closed route is what "closed" means in conditional_output, and score,
+the figure functions and optimizer.objective wrap the same kernel.  The
+Nelder-Mead polish evaluates it on its own search vector and reads the
+misfit with _output_misfit, so no evaluation builds a SchemeParams or a
+FockVector.  The window figures, the success probability over x +/- delta
+and the window-averaged misfit, form V once: the outcome density is a
+quadratic form in Hermite functions whose primitive has a closed form
+(_hm_window).  The "oracle" route embeds the inputs at 2N, applies the
+sector-by-sector beam splitter and projects (slow; used to cross-check).
+Both keep every output amplitude up to total photon number 2N before
+truncating, so their retained and discarded masses agree.
 
 The batched route (conditional_output_batch, which scores the GA
 generations and the deviation-sweep levels) runs on the exact Gaussian
@@ -42,7 +45,6 @@ from functools import cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import tolerances as tol
 from .errors import NormalizationError
@@ -64,7 +66,9 @@ from .fock import (
 )
 from .states import (
     SqueezedCoherentParams,
+    _amplitudes,
     _bargmann_coefficients,
+    _recurrence_roots,
     _recurrence_rows,
     check_tail_mass,
     squeezed_coherent_amplitudes,
@@ -158,10 +162,12 @@ def params_to_vector(p: SchemeParams) -> tuple[np.ndarray, str, float]:
         p.in2.r, p.in2.theta, p.in2.alpha_abs, p.in2.phi,
         p.transmittance,
     ]
-    if isinstance(p.measurement, SPD):
-        return np.array(head), "spd", 0.0
     m = p.measurement
-    return np.array(head + [m.x, m.lam]), "hm", m.window_halfwidth
+    if isinstance(m, SPD):
+        return np.array(head), "spd", 0.0
+    if isinstance(m, HM):
+        return np.array(head + [m.x, m.lam]), "hm", m.window_halfwidth
+    raise TypeError(f"unknown measurement {type(m).__name__}")
 
 
 @dataclass(frozen=True)
@@ -192,15 +198,15 @@ def _input_amplitudes(
 
 def _split_output(full: np.ndarray, cutoff: int) -> ConditionalOutput:
     retained = full[: cutoff + 1]
-    raw_weight = float(np.sum(np.abs(retained) ** 2))
-    dropped = float(np.sum(np.abs(full[cutoff + 1:]) ** 2))
+    mass = np.abs(full) ** 2
+    raw_weight = float(np.sum(mass[: cutoff + 1]))
+    dropped = float(np.sum(mass[cutoff + 1:]))
     total = raw_weight + dropped
     loss = dropped / total if total > 0.0 else 0.0
-    vec = FockVector(retained, cutoff)
     # an impossible outcome (vacuum inputs under SPD) projects to the zero
     # vector; report weight 0 instead of failing to normalize
-    state = vec.normalized() if raw_weight > 0.0 else vec
-    return ConditionalOutput(state, raw_weight, loss)
+    state = retained / np.sqrt(raw_weight) if raw_weight > 0.0 else retained
+    return ConditionalOutput(FockVector(state, cutoff), raw_weight, loss)
 
 
 @cache
@@ -226,17 +232,29 @@ def _binomials(cutoff: int) -> np.ndarray:
     return _freeze(b)
 
 
-def _hankel(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Read-only view M[i, j] = v[i + j], for rows + cols - 1 <= len(v)."""
-    (step,) = v.strides
-    return as_strided(v, shape=(rows, cols), strides=(step, step), writeable=False)
+class _Tables(NamedTuple):
+    """Everything the closed route reads that depends on the cutoff N alone."""
+
+    s: np.ndarray  # _scaled_sqrt_factorials(2 N)
+    binom: np.ndarray  # _binomials(N)
+    n: np.ndarray  # 0..2 N
+    hankel: np.ndarray  # d + k at [d, k], d, k = 0..N
+    roots: tuple[tuple[float, ...], tuple[float, ...]]  # states._recurrence_roots(N)
+
+
+@cache
+def _tables(cutoff: int) -> _Tables:
+    n = _freeze(np.arange(2 * cutoff + 1))
+    hankel = _freeze(n[: cutoff + 1, None] + n[: cutoff + 1])
+    return _Tables(_scaled_sqrt_factorials(2 * cutoff), _binomials(cutoff), n, hankel,
+                   _recurrence_roots(cutoff))
 
 
 def _arms(
-    p: SchemeParams, cutoff: int, check_input_tail: bool, depth: int | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The kappa-scaled arm matrices U1, U2 of one point, and the squared
-    norm of its truncated inputs.
+    vec: np.ndarray, cutoff: int, check_input_tail: bool, depth: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kappa-scaled arm matrices U1, U2 of the point vec (flat layout,
+    angles as given), and its truncated inputs a_1, a_2 as two rows.
 
     Input j sends d of its photons to the measured mode 3 and k to the
     signal mode 4:
@@ -247,25 +265,23 @@ def _arms(
     g_13 = g_24 = sqrt(T), g_14 = g_23 = i sqrt(R) of the symmetric
     convention.  Only the rows d < depth are built (all of them by default).
     """
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
-    s = _scaled_sqrt_factorials(2 * cutoff)
-    binom = _binomials(cutoff)[:depth]
-    n = np.arange(cutoff + 1)
-    sq_t, sq_r = math.sqrt(p.transmittance), math.sqrt(1.0 - p.transmittance)
-
-    def arm(a: np.ndarray, g3: complex, g4: complex) -> np.ndarray:
-        # zero-padded to 2 cutoff, so the Hankel view reads 0 where binom is 0
-        scaled = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-        scaled[: cutoff + 1] = a / s[: cutoff + 1]
-        u = _hankel(scaled, len(binom), cutoff + 1) * binom
-        u *= (g3 ** n[: len(binom)])[:, None]
-        u *= g4**n
-        return u
-
-    u1 = arm(a1, sq_t, 1j * sq_r)
-    u2 = arm(a2, 1j * sq_r, sq_t)
-    norm = float(np.sum(np.abs(a1) ** 2) * np.sum(np.abs(a2) ** 2))
-    return u1, u2, norm
+    tb = _tables(cutoff)
+    r1, theta1, alpha1, phi1, r2, theta2, alpha2, phi2, t = vec[:9].tolist()
+    a = np.array([_amplitudes(r1, theta1, alpha1, phi1, tb.roots),
+                  _amplitudes(r2, theta2, alpha2, phi2, tb.roots)], dtype=np.complex128)
+    if check_input_tail:
+        check_tail_mass(a[0], cutoff)
+        check_tail_mass(a[1], cutoff)
+    n = tb.n[: cutoff + 1]
+    t_pow, r_pow = math.sqrt(t) ** n, (1j * math.sqrt(1.0 - t)) ** n
+    # both arms at once, padded with zeros for the index to read where binom
+    # is 0; t_pow and r_pow are the powers of sqrt(T) and i sqrt(R)
+    scaled = np.zeros((2, 2 * cutoff + 1), dtype=np.complex128)
+    scaled[:, : cutoff + 1] = a / tb.s[: cutoff + 1]
+    u = scaled.take(tb.hankel[:depth], axis=1) * tb.binom[:depth]
+    u *= np.array([t_pow[:depth], r_pow[:depth]])[:, :, None]
+    u *= np.array([r_pow, t_pow])[:, None, :]
+    return u[0], u[1], a
 
 
 def _two_mode_array(u1: np.ndarray, u2: np.ndarray, cutoff: int) -> np.ndarray:
@@ -277,75 +293,23 @@ def _two_mode_array(u1: np.ndarray, u2: np.ndarray, cutoff: int) -> np.ndarray:
     beam-splitter output of the truncated inputs,
     embedded_two_mode_state(p, cutoff).
     """
-    # padded[cutoff + k] = U1[d1, k], so U2[:, ::-1] @ Hankel(padded) holds
-    # each row of U2 convolved with U1[d1]
+    tb = _tables(cutoff)
+    # padded[cutoff + k] = U1[d1, k], so U2[:, ::-1] @ padded[toeplitz],
+    # toeplitz[i, j] = i + j, holds each row of U2 convolved with U1[d1]
+    toeplitz = tb.n[: cutoff + 1, None] + tb.n
     padded = np.zeros(3 * cutoff + 1, dtype=np.complex128)
     u2_rev = u2[:, ::-1]
     v = np.zeros((2 * cutoff + 1, 2 * cutoff + 1), dtype=np.complex128)
     for d1 in range(cutoff + 1):
         padded[cutoff : 2 * cutoff + 1] = u1[d1]
-        # a contiguous copy, so the product runs in BLAS
-        toeplitz = np.ascontiguousarray(_hankel(padded, cutoff + 1, 2 * cutoff + 1))
-        v[d1 : d1 + cutoff + 1] += u2_rev @ toeplitz
-    s = _scaled_sqrt_factorials(2 * cutoff)
-    v *= s[:, None]
-    v *= s
+        v[d1 : d1 + cutoff + 1] += u2_rev @ padded.take(toeplitz)
+    v *= tb.s[:, None]
+    v *= tb.s
     return v
 
 
-def _spd_amplitudes(u1: np.ndarray, u2: np.ndarray, cutoff: int) -> np.ndarray:
-    """Row j = 1 of V, the unnormalized SPD output over |0>..|2*cutoff-1>.
-
-    One photon in the measured mode comes from row d = 1 of one arm and
-    row 0 of the other, so two convolutions over the signal photons give it.
-    """
-    s = _scaled_sqrt_factorials(2 * cutoff)
-    w = np.convolve(u1[1], u2[0]) + np.convolve(u1[0], u2[1])
-    return s[1] * s[: 2 * cutoff] * w[: 2 * cutoff]
-
-
-def _antidiagonal_sums(q: np.ndarray) -> np.ndarray:
-    """out[c] = sum over i + j = c of q[i, j], for a square q.
-
-    Row i of q is written into row i of a zero array shifted right by i
-    places, so that column sums give the anti-diagonal sums, each in
-    increasing i.
-    """
-    d = len(q)
-    skew = np.zeros((d, 2 * d), dtype=q.dtype)
-    si, sj = skew.strides
-    as_strided(skew, shape=q.shape, strides=(si + sj, sj))[...] = q
-    return skew.sum(axis=0)[: 2 * d - 1]
-
-
-def _reading_phases(lam: float, cutoff: int) -> np.ndarray:
-    """e^{-i j lam} for j = 0..2 cutoff, the phases of <x|_lam j>."""
-    return np.exp(-1j * lam * np.arange(2 * cutoff + 1))
-
-
-def _hm_amplitudes(
-    u1: np.ndarray, u2: np.ndarray, x: float, lam: float, cutoff: int
-) -> np.ndarray:
-    """<x|_lam V, the unnormalized HM output at reading x over
-    |0>..|2*cutoff>, without forming V.  The arms meet in the Hankel matrix
-    of h[j] = phi_j(x) e^{-i j lam} s[j]:
-
-        c[m] = s[m] sum_{k+l=m} (U1^T @ Hankel(h) @ U2)[k, l].
-
-    The reading phases sit on h rather than in the arms: on 800 box draws
-    at cutoff 30 that kept the worst weight error against the oracle at
-    6e-10, against 1.6e-9 with the phases in the arms.
-    """
-    s = _scaled_sqrt_factorials(2 * cutoff)
-    h = hermite_gaussian_columns(2 * cutoff, x) * s * _reading_phases(lam, cutoff)
-    hankel = np.ascontiguousarray(_hankel(h, cutoff + 1, cutoff + 1))
-    # (U2^T @ Hankel @ U1)[l, k] is the transposed contraction; its
-    # anti-diagonal sums are the same
-    return s * _antidiagonal_sums(u2.T @ (hankel @ u1))
-
-
 def _hm_window(
-    arms: tuple[np.ndarray, np.ndarray, float], lam: float, edges: np.ndarray, cutoff: int
+    arms: tuple[np.ndarray, np.ndarray, np.ndarray], lam: float, edges: np.ndarray, cutoff: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-mode array of one HM point with the reading phase e^{-i j lam}
     on row j, V_lam (so c(x) = phi(x)^T V_lam), and the primitive of its
@@ -353,8 +317,9 @@ def _hm_window(
 
     The outcome density is the quadratic form p(x) = phi(x)^T G phi(x) in
     the normalized Hermite functions (fock.hermite_gaussian_columns), with
-    G = Re(V_lam V_lam^dagger) / norm.  As phi_n'' = (x^2 - 2n - 1) phi_n and
-    (phi_{n-1} phi_n)' = sqrt(2n) (phi_{n-1}^2 - phi_n^2), its primitive is
+    G = Re(V_lam V_lam^dagger) over the squared norm of the inputs.  As
+    phi_n'' = (x^2 - 2n - 1) phi_n and (phi_{n-1} phi_n)' = sqrt(2n)
+    (phi_{n-1}^2 - phi_n^2), its primitive is
 
         B(x) = 2 phi^T M phi' + sum_n G[n, n] D_n(x),
 
@@ -363,13 +328,14 @@ def _hm_window(
     and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n).  The probability of a
     reading between two edges is the difference of B over them.
     """
-    u1, u2, norm = arms
+    u1, u2, inputs = arms
     v = _two_mode_array(u1, u2, cutoff)
-    v *= _reading_phases(lam, cutoff)[:, None]
+    v *= np.exp(-1j * lam * _tables(cutoff).n)[:, None]
     # Re(V V^dagger) is X X^T for the real and imaginary parts side by side
     x = v.view(np.float64)
     g = x @ x.T
-    g /= norm
+    mass = np.sum(np.abs(inputs) ** 2, axis=1)
+    g /= float(mass[0] * mass[1])
     j = np.arange(2 * cutoff + 1)
     m = 2.0 * np.subtract.outer(j, j.astype(float))
     np.fill_diagonal(m, np.inf)
@@ -384,18 +350,39 @@ def _hm_window(
 
 
 def _herald(
-    p: SchemeParams, cutoff: int, check_input_tail: bool
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, float]]:
-    """Unnormalized closed-route output of one point before truncation at
-    the cutoff, and the arms it was read from (only rows d <= 1 for SPD)."""
-    if isinstance(p.measurement, SPD):
-        arms = _arms(p, cutoff, check_input_tail, depth=2)
-        return _spd_amplitudes(arms[0], arms[1], cutoff), arms
-    if isinstance(p.measurement, HM):
-        arms = _arms(p, cutoff, check_input_tail)
-        m = p.measurement
-        return _hm_amplitudes(arms[0], arms[1], m.x, m.lam, cutoff), arms
-    raise TypeError(f"unknown measurement {type(p.measurement).__name__}")
+    vec: np.ndarray, cutoff: int, check_input_tail: bool = False
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Unnormalized closed-route output of the point vec (a flat
+    SPD_LAYOUT or HM_LAYOUT vector, angles taken as given) before truncation
+    at the cutoff, and the arms it was read from (only rows d <= 1 for SPD).
+
+    SPD keeps row j = 1 of V over |0>..|2 cutoff - 1>: one photon in the
+    measured mode comes from row d = 1 of one arm and row 0 of the other.
+    HM reads <x|_lam V over |0>..|2 cutoff>: the arms meet in the Hankel
+    matrix of h[j] = phi_j(x) e^{-i j lam} s[j],
+
+        c[m] = s[m] sum_{k+l=m} (U1^T @ Hankel(h) @ U2)[k, l].
+
+    The reading phases sit on h rather than in the arms: on 800 box draws
+    at cutoff 30 that kept the worst weight error against the oracle at
+    6e-10, against 1.6e-9 with the phases in the arms.
+    """
+    tb = _tables(cutoff)
+    if len(vec) == len(SPD_LAYOUT):
+        u1, u2, _ = arms = _arms(vec, cutoff, check_input_tail, depth=2)
+        w = np.convolve(u1[1], u2[0]) + np.convolve(u1[0], u2[1])
+        return tb.s[1] * tb.s[: 2 * cutoff] * w[: 2 * cutoff], arms
+    u1, u2, _ = arms = _arms(vec, cutoff, check_input_tail)
+    h = hermite_gaussian_columns(2 * cutoff, vec[9]) * tb.s * np.exp(-1j * vec[10] * tb.n)
+    # (U2^T @ Hankel @ U1)[l, k] has the anti-diagonal sums of the
+    # contraction.  Its rows go into rows of 2 cutoff + 3 zeros, read as
+    # rows of 2 cutoff + 2: row i then sits shifted right by i places, and
+    # column sums give the anti-diagonal sums, each in increasing i.
+    wide = 2 * cutoff + 2
+    shifted = np.zeros((cutoff + 1) * (wide + 1), dtype=np.complex128)
+    shifted.reshape(cutoff + 1, wide + 1)[:, : cutoff + 1] = u2.T @ (h.take(tb.hankel) @ u1)
+    sums = shifted[: (cutoff + 1) * wide].reshape(cutoff + 1, wide).sum(axis=0)
+    return tb.s * sums[: 2 * cutoff + 1], arms
 
 
 def embedded_two_mode_state(
@@ -435,10 +422,7 @@ def output_oracle(
 
 
 def conditional_output(
-    p: SchemeParams,
-    cutoff: int,
-    method: str = "closed",
-    check_input_tail: bool = True,
+    p: SchemeParams, cutoff: int, method: str = "closed", check_input_tail: bool = True
 ) -> ConditionalOutput:
     """Heralded signal state for either measurement kind.
 
@@ -450,7 +434,7 @@ def conditional_output(
         return output_oracle(p, cutoff, check_input_tail)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
-    return _split_output(_herald(p, cutoff, check_input_tail)[0], cutoff)
+    return _split_output(_herald(params_to_vector(p)[0], cutoff, check_input_tail)[0], cutoff)
 
 
 def misfit(
@@ -459,6 +443,18 @@ def misfit(
     """1 - fidelity between the prepared state and the normalized target."""
     state = out.state if isinstance(out, ConditionalOutput) else out
     return 1.0 - fidelity(target, state)
+
+
+def _output_misfit(full: np.ndarray, cutoff: int, target: FockVector) -> float:
+    """misfit(_split_output(full, cutoff), target) to the same bits, with no
+    FockVector; it raises NormalizationError where misfit does (its norm
+    checks read np.vdot, which differs from norm_sq only by rounding)."""
+    retained = full[: cutoff + 1]
+    weight = float((np.abs(retained) ** 2).sum())
+    state = retained / np.sqrt(weight) if weight > 0.0 else retained
+    _require_unit_norm("target", np.vdot(target.amps, target.amps).real)
+    _require_unit_norm("out", np.vdot(state, state).real)
+    return 1.0 - float(abs(complex(np.vdot(target.amps, state))) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -596,17 +592,19 @@ def misfit_batch(states: np.ndarray, target: FockVector) -> np.ndarray:
     return 1.0 - np.abs(states @ target.amps.conj()) ** 2
 
 
-def _probability(full: np.ndarray, norm: float) -> float:
-    """Squared norm of an unnormalized output relative to that of the inputs."""
-    return float(np.sum(np.abs(full) ** 2)) / norm
+def _probability(full: np.ndarray, inputs: np.ndarray) -> float:
+    """Squared norm of an unnormalized output relative to that of the
+    truncated inputs, the two rows of inputs."""
+    mass = np.sum(np.abs(inputs) ** 2, axis=1)
+    return float(np.sum(np.abs(full) ** 2)) / float(mass[0] * mass[1])
 
 
 def success_prob_spd(p: SchemeParams, cutoff: int, check_input_tail: bool = True) -> float:
     """Probability of the single-photon herald, including mass above the cutoff."""
     if not isinstance(p.measurement, SPD):
         raise TypeError("measurement must be SPD")
-    full, (_, _, norm) = _herald(p, cutoff, check_input_tail)
-    return _probability(full, norm)
+    full, (_, _, inputs) = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
+    return _probability(full, inputs)
 
 
 def hm_outcome_density(
@@ -615,8 +613,10 @@ def hm_outcome_density(
     """Probability density of reading x_value on the measured arm."""
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
-    u1, u2, norm = _arms(p, cutoff, check_input_tail)
-    return _probability(_hm_amplitudes(u1, u2, x_value, p.measurement.lam, cutoff), norm)
+    vec = params_to_vector(p)[0]
+    vec[9] = x_value
+    full, (_, _, inputs) = _herald(vec, cutoff, check_input_tail)
+    return _probability(full, inputs)
 
 
 def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True) -> float:
@@ -627,7 +627,7 @@ def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True)
     if delta == 0.0:
         return 0.0
     edges = np.array([p.measurement.x - delta, p.measurement.x + delta])
-    arms = _arms(p, cutoff, check_input_tail)
+    arms = _arms(params_to_vector(p)[0], cutoff, check_input_tail)
     _, primitive = _hm_window(arms, p.measurement.lam, edges, cutoff)
     return float(primitive[1] - primitive[0])
 
@@ -639,7 +639,7 @@ def _window_average(
     probability of a reading between them (_hm_window)."""
     probs = np.diff(primitive)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    eps = [misfit(_split_output(full, cutoff).state, target)
+    eps = [_output_misfit(full, cutoff, target)
            for full in hermite_gaussian_columns(2 * cutoff, mids).T @ v]
     weight_sum = float(np.sum(probs))
     if not weight_sum > 0.0:
@@ -671,7 +671,7 @@ def average_misfit(
     if n_subranges < 1:
         raise ValueError("n_subranges must be >= 1")
     edges = _subrange_edges(p.measurement, n_subranges)
-    arms = _arms(p, cutoff, check_input_tail)
+    arms = _arms(params_to_vector(p)[0], cutoff, check_input_tail)
     v, primitive = _hm_window(arms, p.measurement.lam, edges, cutoff)
     return _window_average(v, primitive, edges, target, cutoff)
 
@@ -697,7 +697,7 @@ def score(
     forms the two-mode array once for both of its figures; each figure
     equals that of the function of the same name to rounding.
     """
-    full, arms = _herald(p, cutoff, check_input_tail)
+    full, arms = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
     out = _split_output(full, cutoff)
     eps = misfit(out, target)
     m = p.measurement

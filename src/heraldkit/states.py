@@ -92,14 +92,19 @@ def squeezed_coherent_amplitudes(p: SqueezedCoherentParams, cutoff: int) -> np.n
     cheaper than per-step numpy calls; _recurrence_rows runs the same
     recurrence over many coefficient triples.
     """
-    a, b, c = (complex(v) for v in _bargmann_coefficients(p.r, p.theta, p.alpha_abs, p.phi))
-    roots, inv_roots = _recurrence_roots(cutoff)
+    return np.array(_amplitudes(p.r, p.theta, p.alpha_abs, p.phi, _recurrence_roots(cutoff)))
+
+
+def _amplitudes(r, theta, alpha_abs, phi, roots) -> list[complex]:
+    """squeezed_coherent_amplitudes on plain floats, as a list, with
+    roots = _recurrence_roots(cutoff)."""
+    a, b, c = (complex(v) for v in _bargmann_coefficients(r, theta, alpha_abs, phi))
     amps = [c]
     prev = 0j
-    for n in range(cutoff):
-        c, prev = (b * c + a * roots[n] * prev) * inv_roots[n], c
+    for root, inv_root in zip(*roots):
+        c, prev = (b * c + a * root * prev) * inv_root, c
         amps.append(c)
-    return np.array(amps)
+    return amps
 
 
 def _recurrence_rows(a: np.ndarray, b: np.ndarray, c0, cutoff: int) -> np.ndarray:

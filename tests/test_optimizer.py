@@ -150,6 +150,15 @@ def test_objective_reproduces_tabulated_row():
     )
 
 
+@pytest.mark.parametrize("params,spec", [(ROW_BINOM_SPD, Binomial(0.3, 7)),
+                                         (ROW_BINOM_HM, Binomial(0.45, 8))],
+                         ids=["spd", "hm"])
+def test_objective_is_the_polish_start(params, spec):
+    # the polish evaluates its own search vector through the same kernel
+    polished = local_polish(params, spec, cutoff=30, max_iters=5)
+    assert polished.trace[0] == objective(params, spec, 30)
+
+
 def test_objective_rejects_cutoff_mismatch():
     tgt = target_state(Binomial(0.3, 7), 25)
     with pytest.raises(ValueError):
@@ -182,6 +191,8 @@ def test_objective_batch_raises_on_impossible_outcome():
         objective(vector_to_params(vecs[2], "spd"), Binomial(0.3, 7), 20)
     with pytest.raises(NormalizationError):
         objective_batch(vecs, "spd", Binomial(0.3, 7), 20)
+    with pytest.raises(NormalizationError):
+        local_polish(vector_to_params(vecs[2], "spd"), Binomial(0.3, 7), cutoff=20, max_iters=5)
 
 
 def test_optimize_with_coherent_input_reports_objective():

@@ -20,7 +20,7 @@ from scipy.special import roots_legendre
 
 from heraldkit import scheme
 from heraldkit import tolerances as tol
-from heraldkit.errors import TailMassError
+from heraldkit.errors import NormalizationError, TailMassError
 from heraldkit.fock import (
     MODE_FIRST,
     MODE_SECOND,
@@ -44,16 +44,19 @@ from heraldkit.scheme import (
     misfit,
     output_oracle,
     params_to_vector,
+    score,
     success_prob_hm,
     success_prob_spd,
     vector_to_params,
 )
 from heraldkit.optimizer import Bounds
+from heraldkit.reference_rows import all_rows
 from heraldkit.states import (
     SqueezedCoherentParams,
     binomial_state,
     squeezed_coherent,
     squeezed_coherent_amplitudes,
+    target_state,
 )
 
 # Table row used throughout: binomial(0.3, 7) target prepared by SPD
@@ -164,7 +167,7 @@ _BOX_ARMS = st.builds(
 @given(in1=_BOX_ARMS, in2=_BOX_ARMS, t=st.floats(0.1, 0.9), cutoff=st.integers(6, 30))
 def test_two_mode_array_matches_embedding(in1, in2, t, cutoff):
     p = SchemeParams(in1, in2, t, HM(1.0, 0.0))
-    u1, u2, _ = scheme._arms(p, cutoff, check_input_tail=False)
+    u1, u2, _ = scheme._arms(params_to_vector(p)[0], cutoff, check_input_tail=False)
     v = scheme._two_mode_array(u1, u2, cutoff)
     ref = embedded_two_mode_state(p, cutoff, check_input_tail=False).amps
     # the binomial convolution of two heavy-tailed inputs cancels: at the box
@@ -304,6 +307,83 @@ def test_conditional_output_invariants():
         assert np.linalg.norm(out.state.amps) == pytest.approx(1.0, abs=1e-12)
         assert out.raw_weight >= 0.0
         assert 0.0 <= out.truncation_loss < 1.0
+
+
+# ------------------------------------------------------ closed-route kernel
+
+
+def kernel_misfit(vec: np.ndarray, target, cutoff: int) -> float:
+    """The misfit the Nelder-Mead polish reads, on a flat search vector."""
+    return scheme._output_misfit(scheme._herald(vec, cutoff)[0], cutoff, target)
+
+
+@pytest.fixture(scope="module")
+def bundled_at_40():
+    return [(row.params, target_state(row.target, 40, check_tail=False)) for row in all_rows()]
+
+
+def test_kernel_misfit_matches_conditional_output_on_bundled_rows(bundled_at_40):
+    for p, tgt in bundled_at_40:
+        want = misfit(conditional_output(p, 40, check_input_tail=False), tgt)
+        assert abs(kernel_misfit(params_to_vector(p)[0], tgt, 40) - want) <= 1e-15
+
+
+def test_closed_route_matches_oracle_on_bundled_rows(bundled_at_40):
+    # the bounds bench/checks.py holds every reproduce-table row to
+    for p, tgt in bundled_at_40:
+        closed = conditional_output(p, 40, check_input_tail=False)
+        oracle = output_oracle(p, 40, check_input_tail=False)
+        assert abs(misfit(closed, tgt) - misfit(oracle, tgt)) <= 1e-9
+        assert closed.raw_weight == pytest.approx(oracle.raw_weight, rel=1e-9, abs=0.0)
+
+
+# a well-conditioned sub-box of the search box: at the corners of the full
+# box the binomial convolution of heavy-tailed inputs turns rounding-level
+# changes into HM misfit changes of up to 3e-9
+_TAME_ARMS = st.builds(
+    SqueezedCoherentParams,
+    st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    in1=_TAME_ARMS, in2=_TAME_ARMS, t=st.floats(0.1, 0.9), cutoff=st.integers(8, 40),
+    meas=st.one_of(st.just(SPD()),
+                   st.builds(HM, st.floats(0.0, 4.0), st.floats(0.0, 2.0 * math.pi))),
+)
+def test_kernel_misfit_matches_conditional_output(in1, in2, t, cutoff, meas):
+    p = SchemeParams(in1, in2, t, meas)
+    vec = params_to_vector(p)[0]
+    tgt = binomial_state(0.5, 4, cutoff)
+    try:
+        want = misfit(conditional_output(p, cutoff, check_input_tail=False), tgt)
+    except NormalizationError:
+        # vacuum inputs never click: the kernel refuses the point too
+        with pytest.raises(NormalizationError):
+            kernel_misfit(vec, tgt, cutoff)
+        return
+    assert abs(kernel_misfit(vec, tgt, cutoff) - want) <= 1e-13
+
+
+def test_tail_guard_holds_for_every_figure():
+    hot = SqueezedCoherentParams(1.6, 0.2, 3.5, 0.1)
+    spd = SchemeParams(hot, GENERIC_B, 0.5, SPD())
+    hm = SchemeParams(GENERIC_B, hot, 0.5, HM(0.8, 0.4, 0.3))
+    tgt = binomial_state(0.5, 4, 15)
+    for figure in (
+        lambda: conditional_output(spd, 15),
+        lambda: conditional_output(hm, 15),
+        lambda: score(spd, tgt, 15),
+        lambda: score(hm, tgt, 15),
+        lambda: success_prob_spd(spd, 15),
+        lambda: success_prob_hm(hm, 15),
+        lambda: hm_outcome_density(hm, 1.1, 15),
+        lambda: average_misfit(hm, tgt, 15),
+    ):
+        with pytest.raises(TailMassError):
+            figure()
 
 
 # ------------------------------------------------------ transmittance symmetry
@@ -541,7 +621,8 @@ def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff, n
     assert got <= 1.0 + 1e-12
     # the subrange weights of average_misfit telescope to P
     edges = np.linspace(x - delta, x + delta, n_sub + 1)
-    _, primitive = scheme._hm_window(scheme._arms(p, cutoff, False), lam, edges, cutoff)
+    arms = scheme._arms(params_to_vector(p)[0], cutoff, False)
+    _, primitive = scheme._hm_window(arms, lam, edges, cutoff)
     assert abs(np.sum(np.diff(primitive)) - got) <= 1e-14
 
 
