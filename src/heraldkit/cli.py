@@ -382,17 +382,9 @@ def target_label(spec: TargetSpec) -> str:
 def make_table_row(
     label: str, p: SchemeParams, eps: float, prob: float, eps_avg: float | None
 ) -> list[str]:
-    if isinstance(p.measurement, SPD):
-        x = lam = delta = None
-    else:
-        x, lam, delta = p.measurement.x, p.measurement.lam, p.measurement.window_halfwidth
-    values = (
-        eps,
-        p.in1.r, p.in1.theta, p.in1.alpha_abs, p.in1.phi,
-        p.in2.r, p.in2.theta, p.in2.alpha_abs, p.in2.phi,
-        p.transmittance, x, lam, delta, prob, eps_avg,
-    )
-    return [label] + [_fmt(v) for v in values]
+    vec, kind, delta = params_to_vector(p)
+    point = vec.tolist() + ([delta] if kind == "hm" else [None, None, None])
+    return [label] + [_fmt(v) for v in (eps, *point, prob, eps_avg)]
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
@@ -561,7 +553,7 @@ def _apply_overrides(row: ReferenceRow, overrides: dict, path: str) -> SchemePar
         if key not in names:
             raise ConfigError(f"{path}.{key}", f"unknown dimension for a {kind} row")
         vec[names.index(key)] = _number(val, f"{path}.{key}")
-    return _construct(path, vector_to_params, vec, kind, whw)
+    return _construct(path, vector_to_params, vec, whw)
 
 
 def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> int:

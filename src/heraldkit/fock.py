@@ -88,13 +88,6 @@ class FockVector:
             raise NormalizationError("cannot normalize a zero vector")
         return FockVector(self.amps / np.sqrt(n), self.cutoff)
 
-    def tail_mass(self, window: int = tol.TAIL_WINDOW) -> float:
-        """Relative probability mass in the top `window` Fock levels."""
-        total = self.norm_sq()
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(self.amps[self.cutoff - window + 1:]) ** 2)) / total
-
     def overlap(self, other: "FockVector") -> complex:
         """<self|other> with the bra conjugated."""
         if other.cutoff != self.cutoff:

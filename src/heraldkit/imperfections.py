@@ -2,10 +2,12 @@
 
 Photon loss is modeled by a fictitious beam splitter coupling the lossy
 mode to vacuum, with transmittance equal to the efficiency eta; tracing out
-the ancilla gives the channel.  Pure states run through that dilation
-explicitly.  Everything else uses the closed-form loss amplitudes
-sqrt(C(n, p) eta^p (1-eta)^(n-p)) of p out of n photons surviving, so the
-dilation is an independent reference for the closed form.
+the ancilla gives the channel.  Every use reads the closed-form loss
+amplitudes sqrt(C(n, p) eta^p (1-eta)^(n-p)) of p out of n photons
+surviving: loss_channel(state, eta) applies them as a Kraus sum to a pure
+state or a density matrix at the state's cutoff, and the lossy herald
+applies them to the measured arm.  The explicit dilation stays in the tests
+as an independent reference for the closed form.
 
 An inefficient single-photon detector is loss followed by an ideal
 projection: the measured arm passes through the eta_det channel before the
@@ -28,23 +30,12 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import NormalizationError
-from .fock import (
-    MODE_SECOND,
-    BeamSplitterSpec,
-    DensityMatrix,
-    FockVector,
-    TwoModeState,
-    _log_factorials,
-    beam_splitter_apply,
-    hermite_gaussian_columns,
-    partial_trace,
-    tensor,
-    vacuum,
-)
+from .fock import DensityMatrix, FockVector, TwoModeState, _log_factorials, hermite_gaussian_columns
 from .scheme import (
     HM,
     SPD,
     SchemeParams,
+    _ANGLES,
     conditional_output,
     conditional_output_batch,
     embedded_two_mode_state,
@@ -94,32 +85,24 @@ def _log_power(k: np.ndarray, base: float) -> np.ndarray:
     return np.where(k > 0, -np.inf, 0.0)
 
 
-def loss_channel(
-    state: FockVector | DensityMatrix, eta: float, cutoff: int
-) -> DensityMatrix:
-    """Transmit a state through efficiency eta; returns the mixed output.
+def loss_channel(state: FockVector | DensityMatrix, eta: float) -> DensityMatrix:
+    """Transmit a state through efficiency eta; returns the mixed output at
+    the state's cutoff.
 
-    Pure inputs run through the explicit dilate-and-trace pipeline (exact on
-    the truncated space because the ancilla starts in vacuum, so no sector
-    exceeds the cutoff).  Mixed inputs use the Kraus sum over the number q
-    of lost photons, each term a shifted slice of rho weighted by the
-    closed-form loss amplitudes; the two routes are built independently.
+    The Kraus sum over the number q of lost photons: each term is a shifted
+    slice of rho (|psi><psi| for a pure state) weighted by the closed-form
+    loss amplitudes.  The truncated space is closed under loss, so the
+    channel is exact there.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
-    if state.cutoff != cutoff:
-        raise ValueError(f"state cutoff {state.cutoff} does not match {cutoff}")
-    if isinstance(state, FockVector):
-        joint = tensor(state, vacuum(cutoff))
-        mixed, dropped = beam_splitter_apply(joint, BeamSplitterSpec(eta))
-        if dropped != 0.0:
-            raise AssertionError("loss dilation must conserve the truncated support")
-        return partial_trace(mixed, MODE_SECOND)
+    cutoff = state.cutoff
+    rho = np.outer(state.amps, state.amps.conj()) if isinstance(state, FockVector) else state.rho
     amps = _loss_amplitudes(eta, cutoff)
-    out = np.zeros_like(state.rho)
+    out = np.zeros_like(rho)
     for q in range(cutoff + 1):
         l_q = np.diagonal(amps, offset=q)
-        out[: cutoff + 1 - q, : cutoff + 1 - q] += l_q[:, None] * state.rho[q:, q:] * l_q
+        out[: cutoff + 1 - q, : cutoff + 1 - q] += l_q[:, None] * rho[q:, q:] * l_q
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out, cutoff)
 
@@ -176,7 +159,7 @@ def _herald_lossy(
         raise NormalizationError("heralded state lost all mass to truncation")
     rho = DensityMatrix(rho_t / tr, cutoff)
     if imp.eta_signal != 1.0:
-        rho = loss_channel(rho, imp.eta_signal, cutoff)
+        rho = loss_channel(rho, imp.eta_signal)
     return rho, weight
 
 
@@ -196,9 +179,8 @@ def _perturbed_rows(p: SchemeParams, d: float, xi: np.ndarray) -> np.ndarray:
     magnitudes scale by 1 + d*xi, angles shift by 2*pi*d*xi."""
     base, _, _ = params_to_vector(p)
     rows = np.tile(base, (len(xi), 1))
-    magnitude = np.array([True, False, True, False] * 2)
     rows[:, :8] = np.where(
-        magnitude, base[:8] * (1.0 + d * xi), base[:8] + 2.0 * np.pi * d * xi
+        _ANGLES[:8], base[:8] + 2.0 * np.pi * d * xi, base[:8] * (1.0 + d * xi)
     )
     return rows
 
@@ -233,7 +215,6 @@ def sweep_parameter_deviation(
         raise ValueError("n_samples must be >= 1")
     if sampling not in ("signed_uniform", "worst_case"):
         raise ValueError(f"unknown sampling {sampling!r}")
-    kind = "spd" if isinstance(p.measurement, SPD) else "hm"
     children = np.random.SeedSequence(seed).spawn(len(devs))
     points: list[SweepPoint] = []
     envelope = -np.inf
@@ -247,7 +228,7 @@ def sweep_parameter_deviation(
             xi = rng.uniform(-1.0, 1.0, size=(n_samples, 8))
             if sampling == "worst_case":
                 xi = np.where(xi >= 0.0, 1.0, -1.0)
-            states, weights = conditional_output_batch(_perturbed_rows(p, d, xi), kind, cutoff)
+            states, weights = conditional_output_batch(_perturbed_rows(p, d, xi), cutoff)
             eps = misfit_batch(states, target)
         envelope = max(envelope, float(np.max(eps)))
         points.append(

@@ -21,6 +21,14 @@ its own search vector through that route's kernel (scheme._herald) and
 one shared misfit read (scheme._output_misfit), so no evaluation builds a
 SchemeParams or a FockVector; objective wraps the same two calls.
 
+optimize(target, kind, bounds=None, mask=None, cfg=None, *,
+window_halfwidth=0.0, ...) takes kind as "spd" or "hm" and the HM
+acceptance halfwidth only from window_halfwidth, checked before the search.
+objective_batch(V, target, cutoff) reads the kind of the rows of V from
+their width, as scheme.conditional_output_batch does.  The periodic flags
+of Bounds.for_kind are the angle entries of the flat layout
+(scheme._ANGLES); _DIM_BOUNDS holds only the search box.
+
 Search runs at a reduced cutoff; the returned best point is re-scored at
 the full cutoff so the reported numbers carry no truncation shortcut.
 All randomness derives from a single seed through spawned generators, one
@@ -36,9 +44,9 @@ from . import tolerances as tol
 from .errors import ConfigError
 from .fock import FockVector
 from .scheme import (
-    HM,
-    SPD,
     SchemeParams,
+    _ANGLES,
+    _TWO_PI,
     _herald,
     _output_misfit,
     conditional_output_batch,
@@ -50,20 +58,18 @@ from .scheme import (
 )
 from .states import TargetSpec, target_state
 
-_TWO_PI = 2.0 * np.pi
-
 _DIM_BOUNDS = {
-    "r1": (0.0, 1.7, False),
-    "r2": (0.0, 1.7, False),
-    "alpha1": (0.0, 4.0, False),
-    "alpha2": (0.0, 4.0, False),
-    "theta1": (0.0, _TWO_PI, True),
-    "theta2": (0.0, _TWO_PI, True),
-    "phi1": (0.0, _TWO_PI, True),
-    "phi2": (0.0, _TWO_PI, True),
-    "T": (0.1, 0.9, False),
-    "x": (0.0, 4.0, False),
-    "lam": (0.0, _TWO_PI, True),
+    "r1": (0.0, 1.7),
+    "r2": (0.0, 1.7),
+    "alpha1": (0.0, 4.0),
+    "alpha2": (0.0, 4.0),
+    "theta1": (0.0, _TWO_PI),
+    "theta2": (0.0, _TWO_PI),
+    "phi1": (0.0, _TWO_PI),
+    "phi2": (0.0, _TWO_PI),
+    "T": (0.1, 0.9),
+    "x": (0.0, 4.0),
+    "lam": (0.0, _TWO_PI),
 }
 
 
@@ -87,8 +93,8 @@ class Bounds:
     @classmethod
     def for_kind(cls, kind: str) -> "Bounds":
         names = layout_for_kind(kind)
-        lo, hi, per = zip(*(_DIM_BOUNDS[n] for n in names))
-        return cls(names, lo, hi, per)
+        lo, hi = zip(*(_DIM_BOUNDS[n] for n in names))
+        return cls(names, lo, hi, tuple(_ANGLES[: len(names)].tolist()))
 
     def contains(self, vec: np.ndarray) -> bool:
         lo = np.asarray(self.lower)
@@ -178,20 +184,18 @@ def objective(
     return _output_misfit(_herald(params_to_vector(params)[0], cutoff)[0], cutoff, tgt)
 
 
-def objective_batch(
-    V: np.ndarray, kind, target: TargetSpec | FockVector, cutoff: int
-) -> np.ndarray:
-    """Misfit of every row of V, a stack of search vectors, in one call.
+def objective_batch(V: np.ndarray, target: TargetSpec | FockVector, cutoff: int) -> np.ndarray:
+    """Misfit of every row of V, a stack of flat search vectors of one kind
+    (9 entries for SPD, 11 for HM), in one call.
 
     The rows go through the exact Gaussian core
     (scheme.conditional_output_batch), which keeps the inputs whole and
     truncates only the output.  Where the input tails above the cutoff
-    vanish, row i equals objective(vector_to_params(V[i], kind), target,
-    cutoff) up to rounding; elsewhere the two differ by about the input
-    tail mass.  The call raises wherever one of those would.
+    vanish, row i equals objective(vector_to_params(V[i]), target, cutoff)
+    up to rounding; elsewhere the two differ by about the input tail mass.
+    The call raises wherever one of those would.
     """
-    kname, _ = _normalize_kind(kind)
-    states, _ = conditional_output_batch(V, kname, cutoff)
+    states, _ = conditional_output_batch(V, cutoff)
     return misfit_batch(states, _target_vector(target, cutoff))
 
 
@@ -200,21 +204,6 @@ def _reflect_into(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     span = hi - lo
     w = np.mod(v - lo, 2.0 * span)
     return lo + np.minimum(w, 2.0 * span - w)
-
-
-def _normalize_kind(kind) -> tuple[str, float]:
-    if isinstance(kind, str):
-        k = kind.lower()
-        if k in ("spd", "hm"):
-            return k, 0.0
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    if isinstance(kind, SPD) or kind is SPD:
-        return "spd", 0.0
-    if isinstance(kind, HM):
-        return "hm", kind.window_halfwidth
-    if kind is HM:
-        return "hm", 0.0
-    raise TypeError(f"cannot interpret {kind!r} as a measurement kind")
 
 
 def _run_restart(
@@ -274,21 +263,22 @@ def _run_restart(
 
 def optimize(
     target: TargetSpec | FockVector,
-    kind,
+    kind: str,
     bounds: Bounds | None = None,
     mask: FixedMask | None = None,
     cfg: GAConfig | None = None,
     *,
-    window_halfwidth: float | None = None,
+    window_halfwidth: float = 0.0,
     search_cutoff: int = tol.SEARCH_CUTOFF,
     final_cutoff: int = tol.DEFAULT_CUTOFF,
 ) -> OptimizationResult:
     """Genetic-algorithm minimization of the conditional-output misfit.
 
-    Tournament selection, blend crossover (shortest-arc on angles),
-    Gaussian mutation with per-dimension sigma equal to
-    mutation_sigma_fraction times the range, elitism, and independent
-    restarts keeping the overall best.  The trace is the running best
+    kind is "spd" or "hm"; window_halfwidth is the HM acceptance
+    halfwidth (finite and >= 0, checked before the search).  Tournament
+    selection, blend crossover (shortest-arc on angles), Gaussian mutation
+    with per-dimension sigma equal to mutation_sigma_fraction times the
+    range, elitism, and independent restarts keeping the overall best.  The trace is the running best
     misfit over all generations of all restarts, so it is monotone by
     construction.  The best point is re-scored at final_cutoff; for
     quadrature conditioning with a positive window halfwidth the success
@@ -296,13 +286,12 @@ def optimize(
     window-averaged misfit, otherwise the probability density at x is
     reported.
     """
-    kname, whw = _normalize_kind(kind)
-    if window_halfwidth is not None:
-        whw = window_halfwidth
-    bounds = bounds if bounds is not None else Bounds.for_kind(kname)
-    mask = mask if mask is not None else FixedMask.free(kname)
+    names = layout_for_kind(kind)
+    if not 0.0 <= window_halfwidth < np.inf:
+        raise ValueError(f"window_halfwidth={window_halfwidth} must be finite and >= 0")
+    bounds = bounds if bounds is not None else Bounds.for_kind(kind)
+    mask = mask if mask is not None else FixedMask.free(kind)
     cfg = cfg if cfg is not None else GAConfig()
-    names = layout_for_kind(kname)
     if bounds.names != names:
         raise ValueError("bounds layout does not match the measurement kind")
     if len(mask.values) != len(names):
@@ -314,7 +303,7 @@ def optimize(
     tgt_search = _target_vector(target, search_cutoff)
 
     def evaluate(pop: np.ndarray) -> np.ndarray:
-        return objective_batch(pop, kname, tgt_search, search_cutoff)
+        return objective_batch(pop, tgt_search, search_cutoff)
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_vec: np.ndarray | None = None
@@ -332,7 +321,7 @@ def optimize(
             best_vec = vec
 
     trace = tuple(np.minimum.accumulate(all_gen_best))
-    best_params = vector_to_params(best_vec, kname, whw)
+    best_params = vector_to_params(best_vec, window_halfwidth)
     _, eps, prob, eps_avg = score(
         best_params, _target_vector(target, final_cutoff), final_cutoff, check_input_tail=False
     )
@@ -390,7 +379,7 @@ def local_polish(
     def assemble(x: np.ndarray) -> SchemeParams:
         w = full.copy()
         w[free] = x
-        return vector_to_params(w, kname, whw)
+        return vector_to_params(w, whw)
 
     def fun(x: np.ndarray) -> float:
         # objective on the search vector itself, angles wrapped as

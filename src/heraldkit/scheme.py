@@ -36,6 +36,12 @@ generations and the deviation-sweep levels) runs on the exact Gaussian
 core instead: both heralds act on a Gaussian two-mode state, so each
 output follows from a few complex numbers and the input recurrence, in
 O(cutoff) per point, with the inputs kept whole (_closed_form_rows).
+
+A flat point carries its own kind: SPD_LAYOUT has 9 entries, HM_LAYOUT
+11, and every function that takes one reads the kind from the length
+(any other width raises ValueError), as in vector_to_params(vec,
+window_halfwidth=0.0) and conditional_output_batch(rows, cutoff).  The
+angle entries are marked once, in _ANGLES.
 """
 from __future__ import annotations
 
@@ -71,7 +77,6 @@ from .states import (
     _recurrence_roots,
     _recurrence_rows,
     check_tail_mass,
-    squeezed_coherent_amplitudes,
 )
 
 # Admissible heralded quadrature values and beam-splitter transmittances.
@@ -126,9 +131,12 @@ class SchemeParams:
 _TWO_PI = 2.0 * np.pi
 
 # Flat layout of a parameter point, shared by the search vectors of the
-# optimizer and the batched closed form.
-SPD_LAYOUT = ("r1", "theta1", "alpha1", "phi1", "r2", "theta2", "alpha2", "phi2", "T")
-HM_LAYOUT = SPD_LAYOUT + ("x", "lam")
+# optimizer and the batched closed form.  A point's length gives its kind:
+# SPD points stop after T.  _ANGLES is True on the entries that wrap onto
+# [0, 2 pi); r, alpha and T are magnitudes and x a reading.
+HM_LAYOUT = ("r1", "theta1", "alpha1", "phi1", "r2", "theta2", "alpha2", "phi2", "T", "x", "lam")
+SPD_LAYOUT = HM_LAYOUT[:9]
+_ANGLES = np.array([n.startswith(("theta", "phi", "lam")) for n in HM_LAYOUT])
 
 
 def layout_for_kind(kind: str) -> tuple[str, ...]:
@@ -139,19 +147,26 @@ def layout_for_kind(kind: str) -> tuple[str, ...]:
     raise ValueError(f"unknown measurement kind {kind!r}")
 
 
-def vector_to_params(
-    vec: Sequence[float], kind: str, window_halfwidth: float = 0.0
-) -> SchemeParams:
-    """Assemble SchemeParams from a flat vector, wrapping angle entries."""
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (len(layout_for_kind(kind)),):
-        raise ValueError(f"expected {len(layout_for_kind(kind))} entries for {kind}")
-    in1 = SqueezedCoherentParams(v[0], v[1] % _TWO_PI, v[2], v[3] % _TWO_PI)
-    in2 = SqueezedCoherentParams(v[4], v[5] % _TWO_PI, v[6], v[7] % _TWO_PI)
-    if kind == "spd":
-        meas: SPD | HM = SPD()
-    else:
-        meas = HM(v[9], v[10] % _TWO_PI, window_halfwidth)
+def _is_hm(width: int) -> bool:
+    """Whether a flat point of width entries is an HM point; raises
+    ValueError unless it is an SPD or an HM point."""
+    if width not in (len(SPD_LAYOUT), len(HM_LAYOUT)):
+        raise ValueError(f"a flat point has {len(SPD_LAYOUT)} entries (SPD) "
+                         f"or {len(HM_LAYOUT)} (HM), not {width}")
+    return width == len(HM_LAYOUT)
+
+
+def vector_to_params(vec: Sequence[float], window_halfwidth: float = 0.0) -> SchemeParams:
+    """Assemble SchemeParams from a flat vector, wrapping angle entries; the
+    measurement kind follows from the vector's length."""
+    v = np.array(vec, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a flat vector, got shape {v.shape}")
+    hm = _is_hm(len(v))
+    v[_ANGLES[: len(v)]] %= _TWO_PI
+    in1 = SqueezedCoherentParams(*v[0:4])
+    in2 = SqueezedCoherentParams(*v[4:8])
+    meas = HM(v[9], v[10], window_halfwidth) if hm else SPD()
     return SchemeParams(in1, in2, v[8], meas)
 
 
@@ -183,17 +198,6 @@ class ConditionalOutput:
     state: FockVector
     raw_weight: float
     truncation_loss: float
-
-
-def _input_amplitudes(
-    p: SchemeParams, cutoff: int, check_input_tail: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    a1 = squeezed_coherent_amplitudes(p.in1, cutoff)
-    a2 = squeezed_coherent_amplitudes(p.in2, cutoff)
-    if check_input_tail:
-        check_tail_mass(a1, cutoff)
-        check_tail_mass(a2, cutoff)
-    return a1, a2
 
 
 def _split_output(full: np.ndarray, cutoff: int) -> ConditionalOutput:
@@ -239,15 +243,25 @@ class _Tables(NamedTuple):
     binom: np.ndarray  # _binomials(N)
     n: np.ndarray  # 0..2 N
     hankel: np.ndarray  # d + k at [d, k], d, k = 0..N
-    roots: tuple[tuple[float, ...], tuple[float, ...]]  # states._recurrence_roots(N)
 
 
 @cache
 def _tables(cutoff: int) -> _Tables:
     n = _freeze(np.arange(2 * cutoff + 1))
     hankel = _freeze(n[: cutoff + 1, None] + n[: cutoff + 1])
-    return _Tables(_scaled_sqrt_factorials(2 * cutoff), _binomials(cutoff), n, hankel,
-                   _recurrence_roots(cutoff))
+    return _Tables(_scaled_sqrt_factorials(2 * cutoff), _binomials(cutoff), n, hankel)
+
+
+def _inputs(vec: np.ndarray, cutoff: int, check_input_tail: bool) -> np.ndarray:
+    """The inputs of the point vec truncated at the cutoff, a_1 and a_2 as
+    two rows, each checked for tail mass when asked."""
+    roots = _recurrence_roots(cutoff)
+    a = np.array([_amplitudes(*vec[0:4].tolist(), roots),
+                  _amplitudes(*vec[4:8].tolist(), roots)], dtype=np.complex128)
+    if check_input_tail:
+        check_tail_mass(a[0], cutoff)
+        check_tail_mass(a[1], cutoff)
+    return a
 
 
 def _arms(
@@ -266,12 +280,8 @@ def _arms(
     convention.  Only the rows d < depth are built (all of them by default).
     """
     tb = _tables(cutoff)
-    r1, theta1, alpha1, phi1, r2, theta2, alpha2, phi2, t = vec[:9].tolist()
-    a = np.array([_amplitudes(r1, theta1, alpha1, phi1, tb.roots),
-                  _amplitudes(r2, theta2, alpha2, phi2, tb.roots)], dtype=np.complex128)
-    if check_input_tail:
-        check_tail_mass(a[0], cutoff)
-        check_tail_mass(a[1], cutoff)
+    a = _inputs(vec, cutoff, check_input_tail)
+    t = float(vec[8])
     n = tb.n[: cutoff + 1]
     t_pow, r_pow = math.sqrt(t) ** n, (1j * math.sqrt(1.0 - t)) ** n
     # both arms at once, padded with zeros for the index to read where binom
@@ -394,13 +404,10 @@ def embedded_two_mode_state(
     at N is complete, so the beam splitter drops nothing and projections of
     this state are exact for the truncated inputs.
     """
-    a1, a2 = _input_amplitudes(p, cutoff, check_input_tail)
     big = 2 * cutoff
-    e1 = np.zeros(big + 1, dtype=np.complex128)
-    e2 = np.zeros(big + 1, dtype=np.complex128)
-    e1[: cutoff + 1] = a1
-    e2[: cutoff + 1] = a2
-    joint = tensor(FockVector(e1, big), FockVector(e2, big))
+    e = np.zeros((2, big + 1), dtype=np.complex128)
+    e[:, : cutoff + 1] = _inputs(params_to_vector(p)[0], cutoff, check_input_tail)
+    joint = tensor(FockVector(e[0], big), FockVector(e[1], big))
     mixed, dropped = beam_splitter_apply(joint, BeamSplitterSpec(p.transmittance))
     if dropped != 0.0:
         raise AssertionError("embedding at twice the cutoff must not drop mass")
@@ -461,23 +468,23 @@ def _output_misfit(full: np.ndarray, cutoff: int, target: FockVector) -> float:
 # batched closed form
 
 
-def _regular_rows(rows: np.ndarray, kind: str) -> np.ndarray:
+def _regular_rows(rows: np.ndarray) -> np.ndarray:
     """Rows the batched closed form evaluates: finite and inside the
     parameter ranges."""
     t = rows[:, 8]
     ok = (
         np.isfinite(rows).all(axis=1)
-        # r1, alpha1, r2, alpha2
-        & (rows[:, [0, 2, 4, 6]] >= 0.0).all(axis=1)
+        # the magnitudes r and |alpha| of both inputs
+        & (rows[:, :8][:, ~_ANGLES[:8]] >= 0.0).all(axis=1)
         & (t >= _T_RANGE[0])
         & (t <= _T_RANGE[1])
     )
-    if kind == "hm":
+    if _is_hm(rows.shape[1]):
         ok &= (rows[:, 9] >= _X_RANGE[0]) & (rows[:, 9] <= _X_RANGE[1])
     return ok
 
 
-def _closed_form_rows(rows: np.ndarray, kind: str, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form_rows(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Heralded outputs of regular rows from the exact Gaussian core.
 
     Returns (d, log_c) with the unnormalized output over |0>..|cutoff> of
@@ -516,7 +523,7 @@ def _closed_form_rows(rows: np.ndarray, kind: str, cutoff: int) -> tuple[np.ndar
     b3 = sq_t * b1 + 1j * sq_r * b2
     b4 = 1j * sq_r * b1 + sq_t * b2
     log_c = np.log(c1) + np.log(c2)
-    if kind == "spd":
+    if not _is_hm(rows.shape[1]):
         e = _recurrence_rows(a44, b4, 1.0, cutoff)
         d = b3[:, None] * e
         d[:, 1:] += a34[:, None] * np.sqrt(np.arange(1, cutoff + 1)) * e[:, :-1]
@@ -532,18 +539,17 @@ def _closed_form_rows(rows: np.ndarray, kind: str, cutoff: int) -> tuple[np.ndar
     return _recurrence_rows(a, b, 1.0, cutoff), log_c
 
 
-def conditional_output_batch(
-    rows: np.ndarray, kind: str, cutoff: int
-) -> tuple[np.ndarray, np.ndarray]:
+def conditional_output_batch(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Heralded states of many points at once, one point per row.
 
-    rows follow the flat layout of layout_for_kind(kind); angles need not
-    be wrapped.  Returns the normalized states, shape (B, cutoff + 1), and
-    the raw weights, shape (B,), of the exact Gaussian core
+    rows are flat SPD_LAYOUT or HM_LAYOUT points, all of one kind (read
+    from the width, 9 or 11); angles need not be wrapped.  Returns the
+    normalized states, shape (B, cutoff + 1), and the raw weights, shape
+    (B,), of the exact Gaussian core
     (_closed_form_rows): the heralded state of untruncated inputs,
     truncated at the output.  Where the input tails above the cutoff
     vanish, these are row by row the state and weight of
-    conditional_output(vector_to_params(row, kind), cutoff,
+    conditional_output(vector_to_params(row), cutoff,
     check_input_tail=False), which truncates the inputs; elsewhere they
     differ by about the input tail mass.
 
@@ -553,15 +559,14 @@ def conditional_output_batch(
     does.
     """
     rows = np.asarray(rows, dtype=float)
-    width = len(layout_for_kind(kind))
-    if rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"expected rows of {width} entries for {kind}")
+    if rows.ndim != 2:
+        raise ValueError(f"expected one flat point per row, got shape {rows.shape}")
     states = np.zeros((len(rows), cutoff + 1), dtype=np.complex128)
     weights = np.zeros(len(rows))
-    scalar = ~_regular_rows(rows, kind)
+    scalar = ~_regular_rows(rows)
     sel = np.flatnonzero(~scalar)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d, log_c = _closed_form_rows(rows[sel], kind, cutoff)
+        d, log_c = _closed_form_rows(rows[sel], cutoff)
         norm_sq = np.sum(np.abs(d) ** 2, axis=1)
         weight = np.exp(2.0 * log_c.real + np.log(norm_sq))
     finite = np.isfinite(d).all(axis=1) & np.isfinite(norm_sq) & np.isfinite(log_c)
@@ -572,7 +577,7 @@ def conditional_output_batch(
     states[sel] = d * scale[:, None]
     weights[sel] = weight[finite]
     for i in np.flatnonzero(scalar):
-        out = conditional_output(vector_to_params(rows[i], kind), cutoff, check_input_tail=False)
+        out = conditional_output(vector_to_params(rows[i]), cutoff, check_input_tail=False)
         states[i] = out.state.amps
         weights[i] = out.raw_weight
     return states, weights

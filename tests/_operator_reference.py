@@ -1,10 +1,24 @@
-"""Number-basis matrices of the squeeze and displacement operators.
+"""Independent operator references for the tests.
 
-Independent references for the state constructors: each element comes
-from its own closed form, with no recurrence shared with the package.
+Number-basis matrices of the squeeze and displacement operators, the
+references for the state constructors: each element comes from its own
+closed form, with no recurrence shared with the package.  The loss channel
+as an explicit vacuum-ancilla dilation, the reference for the closed-form
+loss amplitudes of heraldkit.imperfections.
 """
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
+
+from heraldkit.fock import (
+    MODE_SECOND,
+    BeamSplitterSpec,
+    DensityMatrix,
+    FockVector,
+    beam_splitter_apply,
+    partial_trace,
+    tensor,
+    vacuum,
+)
 
 
 def squeeze_operator_matrix(zeta: complex, cutoff: int) -> np.ndarray:
@@ -67,3 +81,17 @@ def displacement_operator_matrix(alpha: complex, cutoff: int) -> np.ndarray:
             if m_row != n_col:
                 out[n_col, m_row] = base * (-np.conj(a)) ** d
     return out
+
+
+def loss_dilation(state: FockVector, eta: float) -> DensityMatrix:
+    """Loss of efficiency eta on a pure state: a beam splitter of
+    transmittance eta couples it to a vacuum ancilla, which is traced out.
+
+    Exact on the truncated space because the ancilla starts in vacuum, so no
+    sector exceeds the cutoff.
+    """
+    joint = tensor(state, vacuum(state.cutoff))
+    mixed, dropped = beam_splitter_apply(joint, BeamSplitterSpec(eta))
+    if dropped != 0.0:
+        raise AssertionError("loss dilation must conserve the truncated support")
+    return partial_trace(mixed, MODE_SECOND)

@@ -170,7 +170,7 @@ def test_criterion_4_analytic_limits():
     crit.check(dev <= 1e-12, f"resource zeta=0: coefficient dev {dev:.3e}")
 
     eta = 0.7
-    rho = loss_channel(basis_state(1, 10), eta, 10)
+    rho = loss_channel(basis_state(1, 10), eta)
     expect = np.zeros((11, 11))
     expect[0, 0] = 1.0 - eta
     expect[1, 1] = eta
@@ -178,7 +178,7 @@ def test_criterion_4_analytic_limits():
     crit.check(dev <= 1e-10, f"single-photon loss: matrix dev {dev:.3e}")
 
     alpha = 1.2
-    rho = loss_channel(coherent_state(alpha, 40), eta, 40)
+    rho = loss_channel(coherent_state(alpha, 40), eta)
     f = fidelity(coherent_state(math.sqrt(eta) * alpha, 40), rho)
     crit.check(f >= 1.0 - 1e-10, f"coherent loss: fidelity {f}")
 
@@ -204,8 +204,8 @@ def test_criterion_5_imperfection_properties():
         crit.check(f >= 1.0 - 1e-12, f"{row_id}: eta=1 pipeline fidelity {f}")
 
     v = binomial_state(0.4, 6, 30)
-    once = loss_channel(loss_channel(v, 0.9, 30), 0.8, 30)
-    direct = loss_channel(v, 0.72, 30)
+    once = loss_channel(loss_channel(v, 0.9), 0.8)
+    direct = loss_channel(v, 0.72)
     dev = float(np.max(np.abs(once.rho - direct.rho)))
     crit.check(dev <= 1e-10, f"composition law: matrix dev {dev:.3e}")
 

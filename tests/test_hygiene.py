@@ -1,6 +1,7 @@
 """Package hygiene: every name a module imports is used in that module,
-every private module-level name and every tolerance constant is read, and
-every function the benchmark tracer wraps exists."""
+every private module-level name and every tolerance constant is read, every
+package function and method is read somewhere in the repository, and every
+function the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "heraldkit"
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "heraldkit"
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,6 +73,43 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     return sorted(f"{module}.{name}" for module, name in defined if name not in read)
 
 
+def unread_members(package: dict[str, str], readers: list[str]) -> list[str]:
+    """module.function of every module-level function of the package, and
+    module.Class.method of every method of its classes (dunders exempt),
+    that none of the reader sources reads.
+
+    package maps module names to their source.  A function counts as read
+    where it is loaded or imported by name, taken as an attribute, or named
+    in a string (bench/tracing.py names the functions it wraps); a method
+    only where it is loaded as an attribute.
+    """
+    functions, methods = [], []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                methods += [
+                    f"{module}.{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    names, attributes = set(), set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    unread = [f for f in functions if f.rsplit(".", 1)[1] not in names | attributes]
+    unread += [m for m in methods if m.rsplit(".", 1)[1] not in attributes]
+    return sorted(unread)
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
@@ -86,6 +125,17 @@ def test_unread_definitions_are_found():
     assert unread_definitions(sources) == ["a._spare", "tolerances.SPARE"]
 
 
+def test_unread_members_are_found():
+    package = {
+        "a": "def called():\n    pass\ndef traced():\n    pass\ndef spare():\n    pass\n"
+             "class C:\n    def __init__(self):\n        self.stored = 1\n"
+             "    def used(self):\n        return called()\n"
+             "    def stored(self):\n        pass\n",
+    }
+    readers = [package["a"], "WRAPPED = [('a', 'traced')]\nC().used()\n"]
+    assert unread_members(package, readers) == ["a.C.stored", "a.spare"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -94,6 +144,13 @@ def test_module_uses_every_import(path):
 def test_private_names_and_tolerances_are_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def test_package_functions_and_methods_are_read():
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unread_members(package, readers) == []
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

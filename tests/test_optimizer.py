@@ -1,8 +1,13 @@
 """Seeded GA search, bounds/mask plumbing, and simplex polish."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heraldkit import optimizer
 from heraldkit.errors import ConfigError, NormalizationError
 from heraldkit.optimizer import (
     Bounds,
@@ -16,7 +21,14 @@ from heraldkit.optimizer import (
     vector_to_params,
 )
 from heraldkit.optimizer import _reflect_into, layout_for_kind
-from heraldkit.scheme import HM, SPD, SchemeParams, conditional_output, misfit
+from heraldkit.scheme import (
+    HM,
+    SPD,
+    SchemeParams,
+    conditional_output,
+    conditional_output_batch,
+    misfit,
+)
 from heraldkit.states import Binomial, SqueezedCoherentParams, target_state
 
 ROW_BINOM_SPD = SchemeParams(
@@ -103,15 +115,57 @@ def test_ga_config_validation_paths():
 
 def test_vector_params_round_trip():
     for p in (ROW_BINOM_SPD, ROW_BINOM_HM):
-        vec, kind, window = params_to_vector(p)
-        back = vector_to_params(vec, kind, window)
+        vec, _, window = params_to_vector(p)
+        back = vector_to_params(vec, window)
         assert back == p
     # angles wrap on assembly
     vec, _, _ = params_to_vector(ROW_BINOM_SPD)
     vec[1] += 2 * np.pi
-    assert vector_to_params(vec, "spd").in1.theta == pytest.approx(
+    assert vector_to_params(vec).in1.theta == pytest.approx(
         ROW_BINOM_SPD.in1.theta
     )
+
+
+_ANGLE = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+_ARM = st.builds(SqueezedCoherentParams, st.floats(0.0, 1.7), _ANGLE, st.floats(0.0, 4.0), _ANGLE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(in1=_ARM, in2=_ARM, t=st.floats(0.1, 0.9), window=st.floats(0.0, 1.0),
+       reading=st.one_of(st.none(), st.tuples(st.floats(0.0, 4.0), _ANGLE)))
+def test_vector_round_trip_reads_kind_from_length(in1, in2, t, window, reading):
+    meas = SPD() if reading is None else HM(*reading, window)
+    p = SchemeParams(in1, in2, t, meas)
+    assert vector_to_params(params_to_vector(p)[0], window) == p
+
+
+def test_flat_point_of_another_width_is_refused():
+    vec = np.append(params_to_vector(ROW_BINOM_SPD)[0], 0.5)
+    with pytest.raises(ValueError, match="not 10"):
+        vector_to_params(vec)
+    with pytest.raises(ValueError, match="not 10"):
+        conditional_output_batch(vec[None], 20)
+    with pytest.raises(ValueError, match="not 10"):
+        objective_batch(vec[None], Binomial(0.3, 7), 20)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the search ran")
+
+
+@pytest.mark.parametrize("kind", ["SPD", SPD, HM(0.0, 0.0, 0.25)],
+                         ids=["upper", "class", "instance"])
+def test_optimize_takes_kind_only_as_lower_case_name(kind, monkeypatch):
+    monkeypatch.setattr(optimizer, "_run_restart", _no_search)
+    with pytest.raises(ValueError, match="unknown measurement kind"):
+        optimize(Binomial(0.5, 2), kind, cfg=TINY, search_cutoff=12, final_cutoff=12)
+
+
+@pytest.mark.parametrize("window", [-0.5, math.nan, math.inf])
+def test_optimize_checks_window_before_search(window, monkeypatch):
+    monkeypatch.setattr(optimizer, "_run_restart", _no_search)
+    with pytest.raises(ValueError, match="window_halfwidth"):
+        optimize(Binomial(0.3, 7), "hm", window_halfwidth=window)
 
 
 def test_reflect_into_folds_into_box():
@@ -179,8 +233,8 @@ def test_objective_batch_matches_objective():
         hi[[2, 6]] = 1.5
         vecs = lo + rng.uniform(size=(7, len(b.names))) * (hi - lo)
         vecs[1, 0] = 0.0  # coherent input 1
-        got = objective_batch(vecs, kind, Binomial(0.3, 7), 60)
-        want = [objective(vector_to_params(v, kind), Binomial(0.3, 7), 60) for v in vecs]
+        got = objective_batch(vecs, Binomial(0.3, 7), 60)
+        want = [objective(vector_to_params(v), Binomial(0.3, 7), 60) for v in vecs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
@@ -188,11 +242,11 @@ def test_objective_batch_raises_on_impossible_outcome():
     vecs = np.tile(params_to_vector(ROW_BINOM_SPD)[0], (3, 1))
     vecs[2, [0, 2, 4, 6]] = 0.0  # vacuum inputs never click
     with pytest.raises(NormalizationError):
-        objective(vector_to_params(vecs[2], "spd"), Binomial(0.3, 7), 20)
+        objective(vector_to_params(vecs[2]), Binomial(0.3, 7), 20)
     with pytest.raises(NormalizationError):
-        objective_batch(vecs, "spd", Binomial(0.3, 7), 20)
+        objective_batch(vecs, Binomial(0.3, 7), 20)
     with pytest.raises(NormalizationError):
-        local_polish(vector_to_params(vecs[2], "spd"), Binomial(0.3, 7), cutoff=20, max_iters=5)
+        local_polish(vector_to_params(vecs[2]), Binomial(0.3, 7), cutoff=20, max_iters=5)
 
 
 def test_optimize_with_coherent_input_reports_objective():
@@ -236,7 +290,8 @@ def test_optimize_result_shape():
 def test_optimize_hm_kind_carries_window():
     res = optimize(
         Binomial(0.5, 2),
-        HM(0.0, 0.0, 0.25),
+        "hm",
+        window_halfwidth=0.25,
         cfg=GAConfig(population_size=10, generations=6, restarts=1, seed=3),
         search_cutoff=12,
         final_cutoff=12,

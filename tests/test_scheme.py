@@ -245,9 +245,8 @@ def test_zero_squeezing_takes_closed_route(meas, monkeypatch):
     # inputs whole, agrees with the truncating routes
     refs = [output_oracle(p, 60) for p in points]
     monkeypatch.setattr(scheme, "output_oracle", _no_route)
-    kind = params_to_vector(points[0])[1]
     rows = np.array([params_to_vector(p)[0] for p in points])
-    states, weights = conditional_output_batch(rows, kind, 60)
+    states, weights = conditional_output_batch(rows, 60)
     for p, ref, state, weight in zip(points, refs, states, weights):
         out = conditional_output(p, 60)
         for amps, w in ((out.state.amps, out.raw_weight), (state, weight)):
@@ -785,9 +784,8 @@ def input_tail_norm(arm: SqueezedCoherentParams, cutoff: int) -> float:
 
 def batch_amplitudes(points: list[SchemeParams], cutoff: int) -> np.ndarray:
     """Unnormalized batched outputs over |0>..|cutoff>, one row per point."""
-    kind = params_to_vector(points[0])[1]
     rows = np.array([params_to_vector(p)[0] for p in points])
-    states, weights = conditional_output_batch(rows, kind, cutoff)
+    states, weights = conditional_output_batch(rows, cutoff)
     return states * np.sqrt(weights)[:, None]
 
 
@@ -833,8 +831,8 @@ _LIGHT_ARMS = st.builds(
 )
 def test_core_matches_closed_form_where_input_tails_vanish(in1, in2, t, meas):
     p = SchemeParams(in1, in2, t, meas)
-    vec, kind, _ = params_to_vector(p)
-    states, weights = conditional_output_batch(vec[None], kind, 60)
+    vec = params_to_vector(p)[0]
+    states, weights = conditional_output_batch(vec[None], 60)
     ref = conditional_output(p, 60, check_input_tail=False)
     # below a density of about 1e-8 the input tails, small as they are, move
     # the closed form by more than 1e-12 (a 50-digit evaluation of the
@@ -850,7 +848,7 @@ def test_batch_keeps_underflowing_weight_in_log_form(monkeypatch):
     # smallest double; the state must still come out whole from the batch
     row = np.array([1.306, 3.966, 3.238, 5.876, 1.557, 1.413, 2.692, 3.725, 0.223, 3.469, 2.249])
     monkeypatch.setattr(scheme, "conditional_output", _no_route)
-    states, weights = conditional_output_batch(row[None], "hm", 30)
+    states, weights = conditional_output_batch(row[None], 30)
     assert np.all(np.isfinite(states))
     assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= weights[0] < 1e-300
@@ -861,7 +859,7 @@ def test_batch_evaluates_every_box_corner(kind, monkeypatch):
     b = Bounds.for_kind(kind)
     rows = np.array(list(itertools.product(*zip(b.lower, b.upper))))
     monkeypatch.setattr(scheme, "conditional_output", _no_route)
-    states, weights = conditional_output_batch(rows, kind, tol.SEARCH_CUTOFF)
+    states, weights = conditional_output_batch(rows, tol.SEARCH_CUTOFF)
     assert np.all(np.isfinite(states)) and np.all(np.isfinite(weights))
     norms = np.linalg.norm(states, axis=1)
     # only vacuum in both arms cannot herald, and only under SPD
@@ -876,17 +874,17 @@ def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
     rows[1, 0] = 0.0                       # coherent input 1
     rows[3, 4] = 5e-9                      # nearly coherent input 2
     rows[4, 1] += 2.0 * math.pi            # unwrapped angle stays regular
-    for kind, width in (("hm", 11), ("spd", 9)):
+    for width in (11, 9):
         # at cutoff 60 the input tails vanish, so the scalar route agrees
         refs = {
-            i: conditional_output(vector_to_params(rows[i, :width], kind), 60,
+            i: conditional_output(vector_to_params(rows[i, :width]), 60,
                                   check_input_tail=False)
             for i in (1, 3)
         }
         # no row leaves the batch for the scalar route
         with monkeypatch.context() as m:
             m.setattr(scheme, "conditional_output", _no_route)
-            states, weights = conditional_output_batch(rows[:, :width], kind, 60)
+            states, weights = conditional_output_batch(rows[:, :width], 60)
         for i, ref in refs.items():
             assert abs(np.vdot(ref.state.amps, states[i])) == pytest.approx(1.0, abs=1e-12)
             assert weights[i] == pytest.approx(ref.raw_weight, rel=1e-12)
@@ -899,11 +897,11 @@ def test_batch_raises_where_scalar_route_raises():
     rows = np.tile(vec, (3, 1))
     rows[2, 8] = 0.95
     with pytest.raises(ValueError, match="transmittance"):
-        conditional_output_batch(rows[:, :9], "spd", 20)
+        conditional_output_batch(rows[:, :9], 20)
     rows[2, 8] = 0.42
     rows[1, 9] = 4.5
     with pytest.raises(ValueError, match="quadrature value"):
-        conditional_output_batch(rows, "hm", 20)
+        conditional_output_batch(rows, 20)
 
 
 def test_spd_high_cutoff_stays_finite():
