@@ -10,6 +10,11 @@ infinite output value), 3 regression gate failure from
 reproduce-table.  Config files are validated before any computation, and
 output files are only written once the computation has finished and every
 value bound for them is finite, so a failing run leaves no partial outputs.
+
+Each config section has one schema table (key -> kind of value, default,
+range) and _read checks a section against it, so a key that the command
+would not read is refused: an unknown key, or one that belongs to another
+target family, measurement kind or sweep mode than the one chosen.
 """
 from __future__ import annotations
 
@@ -99,165 +104,255 @@ def _fmt(value: float | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# schema validation
+# schema: one table per config section, read by one reader
 
 
-def _as_mapping(obj: Any, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"expected a mapping, got {type(obj).__name__}")
-    return obj
+_REQUIRED = object()
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
 
 
-def _check_keys(d: dict, path: str, allowed: set[str], required: set[str]) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        key = sorted(str(k) for k in unknown)[0]
-        raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-    missing = required - set(d)
-    if missing:
-        key = sorted(missing)[0]
-        raise ConfigError(f"{path}.{key}" if path else key, "required key missing")
+def _key(kind, default: Any = _REQUIRED, rng: str = "") -> tuple:
+    """One entry of a schema table: kind of value, default and range.
+
+    kind is int, bool or str, a checker (value, path) -> value, a tuple of
+    the allowed strings, or [kind] for a list.  A key whose default is
+    _REQUIRED must be given.  rng is an interval such as "[0, 1)" or
+    "(0, inf)" that a number, or each number of a list, must lie in.
+    """
+    return kind, default, rng
 
 
 def _sub(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _mapping(v: Any, path: str) -> dict:
+    """A config mapping; an absent (null) one reads as empty."""
+    if v is None:
+        return {}
+    if not isinstance(v, dict):
+        raise ConfigError(path, f"expected a mapping, got {type(v).__name__}")
+    return v
 
 
 def _number(v: Any, path: str) -> float:
     """A finite real config value; YAML's .nan and .inf are refused."""
-    if not _is_number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {v!r}")
     if not math.isfinite(v):
         raise ConfigError(path, f"expected a finite number, got {v!r}")
     return float(v)
 
 
-def _get_number(d: dict, path: str, key: str, default=None, lo=None, hi=None) -> float:
-    if key not in d:
-        if default is None:
-            raise ConfigError(_sub(path, key), "required key missing")
-        return default
-    v = _number(d[key], _sub(path, key))
-    if lo is not None and v < lo:
-        raise ConfigError(_sub(path, key), f"{v} below minimum {lo}")
-    if hi is not None and v > hi:
-        raise ConfigError(_sub(path, key), f"{v} above maximum {hi}")
-    return v
-
-
-def _get_number_list(d: dict, path: str, key: str) -> list[float]:
-    v = d.get(key)
-    if not isinstance(v, list) or not all(map(_is_number, v)):
-        raise ConfigError(_sub(path, key), "expected a list of numbers")
-    return [_number(x, f"{_sub(path, key)}[{i}]") for i, x in enumerate(v)]
-
-
-def _get_int(d: dict, path: str, key: str, default=None, lo=None) -> int:
-    if key not in d:
-        if default is None:
-            raise ConfigError(_sub(path, key), "required key missing")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(_sub(path, key), f"expected an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(_sub(path, key), f"{v} below minimum {lo}")
-    return v
-
-
-def _get_bool(d: dict, path: str, key: str, default: bool) -> bool:
-    if key not in d:
-        return default
-    v = d[key]
-    if not isinstance(v, bool):
-        raise ConfigError(_sub(path, key), f"expected true or false, got {v!r}")
-    return v
-
-
-def _get_str(d: dict, path: str, key: str, choices: tuple[str, ...], default=None) -> str:
-    if key not in d:
-        if default is None:
-            raise ConfigError(_sub(path, key), "required key missing")
-        return default
-    v = d[key]
-    if not isinstance(v, str) or v not in choices:
-        raise ConfigError(_sub(path, key), f"expected one of {choices}, got {v!r}")
-    return v
-
-
-def _get_complex(d: dict, path: str, key: str) -> complex:
+def _complex(v: Any, path: str) -> complex:
     """Accept a real number, an [re, im] pair, or a python complex literal."""
-    if key not in d:
-        raise ConfigError(_sub(path, key), "required key missing")
-    v = d[key]
     if isinstance(v, bool):
-        raise ConfigError(_sub(path, key), f"expected a number, got {v!r}")
+        raise ConfigError(path, f"expected a number, got {v!r}")
     if isinstance(v, (int, float)):
         z = complex(v)
     elif isinstance(v, str):
         try:
             z = complex(v.replace(" ", ""))
         except ValueError:
-            raise ConfigError(_sub(path, key), f"cannot parse {v!r} as complex") from None
-    elif isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
-        z = complex(v[0], v[1])
+            raise ConfigError(path, f"cannot parse {v!r} as complex") from None
+    elif isinstance(v, list) and len(v) == 2:
+        z = complex(_number(v[0], path), _number(v[1], path))
     else:
-        raise ConfigError(
-            _sub(path, key), "expected a number, an [re, im] pair, or a complex literal"
-        )
+        raise ConfigError(path, "expected a number, an [re, im] pair, or a complex literal")
     if not cmath.isfinite(z):
-        raise ConfigError(_sub(path, key), f"expected a finite number, got {v!r}")
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
     return z
 
 
+def _select_rows(selector: Any, path: str) -> tuple[ReferenceRow, ...]:
+    if selector is None or selector == "designated":
+        return designated_rows()
+    if selector == "all":
+        return all_rows()
+    if isinstance(selector, list):
+        if not all(isinstance(s, str) for s in selector):
+            raise ConfigError(path, "expected row id strings")
+        try:
+            return tuple(get_row(s) for s in selector)
+        except KeyError as exc:
+            raise ConfigError(path, str(exc.args[0])) from None
+    raise ConfigError(path, "expected 'designated', 'all', or a list of ids")
+
+
+def _check_range(v: float, rng: str, path: str) -> None:
+    lo, hi = (float(end) for end in rng[1:-1].split(","))
+    if rng[0] == "(" and v <= lo:
+        raise ConfigError(path, f"{v} must be above {lo:g}")
+    if v < lo:
+        raise ConfigError(path, f"{v} below minimum {lo:g}")
+    if rng[-1] == ")" and v >= hi:
+        raise ConfigError(path, f"{v} must be below {hi:g}")
+    if v > hi:
+        raise ConfigError(path, f"{v} above maximum {hi:g}")
+
+
+def _value(v: Any, spec: tuple, path: str) -> Any:
+    """One config value checked against the kind and range of its key."""
+    kind, default, rng = spec
+    if isinstance(kind, list):
+        if not isinstance(v, list):
+            raise ConfigError(path, "expected a list")
+        return tuple(_value(x, (kind[0], default, rng), f"{path}[{i}]") for i, x in enumerate(v))
+    if isinstance(kind, tuple):
+        if v not in kind:
+            raise ConfigError(path, f"expected one of {kind}, got {v!r}")
+        return v
+    if kind in _TYPE_NAMES:
+        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+            raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {v!r}")
+    else:
+        v = kind(v, path)
+    if rng:
+        _check_range(v, rng, path)
+    return v
+
+
+def _field(d: dict, key: str, spec: tuple, path: str) -> Any:
+    if key in d:
+        return _value(d[key], spec, _sub(path, key))
+    if spec[1] is _REQUIRED:
+        raise ConfigError(_sub(path, key), "required key missing")
+    return spec[1]
+
+
+def _read(d: Any, table: dict | tuple, path: str) -> dict:
+    """The values of config mapping d at path, checked against a schema
+    table, with defaults filled in.
+
+    A table maps each key to a _key entry.  A section whose shape follows
+    a selector key is a (selector, {choice: table}) pair: the selector is
+    read first and the chosen branch's table then holds every other key,
+    so a key that only another branch reads is refused like any unknown key.
+    """
+    d = _mapping(d, path)
+    if isinstance(table, tuple):
+        selector, branches = table
+        spec = _key(tuple(branches))
+        table = {selector: spec, **branches[_field(d, selector, spec, path)]}
+    unknown = sorted(str(k) for k in d if k not in table)
+    if unknown:
+        raise ConfigError(_sub(path, unknown[0]), "unknown key")
+    return {key: _field(d, key, spec, path) for key, spec in table.items()}
+
+
+_KINDS = ("spd", "hm")
+
+_TOP = {
+    "target": _key(_mapping, None),
+    "cutoff": _key(int, tol.DEFAULT_CUTOFF, "[4, inf)"),
+    "seed": _key(int, 1),
+    "output": _key(str, "."),
+    "evaluate": _key(_mapping, None),
+    "optimize": _key(_mapping, None),
+    "sweep": _key(_mapping, None),
+    "reproduce_table": _key(_mapping, None),
+}
+
+# each family's keys in the order of its spec's fields
+_TARGET = ("family", {
+    "binomial": {"p": _key(_number, rng="[0, 1]"), "M": _key(int, rng="[1, inf)")},
+    "negative_binomial": {
+        "eta": _key(_number, rng="[0, 1)"),
+        "M": _key(int, rng="[1, inf)"),
+        "varphi": _key(_number, 0.0),
+    },
+    "amplitude_squeezed": {
+        "alpha0": _key(_number, rng="(0, inf)"),
+        "u": _key(_number, rng="(0, inf)"),
+        "delta": _key(_number, rng="[0, inf)"),
+    },
+    "resource": {"zeta": _key(_complex), "chi_prime": _key(_complex)},
+    "adhoc": {"coefficients": _key([_complex])},
+})
+_FAMILIES = {
+    "binomial": Binomial,
+    "negative_binomial": NegativeBinomial,
+    "amplitude_squeezed": AmplitudeSqueezed,
+    "resource": Resource,
+    "adhoc": AdHoc,
+}
+
+_SPD_PARAMS = {name: _key(_number) for name in SPD_LAYOUT}
+_PARAMS = {
+    "spd": _SPD_PARAMS,
+    "hm": {
+        **_SPD_PARAMS,
+        "x": _key(_number, rng="[0, 4]"),
+        "lam": _key(_number),
+        "delta": _key(_number, 0.0, "[0, inf)"),
+    },
+}
+
+_EVALUATE = {
+    "kind": _key(_KINDS),
+    "params": _key(_mapping),
+    "strict_tails": _key(bool, True),
+}
+
+_OPTIMIZE_SPD = {
+    "search_cutoff": _key(int, tol.SEARCH_CUTOFF, "[4, inf)"),
+    "polish_iters": _key(int, 0, "[0, inf)"),
+    "ga": _key(_mapping, None),
+    "mask": _key(_mapping, None),
+    "bounds": _key(_mapping, None),
+}
+_OPTIMIZE = ("kind", {
+    "spd": _OPTIMIZE_SPD,
+    "hm": {**_OPTIMIZE_SPD, "window_halfwidth": _key(_number, 0.0, "[0, inf)")},
+})
+
+_GA = {
+    "population_size": _key(int, GAConfig.population_size, "[1, inf)"),
+    "generations": _key(int, GAConfig.generations, "[1, inf)"),
+    "tournament_size": _key(int, GAConfig.tournament_size, "[1, inf)"),
+    "crossover_rate": _key(_number, GAConfig.crossover_rate, "[0, 1]"),
+    "mutation_sigma_fraction": _key(_number, GAConfig.mutation_sigma_fraction, "[0, inf)"),
+    "elitism_count": _key(int, GAConfig.elitism_count, "[0, inf)"),
+    "restarts": _key(int, GAConfig.restarts, "[1, inf)"),
+}
+
+_SWEEP_POINT = {"kind": _key(_KINDS), "params": _key(_mapping)}
+_SWEEP = ("mode", {
+    "deviation": {
+        **_SWEEP_POINT,
+        "deviations": _key([_number], rng="[0, 0.2]"),
+        "sampling": _key(("signed_uniform", "worst_case"), "signed_uniform"),
+        "n_samples": _key(int, 50, "[1, inf)"),
+    },
+    "efficiency": {
+        **_SWEEP_POINT,
+        "etas": _key([_number], rng="[0, 1]"),
+        "which": _key(("det", "signal", "both"), "det"),
+        "strict_tails": _key(bool, False),
+    },
+})
+
+_REPRODUCE = {
+    "rows": _key(_select_rows, designated_rows()),
+    "polish_iters": _key(int, 400, "[0, inf)"),
+    "tolerance": _key(_mapping, None),
+    "overrides": _key(_mapping, None),
+}
+
+_TOLERANCE = {
+    "eps_raw_max": _key(_number, 5e-2, "[0, inf)"),
+    "eps_polish_factor": _key(_number, 10.0, "[1, inf)"),
+    "p_abs": _key(_number, 0.05, "[0, inf)"),
+    "eps_avg_max": _key(_number, 1e-2, "[0, inf)"),
+}
+
+
 def parse_target(d: Any, path: str = "target") -> TargetSpec:
-    d = _as_mapping(d, path)
-    family = _get_str(
-        d, path, "family",
-        ("binomial", "negative_binomial", "amplitude_squeezed", "resource", "adhoc"),
-    )
-    if family == "binomial":
-        _check_keys(d, path, {"family", "p", "M"}, {"p", "M"})
-        return _construct(
-            path, Binomial,
-            _get_number(d, path, "p", lo=0.0, hi=1.0), _get_int(d, path, "M", lo=1),
-        )
-    if family == "negative_binomial":
-        _check_keys(d, path, {"family", "eta", "M", "varphi"}, {"eta", "M"})
-        eta = _get_number(d, path, "eta", lo=0.0, hi=1.0)
-        if eta >= 1.0:
-            raise ConfigError(_sub(path, "eta"), "must be strictly below 1")
-        return _construct(
-            path, NegativeBinomial,
-            eta,
-            _get_int(d, path, "M", lo=1),
-            _get_number(d, path, "varphi", default=0.0),
-        )
-    if family == "amplitude_squeezed":
-        _check_keys(d, path, {"family", "alpha0", "u", "delta"}, {"alpha0", "u", "delta"})
-        return _construct(
-            path, AmplitudeSqueezed,
-            _get_number(d, path, "alpha0", lo=0.0),
-            _get_number(d, path, "u", lo=0.0),
-            _get_number(d, path, "delta"),
-        )
-    if family == "resource":
-        _check_keys(d, path, {"family", "zeta", "chi_prime"}, {"zeta", "chi_prime"})
-        return _construct(
-            path, Resource, _get_complex(d, path, "zeta"), _get_complex(d, path, "chi_prime")
-        )
-    _check_keys(d, path, {"family", "coefficients"}, {"coefficients"})
-    coeffs = d["coefficients"]
-    if not isinstance(coeffs, list) or not coeffs:
+    vals = _read(d, _TARGET, path)
+    family = vals.pop("family")
+    if family == "adhoc" and not vals["coefficients"]:
         raise ConfigError(_sub(path, "coefficients"), "expected a non-empty list")
-    parsed = []
-    for i, c in enumerate(coeffs):
-        parsed.append(_get_complex({"c": c}, f"{path}.coefficients[{i}]", "c"))
-    return _construct(path, AdHoc, tuple(parsed))
+    return _construct(path, _FAMILIES[family], *vals.values())
 
 
 def _construct(path: str, builder, *args):
@@ -269,85 +364,37 @@ def _construct(path: str, builder, *args):
 
 
 def parse_params(d: Any, kind: str, path: str) -> SchemeParams:
-    d = _as_mapping(d, path)
-    allowed = set(SPD_LAYOUT)
-    required = set(SPD_LAYOUT)
-    if kind == "hm":
-        allowed |= {"x", "lam", "delta"}
-        required |= {"x", "lam"}
-    _check_keys(d, path, allowed, required)
-    vals = {k: _get_number(d, path, k) for k in SPD_LAYOUT}
-    if kind == "hm":
-        meas: SPD | HM = _construct(
-            path,
-            HM,
-            _get_number(d, path, "x", lo=0.0, hi=4.0),
-            _get_number(d, path, "lam"),
-            _get_number(d, path, "delta", default=0.0, lo=0.0),
-        )
-    else:
-        meas = SPD()
+    v = _read(d, _PARAMS[kind], path)
+    meas = _construct(path, HM, v["x"], v["lam"], v["delta"]) if kind == "hm" else SPD()
     return _construct(
         path,
         SchemeParams,
-        _construct(path, SqueezedCoherentParams,
-                   vals["r1"], vals["theta1"], vals["alpha1"], vals["phi1"]),
-        _construct(path, SqueezedCoherentParams,
-                   vals["r2"], vals["theta2"], vals["alpha2"], vals["phi2"]),
-        vals["T"],
+        _construct(path, SqueezedCoherentParams, v["r1"], v["theta1"], v["alpha1"], v["phi1"]),
+        _construct(path, SqueezedCoherentParams, v["r2"], v["theta2"], v["alpha2"], v["phi2"]),
+        v["T"],
         meas,
     )
 
 
-def parse_ga(d: Any, path: str, seed: int) -> GAConfig:
-    if d is None:
-        return GAConfig(seed=seed)
-    d = _as_mapping(d, path)
-    fields = {
-        "population_size", "generations", "tournament_size", "crossover_rate",
-        "mutation_sigma_fraction", "elitism_count", "restarts",
-    }
-    _check_keys(d, path, fields, set())
-    base = GAConfig()
-    return GAConfig(
-        population_size=_get_int(d, path, "population_size", base.population_size, lo=1),
-        generations=_get_int(d, path, "generations", base.generations, lo=1),
-        tournament_size=_get_int(d, path, "tournament_size", base.tournament_size, lo=1),
-        crossover_rate=_get_number(d, path, "crossover_rate", base.crossover_rate, 0.0, 1.0),
-        mutation_sigma_fraction=_get_number(
-            d, path, "mutation_sigma_fraction", base.mutation_sigma_fraction, 0.0
-        ),
-        elitism_count=_get_int(d, path, "elitism_count", base.elitism_count, lo=0),
-        restarts=_get_int(d, path, "restarts", base.restarts, lo=1),
-        seed=seed,
-    )
-
-
-def parse_mask(d: Any, kind: str, path: str) -> FixedMask:
-    if d is None:
-        return FixedMask.free(kind)
-    d = _as_mapping(d, path)
-    names = layout_for_kind(kind)
-    _check_keys(d, path, set(names), set())
-    pins = {k: _get_number(d, path, k) for k in d}
-    return FixedMask.pin(kind, **pins)
+def _pins(d: Any, kind: str, path: str) -> dict[str, float]:
+    """The dimensions a mapping pins, by name: a mask or a row override."""
+    table = {name: _key(_number, None) for name in layout_for_kind(kind)}
+    return {k: v for k, v in _read(d, table, path).items() if v is not None}
 
 
 def parse_bounds(d: Any, kind: str, path: str) -> Bounds:
     base = Bounds.for_kind(kind)
-    if d is None:
-        return base
-    d = _as_mapping(d, path)
-    _check_keys(d, path, set(base.names), set())
+    pairs = _read(d, {name: _key([_number], None) for name in base.names}, path)
     lower = list(base.lower)
     upper = list(base.upper)
-    for key, pair in d.items():
-        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
-            raise ConfigError(_sub(path, key), "expected a [lo, hi] pair")
-        i = base.names.index(key)
+    for i, (key, pair) in enumerate(pairs.items()):
+        if pair is None:
+            continue
         if base.periodic[i]:
             raise ConfigError(_sub(path, key), "angle bounds are fixed at [0, 2*pi)")
-        lower[i], upper[i] = (_number(c, f"{_sub(path, key)}[{j}]") for j, c in enumerate(pair))
+        if len(pair) != 2:
+            raise ConfigError(_sub(path, key), "expected a [lo, hi] pair")
+        lower[i], upper[i] = pair
     return Bounds(base.names, tuple(lower), tuple(upper), base.periodic)
 
 
@@ -412,12 +459,11 @@ def _say(quiet: bool, text: str) -> None:
 
 
 def cmd_evaluate(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> int:
-    section = _as_mapping(cfg.get("evaluate"), "evaluate")
-    _check_keys(section, "evaluate", {"kind", "params", "strict_tails"}, {"kind", "params"})
-    kind = _get_str(section, "evaluate", "kind", ("spd", "hm"))
-    strict = _get_bool(section, "evaluate", "strict_tails", True)
+    section = _read(cfg["evaluate"], _EVALUATE, "evaluate")
+    kind = section["kind"]
+    strict = section["strict_tails"]
     params = parse_params(section["params"], kind, "evaluate.params")
-    spec = parse_target(cfg.get("target"), "target")
+    spec = parse_target(cfg["target"])
 
     tgt = target_state(spec, cutoff, check_tail=strict)
     out, eps, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=strict)
@@ -437,27 +483,20 @@ def cmd_evaluate(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
 
 
 def cmd_optimize(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> int:
-    section = _as_mapping(cfg.get("optimize"), "optimize")
-    _check_keys(
-        section, "optimize",
-        {"kind", "window_halfwidth", "ga", "mask", "bounds", "search_cutoff", "polish_iters"},
-        {"kind"},
-    )
-    kind = _get_str(section, "optimize", "kind", ("spd", "hm"))
-    whw = _get_number(section, "optimize", "window_halfwidth", default=0.0, lo=0.0)
-    search_cutoff = _get_int(section, "optimize", "search_cutoff", tol.SEARCH_CUTOFF, lo=4)
-    polish_iters = _get_int(section, "optimize", "polish_iters", 0, lo=0)
-    ga = parse_ga(section.get("ga"), "optimize.ga", seed)
-    mask = parse_mask(section.get("mask"), kind, "optimize.mask")
-    bounds = parse_bounds(section.get("bounds"), kind, "optimize.bounds")
-    spec = parse_target(cfg.get("target"), "target")
+    section = _read(cfg["optimize"], _OPTIMIZE, "optimize")
+    kind = section["kind"]
+    ga = GAConfig(**_read(section["ga"], _GA, "optimize.ga"), seed=seed)
+    mask = FixedMask.pin(kind, **_pins(section["mask"], kind, "optimize.mask"))
+    bounds = parse_bounds(section["bounds"], kind, "optimize.bounds")
+    spec = parse_target(cfg["target"])
 
     result = optimize(
         spec, kind, bounds=bounds, mask=mask, cfg=ga,
-        window_halfwidth=whw, search_cutoff=search_cutoff, final_cutoff=cutoff,
+        window_halfwidth=section.get("window_halfwidth", 0.0),
+        search_cutoff=section["search_cutoff"], final_cutoff=cutoff,
     )
-    if polish_iters > 0:
-        result = local_polish(result, spec, cutoff, max_iters=polish_iters, mask=mask)
+    if section["polish_iters"] > 0:
+        result = local_polish(result, spec, cutoff, max_iters=section["polish_iters"], mask=mask)
 
     label = target_label(spec)
     row = make_table_row(
@@ -468,7 +507,7 @@ def cmd_optimize(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
         "kind": kind,
         "seed": result.seed,
         "cutoff": cutoff,
-        "search_cutoff": search_cutoff,
+        "search_cutoff": section["search_cutoff"],
         "evaluations": result.evaluations_count,
         "best_misfit": result.best_misfit,
         "success_prob": result.success_prob,
@@ -489,36 +528,21 @@ def cmd_optimize(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
 
 
 def cmd_sweep(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> int:
-    section = _as_mapping(cfg.get("sweep"), "sweep")
-    _check_keys(
-        section, "sweep",
-        {"mode", "kind", "params", "deviations", "sampling", "n_samples",
-         "etas", "which", "strict_tails"},
-        {"mode", "kind", "params"},
-    )
-    mode = _get_str(section, "sweep", "mode", ("deviation", "efficiency"))
-    kind = _get_str(section, "sweep", "kind", ("spd", "hm"))
-    params = parse_params(section["params"], kind, "sweep.params")
-    spec = parse_target(cfg.get("target"), "target")
-    tgt = target_state(spec, cutoff, check_tail=False)
+    section = _read(cfg["sweep"], _SWEEP, "sweep")
+    mode = section["mode"]
+    params = parse_params(section["params"], section["kind"], "sweep.params")
+    tgt = target_state(parse_target(cfg["target"]), cutoff, check_tail=False)
 
     if mode == "deviation":
-        devs = _get_number_list(section, "sweep", "deviations")
-        sampling = _get_str(
-            section, "sweep", "sampling", ("signed_uniform", "worst_case"), "signed_uniform"
-        )
-        n_samples = _get_int(section, "sweep", "n_samples", 50, lo=1)
         points = sweep_parameter_deviation(
-            params, tgt, devs,
-            sampling=sampling, n_samples=n_samples, seed=seed, cutoff=cutoff,
+            params, tgt, section["deviations"],
+            sampling=section["sampling"], n_samples=section["n_samples"],
+            seed=seed, cutoff=cutoff,
         )
     else:
-        etas = _get_number_list(section, "sweep", "etas")
-        which = _get_str(section, "sweep", "which", ("det", "signal", "both"), "det")
-        strict = _get_bool(section, "sweep", "strict_tails", False)
         points = sweep_efficiency(
-            params, tgt, etas,
-            which=which, cutoff=cutoff, check_input_tail=strict,
+            params, tgt, section["etas"],
+            which=section["which"], cutoff=cutoff, check_input_tail=section["strict_tails"],
         )
 
     rows = [
@@ -531,67 +555,36 @@ def cmd_sweep(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> 
     return EXIT_OK
 
 
-def _select_rows(selector) -> tuple[ReferenceRow, ...]:
-    if selector is None or selector == "designated":
-        return designated_rows()
-    if selector == "all":
-        return all_rows()
-    if isinstance(selector, list):
-        if not all(isinstance(s, str) for s in selector):
-            raise ConfigError("reproduce_table.rows", "expected row id strings")
-        try:
-            return tuple(get_row(s) for s in selector)
-        except KeyError as exc:
-            raise ConfigError("reproduce_table.rows", str(exc.args[0])) from None
-    raise ConfigError("reproduce_table.rows", "expected 'designated', 'all', or a list of ids")
-
-
-def _apply_overrides(row: ReferenceRow, overrides: dict, path: str) -> SchemeParams:
+def _override(row: ReferenceRow, d: Any, path: str) -> SchemeParams:
+    """The row's parameters with the dimensions that mapping d pins replaced."""
+    pins = _pins(d, row.kind, path)
+    if not pins:
+        return row.params
     vec, kind, whw = params_to_vector(row.params)
     names = layout_for_kind(kind)
-    for key, val in overrides.items():
-        if key not in names:
-            raise ConfigError(f"{path}.{key}", f"unknown dimension for a {kind} row")
-        vec[names.index(key)] = _number(val, f"{path}.{key}")
+    for name, value in pins.items():
+        vec[names.index(name)] = value
     return _construct(path, vector_to_params, vec, whw)
 
 
 def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> int:
-    section = cfg.get("reproduce_table")
-    if section is None:
-        section = {}
-    section = _as_mapping(section, "reproduce_table")
-    _check_keys(
-        section, "reproduce_table",
-        {"rows", "polish_iters", "tolerance", "overrides"},
-        set(),
-    )
-    rows = _select_rows(section.get("rows"))
-    polish_iters = _get_int(section, "reproduce_table", "polish_iters", 400, lo=0)
-    tol_d = section.get("tolerance")
-    tol_d = {} if tol_d is None else _as_mapping(tol_d, "reproduce_table.tolerance")
-    _check_keys(
-        tol_d, "reproduce_table.tolerance",
-        {"eps_raw_max", "eps_polish_factor", "p_abs", "eps_avg_max"},
-        set(),
-    )
-    eps_raw_max = _get_number(tol_d, "reproduce_table.tolerance", "eps_raw_max", 5e-2, lo=0.0)
-    eps_factor = _get_number(tol_d, "reproduce_table.tolerance", "eps_polish_factor", 10.0, lo=1.0)
-    p_abs = _get_number(tol_d, "reproduce_table.tolerance", "p_abs", 0.05, lo=0.0)
-    eps_avg_max = _get_number(tol_d, "reproduce_table.tolerance", "eps_avg_max", 1e-2, lo=0.0)
-    overrides_d = section.get("overrides")
-    overrides_d = {} if overrides_d is None else _as_mapping(overrides_d, "reproduce_table.overrides")
-    for key in overrides_d:
-        _as_mapping(overrides_d[key], f"reproduce_table.overrides.{key}")
+    section = _read(cfg["reproduce_table"], _REPRODUCE, "reproduce_table")
+    rows = section["rows"]
+    polish_iters = section["polish_iters"]
+    limits = _read(section["tolerance"], _TOLERANCE, "reproduce_table.tolerance")
+    path = "reproduce_table.overrides"
+    # only the selected rows can be overridden
+    table = {row.row_id: _key(_mapping, None) for row in rows}
+    overrides = _read(section["overrides"], table, path)
+    row_params = {
+        row.row_id: _override(row, overrides[row.row_id], _sub(path, row.row_id)) for row in rows
+    }
 
     report: list[list[str]] = []
     lines: list[str] = []
     any_fail = False
     for row in rows:
-        params = row.params
-        ov = overrides_d.get(row.row_id)
-        if ov:
-            params = _apply_overrides(row, ov, f"reproduce_table.overrides.{row.row_id}")
+        params = row_params[row.row_id]
         tgt = target_state(row.target, cutoff, check_tail=False)
         _, eps_raw, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=False)
 
@@ -604,18 +597,18 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
             polished = local_polish(params, tgt, cutoff, max_iters=polish_iters, mask=mask)
             eps_polished = polished.best_misfit
 
-        gate = eps_factor * row.eps
+        gate = limits["eps_polish_factor"] * row.eps
         failures = []
-        if eps_raw > eps_raw_max:
-            failures.append(f"eps_raw {_fmt(eps_raw)} > {_fmt(eps_raw_max)}")
+        if eps_raw > limits["eps_raw_max"]:
+            failures.append(f"eps_raw {_fmt(eps_raw)} > {_fmt(limits['eps_raw_max'])}")
         if eps_polished > gate:
             failures.append(f"eps_polished {_fmt(eps_polished)} > {_fmt(gate)}")
-        if abs(prob - row.success_prob) > p_abs:
+        if abs(prob - row.success_prob) > limits["p_abs"]:
             failures.append(
-                f"P {_fmt(prob)} outside {_fmt(row.success_prob)} +/- {_fmt(p_abs)}"
+                f"P {_fmt(prob)} outside {_fmt(row.success_prob)} +/- {_fmt(limits['p_abs'])}"
             )
-        if row.kind == "hm" and eps_avg is not None and eps_avg > eps_avg_max:
-            failures.append(f"eps_avg {_fmt(eps_avg)} > {_fmt(eps_avg_max)}")
+        if row.kind == "hm" and eps_avg is not None and eps_avg > limits["eps_avg_max"]:
+            failures.append(f"eps_avg {_fmt(eps_avg)} > {_fmt(limits['eps_avg_max'])}")
 
         status = "PASS" if not failures else "FAIL"
         any_fail = any_fail or bool(failures)
@@ -639,23 +632,18 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
 # entry point
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None) -> Any:
+    """The parsed config file, None without one."""
     if path is None:
-        return {}
+        return None
     p = Path(path)
     if not p.exists():
         raise ConfigError("", f"config file not found: {path}")
     try:
-        loaded = yaml.safe_load(p.read_text())
+        return yaml.safe_load(p.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError("", f"cannot parse config: {exc}") from None
-    if loaded is None:
-        return {}
-    return _as_mapping(loaded, "")
 
-
-_TOP_KEYS = {"target", "cutoff", "seed", "output",
-             "evaluate", "optimize", "sweep", "reproduce_table"}
 
 _COMMANDS: dict[str, Callable[[dict, int, int, Path, bool], int]] = {
     "evaluate": cmd_evaluate,
@@ -684,17 +672,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        _check_keys(cfg, "", _TOP_KEYS, set())
-        cutoff = _get_int(cfg, "", "cutoff", tol.DEFAULT_CUTOFF, lo=4)
-        seed = _get_int(cfg, "", "seed", 1)
-        if args.cutoff is not None:
-            cutoff = _get_int({"--cutoff": args.cutoff}, "", "--cutoff", lo=4)
-        if args.seed is not None:
-            seed = args.seed
-        out_dir = Path(args.out if args.out is not None else cfg.get("output", "."))
-        if not isinstance(cfg.get("output", "."), str):
-            raise ConfigError("output", "expected a directory path string")
+        cfg = _read(_load_config(args.config), _TOP, "")
+        cutoff = cfg["cutoff"] if args.cutoff is None else _value(
+            args.cutoff, _TOP["cutoff"], "--cutoff"
+        )
+        seed = cfg["seed"] if args.seed is None else args.seed
+        out_dir = Path(cfg["output"] if args.out is None else args.out)
         return _COMMANDS[args.command](cfg, cutoff, seed, out_dir, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

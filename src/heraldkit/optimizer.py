@@ -23,7 +23,8 @@ SchemeParams or a FockVector; objective wraps the same two calls.
 
 optimize(target, kind, bounds=None, mask=None, cfg=None, *,
 window_halfwidth=0.0, ...) takes kind as "spd" or "hm" and the HM
-acceptance halfwidth only from window_halfwidth, checked before the search.
+acceptance halfwidth only from window_halfwidth, checked before the search
+(a positive one with "spd" is refused).
 objective_batch(V, target, cutoff) reads the kind of the rows of V from
 their width, as scheme.conditional_output_batch does.  The periodic flags
 of Bounds.for_kind are the angle entries of the flat layout
@@ -275,10 +276,11 @@ def optimize(
     """Genetic-algorithm minimization of the conditional-output misfit.
 
     kind is "spd" or "hm"; window_halfwidth is the HM acceptance
-    halfwidth (finite and >= 0, checked before the search).  Tournament
-    selection, blend crossover (shortest-arc on angles), Gaussian mutation
-    with per-dimension sigma equal to mutation_sigma_fraction times the
-    range, elitism, and independent restarts keeping the overall best.  The trace is the running best
+    halfwidth (finite and >= 0, and 0 for SPD; checked before the
+    search).  Tournament selection, blend crossover (shortest-arc on
+    angles), Gaussian mutation with per-dimension sigma equal to
+    mutation_sigma_fraction times the range, elitism, and independent
+    restarts keeping the overall best.  The trace is the running best
     misfit over all generations of all restarts, so it is monotone by
     construction.  The best point is re-scored at final_cutoff; for
     quadrature conditioning with a positive window halfwidth the success
@@ -289,6 +291,8 @@ def optimize(
     names = layout_for_kind(kind)
     if not 0.0 <= window_halfwidth < np.inf:
         raise ValueError(f"window_halfwidth={window_halfwidth} must be finite and >= 0")
+    if kind == "spd" and window_halfwidth > 0.0:
+        raise ValueError(f"window_halfwidth={window_halfwidth} applies to hm only")
     bounds = bounds if bounds is not None else Bounds.for_kind(kind)
     mask = mask if mask is not None else FixedMask.free(kind)
     cfg = cfg if cfg is not None else GAConfig()

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,85 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, command, payload, p
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
     assert f"config error: {path}: expected a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+B37 = {"family": "binomial", "p": 0.3, "M": 7}
+SPD_POINT = {"kind": "spd", "params": ROW2_PARAMS}
+DEVIATION = {"mode": "deviation", **SPD_POINT, "deviations": [0.0, 0.02], "n_samples": 2}
+EFFICIENCY = {"mode": "efficiency", **SPD_POINT, "etas": [0.9, 1.0]}
+TINY_GA = {"population_size": 6, "generations": 1, "restarts": 1}
+
+
+@pytest.mark.parametrize("command,payload,path,message", [
+    ("optimize", {"target": B37, "optimize": {"kind": "spd", "window_halfwidth": 0.3,
+                                              "ga": TINY_GA}},
+     "optimize.window_halfwidth", "unknown key"),
+    ("sweep", {"target": B37, "sweep": dict(DEVIATION, etas=[0.9])},
+     "sweep.etas", "unknown key"),
+    ("sweep", {"target": B37, "sweep": dict(DEVIATION, which="signal")},
+     "sweep.which", "unknown key"),
+    ("sweep", {"target": B37, "sweep": dict(DEVIATION, strict_tails=True)},
+     "sweep.strict_tails", "unknown key"),
+    ("sweep", {"target": B37, "sweep": dict(EFFICIENCY, deviations=[0.3])},
+     "sweep.deviations", "unknown key"),
+    ("sweep", {"target": B37, "sweep": dict(EFFICIENCY, sampling="worst_case")},
+     "sweep.sampling", "unknown key"),
+    ("sweep", {"target": B37, "sweep": dict(EFFICIENCY, n_samples=5)},
+     "sweep.n_samples", "unknown key"),
+    ("sweep", {"target": B37, "sweep": dict(EFFICIENCY, etas=[1.5])},
+     "sweep.etas[0]", "1.5 above maximum 1"),
+    ("sweep", {"target": B37, "sweep": dict(DEVIATION, deviations=[0.0, 0.5])},
+     "sweep.deviations[1]", "0.5 above maximum 0.2"),
+    ("evaluate", {"target": {"family": "amplitude_squeezed", "alpha0": 0, "u": 0.5, "delta": 1.0},
+                  "evaluate": SPD_POINT},
+     "target.alpha0", "0.0 must be above 0"),
+    ("evaluate", {"target": {"family": "amplitude_squeezed", "alpha0": 1.0, "u": 0, "delta": 1.0},
+                  "evaluate": SPD_POINT},
+     "target.u", "0.0 must be above 0"),
+], ids=[
+    "spd-window", "deviation-etas", "deviation-which", "deviation-strict_tails",
+    "efficiency-deviations", "efficiency-sampling", "efficiency-n_samples",
+    "eta-above-1", "deviation-above-0.2", "alpha0-zero", "u-zero",
+])
+def test_option_the_command_would_not_use_or_out_of_range_refused(
+    tmp_path, capsys, command, payload, path, message
+):
+    # each of these was dropped without a word, or refused only at compute
+    # time with no config path
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert f"config error: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _doc_key_columns() -> dict[str, set[str]]:
+    """Section heading -> the keys named in the first column of its table
+    in docs/config_schema.md."""
+    keys: dict[str, set[str]] = {}
+    heading = None
+    for line in (CONFIGS.parent / "docs" / "config_schema.md").read_text().splitlines():
+        if line.startswith("## "):
+            heading = line[3:]
+        elif line.startswith("| ") and not line.startswith(("| key ", "| ---")):
+            keys.setdefault(heading, set()).update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return keys
+
+
+@pytest.mark.parametrize("heading,table", [
+    ("Top level", cli._TOP),
+    ("`evaluate`", cli._EVALUATE),
+    ("`optimize`", cli._OPTIMIZE),
+    ("`sweep`", cli._SWEEP),
+    ("`reproduce_table`", cli._REPRODUCE),
+], ids=["top-level", "evaluate", "optimize", "sweep", "reproduce_table"])
+def test_documented_keys_match_schema_tables(heading, table):
+    if isinstance(table, tuple):  # a selector and its branches
+        selector, branches = table
+        schema = {selector}.union(*branches.values())
+    else:
+        schema = set(table)
+    assert _doc_key_columns()[heading] == schema
 
 
 def _nan_score(p, target, cutoff, check_input_tail=True):

@@ -168,6 +168,13 @@ def test_optimize_checks_window_before_search(window, monkeypatch):
         optimize(Binomial(0.3, 7), "hm", window_halfwidth=window)
 
 
+def test_optimize_refuses_spd_window_before_search(monkeypatch):
+    # a single-photon herald has no acceptance window to use it on
+    monkeypatch.setattr(optimizer, "_run_restart", _no_search)
+    with pytest.raises(ValueError, match="window_halfwidth=0.3 applies to hm only"):
+        optimize(Binomial(0.3, 7), "spd", window_halfwidth=0.3)
+
+
 def test_reflect_into_folds_into_box():
     lo = np.array([0.0, 0.1])
     hi = np.array([1.7, 0.9])

@@ -509,6 +509,31 @@ def test_tabulated_hm_row_reproduces():
     )
 
 
+def test_tabulated_hm_p_fits_mirrored_reading_phase():
+    # The table's P column matches the window probability read at -lam on
+    # every HM row, while its eps matches +lam; reproduce-table's P gate
+    # therefore fails on exactly five rows.  Row 12's target needs cutoff 60.
+    p_gate_fails, mirrored_eps_off = set(), set()
+    for row in all_rows():
+        if row.kind != "hm":
+            continue
+        cutoff = 60 if row.row_id.startswith("12-") else 40
+        tgt = target_state(row.target, cutoff, check_tail=False)
+        m = row.params.measurement
+        mirrored = replace(row.params, measurement=replace(m, lam=-m.lam % (2 * math.pi)))
+        _, eps, prob, _ = score(row.params, tgt, cutoff, check_input_tail=False)
+        _, eps_mirrored, prob_mirrored, _ = score(mirrored, tgt, cutoff, check_input_tail=False)
+        number = row.row_id[:2]
+        assert abs(prob_mirrored - row.success_prob) < 0.01, number
+        assert eps < 0.01, number
+        if abs(prob - row.success_prob) > 0.05:
+            p_gate_fails.add(number)
+        if eps_mirrored > 0.04:
+            mirrored_eps_off.add(number)
+    assert p_gate_fails == {"07", "10", "12", "22", "24"}
+    assert mirrored_eps_off == {"01", "05", "07", "10", "12", "14", "22", "24"}
+
+
 # ------------------------------------------------------- success probability
 
 
