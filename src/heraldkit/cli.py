@@ -49,7 +49,7 @@ from .optimizer import (
     vector_to_params,
 )
 from .reference_rows import ReferenceRow, all_rows, designated_rows, get_row
-from .scheme import HM, SPD, SPD_LAYOUT, SchemeParams, score
+from .scheme import HM, SPD, SPD_LAYOUT, SchemeParams, _X_RANGE, _interval, score
 from .states import (
     AdHoc,
     AmplitudeSqueezed,
@@ -282,7 +282,7 @@ _PARAMS = {
     "spd": _SPD_PARAMS,
     "hm": {
         **_SPD_PARAMS,
-        "x": _key(_number, rng="[0, 4]"),
+        "x": _key(_number, rng=_interval(_X_RANGE)),
         "lam": _key(_number),
         "delta": _key(_number, 0.0, "[0, inf)"),
     },
@@ -355,10 +355,10 @@ def parse_target(d: Any, path: str = "target") -> TargetSpec:
     return _construct(path, _FAMILIES[family], *vals.values())
 
 
-def _construct(path: str, builder, *args):
+def _construct(path: str, builder, *args, **kwargs):
     """Turn dataclass range violations into config diagnostics."""
     try:
-        return builder(*args)
+        return builder(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -395,7 +395,13 @@ def parse_bounds(d: Any, kind: str, path: str) -> Bounds:
         if len(pair) != 2:
             raise ConfigError(_sub(path, key), "expected a [lo, hi] pair")
         lower[i], upper[i] = pair
-    return Bounds(base.names, tuple(lower), tuple(upper), base.periodic)
+    return _construct(path, Bounds, tuple(lower), tuple(upper))
+
+
+def _check_fits(spec: TargetSpec, cutoff: int, key: str) -> None:
+    """Refuse a binomial target whose M lies above the cutoff of config key."""
+    if isinstance(spec, Binomial) and spec.M > cutoff:
+        raise ConfigError("target.M", f"{spec.M} above {key} {cutoff}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +470,7 @@ def cmd_evaluate(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
     strict = section["strict_tails"]
     params = parse_params(section["params"], kind, "evaluate.params")
     spec = parse_target(cfg["target"])
+    _check_fits(spec, cutoff, "cutoff")
 
     tgt = target_state(spec, cutoff, check_tail=strict)
     out, eps, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=strict)
@@ -485,18 +492,22 @@ def cmd_evaluate(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
 def cmd_optimize(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> int:
     section = _read(cfg["optimize"], _OPTIMIZE, "optimize")
     kind = section["kind"]
-    ga = GAConfig(**_read(section["ga"], _GA, "optimize.ga"), seed=seed)
-    mask = FixedMask.pin(kind, **_pins(section["mask"], kind, "optimize.mask"))
+    ga = _construct("optimize.ga", GAConfig, **_read(section["ga"], _GA, "optimize.ga"),
+                    seed=seed)
     bounds = parse_bounds(section["bounds"], kind, "optimize.bounds")
+    pins = _pins(section["mask"], kind, "optimize.mask")
+    for name, value in pins.items():
+        _construct(_sub("optimize.mask", name), bounds.check_pin, name, value)
     spec = parse_target(cfg["target"])
+    _check_fits(spec, section["search_cutoff"], "optimize.search_cutoff")
+    _check_fits(spec, cutoff, "cutoff")
 
     result = optimize(
-        spec, kind, bounds=bounds, mask=mask, cfg=ga,
+        spec, kind, bounds=bounds, mask=FixedMask.pin(kind, **pins), cfg=ga,
         window_halfwidth=section.get("window_halfwidth", 0.0),
+        polish_iters=section["polish_iters"],
         search_cutoff=section["search_cutoff"], final_cutoff=cutoff,
     )
-    if section["polish_iters"] > 0:
-        result = local_polish(result, spec, cutoff, max_iters=section["polish_iters"], mask=mask)
 
     label = target_label(spec)
     row = make_table_row(
@@ -531,7 +542,9 @@ def cmd_sweep(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> 
     section = _read(cfg["sweep"], _SWEEP, "sweep")
     mode = section["mode"]
     params = parse_params(section["params"], section["kind"], "sweep.params")
-    tgt = target_state(parse_target(cfg["target"]), cutoff, check_tail=False)
+    spec = parse_target(cfg["target"])
+    _check_fits(spec, cutoff, "cutoff")
+    tgt = target_state(spec, cutoff, check_tail=False)
 
     if mode == "deviation":
         points = sweep_parameter_deviation(

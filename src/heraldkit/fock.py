@@ -59,6 +59,32 @@ def _log_factorials(n_max: int) -> np.ndarray:
     return _freeze(np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)]))
 
 
+def _loss_amplitudes(eta: float, n_max: int) -> np.ndarray:
+    """Loss amplitudes L[p, n] = sqrt(C(n, p) eta^p (1-eta)^(n-p)), 0 for p > n.
+
+    L[p, n] is the amplitude for p of n photons surviving (n - p going to
+    the ancilla), computed in log space so no binomial overflows; a zero
+    power of a zero base counts as 1, so eta = 0 and eta = 1 are exact.  The
+    symmetric convention's phase i^(n-p) is common to every entry of one
+    Kraus operator, so it cancels in every use and is left out.
+    """
+    n = np.arange(n_max + 1)
+    kept = n[:, None]
+    lost = n[None, :] - kept
+    valid = lost >= 0
+    lost = np.where(valid, lost, 0)
+    lf = _log_factorials(n_max)
+    log_sq = lf[n] - lf[kept] - lf[lost] + _log_power(kept, eta) + _log_power(lost, 1.0 - eta)
+    return np.where(valid, np.exp(0.5 * log_sq), 0.0)
+
+
+def _log_power(k: np.ndarray, base: float) -> np.ndarray:
+    """log(base^k) elementwise for integer powers k >= 0, with 0^0 = 1."""
+    if base > 0.0:
+        return k * math.log(base)
+    return np.where(k > 0, -np.inf, 0.0)
+
+
 @dataclass
 class FockVector:
     """Amplitudes of a single-mode state over |0>..|cutoff>.

@@ -22,7 +22,6 @@ current one, so it is monotone by construction.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +29,13 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import NormalizationError
-from .fock import DensityMatrix, FockVector, TwoModeState, _log_factorials, hermite_gaussian_columns
+from .fock import (
+    DensityMatrix,
+    FockVector,
+    TwoModeState,
+    _loss_amplitudes,
+    hermite_gaussian_columns,
+)
 from .scheme import (
     HM,
     SPD,
@@ -57,32 +62,6 @@ class ImperfectionSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-
-
-def _loss_amplitudes(eta: float, n_max: int) -> np.ndarray:
-    """Loss amplitudes L[p, n] = sqrt(C(n, p) eta^p (1-eta)^(n-p)), 0 for p > n.
-
-    L[p, n] is the amplitude for p of n photons surviving (n - p going to
-    the ancilla), computed in log space so no binomial overflows; a zero
-    power of a zero base counts as 1, so eta = 0 and eta = 1 are exact.  The
-    symmetric convention's phase i^(n-p) is common to every entry of one
-    Kraus operator, so it cancels in every use and is left out.
-    """
-    n = np.arange(n_max + 1)
-    kept = n[:, None]
-    lost = n[None, :] - kept
-    valid = lost >= 0
-    lost = np.where(valid, lost, 0)
-    lf = _log_factorials(n_max)
-    log_sq = lf[n] - lf[kept] - lf[lost] + _log_power(kept, eta) + _log_power(lost, 1.0 - eta)
-    return np.where(valid, np.exp(0.5 * log_sq), 0.0)
-
-
-def _log_power(k: np.ndarray, base: float) -> np.ndarray:
-    """log(base^k) elementwise for integer powers k >= 0, with 0^0 = 1."""
-    if base > 0.0:
-        return k * math.log(base)
-    return np.where(k > 0, -np.inf, 0.0)
 
 
 def loss_channel(state: FockVector | DensityMatrix, eta: float) -> DensityMatrix:

@@ -1,4 +1,4 @@
-"""Seeded genetic-algorithm search over scheme parameters.
+"""Seeded genetic-algorithm search over scheme parameters, and its polish.
 
 The search vector concatenates the eight input-state parameters with the
 beam-splitter transmittance, and for quadrature conditioning also the
@@ -11,8 +11,7 @@ population strictly inside the box almost surely.
 Each generation is scored in one call: objective_batch sends the whole
 population (the initial one, then each generation's children) through the
 exact Gaussian core (scheme.conditional_output_batch), which keeps the
-inputs whole, costs O(cutoff) per point and falls back to the scalar route
-only for the rows it cannot evaluate regularly.  The random draws of a
+inputs whole and costs O(cutoff) per point.  The random draws of a
 generation do not depend on how it is scored, so a seed means the same
 search either way.  Nelder-Mead polish and the final scoring evaluate one
 point at a time through the scalar route, which truncates the inputs at
@@ -22,33 +21,39 @@ one shared misfit read (scheme._output_misfit), so no evaluation builds a
 SchemeParams or a FockVector; objective wraps the same two calls.
 
 optimize(target, kind, bounds=None, mask=None, cfg=None, *,
-window_halfwidth=0.0, ...) takes kind as "spd" or "hm" and the HM
-acceptance halfwidth only from window_halfwidth, checked before the search
-(a positive one with "spd" is refused).
+window_halfwidth=0.0, polish_iters=0, ...) runs the GA and then, with
+polish_iters > 0, local_polish on its best point within the same Bounds
+and FixedMask.  It takes kind as "spd" or "hm" and the HM acceptance
+halfwidth only from window_halfwidth, checked before the search (a
+positive one with "spd" is refused).
 objective_batch(V, target, cutoff) reads the kind of the rows of V from
-their width, as scheme.conditional_output_batch does.  The periodic flags
-of Bounds.for_kind are the angle entries of the flat layout
-(scheme._ANGLES); _DIM_BOUNDS holds only the search box.
+their width, as scheme.conditional_output_batch does.  A Bounds holds only
+its lower and upper limits: its width gives the dimension names and the
+periodic flags, the angle entries of the flat layout (scheme._ANGLES).
+_DIM_BOUNDS holds the default box, with the T and x ranges of scheme.
 
-Search runs at a reduced cutoff; the returned best point is re-scored at
+Search runs at a reduced cutoff; the returned best point is scored at
 the full cutoff so the reported numbers carry no truncation shortcut.
 All randomness derives from a single seed through spawned generators, one
 per restart, so a (config, seed, target) triple fixes the result exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import ConfigError
 from .fock import FockVector
 from .scheme import (
+    HM_LAYOUT,
     SchemeParams,
     _ANGLES,
+    _T_RANGE,
     _TWO_PI,
+    _X_RANGE,
     _herald,
+    _is_hm,
     _output_misfit,
     conditional_output_batch,
     layout_for_kind,
@@ -68,39 +73,55 @@ _DIM_BOUNDS = {
     "theta2": (0.0, _TWO_PI),
     "phi1": (0.0, _TWO_PI),
     "phi2": (0.0, _TWO_PI),
-    "T": (0.1, 0.9),
-    "x": (0.0, 4.0),
+    "T": _T_RANGE,
+    "x": _X_RANGE,
     "lam": (0.0, _TWO_PI),
 }
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """Per-dimension search box with periodicity flags for angles."""
+    """Per-dimension search box over a flat layout.
 
-    names: tuple[str, ...]
+    The width, 9 (SPD) or 11 (HM), gives the dimension names and which of
+    them are periodic angles.
+    """
+
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    periodic: tuple[bool, ...]
 
     def __post_init__(self):
-        n = len(self.names)
-        if not len(self.lower) == len(self.upper) == len(self.periodic) == n:
+        if len(self.lower) != len(self.upper):
             raise ValueError("bounds field lengths disagree")
+        _is_hm(len(self.lower))  # raises unless the width is a layout's
         for name, lo, hi in zip(self.names, self.lower, self.upper):
             if not lo < hi:
                 raise ValueError(f"{name}: empty range [{lo}, {hi}]")
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        return HM_LAYOUT[: len(self.lower)]
+
+    @property
+    def periodic(self) -> tuple[bool, ...]:
+        return tuple(_ANGLES[: len(self.lower)].tolist())
+
     @classmethod
     def for_kind(cls, kind: str) -> "Bounds":
-        names = layout_for_kind(kind)
-        lo, hi = zip(*(_DIM_BOUNDS[n] for n in names))
-        return cls(names, lo, hi, tuple(_ANGLES[: len(names)].tolist()))
+        lo, hi = zip(*(_DIM_BOUNDS[n] for n in layout_for_kind(kind)))
+        return cls(lo, hi)
 
     def contains(self, vec: np.ndarray) -> bool:
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
         return bool(np.all(vec >= lo) and np.all(vec <= hi))
+
+    def check_pin(self, name: str, value: float) -> None:
+        """Raise ValueError unless value lies in the range of dimension name."""
+        i = self.names.index(name)
+        lo, hi = self.lower[i], self.upper[i]
+        if not lo <= value <= hi:
+            raise ValueError(f"pinned {name}={value} outside [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -136,14 +157,15 @@ class GAConfig:
     def __post_init__(self):
         for name in ("population_size", "generations", "tournament_size", "restarts"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"ga.{name}", "must be a positive integer")
+                raise ValueError(f"{name}={getattr(self, name)} must be a positive integer")
         if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigError("ga.crossover_rate", "must lie in [0, 1]")
+            raise ValueError(f"crossover_rate={self.crossover_rate} must lie in [0, 1]")
         if self.mutation_sigma_fraction < 0.0:
-            raise ConfigError("ga.mutation_sigma_fraction", "must be non-negative")
+            raise ValueError(f"mutation_sigma_fraction={self.mutation_sigma_fraction} must be >= 0")
         if not 0 <= self.elitism_count < self.population_size:
-            raise ConfigError(
-                "ga.elitism_count", "must be non-negative and below the population size"
+            raise ValueError(
+                f"elitism_count={self.elitism_count} must be non-negative and below "
+                f"population_size={self.population_size}"
             )
 
 
@@ -262,6 +284,17 @@ def _run_restart(
     return pop[best].copy(), float(fit[best]), gen_best, evals
 
 
+def _box_and_mask(
+    kind: str, bounds: Bounds | None, mask: FixedMask | None
+) -> tuple[Bounds, FixedMask]:
+    """The search box and the pins of one kind, the defaults where not given."""
+    bounds = bounds if bounds is not None else Bounds.for_kind(kind)
+    mask = mask if mask is not None else FixedMask.free(kind)
+    if not len(bounds.lower) == len(mask.values) == len(layout_for_kind(kind)):
+        raise ValueError("bounds or mask layout does not match the measurement kind")
+    return bounds, mask
+
+
 def optimize(
     target: TargetSpec | FockVector,
     kind: str,
@@ -270,10 +303,12 @@ def optimize(
     cfg: GAConfig | None = None,
     *,
     window_halfwidth: float = 0.0,
+    polish_iters: int = 0,
     search_cutoff: int = tol.SEARCH_CUTOFF,
     final_cutoff: int = tol.DEFAULT_CUTOFF,
 ) -> OptimizationResult:
-    """Genetic-algorithm minimization of the conditional-output misfit.
+    """Genetic-algorithm minimization of the conditional-output misfit,
+    then an optional simplex polish of the best point.
 
     kind is "spd" or "hm"; window_halfwidth is the HM acceptance
     halfwidth (finite and >= 0, and 0 for SPD; checked before the
@@ -282,27 +317,25 @@ def optimize(
     mutation_sigma_fraction times the range, elitism, and independent
     restarts keeping the overall best.  The trace is the running best
     misfit over all generations of all restarts, so it is monotone by
-    construction.  The best point is re-scored at final_cutoff; for
-    quadrature conditioning with a positive window halfwidth the success
-    probability integrates over the acceptance window and eps_avg is the
-    window-averaged misfit, otherwise the probability density at x is
-    reported.
+    construction.
+
+    With polish_iters > 0 the best point goes through local_polish at
+    final_cutoff for at most that many iterations, on the same bounds and
+    mask, and the evaluation count adds the polish's.  The final point is
+    scored once, at final_cutoff; for quadrature conditioning with a
+    positive window halfwidth the success probability integrates over the
+    acceptance window and eps_avg is the window-averaged misfit, otherwise
+    the probability density at x is reported.
     """
-    names = layout_for_kind(kind)
     if not 0.0 <= window_halfwidth < np.inf:
         raise ValueError(f"window_halfwidth={window_halfwidth} must be finite and >= 0")
     if kind == "spd" and window_halfwidth > 0.0:
         raise ValueError(f"window_halfwidth={window_halfwidth} applies to hm only")
-    bounds = bounds if bounds is not None else Bounds.for_kind(kind)
-    mask = mask if mask is not None else FixedMask.free(kind)
+    bounds, mask = _box_and_mask(kind, bounds, mask)
     cfg = cfg if cfg is not None else GAConfig()
-    if bounds.names != names:
-        raise ValueError("bounds layout does not match the measurement kind")
-    if len(mask.values) != len(names):
-        raise ValueError("mask layout does not match the measurement kind")
-    for name, v, lo, hi in zip(names, mask.values, bounds.lower, bounds.upper):
-        if v is not None and not lo <= v <= hi:
-            raise ValueError(f"pinned {name}={v} outside [{lo}, {hi}]")
+    for name, v in zip(bounds.names, mask.values):
+        if v is not None:
+            bounds.check_pin(name, v)
 
     tgt_search = _target_vector(target, search_cutoff)
 
@@ -326,9 +359,12 @@ def optimize(
 
     trace = tuple(np.minimum.accumulate(all_gen_best))
     best_params = vector_to_params(best_vec, window_halfwidth)
-    _, eps, prob, eps_avg = score(
-        best_params, _target_vector(target, final_cutoff), final_cutoff, check_input_tail=False
-    )
+    tgt_final = _target_vector(target, final_cutoff)
+    if polish_iters > 0:
+        polished = local_polish(best_params, tgt_final, final_cutoff, polish_iters, mask, bounds)
+        return replace(polished, trace=trace, seed=cfg.seed,
+                       evaluations_count=evals + polished.evaluations_count)
+    _, eps, prob, eps_avg = score(best_params, tgt_final, final_cutoff, check_input_tail=False)
     return OptimizationResult(
         best_params=best_params,
         best_misfit=eps,
@@ -341,40 +377,26 @@ def optimize(
 
 
 def local_polish(
-    result: OptimizationResult | SchemeParams,
+    params: SchemeParams,
     target: TargetSpec | FockVector,
     cutoff: int = tol.DEFAULT_CUTOFF,
     max_iters: int = 400,
     mask: FixedMask | None = None,
+    bounds: Bounds | None = None,
 ) -> OptimizationResult:
-    """Derivative-free simplex descent from a found or tabulated point.
+    """Derivative-free simplex descent from one point.
 
-    Runs Nelder-Mead on the unpinned dimensions, keeping bounded
-    dimensions inside the search box and leaving angles free to cross the
-    0/2*pi seam (they are wrapped on assembly).  The polished misfit never
-    exceeds the starting one: if the simplex fails to improve, the input
-    point is returned unchanged.
+    Runs Nelder-Mead on the dimensions mask leaves free, keeping bounded
+    dimensions inside bounds (Bounds.for_kind by default) and leaving
+    angles free to cross the 0/2*pi seam (they are wrapped on assembly).
+    The polished misfit never exceeds the starting one: if the simplex
+    fails to improve, the input point is returned unchanged.  The result
+    is scored at the cutoff; its trace is the misfit before and after,
+    its seed 0 and its evaluation count the simplex's plus one.
     """
-    if isinstance(result, SchemeParams):
-        start_params = result
-        prior_trace: tuple[float, ...] = ()
-        seed = 0
-        prior_evals = 0
-    else:
-        start_params = result.best_params
-        prior_trace = result.trace
-        seed = result.seed
-        prior_evals = result.evaluations_count
-
-    vec, kname, whw = params_to_vector(start_params)
-    names = layout_for_kind(kname)
-    bounds = Bounds.for_kind(kname)
-    if mask is None:
-        mask = FixedMask.free(kname)
-    if len(mask.values) != len(names):
-        raise ValueError("mask layout does not match the measurement kind")
+    full, kind, whw = params_to_vector(params)
+    bounds, mask = _box_and_mask(kind, bounds, mask)
     free = np.array([v is None for v in mask.values])
-    full = vec.copy()
     full[~free] = [v for v in mask.values if v is not None]
 
     tgt = _target_vector(target, cutoff)
@@ -401,7 +423,7 @@ def local_polish(
     eps_start = fun(x0)
     nm_bounds = [
         (-np.inf, np.inf) if p else (lo, hi)
-        for lo, hi, p, f in zip(bounds.lower, bounds.upper, bounds.periodic, free)
+        for lo, hi, p, f in zip(bounds.lower, bounds.upper, periodic, free)
         if f
     ]
     res = minimize(
@@ -411,7 +433,6 @@ def local_polish(
         bounds=nm_bounds,
         options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14},
     )
-    evals = prior_evals + int(res.nfev) + 1
     if res.fun < eps_start:
         best_params = assemble(res.x)
         eps_here = float(res.fun)
@@ -420,13 +441,12 @@ def local_polish(
         eps_here = eps_start
 
     _, eps, prob, eps_avg = score(best_params, tgt, cutoff, check_input_tail=False)
-    trace = prior_trace if prior_trace else (eps_start, eps_here)
     return OptimizationResult(
         best_params=best_params,
         best_misfit=eps,
         success_prob=prob,
         eps_avg=eps_avg,
-        trace=trace,
-        seed=seed,
-        evaluations_count=evals,
+        trace=(eps_start, eps_here),
+        seed=0,
+        evaluations_count=int(res.nfev) + 1,
     )

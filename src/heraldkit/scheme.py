@@ -84,6 +84,10 @@ _X_RANGE = (0.0, 4.0)
 _T_RANGE = (0.1, 0.9)
 
 
+def _interval(rng: tuple[float, float]) -> str:
+    return "[{:g}, {:g}]".format(*rng)
+
+
 @dataclass(frozen=True)
 class SPD:
     """Herald on exactly one photon in the measured arm."""
@@ -104,7 +108,7 @@ class HM:
 
     def __post_init__(self):
         if not _X_RANGE[0] <= self.x <= _X_RANGE[1]:
-            raise ValueError(f"heralded quadrature value {self.x} outside [0, 4]")
+            raise ValueError(f"heralded quadrature value {self.x} outside {_interval(_X_RANGE)}")
         if not math.isfinite(self.lam):
             raise ValueError(f"local-oscillator phase lam={self.lam} must be finite")
         if not 0.0 <= self.window_halfwidth < math.inf:
@@ -125,7 +129,7 @@ class SchemeParams:
 
     def __post_init__(self):
         if not _T_RANGE[0] <= self.transmittance <= _T_RANGE[1]:
-            raise ValueError(f"transmittance {self.transmittance} outside [0.1, 0.9]")
+            raise ValueError(f"transmittance {self.transmittance} outside {_interval(_T_RANGE)}")
 
 
 _TWO_PI = 2.0 * np.pi
@@ -468,9 +472,9 @@ def _output_misfit(full: np.ndarray, cutoff: int, target: FockVector) -> float:
 # batched closed form
 
 
-def _regular_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows the batched closed form evaluates: finite and inside the
-    parameter ranges."""
+def _rows_in_ranges(rows: np.ndarray) -> np.ndarray:
+    """Which rows are finite and inside the parameter ranges, the rows
+    vector_to_params accepts."""
     t = rows[:, 8]
     ok = (
         np.isfinite(rows).all(axis=1)
@@ -544,43 +548,36 @@ def conditional_output_batch(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray,
 
     rows are flat SPD_LAYOUT or HM_LAYOUT points, all of one kind (read
     from the width, 9 or 11); angles need not be wrapped.  Returns the
-    normalized states, shape (B, cutoff + 1), and the raw weights, shape
-    (B,), of the exact Gaussian core
-    (_closed_form_rows): the heralded state of untruncated inputs,
-    truncated at the output.  Where the input tails above the cutoff
-    vanish, these are row by row the state and weight of
-    conditional_output(vector_to_params(row), cutoff,
+    normalized states, shape (B, cutoff + 1) and C-contiguous, and the raw
+    weights, shape (B,), of the exact Gaussian core (_closed_form_rows):
+    the heralded state of untruncated inputs, truncated at the output.
+    Where the input tails above the cutoff vanish, these are row by row the
+    state and weight of conditional_output(vector_to_params(row), cutoff,
     check_input_tail=False), which truncates the inputs; elsewhere they
     differ by about the input tail mass.
 
-    Coherent inputs (r = 0) are regular.  A row with a value outside the
-    parameter ranges, or whose core output is not finite, goes through
-    conditional_output itself, so it raises exactly where the scalar route
-    does.
+    Coherent inputs (r = 0) are ordinary rows, and an impossible outcome
+    keeps its zero row, as in _split_output.  A row outside the parameter
+    ranges raises ValueError, with the message of vector_to_params, before
+    any work; a row whose core output is not finite (an input squeezed so
+    far that cosh r overflows) raises NormalizationError.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"expected one flat point per row, got shape {rows.shape}")
-    states = np.zeros((len(rows), cutoff + 1), dtype=np.complex128)
-    weights = np.zeros(len(rows))
-    scalar = ~_regular_rows(rows)
-    sel = np.flatnonzero(~scalar)
+    for i in np.flatnonzero(~_rows_in_ranges(rows)):
+        vector_to_params(rows[i])  # raises, naming the range the row leaves
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d, log_c = _closed_form_rows(rows[sel], cutoff)
+        d, log_c = _closed_form_rows(rows, cutoff)
         norm_sq = np.sum(np.abs(d) ** 2, axis=1)
-        weight = np.exp(2.0 * log_c.real + np.log(norm_sq))
-    finite = np.isfinite(d).all(axis=1) & np.isfinite(norm_sq) & np.isfinite(log_c)
-    scalar[sel[~finite]] = True
-    sel, d, log_c, norm_sq = sel[finite], d[finite], log_c[finite], norm_sq[finite]
-    # an impossible outcome keeps its zero vector, as in _split_output
+        weights = np.exp(2.0 * log_c.real + np.log(norm_sq))
+    bad = np.flatnonzero(~(np.isfinite(d).all(axis=1) & np.isfinite(norm_sq)
+                           & np.isfinite(log_c)))
+    if bad.size:
+        raise NormalizationError(f"row {bad[0]}: heralded output is not finite")
     scale = np.exp(1j * log_c.imag) / np.sqrt(np.where(norm_sq > 0.0, norm_sq, 1.0))
-    states[sel] = d * scale[:, None]
-    weights[sel] = weight[finite]
-    for i in np.flatnonzero(scalar):
-        out = conditional_output(vector_to_params(rows[i]), cutoff, check_input_tail=False)
-        states[i] = out.state.amps
-        weights[i] = out.raw_weight
-    return states, weights
+    # the core's rows come out column-major; misfit_batch reads C order
+    return np.ascontiguousarray(d * scale[:, None]), weights
 
 
 def misfit_batch(states: np.ndarray, target: FockVector) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import TailMassError, TruncationQualityError
-from .fock import FockVector, _log_factorials
+from .fock import FockVector, _log_factorials, _loss_amplitudes
 
 
 @dataclass(frozen=True)
@@ -149,24 +149,15 @@ def coherent_state(alpha: complex, cutoff: int, check_tail: bool = True) -> Fock
 
 
 def binomial_state(p: float, M: int, cutoff: int) -> FockVector:
-    """Binomial state: c_n = [C(M,n) p^n (1-p)^(M-n)]^(1/2) on n = 0..M."""
+    """Binomial state: c_n = [C(M,n) p^n (1-p)^(M-n)]^(1/2) on n = 0..M,
+    the amplitudes of n of M photons surviving a loss of efficiency p
+    (column M of fock._loss_amplitudes)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     if not 0 <= M <= cutoff:
         raise ValueError(f"M={M} must lie in 0..cutoff={cutoff}")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    n = np.arange(M + 1)
-    lf = _log_factorials(M)
-    log_comb = lf[M] - lf[n] - lf[M - n]
-    with np.errstate(divide="ignore"):
-        log_pn = np.where(n > 0, n * np.log(np.maximum(p, 1e-300)), 0.0)
-        log_qn = np.where(M - n > 0, (M - n) * np.log(np.maximum(1.0 - p, 1e-300)), 0.0)
-    c = np.exp(0.5 * (log_comb + log_pn + log_qn))
-    if p == 0.0:
-        c = np.where(n == 0, 1.0, 0.0)
-    elif p == 1.0:
-        c = np.where(n == M, 1.0, 0.0)
-    amps[: M + 1] = c
+    amps[: M + 1] = _loss_amplitudes(p, M)[:, M]
     return FockVector(amps, cutoff).normalized()
 
 

@@ -275,6 +275,34 @@ def test_option_the_command_would_not_use_or_out_of_range_refused(
     assert not out.exists()
 
 
+B9 = {"family": "binomial", "p": 0.3, "M": 9}
+
+
+@pytest.mark.parametrize("command,payload,path,message", [
+    ("optimize", {"target": B37, "optimize": {
+        "kind": "spd", "ga": dict(TINY_GA, population_size=4, elitism_count=4)}},
+     "optimize.ga", "elitism_count=4 must be non-negative and below population_size=4"),
+    ("evaluate", {"target": B9, "cutoff": 8, "evaluate": SPD_POINT},
+     "target.M", "9 above cutoff 8"),
+    ("sweep", {"target": B9, "cutoff": 8, "sweep": DEVIATION},
+     "target.M", "9 above cutoff 8"),
+    ("optimize", {"target": B9, "cutoff": 12, "optimize": {
+        "kind": "spd", "search_cutoff": 8, "ga": TINY_GA}},
+     "target.M", "9 above optimize.search_cutoff 8"),
+    ("optimize", {"target": B37, "optimize": {
+        "kind": "spd", "mask": {"T": 0.95}, "ga": TINY_GA}},
+     "optimize.mask.T", "pinned T=0.95 outside [0.1, 0.9]"),
+], ids=["elitism", "evaluate-M", "sweep-M", "optimize-search-M", "pin-outside-box"])
+def test_error_of_two_keys_names_its_config_path(tmp_path, capsys, command, payload, path, message):
+    # each of these depends on two config values, and was refused with no
+    # config path, a wrong one, or the wrong cutoff
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not out.exists()
+
+
 def _doc_key_columns() -> dict[str, set[str]]:
     """Section heading -> the keys named in the first column of its table
     in docs/config_schema.md."""
@@ -511,6 +539,28 @@ def test_optimize_outputs_and_seed_override(tmp_path):
     assert main(["optimize", "--config", cfg, "--out", str(out2), "--seed", "5",
                  "--quiet"]) == 0
     assert json.loads((out2 / "result.json").read_text())["seed"] == 5
+
+
+def test_configured_bounds_bind_the_polish(tmp_path):
+    # the box binds the search and the polish alike: with r1 and r2 held to
+    # [0, 0.05] the polish used to leave it (r1 0.157, r2 0.116)
+    cfg = write_config(tmp_path, {
+        "target": {"family": "binomial", "p": 0.3, "M": 7},
+        "cutoff": 30,
+        "seed": 3,
+        "optimize": {
+            "kind": "spd",
+            "search_cutoff": 12,
+            "polish_iters": 300,
+            "ga": {"population_size": 30, "generations": 20, "restarts": 1},
+            "bounds": {"r1": [0, 0.05], "r2": [0, 0.05]},
+        },
+    })
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    params = json.loads((out / "result.json").read_text())["params"]
+    assert 0.0 <= params["r1"] <= 0.05
+    assert 0.0 <= params["r2"] <= 0.05
 
 
 def test_optimize_rerun_is_byte_identical(tmp_path):

@@ -1,7 +1,8 @@
 """Package hygiene: every name a module imports is used in that module,
 every private module-level name and every tolerance constant is read, every
-package function and method is read somewhere in the repository, and every
-function the benchmark tracer wraps exists."""
+package function and method is read somewhere in the repository, only the
+command line raises ConfigError, and every function the benchmark tracer
+wraps exists."""
 
 import ast
 import importlib
@@ -110,6 +111,21 @@ def unread_members(package: dict[str, str], readers: list[str]) -> list[str]:
     return sorted(unread)
 
 
+def config_error_raisers(sources: dict[str, str]) -> list[str]:
+    """module:line of every `raise ConfigError` outside the cli module.
+
+    Config paths are the command line's to know: the library raises
+    ValueError and cli._construct adds the path.
+    """
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, source in sources.items() if module != "cli"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ConfigError"
+    )
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
@@ -151,6 +167,17 @@ def test_package_functions_and_methods_are_read():
     readers = [path.read_text() for folder in ("src", "tests", "bench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
     assert unread_members(package, readers) == []
+
+
+def test_config_error_raisers_are_found():
+    raiser = "def f(v):\n    if v:\n        raise ConfigError('ga.x', 'bad')\n"
+    sources = {"cli": raiser, "optimizer": raiser, "states": "raise ValueError('x')\n"}
+    assert config_error_raisers(sources) == ["optimizer:3"]
+
+
+def test_only_the_command_line_raises_config_error():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert config_error_raisers(sources) == []
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

@@ -49,7 +49,7 @@ from heraldkit.scheme import (
     success_prob_spd,
     vector_to_params,
 )
-from heraldkit.optimizer import Bounds
+from heraldkit.optimizer import Bounds, objective_batch
 from heraldkit.reference_rows import all_rows
 from heraldkit.states import (
     SqueezedCoherentParams,
@@ -927,6 +927,19 @@ def test_batch_raises_where_scalar_route_raises():
     rows[1, 9] = 4.5
     with pytest.raises(ValueError, match="quadrature value"):
         conditional_output_batch(rows, 20)
+
+
+@pytest.mark.parametrize("row", [ROW_BINOM_SPD, ROW_BINOM_HM], ids=["spd", "hm"])
+def test_batch_raises_on_non_finite_core_row(row, monkeypatch):
+    # r = 1000 overflows cosh r in the core; the batch names the row and
+    # has no other route to send it to
+    monkeypatch.setattr(scheme, "conditional_output", _no_route)
+    rows = np.tile(params_to_vector(row)[0], (3, 1))
+    rows[1, 4] = 1000.0
+    with pytest.raises(NormalizationError, match="row 1: heralded output is not finite"):
+        conditional_output_batch(rows, 20)
+    with pytest.raises(NormalizationError, match="row 1"):
+        objective_batch(rows, binomial_state(0.3, 7, 20), 20)
 
 
 def test_spd_high_cutoff_stays_finite():
