@@ -398,10 +398,17 @@ def parse_bounds(d: Any, kind: str, path: str) -> Bounds:
     return _construct(path, Bounds, tuple(lower), tuple(upper))
 
 
-def _check_fits(spec: TargetSpec, cutoff: int, key: str) -> None:
-    """Refuse a binomial target whose M lies above the cutoff of config key."""
+def _check_fits(spec: TargetSpec, cutoff: int, key: str, path: str = "target") -> None:
+    """Refuse a target at config path that does not fit in the cutoff of
+    config key: a binomial M above it, or more adhoc coefficients than the
+    levels 0..cutoff."""
     if isinstance(spec, Binomial) and spec.M > cutoff:
-        raise ConfigError("target.M", f"{spec.M} above {key} {cutoff}")
+        raise ConfigError(_sub(path, "M"), f"{spec.M} above {key} {cutoff}")
+    if isinstance(spec, AdHoc) and len(spec.coefficients) > cutoff + 1:
+        raise ConfigError(
+            _sub(path, "coefficients"),
+            f"{len(spec.coefficients)} coefficients exceed {key} {cutoff}",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +590,8 @@ def _override(row: ReferenceRow, d: Any, path: str) -> SchemeParams:
 def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> int:
     section = _read(cfg["reproduce_table"], _REPRODUCE, "reproduce_table")
     rows = section["rows"]
+    for row in rows:
+        _check_fits(row.target, cutoff, "cutoff", _sub("reproduce_table.rows", row.row_id))
     polish_iters = section["polish_iters"]
     limits = _read(section["tolerance"], _TOLERANCE, "reproduce_table.tolerance")
     path = "reproduce_table.overrides"
@@ -645,6 +654,11 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
 # entry point
 
 
+# libyaml's safe loader where PyYAML was built with it: the same resolver
+# as yaml.SafeLoader, so the same values, parsed several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_config(path: str | None) -> Any:
     """The parsed config file, None without one."""
     if path is None:
@@ -653,7 +667,7 @@ def _load_config(path: str | None) -> Any:
     if not p.exists():
         raise ConfigError("", f"config file not found: {path}")
     try:
-        return yaml.safe_load(p.read_text())
+        return yaml.load(p.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError("", f"cannot parse config: {exc}") from None
 

@@ -25,10 +25,18 @@ Quantum 4, 366 (2020)):
     U|n, s-n> = (u00 a3' + u10 a4') U|n-1, s-n> / sqrt(n)     for 2n >= s,
     U|n, s-n> = (u01 a3' + u11 a4') U|n, s-n-1> / sqrt(s-n)   otherwise,
 
-with u the single-photon matrix of the splitter.  Dividing by the larger
-root keeps every coefficient at most sqrt(2) in size, so no step amplifies
-rounding: at s = 60 the blocks agree with a 50-digit reference to 3e-14.
-The blocks are streamed from the vacuum up and never cached.
+with u00 = u11 = sqrt(T) and u01 = u10 = i sqrt(1-T) the entries of the
+single-photon matrix of the splitter.  Dividing by the larger root keeps
+every coefficient at most sqrt(2) in size.  In the symmetric
+convention entry [p, n] of block s is i^(p+n) times a real number, so the
+blocks are walked in real form and the phases go on the rows of the state
+before and after.  A column of block s comes from a column of block s - 1,
+so a state whose amplitudes vanish outside n <= A, m <= B needs only the
+band of columns n in [max(0, s - B), min(s, A)], and only that band is
+built.  Against a 50-digit reference the blocks agree to 2.1e-14 at
+s = 60 and to 8.1e-12 at s = 120, the top sectors of an embedding at
+cutoffs 30 and 60.  The blocks are streamed from the vacuum up and never
+cached.
 """
 from __future__ import annotations
 
@@ -269,56 +277,71 @@ class BeamSplitterSpec:
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError(f"transmittance {self.transmittance} outside [0, 1]")
 
-    def single_photon_matrix(self) -> np.ndarray:
-        """2x2 matrix u with a_j' -> sum_i u[i, j] b_i' on creation operators."""
-        t = np.sqrt(self.transmittance)
-        r = np.sqrt(1.0 - self.transmittance)
-        return np.array([[t, 1j * r], [1j * r, t]], dtype=np.complex128)
+
+# i^k for k mod 4, exact, so multiplying by a power of i only moves bits
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _sector_blocks(spec: BeamSplitterSpec, s_max: int):
-    """Yield the beam-splitter blocks of sectors s = 0..s_max in order.
+def _real_blocks(t: float, a_max: int, b_max: int, s_max: int):
+    """Yield (s, lo, R) for sectors s = 0..s_max: the band columns
+    n = lo..lo + R.shape[1] - 1 of block s in real form, with
+    <p, s-p| U |n, s-n> = i^(p+n) R[p, n - lo].
 
-    Block s comes from block s - 1 by the one-operator recurrence of the
-    module docstring, and only the previous block is kept.  Dividing by a
-    root is a product with its complex reciprocal: numpy's complex-by-real
-    quotient bit for bit, without the cast.
+    The band holds the columns that inputs with n <= a_max and
+    s - n <= b_max reach, n in [max(0, s - b_max), min(s, a_max)].  Each
+    comes from a column of the band of block s - 1, by the recurrence of
+    the module docstring in real form:
+
+        R_s[p, n] = (r sqrt(p) R[p-1, n] + t sqrt(s-p) R[p, n]) / sqrt(s-n)       2n < s,
+        R_s[p, n] = (-t sqrt(p) R[p-1, n-1] + r sqrt(s-p) R[p, n-1]) / sqrt(n)    2n >= s,
+
+    with t = sqrt(T), r = sqrt(1-T) and R the block of sector s - 1.  One
+    buffer holds the block at rows 1..s+1 between zero rows, so both terms
+    read shifted row slices of one gathered copy.  The yielded R is a view
+    of that buffer, valid until the next step.
     """
-    u = spec.single_photon_matrix()
+    tt, rr = math.sqrt(t), math.sqrt(1.0 - t)
+    width = min(a_max, b_max) + 1
     root = np.sqrt(np.arange(s_max + 1.0))
-    inv_root = np.zeros(s_max + 1, dtype=np.complex128)
-    inv_root[1:] = 1.0 / root[1:]
-    w = np.ones((1, 1), dtype=np.complex128)
-    yield w
+    # per step s (row s - 1) and band column j: the source column in the
+    # band of block s - 1 and the two coefficients over the larger root
+    steps = np.arange(1, s_max + 1)[:, None]
+    firsts = np.maximum(steps - b_max, 0)
+    n = firsts + np.arange(width)
+    left = 2 * n < steps
+    inv = 1.0 / root[np.clip(np.maximum(n, steps - n), 1, s_max)]
+    src = np.arange(width) + (firsts - np.maximum(steps - 1 - b_max, 0)) - ~left
+    c_up = np.where(left, rr, -tt) * inv
+    c_side = np.where(left, tt, rr) * inv
+    buf = np.zeros((s_max + 2, width))
+    buf[1, 0] = 1.0
+    yield 0, 0, buf[1:2, :1]
     for s in range(1, s_max + 1):
-        # a3' and a4' applied to every column of block s - 1
-        up = np.zeros((s + 1, s), dtype=np.complex128)
-        up[1:] = root[1 : s + 1, None] * w
-        side = np.zeros((s + 1, s), dtype=np.complex128)
-        side[:-1] = root[s:0:-1, None] * w
-        h = (s + 1) // 2  # columns n < h have 2n < s
-        nxt = np.empty((s + 1, s + 1), dtype=np.complex128)
-        nxt[:, :h] = (u[0, 1] * up[:, :h] + u[1, 1] * side[:, :h]) * inv_root[s : s - h : -1]
-        nxt[:, h:] = (u[0, 0] * up[:, h - 1 :] + u[1, 0] * side[:, h - 1 :]) * inv_root[h : s + 1]
-        w = nxt
-        yield w
+        lo = max(0, s - b_max)
+        band = min(s, a_max) - lo + 1
+        g = buf[: s + 2].take(src[s - 1, :band], axis=1)
+        block = buf[1 : s + 2, :band]
+        np.multiply(g[: s + 1], root[: s + 1, None], out=block)
+        block *= c_up[s - 1, :band]
+        side = g[1:] * root[s::-1, None]
+        side *= c_side[s - 1, :band]
+        block += side
+        yield s, lo, block
 
 
 def sector_unitary(s: int, spec: BeamSplitterSpec) -> np.ndarray:
     """Beam-splitter block on the total-photon-number-s subspace.
 
-    Entry [p, n] is <p, s-p| U |n, s-n>.  The block comes from the
-    one-operator recurrence of `_sector_blocks`, which climbs from the
-    vacuum block through every sector below s: column n is the image of
-    column n - 1 (2n >= s) or column n (2n < s) of block s - 1 under
-    u00 a3' + u10 a4' or u01 a3' + u11 a4', divided by sqrt(n) or
-    sqrt(s - n), whichever is larger.
+    Entry [p, n] is <p, s-p| U |n, s-n>: the last block of the real walk
+    `_real_blocks` over the full band, which climbs from the vacuum block
+    through every sector below s, times the phases i^(p+n).
     """
     if s < 0:
         raise ValueError(f"sector {s} is negative")
-    for w in _sector_blocks(spec, s):
+    for _, _, block in _real_blocks(spec.transmittance, s, s, s):
         pass
-    return w
+    phase = _I_POWERS[np.arange(s + 1) % 4]
+    return phase[:, None] * block * phase
 
 
 def beam_splitter_apply(state: TwoModeState, spec: BeamSplitterSpec) -> tuple[TwoModeState, float]:
@@ -326,23 +349,37 @@ def beam_splitter_apply(state: TwoModeState, spec: BeamSplitterSpec) -> tuple[Tw
 
     Total photon number n + m is conserved exactly, so each sector with
     n + m <= cutoff is rotated by its exact unitary block, walked once from
-    the vacuum up and applied as it is built.  Sectors with n + m > cutoff
-    cannot be represented completely on the truncated grid; their
-    amplitudes are dropped and the dropped probability mass is returned
-    alongside the new state.
+    the vacuum up and applied as it is built.  If c[n, m] vanishes outside
+    n <= A and m <= B, only the band of columns that box reaches is built,
+    in real form (`_real_blocks`): the input's rows take the phase i^n, each
+    anti-diagonal is multiplied as a (band, 2) real array, and the output's
+    rows take i^p.  Sectors with n + m > cutoff cannot be represented
+    completely on the truncated grid; their amplitudes are dropped and the
+    dropped probability mass is returned alongside the new state.
     """
     n_cut = state.cutoff
     c = state.amps
-    grid = np.add.outer(np.arange(n_cut + 1), np.arange(n_cut + 1))
-    dropped = float(np.sum(np.abs(c[grid > n_cut]) ** 2))
     out = np.zeros_like(c)
-    for s, block in enumerate(_sector_blocks(spec, n_cut)):
-        rows = np.arange(s + 1)
-        cols = s - rows
-        v = c[rows, cols]
-        if not np.any(v):
-            continue
-        out[rows, cols] = block @ v
+    rows = np.flatnonzero(c.any(axis=1))
+    if rows.size == 0:
+        return TwoModeState(out, n_cut), 0.0
+    a_max, b_max = int(rows[-1]), int(np.flatnonzero(c.any(axis=0))[-1])
+    dropped = 0.0
+    if a_max + b_max > n_cut:
+        grid = np.add.outer(np.arange(n_cut + 1), np.arange(n_cut + 1))
+        dropped = float(np.sum(np.abs(c[grid > n_cut]) ** 2))
+    s_max = min(n_cut, a_max + b_max)
+    phase = _I_POWERS[np.arange(max(a_max, s_max) + 1) % 4]
+    # the support box with row n times i^n, as pairs (re, im); anti-diagonal
+    # s of a (a_max + 1) x (b_max + 1) array has stride b_max, of out n_cut
+    box = (phase[: a_max + 1, None] * c[: a_max + 1, : b_max + 1]).view(np.float64).reshape(-1, 2)
+    pairs = out.view(np.float64).reshape(-1, 2)
+    step_in, step_out = max(b_max, 1), max(n_cut, 1)
+    for s, lo, block in _real_blocks(spec.transmittance, a_max, b_max, s_max):
+        hi = lo + block.shape[1] - 1
+        v = box[s + lo * b_max : s + hi * b_max + 1 : step_in]
+        pairs[s : s + s * n_cut + 1 : step_out] = block @ v
+    out[: s_max + 1] *= phase[: s_max + 1, None]
     return TwoModeState(out, n_cut), dropped
 
 

@@ -27,9 +27,11 @@ FockVector.  The window figures, the success probability over x +/- delta
 and the window-averaged misfit, form V once: the outcome density is a
 quadratic form in Hermite functions whose primitive has a closed form
 (_hm_window).  The "oracle" route embeds the inputs at 2N, applies the
-sector-by-sector beam splitter and projects (slow; used to cross-check).
-Both keep every output amplitude up to total photon number 2N before
-truncating, so their retained and discarded masses agree.
+beam splitter sector by sector, building only the block columns that
+inputs truncated at N reach (fock.beam_splitter_apply), and projects
+(used to cross-check).  Both keep every output amplitude up to total
+photon number 2N before truncating, so their retained and discarded
+masses agree.
 
 The batched route (conditional_output_batch, which scores the GA
 generations and the deviation-sweep levels) runs on the exact Gaussian

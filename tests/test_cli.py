@@ -159,6 +159,16 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+def test_bundled_config_parses_the_same_under_both_loaders(config):
+    # the CLI parses with libyaml where PyYAML has it; both loaders share
+    # one resolver, so every value and its type must come out the same
+    text = (CONFIGS / config).read_text()
+    fast = yaml.load(text, Loader=cli._YAML_LOADER)
+    plain = yaml.load(text, Loader=yaml.SafeLoader)
+    assert fast == plain and repr(fast) == repr(plain)
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # strict tails at a starved cutoff: the tail-mass guard must trip
     hot = dict(ROW2_PARAMS, r1=1.5, alpha1=3.0)
@@ -292,10 +302,20 @@ B9 = {"family": "binomial", "p": 0.3, "M": 9}
     ("optimize", {"target": B37, "optimize": {
         "kind": "spd", "mask": {"T": 0.95}, "ga": TINY_GA}},
      "optimize.mask.T", "pinned T=0.95 outside [0.1, 0.9]"),
-], ids=["elitism", "evaluate-M", "sweep-M", "optimize-search-M", "pin-outside-box"])
+    ("evaluate", {"target": {"family": "adhoc", "coefficients": [1, 0, 0, 0, 0, 0, 1]},
+                  "cutoff": 5, "evaluate": SPD_POINT},
+     "target.coefficients", "7 coefficients exceed cutoff 5"),
+    ("optimize", {"target": {"family": "adhoc", "coefficients": [1, 0, 0, 0, 0, 0, 1]},
+                  "cutoff": 12, "optimize": {"kind": "spd", "search_cutoff": 5, "ga": TINY_GA}},
+     "target.coefficients", "7 coefficients exceed optimize.search_cutoff 5"),
+    ("reproduce-table", {"cutoff": 10, "reproduce_table": {"rows": "all", "polish_iters": 0}},
+     "reproduce_table.rows.07-binom-0.4-15-hm.M", "15 above cutoff 10"),
+], ids=["elitism", "evaluate-M", "sweep-M", "optimize-search-M", "pin-outside-box",
+        "evaluate-adhoc", "optimize-search-adhoc", "table-row-M"])
 def test_error_of_two_keys_names_its_config_path(tmp_path, capsys, command, payload, path, message):
     # each of these depends on two config values, and was refused with no
-    # config path, a wrong one, or the wrong cutoff
+    # config path, a wrong one, or the wrong cutoff; all are refused before
+    # any compute
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1

@@ -1,6 +1,7 @@
 """Fock-layer unit tests: Hermite evaluation, beam splitter, projections."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from heraldkit.fock import (
     BeamSplitterSpec,
     DensityMatrix,
     FockVector,
+    TwoModeState,
     basis_state,
     beam_splitter_apply,
     fidelity,
@@ -27,7 +29,7 @@ from heraldkit.fock import (
     sector_unitary,
     tensor,
     vacuum,
-    _sector_blocks,
+    _real_blocks,
 )
 from heraldkit.scheme import misfit_batch
 
@@ -47,8 +49,6 @@ def random_two_mode(cutoff: int, seed: int, max_total: int | None = None):
     if max_total is not None:
         n = np.arange(cutoff + 1)
         c[n[:, None] + n[None, :] > max_total] = 0.0
-    from heraldkit.fock import TwoModeState
-
     return TwoModeState(c / np.linalg.norm(c), cutoff)
 
 
@@ -166,24 +166,32 @@ def test_sector_unitary_rejects_negative_sector():
 
 
 def _mpmath_sector_block(s: int, t: float):
-    """Block s of the symmetric splitter as a 50-digit binomial sum."""
+    """Block s of the symmetric splitter from an exact binomial sum, to 50 digits.
+
+    Entry [p, n] is the coefficient of x**p y**(s-p) in
+    (sqrt(T) x + i r y)**n (i r x + sqrt(T) y)**(s-n), r = sqrt(1-T), times
+    sqrt(p! (s-p)! / (n! (s-n)!)).  Collecting the powers gives
+
+        i**(n+p) sqrt(T)**(s-n-p) r**(n+p) sum_k C(n, k) C(s-n, p-k) (-T/(1-T))**k,
+
+    and with T = num/den exactly the sum is one integer over (den-num)**s, so
+    only the final scaling is rounded.
+    """
     mp = pytest.importorskip("mpmath")
+    num, den = Fraction(t).as_integer_ratio()
+    powers = [(-num) ** k * (den - num) ** (s - k) for k in range(s + 1)]
+    block = np.empty((s + 1, s + 1), dtype=np.complex128)
     with mp.workdps(50):
-        tt = [mp.sqrt(mp.mpf(t)) ** k for k in range(s + 1)]
-        rr = [(1j * mp.sqrt(1 - mp.mpf(t))) ** k for k in range(s + 1)]
-        fact = [mp.factorial(k) for k in range(s + 1)]
-        block = np.empty((s + 1, s + 1), dtype=np.complex128)
+        rt, rr = mp.sqrt(mp.mpf(t)), mp.sqrt(1 - mp.mpf(t))
+        root = [mp.sqrt(mp.factorial(k) * mp.factorial(s - k)) for k in range(s + 1)]
+        scale = [rt ** (s - j) * rr ** j / mp.mpf(den - num) ** s for j in range(2 * s + 1)]
         for n in range(s + 1):
-            # (t x + i r y)**n (i r x + t y)**(s - n), coefficient of x**p at col[p]
-            first = [math.comb(n, k) * tt[k] * rr[n - k] for k in range(n + 1)]
-            second = [math.comb(s - n, k) * rr[k] * tt[s - n - k] for k in range(s - n + 1)]
-            col = [mp.mpc(0)] * (s + 1)
-            for k1, a in enumerate(first):
-                for k2, b in enumerate(second):
-                    col[k1 + k2] += a * b
+            first = [math.comb(n, k) * powers[k] for k in range(n + 1)]
+            second = [math.comb(s - n, k) for k in range(s - n + 1)]
             for p in range(s + 1):
-                norm = mp.sqrt(fact[p] * fact[s - p] / (fact[n] * fact[s - n]))
-                block[p, n] = complex(col[p] * norm)
+                total = sum(first[k] * second[p - k] for k in range(max(0, p + n - s), min(n, p) + 1))
+                value = complex(total * scale[n + p] * root[p] / root[n])
+                block[p, n] = value * (1, 1j, -1, -1j)[(n + p) % 4]
     return block
 
 
@@ -195,15 +203,25 @@ def test_sector_unitary_matches_high_precision_block(t):
     assert np.max(np.abs(block - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [0.1, 0.9])
+def test_top_lossy_sector_matches_high_precision_block(t):
+    # s = 120 is the top sector of a lossy point at cutoff 60; the rounding
+    # of the walk grows with s, to 8.1e-12 (T = 0.1) and 6.5e-12 (T = 0.9)
+    ref = _mpmath_sector_block(120, t)
+    block = sector_unitary(120, BeamSplitterSpec(t))
+    assert np.max(np.abs(block - ref)) <= 2e-11
+
+
 @settings(max_examples=60, deadline=None)
 @given(s_max=st.integers(0, 40), t=st.floats(0.0, 1.0))
 @example(s_max=40, t=0.0)
 @example(s_max=40, t=1.0)
 def test_sector_blocks_unitary_and_norm_preserving(s_max, t):
     spec = BeamSplitterSpec(t)
-    for s, block in enumerate(_sector_blocks(spec, s_max)):
-        assert block.shape == (s + 1, s + 1)
-        assert np.max(np.abs(block @ block.conj().T - np.eye(s + 1))) <= 1e-12
+    # the real form of a unitary block with phases i^(p+n) is orthogonal
+    for s, lo, block in _real_blocks(t, s_max, s_max, s_max):
+        assert lo == 0 and block.shape == (s + 1, s + 1)
+        assert np.max(np.abs(block @ block.T - np.eye(s + 1))) <= 1e-12
     st_in = random_two_mode(s_max, seed=s_max)
     out, _ = beam_splitter_apply(st_in, spec)
     for s in range(s_max + 1):
@@ -211,6 +229,38 @@ def test_sector_blocks_unitary_and_norm_preserving(s_max, t):
         before = np.sum(np.abs(st_in.amps[p, s - p]) ** 2)
         after = np.sum(np.abs(out.amps[p, s - p]) ** 2)
         assert after == pytest.approx(before, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cutoff=st.integers(0, 14),
+    a_max=st.integers(0, 14),
+    b_max=st.integers(0, 14),
+    t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cutoff=9, a_max=0, b_max=9, t=0.3, seed=1)
+@example(cutoff=9, a_max=9, b_max=0, t=0.7, seed=2)
+@example(cutoff=10, a_max=3, b_max=8, t=0.45, seed=3)
+@example(cutoff=12, a_max=12, b_max=12, t=0.6, seed=4)
+def test_banded_apply_matches_full_blocks(cutoff, a_max, b_max, t, seed):
+    # a random state on the box n <= a_max, m <= b_max, with mass above the
+    # cutoff whenever a_max + b_max > cutoff, against every full block
+    # applied sector by sector
+    a_max, b_max = min(a_max, cutoff), min(b_max, cutoff)
+    rng = np.random.default_rng(seed)
+    c = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    c[: a_max + 1, : b_max + 1] = rng.standard_normal((a_max + 1, b_max + 1, 2)) @ [1.0, 1.0j]
+    c /= np.linalg.norm(c)
+    spec = BeamSplitterSpec(t)
+    out, dropped = beam_splitter_apply(TwoModeState(c, cutoff), spec)
+    ref = np.zeros_like(c)
+    for s in range(cutoff + 1):
+        n = np.arange(s + 1)
+        ref[n, s - n] = sector_unitary(s, spec) @ c[n, s - n]
+    assert np.max(np.abs(out.amps - ref)) <= 1e-13
+    above = np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1)) > cutoff
+    assert dropped == float(np.sum(np.abs(c[above]) ** 2))
 
 
 def test_beam_splitter_transparent():
@@ -306,8 +356,6 @@ def test_partial_trace_pure_and_mixed():
     np.testing.assert_allclose(rho.rho, expect, atol=1e-12)
 
     # Bell-like state en route to the maximally mixed qubit
-    from heraldkit.fock import TwoModeState
-
     c = np.zeros((3, 3), dtype=complex)
     c[0, 0] = c[1, 1] = 1 / np.sqrt(2)
     bell = TwoModeState(c, 2)
