@@ -115,9 +115,9 @@ def _key(kind, default: Any = _REQUIRED, rng: str = "") -> tuple:
     """One entry of a schema table: kind of value, default and range.
 
     kind is int, bool or str, a checker (value, path) -> value, a tuple of
-    the allowed strings, or [kind] for a list.  A key whose default is
-    _REQUIRED must be given.  rng is an interval such as "[0, 1)" or
-    "(0, inf)" that a number, or each number of a list, must lie in.
+    the allowed strings, or [kind] for a non-empty list.  A key whose
+    default is _REQUIRED must be given.  rng is an interval such as "[0, 1)"
+    or "(0, inf)" that a number, or each number of a list, must lie in.
     """
     return kind, default, rng
 
@@ -195,8 +195,8 @@ def _value(v: Any, spec: tuple, path: str) -> Any:
     """One config value checked against the kind and range of its key."""
     kind, default, rng = spec
     if isinstance(kind, list):
-        if not isinstance(v, list):
-            raise ConfigError(path, "expected a list")
+        if not isinstance(v, list) or not v:
+            raise ConfigError(path, "expected a non-empty list")
         return tuple(_value(x, (kind[0], default, rng), f"{path}[{i}]") for i, x in enumerate(v))
     if isinstance(kind, tuple):
         if v not in kind:
@@ -350,8 +350,6 @@ _TOLERANCE = {
 def parse_target(d: Any, path: str = "target") -> TargetSpec:
     vals = _read(d, _TARGET, path)
     family = vals.pop("family")
-    if family == "adhoc" and not vals["coefficients"]:
-        raise ConfigError(_sub(path, "coefficients"), "expected a non-empty list")
     return _construct(path, _FAMILIES[family], *vals.values())
 
 

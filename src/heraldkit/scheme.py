@@ -6,32 +6,33 @@ detection (SPD) heralds exactly one photon, or a homodyne measurement (HM)
 records a rotated-quadrature value x along phase lam.  Either outcome
 projects mode 4 onto the conditional state returned here.
 
-Both heralds read one two-mode array.  On inputs truncated at the cutoff N
-the beam-splitter output is V[j, m] over 0..2N in each mode, with j the
-photons in the measured mode 3 and m those in the signal mode 4.  Each
-input contributes a kappa-scaled arm matrix U_j[d, k] (_arms), and V is
-their two-dimensional convolution rescaled by sqrt factorials
-(_two_mode_array).  One kernel, _herald, reads V for a point given as a
-flat SPD_LAYOUT or HM_LAYOUT vector, from tables cached per cutoff:
+Point readings come from the arms.  On inputs truncated at the cutoff N
+each input contributes a kappa-scaled arm matrix U_j[d, k] (_arms), with d
+of its photons sent to the measured mode 3 and k to the signal mode 4.  One
+kernel, _herald, reads the heralded output of a point given as a flat
+SPD_LAYOUT or HM_LAYOUT vector, from tables cached per cutoff:
 
-* SPD keeps row j = 1, which needs only rows d <= 1 of the arms: two
-  one-dimensional convolutions;
-* HM contracts j with the Hermite functions phi_j(x) at the reading, in one
-  Hankel product of the arms that never forms V.
+* SPD keeps one photon in mode 3, which needs only rows d <= 1 of the arms:
+  two one-dimensional convolutions;
+* HM contracts mode 3 with the Hermite functions phi_j(x) at the reading,
+  in one Hankel product of the arms.
 
 This closed route is what "closed" means in conditional_output, and score,
-the figure functions and optimizer.objective wrap the same kernel.  The
+the point figures and optimizer.objective wrap the same kernel.  The
 Nelder-Mead polish evaluates it on its own search vector and reads the
 misfit with _output_misfit, so no evaluation builds a SchemeParams or a
-FockVector.  The window figures, the success probability over x +/- delta
-and the window-averaged misfit, form V once: the outcome density is a
-quadratic form in Hermite functions whose primitive has a closed form
-(_hm_window).  The "oracle" route embeds the inputs at 2N, applies the
-beam splitter sector by sector, building only the block columns that
-inputs truncated at N reach (fock.beam_splitter_apply), and projects
-(used to cross-check).  Both keep every output amplitude up to total
-photon number 2N before truncating, so their retained and discarded
-masses agree.
+FockVector.
+
+The whole two-mode array V[j, m] of the truncated inputs, over 0..2N in
+each mode, is formed in one place: embedded_two_mode_state embeds the
+inputs at 2N and applies the beam splitter sector by sector, building only
+the block columns that inputs truncated at N reach
+(fock.beam_splitter_apply).  The "oracle" route projects it (used to
+cross-check), and the window figures, the success probability over
+x +/- delta and the window-averaged misfit, read it: the outcome density is
+a quadratic form in Hermite functions whose primitive has a closed form
+(_hm_window).  Both routes keep every output amplitude up to total photon
+number 2N before truncating, so their retained and discarded masses agree.
 
 The batched route (conditional_output_batch, which scores the GA
 generations and the deviation-sweep levels) runs on the exact Gaussian
@@ -224,8 +225,8 @@ def _scaled_sqrt_factorials(n_max: int) -> np.ndarray:
     """s[n] = sqrt(n!) / kappa**n for n = 0..n_max, with kappa = sqrt(n_max / e).
 
     The scale keeps every entry between about exp(-n_max / (2 e)) and
-    sqrt(n_max), so the factorial ratios of the two-mode array stay finite
-    at cutoffs where sqrt(n!) itself overflows.
+    sqrt(n_max), so the factorial ratios of the arms and their readings
+    stay finite at cutoffs where sqrt(n!) itself overflows.
     """
     kappa = np.sqrt(max(n_max, 1) / np.e)
     n = np.arange(n_max + 1)
@@ -300,82 +301,18 @@ def _arms(
     return u[0], u[1], a
 
 
-def _two_mode_array(u1: np.ndarray, u2: np.ndarray, cutoff: int) -> np.ndarray:
-    """V[j, m] = s[j] s[m] W[j, m] over j, m = 0..2 cutoff, with W the
-    two-dimensional convolution W[j, m] = sum U1[d1, k] U2[d2, l] over
-    d1 + d2 = j, k + l = m (one Toeplitz product per row d1).
-
-    The powers of kappa in s and in the arms cancel, so V is the
-    beam-splitter output of the truncated inputs,
-    embedded_two_mode_state(p, cutoff).
-    """
-    tb = _tables(cutoff)
-    # padded[cutoff + k] = U1[d1, k], so U2[:, ::-1] @ padded[toeplitz],
-    # toeplitz[i, j] = i + j, holds each row of U2 convolved with U1[d1]
-    toeplitz = tb.n[: cutoff + 1, None] + tb.n
-    padded = np.zeros(3 * cutoff + 1, dtype=np.complex128)
-    u2_rev = u2[:, ::-1]
-    v = np.zeros((2 * cutoff + 1, 2 * cutoff + 1), dtype=np.complex128)
-    for d1 in range(cutoff + 1):
-        padded[cutoff : 2 * cutoff + 1] = u1[d1]
-        v[d1 : d1 + cutoff + 1] += u2_rev @ padded.take(toeplitz)
-    v *= tb.s[:, None]
-    v *= tb.s
-    return v
-
-
-def _hm_window(
-    arms: tuple[np.ndarray, np.ndarray, np.ndarray], lam: float, edges: np.ndarray, cutoff: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-mode array of one HM point with the reading phase e^{-i j lam}
-    on row j, V_lam (so c(x) = phi(x)^T V_lam), and the primitive of its
-    outcome density at each edge.
-
-    The outcome density is the quadratic form p(x) = phi(x)^T G phi(x) in
-    the normalized Hermite functions (fock.hermite_gaussian_columns), with
-    G = Re(V_lam V_lam^dagger) over the squared norm of the inputs.  As
-    phi_n'' = (x^2 - 2n - 1) phi_n and (phi_{n-1} phi_n)' = sqrt(2n)
-    (phi_{n-1}^2 - phi_n^2), its primitive is
-
-        B(x) = 2 phi^T M phi' + sum_n G[n, n] D_n(x),
-
-    with M[j, k] = G[j, k] / (2 (j - k)) off the diagonal and 0 on it,
-    phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, D_0 = erf(x) / 2
-    and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n).  The probability of a
-    reading between two edges is the difference of B over them.
-    """
-    u1, u2, inputs = arms
-    v = _two_mode_array(u1, u2, cutoff)
-    v *= np.exp(-1j * lam * _tables(cutoff).n)[:, None]
-    # Re(V V^dagger) is X X^T for the real and imaginary parts side by side
-    x = v.view(np.float64)
-    g = x @ x.T
-    mass = np.sum(np.abs(inputs) ** 2, axis=1)
-    g /= float(mass[0] * mass[1])
-    j = np.arange(2 * cutoff + 1)
-    m = 2.0 * np.subtract.outer(j, j.astype(float))
-    np.fill_diagonal(m, np.inf)
-    np.divide(g, m, out=m)
-    phi = hermite_gaussian_columns(2 * cutoff + 1, edges)
-    # at j = 0 the first term reads phi[-1] times 0
-    dphi = np.sqrt(j / 2.0)[:, None] * phi[j - 1] - np.sqrt((j + 1) / 2.0)[:, None] * phi[j + 1]
-    steps = phi[: 2 * cutoff] * phi[1 : 2 * cutoff + 1] / np.sqrt(2.0 * j[1:])[:, None]
-    erf = np.array([math.erf(e) for e in edges])
-    d = 0.5 * erf - np.vstack([np.zeros_like(edges), np.cumsum(steps, axis=0)])
-    return v, 2.0 * np.sum(phi[:-1] * (m @ dphi), axis=0) + np.diag(g) @ d
-
-
 def _herald(
     vec: np.ndarray, cutoff: int, check_input_tail: bool = False
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized closed-route output of the point vec (a flat
     SPD_LAYOUT or HM_LAYOUT vector, angles taken as given) before truncation
-    at the cutoff, and the arms it was read from (only rows d <= 1 for SPD).
+    at the cutoff, and the truncated inputs a_1, a_2 it was read from, as
+    two rows.  The output is a reading of the arms; V is never formed.
 
-    SPD keeps row j = 1 of V over |0>..|2 cutoff - 1>: one photon in the
-    measured mode comes from row d = 1 of one arm and row 0 of the other.
-    HM reads <x|_lam V over |0>..|2 cutoff>: the arms meet in the Hankel
-    matrix of h[j] = phi_j(x) e^{-i j lam} s[j],
+    SPD keeps one photon in the measured mode over |0>..|2 cutoff - 1>: it
+    comes from row d = 1 of one arm and row 0 of the other.  HM reads
+    <x|_lam V over |0>..|2 cutoff>: the arms meet in the Hankel matrix of
+    h[j] = phi_j(x) e^{-i j lam} s[j],
 
         c[m] = s[m] sum_{k+l=m} (U1^T @ Hankel(h) @ U2)[k, l].
 
@@ -385,10 +322,10 @@ def _herald(
     """
     tb = _tables(cutoff)
     if len(vec) == len(SPD_LAYOUT):
-        u1, u2, _ = arms = _arms(vec, cutoff, check_input_tail, depth=2)
+        u1, u2, inputs = _arms(vec, cutoff, check_input_tail, depth=2)
         w = np.convolve(u1[1], u2[0]) + np.convolve(u1[0], u2[1])
-        return tb.s[1] * tb.s[: 2 * cutoff] * w[: 2 * cutoff], arms
-    u1, u2, _ = arms = _arms(vec, cutoff, check_input_tail)
+        return tb.s[1] * tb.s[: 2 * cutoff] * w[: 2 * cutoff], inputs
+    u1, u2, inputs = _arms(vec, cutoff, check_input_tail)
     h = hermite_gaussian_columns(2 * cutoff, vec[9]) * tb.s * np.exp(-1j * vec[10] * tb.n)
     # (U2^T @ Hankel @ U1)[l, k] has the anti-diagonal sums of the
     # contraction.  Its rows go into rows of 2 cutoff + 3 zeros, read as
@@ -398,7 +335,7 @@ def _herald(
     shifted = np.zeros((cutoff + 1) * (wide + 1), dtype=np.complex128)
     shifted.reshape(cutoff + 1, wide + 1)[:, : cutoff + 1] = u2.T @ (h.take(tb.hankel) @ u1)
     sums = shifted[: (cutoff + 1) * wide].reshape(cutoff + 1, wide).sum(axis=0)
-    return tb.s * sums[: 2 * cutoff + 1], arms
+    return tb.s * sums[: 2 * cutoff + 1], inputs
 
 
 def embedded_two_mode_state(
@@ -440,7 +377,7 @@ def conditional_output(
     """Heralded signal state for either measurement kind.
 
     method selects the evaluation route: "closed" (default; one reading of
-    the two-mode array, _herald) or "oracle".  Both take every squeezing
+    the arms, _herald) or "oracle".  Both take every squeezing
     magnitude r >= 0, coherent inputs included.
     """
     if method == "oracle":
@@ -607,7 +544,7 @@ def success_prob_spd(p: SchemeParams, cutoff: int, check_input_tail: bool = True
     """Probability of the single-photon herald, including mass above the cutoff."""
     if not isinstance(p.measurement, SPD):
         raise TypeError("measurement must be SPD")
-    full, (_, _, inputs) = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
+    full, inputs = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
     return _probability(full, inputs)
 
 
@@ -619,8 +556,48 @@ def hm_outcome_density(
         raise TypeError("measurement must be HM")
     vec = params_to_vector(p)[0]
     vec[9] = x_value
-    full, (_, _, inputs) = _herald(vec, cutoff, check_input_tail)
+    full, inputs = _herald(vec, cutoff, check_input_tail)
     return _probability(full, inputs)
+
+
+def _hm_window(
+    mixed: TwoModeState, lam: float, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-mode array of one HM point with the reading phase e^{-i j lam}
+    on row j, V_lam (so c(x) = phi(x)^T V_lam), and the primitive of its
+    outcome density at each edge.
+
+    mixed is the embedded beam-splitter output (embedded_two_mode_state),
+    V over 0..2N in each mode.  The outcome density is the quadratic form
+    p(x) = phi(x)^T G phi(x) in the normalized Hermite functions
+    (fock.hermite_gaussian_columns), with G = Re(V_lam V_lam^dagger) over
+    the squared norm of V; the embedding drops nothing, so that norm is the
+    product of the input norms.  As phi_n'' = (x^2 - 2n - 1) phi_n and
+    (phi_{n-1} phi_n)' = sqrt(2n) (phi_{n-1}^2 - phi_n^2), its primitive is
+
+        B(x) = 2 phi^T M phi' + sum_n G[n, n] D_n(x),
+
+    with M[j, k] = G[j, k] / (2 (j - k)) off the diagonal and 0 on it,
+    phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, D_0 = erf(x) / 2
+    and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n).  The probability of a
+    reading between two edges is the difference of B over them.
+    """
+    j = np.arange(mixed.cutoff + 1)
+    v = mixed.amps * np.exp(-1j * lam * j)[:, None]
+    # Re(V V^dagger) is X X^T for the real and imaginary parts side by side
+    x = v.view(np.float64)
+    g = x @ x.T
+    g /= mixed.norm_sq()
+    m = 2.0 * np.subtract.outer(j, j.astype(float))
+    np.fill_diagonal(m, np.inf)
+    np.divide(g, m, out=m)
+    phi = hermite_gaussian_columns(mixed.cutoff + 1, edges)
+    # at j = 0 the first term reads phi[-1] times 0
+    dphi = np.sqrt(j / 2.0)[:, None] * phi[j - 1] - np.sqrt((j + 1) / 2.0)[:, None] * phi[j + 1]
+    steps = phi[:-2] * phi[1:-1] / np.sqrt(2.0 * j[1:])[:, None]
+    erf = np.array([math.erf(e) for e in edges])
+    d = 0.5 * erf - np.vstack([np.zeros_like(edges), np.cumsum(steps, axis=0)])
+    return v, 2.0 * np.sum(phi[:-1] * (m @ dphi), axis=0) + np.diag(g) @ d
 
 
 def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True) -> float:
@@ -631,8 +608,8 @@ def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True)
     if delta == 0.0:
         return 0.0
     edges = np.array([p.measurement.x - delta, p.measurement.x + delta])
-    arms = _arms(params_to_vector(p)[0], cutoff, check_input_tail)
-    _, primitive = _hm_window(arms, p.measurement.lam, edges, cutoff)
+    mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
+    _, primitive = _hm_window(mixed, p.measurement.lam, edges)
     return float(primitive[1] - primitive[0])
 
 
@@ -675,8 +652,8 @@ def average_misfit(
     if n_subranges < 1:
         raise ValueError("n_subranges must be >= 1")
     edges = _subrange_edges(p.measurement, n_subranges)
-    arms = _arms(params_to_vector(p)[0], cutoff, check_input_tail)
-    v, primitive = _hm_window(arms, p.measurement.lam, edges, cutoff)
+    mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
+    v, primitive = _hm_window(mixed, p.measurement.lam, edges)
     return _window_average(v, primitive, edges, target, cutoff)
 
 
@@ -697,17 +674,19 @@ def score(
     success_prob is the herald probability for SPD; for HM it is the
     probability of a reading inside x +/- window_halfwidth, or the outcome
     density at x when there is no window.  eps_avg is the window-averaged
-    misfit, None without a window.  The arms are built once, and a window
-    forms the two-mode array once for both of its figures; each figure
-    equals that of the function of the same name to rounding.
+    misfit, None without a window.  The output and eps are read from the
+    arms (_herald), which are dropped before a window embeds the inputs
+    once for both of its figures; each figure equals that of the function
+    of the same name to rounding.
     """
-    full, arms = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
+    full, inputs = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
     out = _split_output(full, cutoff)
     eps = misfit(out, target)
     m = p.measurement
     if isinstance(m, HM) and m.window_halfwidth > 0.0:
         edges = _subrange_edges(m, tol.DEFAULT_SUBRANGES)
-        v, primitive = _hm_window(arms, m.lam, edges, cutoff)
+        mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
+        v, primitive = _hm_window(mixed, m.lam, edges)
         eps_avg = _window_average(v, primitive, edges, target, cutoff)
         return Score(out, eps, float(primitive[-1] - primitive[0]), eps_avg)
-    return Score(out, eps, _probability(full, arms[2]), None)
+    return Score(out, eps, _probability(full, inputs), None)

@@ -22,6 +22,7 @@ from heraldkit.scheme import (
     Score,
     conditional_output,
     misfit,
+    success_prob_hm,
     success_prob_spd,
 )
 from heraldkit.states import Binomial, SqueezedCoherentParams, target_state
@@ -285,6 +286,24 @@ def test_option_the_command_would_not_use_or_out_of_range_refused(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,payload,path", [
+    ("sweep", {"target": B37, "sweep": dict(DEVIATION, deviations=[])}, "sweep.deviations"),
+    ("sweep", {"target": B37, "sweep": dict(EFFICIENCY, etas=[])}, "sweep.etas"),
+    ("evaluate", {"target": {"family": "adhoc", "coefficients": []}, "evaluate": SPD_POINT},
+     "target.coefficients"),
+    ("optimize", {"target": B37, "optimize": {"kind": "spd", "bounds": {"T": []},
+                                              "ga": TINY_GA}},
+     "optimize.bounds.T"),
+], ids=["deviations", "etas", "adhoc-coefficients", "bounds-pair"])
+def test_empty_list_refused(tmp_path, capsys, command, payload, path):
+    # an empty sweep grid used to exit 0 with a header-only sweep.csv
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: expected a non-empty list\n"
+    assert not out.exists()
+
+
 B9 = {"family": "binomial", "p": 0.3, "M": 9}
 
 
@@ -420,6 +439,26 @@ def test_evaluate_spd_high_cutoff_is_finite(tmp_path):
         values += [float(v) for k, v in rows[cutoff].items() if k != "label" and v != ""]
         assert np.all(np.isfinite(values))
     assert float(rows[200]["P"]) == pytest.approx(float(rows[100]["P"]), abs=1e-8)
+
+
+HIGH_CUTOFF_HM_PARAMS = {
+    "r1": 1.06069, "theta1": 0.276096, "alpha1": 0.142721, "phi1": 3.235142,
+    "r2": 0.81924, "theta2": 5.762735, "alpha2": 2.516905, "phi2": 3.230296,
+    "T": 0.497499, "x": 0.99006, "lam": 0.074066, "delta": 0.3,
+}
+
+
+def test_evaluate_hm_window_at_cutoff_110_is_converged(tmp_path):
+    # with its input tails checked, this point once exited 0 with P = 45.3
+    cfg = write_config(tmp_path, {
+        "target": {"family": "binomial", "p": 0.45, "M": 8},
+        "evaluate": {"kind": "hm", "params": HIGH_CUTOFF_HM_PARAMS},
+    })
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--quiet",
+                 "--cutoff", "110"]) == 0
+    want = success_prob_hm(cli.parse_params(HIGH_CUTOFF_HM_PARAMS, "hm", "params"), 90)
+    assert float(read_rows(out / "row.csv")[0]["P"]) == pytest.approx(want, abs=1e-8)
 
 
 def _scipy_modules_after(code: str) -> list[str]:

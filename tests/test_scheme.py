@@ -155,26 +155,12 @@ def test_binomials_are_exact():
     assert b[100, 101] == 0.0 and b[200, 1] == 0.0
 
 
-# criterion-1 box; the two-mode array does not depend on the measurement
+# criterion-1 box
 _BOX_ARMS = st.builds(
     SqueezedCoherentParams,
     st.floats(0.05, 1.7), st.floats(0.0, 2.0 * math.pi),
     st.floats(0.0, 4.0), st.floats(0.0, 2.0 * math.pi),
 )
-
-
-@settings(max_examples=40, deadline=None)
-@given(in1=_BOX_ARMS, in2=_BOX_ARMS, t=st.floats(0.1, 0.9), cutoff=st.integers(6, 30))
-def test_two_mode_array_matches_embedding(in1, in2, t, cutoff):
-    p = SchemeParams(in1, in2, t, HM(1.0, 0.0))
-    u1, u2, _ = scheme._arms(params_to_vector(p)[0], cutoff, check_input_tail=False)
-    v = scheme._two_mode_array(u1, u2, cutoff)
-    ref = embedded_two_mode_state(p, cutoff, check_input_tail=False).amps
-    # the binomial convolution of two heavy-tailed inputs cancels: at the box
-    # corners (r = 1.7, |alpha| = 4, cutoff 30) it keeps about 1e-9 of the
-    # largest entry, while the unitary sector blocks of the embedding stay
-    # at 1e-16; a slipped index or phase would be off by order 1
-    assert np.max(np.abs(v - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 def test_spd_route_matches_brute_force():
@@ -619,16 +605,9 @@ def test_success_prob_hm_matches_oracle_quadrature():
     assert got == pytest.approx(want, abs=1e-9)
 
 
-_ARMS = st.builds(
-    SqueezedCoherentParams,
-    st.floats(0.0, 1.2), st.floats(0.0, 2.0 * math.pi),
-    st.floats(0.0, 2.5), st.floats(0.0, 2.0 * math.pi),
-)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
-    in1=_ARMS, in2=_ARMS, t=st.floats(0.1, 0.9), x=st.floats(0.0, 4.0),
+    in1=_BOX_ARMS, in2=_BOX_ARMS, t=st.floats(0.1, 0.9), x=st.floats(0.0, 4.0),
     lam=st.floats(0.0, 2.0 * math.pi), delta=st.floats(0.0, 3.0, exclude_min=True),
     cutoff=st.integers(12, 30), n_sub=st.integers(1, 41),
 )
@@ -636,7 +615,8 @@ def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff, n
     p = SchemeParams(in1, in2, t, HM(x, lam, delta))
     got = success_prob_hm(p, cutoff, check_input_tail=False)
     # fixed 256-node Gauss-Legendre sum of oracle densities, all nodes at once
-    amps = embedded_two_mode_state(p, cutoff, check_input_tail=False).amps
+    mixed = embedded_two_mode_state(p, cutoff, check_input_tail=False)
+    amps = mixed.amps
     nodes, node_weights = roots_legendre(256)
     n = np.arange(2 * cutoff + 1)
     bra = hermite_gaussian_columns(2 * cutoff, x + delta * nodes) * np.exp(-1j * lam * n)[:, None]
@@ -645,8 +625,7 @@ def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff, n
     assert got <= 1.0 + 1e-12
     # the subrange weights of average_misfit telescope to P
     edges = np.linspace(x - delta, x + delta, n_sub + 1)
-    arms = scheme._arms(params_to_vector(p)[0], cutoff, False)
-    _, primitive = scheme._hm_window(arms, lam, edges, cutoff)
+    _, primitive = scheme._hm_window(mixed, lam, edges)
     assert abs(np.sum(np.diff(primitive)) - got) <= 1e-14
 
 
@@ -667,6 +646,27 @@ def test_hm_figures_at_cutoff_200_match_cutoff_134():
     assert dens_hi == pytest.approx(dens_lo, rel=1e-12)
     assert abs(p_hi - p_lo) <= 1e-12
     assert abs(avg_hi - avg_lo) <= 1e-12
+
+
+# a box point whose inputs pass the tail check at cutoff 90; the window figures
+# of its truncated inputs have converged there
+HIGH_CUTOFF_HM = SchemeParams(
+    SqueezedCoherentParams(1.06069, 0.276096, 0.142721, 3.235142),
+    SqueezedCoherentParams(0.81924, 5.762735, 2.516905, 3.230296),
+    0.497499, HM(0.99006, 0.074066, 0.3),
+)
+
+
+def test_window_figures_converge_above_cutoff_60():
+    # a binomial convolution of the arms once gave P = 45.3 at cutoff 110
+    figures = {}
+    for cutoff in (90, 110):
+        tgt = binomial_state(0.45, 8, cutoff)
+        figures[cutoff] = (success_prob_hm(HIGH_CUTOFF_HM, cutoff),
+                           average_misfit(HIGH_CUTOFF_HM, tgt, cutoff))
+    (p_lo, avg_lo), (p_hi, avg_hi) = figures[90], figures[110]
+    assert abs(p_hi - p_lo) <= 1e-9 and abs(avg_hi - avg_lo) <= 1e-9
+    assert 0.0 < p_hi <= 1.0
 
 
 # ----------------------------------------------------------- average misfit
