@@ -20,11 +20,7 @@ from .fock import (
     DensityMatrix,
     FockVector,
     TwoModeState,
-    basis_state,
     fidelity,
-    partial_trace,
-    tensor,
-    vacuum,
 )
 from .imperfections import (
     ImperfectionSpec,
@@ -40,7 +36,6 @@ from .optimizer import (
     GAConfig,
     OptimizationResult,
     local_polish,
-    objective,
     objective_batch,
     optimize,
 )
@@ -68,10 +63,8 @@ from .states import (
     TargetSpec,
     amplitude_squeezed_state,
     binomial_state,
-    coherent_state,
     negative_binomial_state,
     resource_state,
-    squeezed_coherent,
     target_state,
 )
 
@@ -109,9 +102,7 @@ __all__ = [
     "all_rows",
     "amplitude_squeezed_state",
     "average_misfit",
-    "basis_state",
     "binomial_state",
-    "coherent_state",
     "conditional_output",
     "conditional_output_lossy",
     "designated_rows",
@@ -122,18 +113,13 @@ __all__ = [
     "loss_channel",
     "misfit",
     "negative_binomial_state",
-    "objective",
     "objective_batch",
     "optimize",
     "output_oracle",
-    "partial_trace",
     "resource_state",
-    "squeezed_coherent",
     "success_prob_hm",
     "success_prob_spd",
     "sweep_efficiency",
     "sweep_parameter_deviation",
     "target_state",
-    "tensor",
-    "vacuum",
 ]

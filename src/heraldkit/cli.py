@@ -170,6 +170,8 @@ def _select_rows(selector: Any, path: str) -> tuple[ReferenceRow, ...]:
     if selector == "all":
         return all_rows()
     if isinstance(selector, list):
+        if not selector:
+            raise ConfigError(path, "expected a non-empty list")
         if not all(isinstance(s, str) for s in selector):
             raise ConfigError(path, "expected row id strings")
         try:
@@ -245,7 +247,7 @@ _KINDS = ("spd", "hm")
 _TOP = {
     "target": _key(_mapping, None),
     "cutoff": _key(int, tol.DEFAULT_CUTOFF, "[4, inf)"),
-    "seed": _key(int, 1),
+    "seed": _key(int, 1, "[0, inf)"),
     "output": _key(str, "."),
     "evaluate": _key(_mapping, None),
     "optimize": _key(_mapping, None),
@@ -701,7 +703,7 @@ def main(argv: list[str] | None = None) -> int:
         cutoff = cfg["cutoff"] if args.cutoff is None else _value(
             args.cutoff, _TOP["cutoff"], "--cutoff"
         )
-        seed = cfg["seed"] if args.seed is None else args.seed
+        seed = cfg["seed"] if args.seed is None else _value(args.seed, _TOP["seed"], "--seed")
         out_dir = Path(cfg["output"] if args.out is None else args.out)
         return _COMMANDS[args.command](cfg, cutoff, seed, out_dir, args.quiet)
     except ConfigError as exc:

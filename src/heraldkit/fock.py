@@ -14,8 +14,9 @@ the symmetric phase convention
     a2' -> i sqrt(1-T) a3' + sqrt(T) a4',
 
 written here as the substitution rule applied to creation operators.  In a
-two-mode amplitude array c[n, m] the first index is mode 3 and the second is
-mode 4.
+two-mode amplitude array c[n, m] the first index is mode 3, the measured
+arm, and the second is mode 4, the signal arm; project_quadrature always
+contracts the first.
 
 The splitter conserves n + m, so it acts block by block on the sectors of
 fixed total photon number s.  Block s follows from block s - 1 by one
@@ -48,10 +49,6 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import HermiteOverflowError, NormalizationError
-
-# Mode labels used throughout: the measured output arm and the signal arm.
-MODE_FIRST = 3
-MODE_SECOND = 4
 
 _PI_QUARTER = np.pi ** -0.25
 
@@ -170,30 +167,11 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.rho)))
 
-    def normalized(self) -> "DensityMatrix":
-        t = self.trace()
-        if t <= 0.0:
-            raise NormalizationError("cannot normalize a trace-zero operator")
-        return DensityMatrix(self.rho / t, self.cutoff)
-
     def expectation(self, vec: FockVector) -> float:
         """<vec| rho |vec> as a real number."""
         if vec.cutoff != self.cutoff:
             raise ValueError("cutoff mismatch")
         return float(np.real(np.vdot(vec.amps, self.rho @ vec.amps)))
-
-
-def basis_state(n: int, cutoff: int) -> FockVector:
-    """Number state |n> at the given cutoff."""
-    if not 0 <= n <= cutoff:
-        raise ValueError(f"basis index {n} outside 0..{cutoff}")
-    a = np.zeros(cutoff + 1, dtype=np.complex128)
-    a[n] = 1.0
-    return FockVector(a, cutoff)
-
-
-def vacuum(cutoff: int) -> FockVector:
-    return basis_state(0, cutoff)
 
 
 def hermite_sequence(z: complex, n_max: int) -> np.ndarray:
@@ -250,21 +228,6 @@ def hermite_gaussian_columns(n_max: int, x: np.ndarray | float) -> np.ndarray:
     for k in range(2, n_max + 1):
         out[k] = np.sqrt(2.0 / k) * x * out[k - 1] - np.sqrt((k - 1.0) / k) * out[k - 2]
     return out
-
-
-def quadrature_wavefunction(n: int, x: float, lam: float) -> complex:
-    """<x|n>_lam for the rotated quadrature X_lam = (a e^{-i lam} + a' e^{i lam})/sqrt(2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    phi = hermite_gaussian_columns(n, float(x))[n]
-    return complex(phi * np.exp(-1j * n * lam))
-
-
-def tensor(a: FockVector, b: FockVector) -> TwoModeState:
-    """Product state with a on the first index and b on the second."""
-    if a.cutoff != b.cutoff:
-        raise ValueError("tensor requires matching cutoffs")
-    return TwoModeState(np.outer(a.amps, b.amps), a.cutoff)
 
 
 @dataclass(frozen=True)
@@ -383,56 +346,19 @@ def beam_splitter_apply(state: TwoModeState, spec: BeamSplitterSpec) -> tuple[Tw
     return TwoModeState(out, n_cut), dropped
 
 
-def _measured_axis_first(state: TwoModeState, measured_mode: int) -> np.ndarray:
-    if measured_mode == MODE_FIRST:
-        return state.amps
-    if measured_mode == MODE_SECOND:
-        return state.amps.T
-    raise ValueError(f"measured_mode must be {MODE_FIRST} or {MODE_SECOND}")
+def project_quadrature(state: TwoModeState, x: float, lam: float) -> tuple[FockVector, float]:
+    """Condition on a quadrature reading x along phase lam in the measured mode 3.
 
-
-def project_fock(state: TwoModeState, measured_mode: int, n: int) -> tuple[FockVector, float]:
-    """Condition on finding exactly n photons in the measured mode.
-
-    Returns the unnormalized amplitude slice of the other mode together with
-    the outcome probability (the squared norm of the slice).
-    """
-    if not 0 <= n <= state.cutoff:
-        raise ValueError(f"photon count {n} outside 0..{state.cutoff}")
-    c = _measured_axis_first(state, measured_mode)
-    slice_ = np.array(c[n, :])
-    prob = float(np.sum(np.abs(slice_) ** 2))
-    return FockVector(slice_, state.cutoff), prob
-
-
-def project_quadrature(
-    state: TwoModeState, measured_mode: int, x: float, lam: float
-) -> tuple[FockVector, float]:
-    """Condition on a quadrature reading x along phase lam in the measured mode.
-
-    Contracts the measured index with <x|n>_lam.  Returns the unnormalized
-    amplitude vector of the other mode and the outcome probability density
+    Contracts the first index with <x|n>_lam.  Returns the unnormalized
+    amplitude vector of mode 4 and the outcome probability density
     (its squared norm), normalized so integrating over x gives 1.
     """
-    c = _measured_axis_first(state, measured_mode)
+    c = state.amps
     n_idx = np.arange(state.cutoff + 1)
     bra = hermite_gaussian_columns(state.cutoff, float(x)) * np.exp(-1j * lam * n_idx)
     v = bra @ c
     density = float(np.sum(np.abs(v) ** 2))
     return FockVector(v, state.cutoff), density
-
-
-def partial_trace(state: TwoModeState, traced_mode: int) -> DensityMatrix:
-    """Reduced density matrix after tracing out one mode of a pure state."""
-    c = state.amps
-    if traced_mode == MODE_SECOND:
-        rho = c @ c.conj().T
-    elif traced_mode == MODE_FIRST:
-        rho = c.T @ c.conj()
-    else:
-        raise ValueError(f"traced_mode must be {MODE_FIRST} or {MODE_SECOND}")
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho, state.cutoff)
 
 
 def _require_unit_norm(label: str, value: float):

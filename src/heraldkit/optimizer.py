@@ -18,7 +18,9 @@ point at a time through the scalar route, which truncates the inputs at
 the cutoff; every reported number comes from it.  The polish evaluates
 its own search vector through that route's kernel (scheme._herald) and
 one shared misfit read (scheme._output_misfit), so no evaluation builds a
-SchemeParams or a FockVector; objective wraps the same two calls.
+SchemeParams or a FockVector; that misfit is, to the bit,
+scheme.misfit(scheme.conditional_output(params, cutoff,
+check_input_tail=False), target).
 
 optimize(target, kind, bounds=None, mask=None, cfg=None, *,
 window_halfwidth=0.0, polish_iters=0, ...) runs the GA and then, with
@@ -111,11 +113,6 @@ class Bounds:
         lo, hi = zip(*(_DIM_BOUNDS[n] for n in layout_for_kind(kind)))
         return cls(lo, hi)
 
-    def contains(self, vec: np.ndarray) -> bool:
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return bool(np.all(vec >= lo) and np.all(vec <= hi))
-
     def check_pin(self, name: str, value: float) -> None:
         """Raise ValueError unless value lies in the range of dimension name."""
         i = self.names.index(name)
@@ -192,21 +189,6 @@ def _target_vector(target: TargetSpec | FockVector, cutoff: int) -> FockVector:
     return target_state(target, cutoff, check_tail=False)
 
 
-def objective(
-    params: SchemeParams, target: TargetSpec | FockVector, cutoff: int
-) -> float:
-    """Misfit of the conditional output against the target.
-
-    Pure and deterministic: misfit(conditional_output(params, cutoff,
-    check_input_tail=False), target), read straight off the closed-route
-    kernel (scheme._herald), which takes every squeezing r >= 0.  The input
-    tail check is disabled so the whole bounded search box evaluates to a
-    finite number.
-    """
-    tgt = _target_vector(target, cutoff)
-    return _output_misfit(_herald(params_to_vector(params)[0], cutoff)[0], cutoff, tgt)
-
-
 def objective_batch(V: np.ndarray, target: TargetSpec | FockVector, cutoff: int) -> np.ndarray:
     """Misfit of every row of V, a stack of flat search vectors of one kind
     (9 entries for SPD, 11 for HM), in one call.
@@ -214,9 +196,10 @@ def objective_batch(V: np.ndarray, target: TargetSpec | FockVector, cutoff: int)
     The rows go through the exact Gaussian core
     (scheme.conditional_output_batch), which keeps the inputs whole and
     truncates only the output.  Where the input tails above the cutoff
-    vanish, row i equals objective(vector_to_params(V[i]), target, cutoff)
-    up to rounding; elsewhere the two differ by about the input tail mass.
-    The call raises wherever one of those would.
+    vanish, row i equals misfit(conditional_output(vector_to_params(V[i]),
+    cutoff, check_input_tail=False), target) up to rounding; elsewhere the
+    two differ by about the input tail mass, because that route truncates
+    the inputs.  The call raises wherever one of those would.
     """
     states, _ = conditional_output_batch(V, cutoff)
     return misfit_batch(states, _target_vector(target, cutoff))

@@ -17,11 +17,10 @@ SPD_LAYOUT or HM_LAYOUT vector, from tables cached per cutoff:
 * HM contracts mode 3 with the Hermite functions phi_j(x) at the reading,
   in one Hankel product of the arms.
 
-This closed route is what "closed" means in conditional_output, and score,
-the point figures and optimizer.objective wrap the same kernel.  The
-Nelder-Mead polish evaluates it on its own search vector and reads the
-misfit with _output_misfit, so no evaluation builds a SchemeParams or a
-FockVector.
+This closed route is what "closed" means in conditional_output, and score
+and the point figures wrap the same kernel.  The Nelder-Mead polish
+evaluates it on its own search vector and reads the misfit with
+_output_misfit, so no evaluation builds a SchemeParams or a FockVector.
 
 The whole two-mode array V[j, m] of the truncated inputs, over 0..2N in
 each mode, is formed in one place: embedded_two_mode_state embeds the
@@ -58,7 +57,6 @@ import numpy as np
 from . import tolerances as tol
 from .errors import NormalizationError
 from .fock import (
-    MODE_FIRST,
     BeamSplitterSpec,
     DensityMatrix,
     FockVector,
@@ -69,9 +67,7 @@ from .fock import (
     beam_splitter_apply,
     fidelity,
     hermite_gaussian_columns,
-    project_fock,
     project_quadrature,
-    tensor,
 )
 from .states import (
     SqueezedCoherentParams,
@@ -350,7 +346,7 @@ def embedded_two_mode_state(
     big = 2 * cutoff
     e = np.zeros((2, big + 1), dtype=np.complex128)
     e[:, : cutoff + 1] = _inputs(params_to_vector(p)[0], cutoff, check_input_tail)
-    joint = tensor(FockVector(e[0], big), FockVector(e[1], big))
+    joint = TwoModeState(np.outer(e[0], e[1]), big)
     mixed, dropped = beam_splitter_apply(joint, BeamSplitterSpec(p.transmittance))
     if dropped != 0.0:
         raise AssertionError("embedding at twice the cutoff must not drop mass")
@@ -360,15 +356,17 @@ def embedded_two_mode_state(
 def output_oracle(
     p: SchemeParams, cutoff: int, check_input_tail: bool = True
 ) -> ConditionalOutput:
-    """Reference evaluation through the explicit two-mode pipeline."""
+    """Reference evaluation through the explicit two-mode pipeline: the
+    single-photon herald reads row 1 of the embedded state, the homodyne
+    herald contracts its first index (fock.project_quadrature)."""
     mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
     if isinstance(p.measurement, SPD):
-        vec, _ = project_fock(mixed, MODE_FIRST, 1)
+        full = mixed.amps[1]
     elif isinstance(p.measurement, HM):
-        vec, _ = project_quadrature(mixed, MODE_FIRST, p.measurement.x, p.measurement.lam)
+        full = project_quadrature(mixed, p.measurement.x, p.measurement.lam)[0].amps
     else:
         raise TypeError(f"unknown measurement {type(p.measurement).__name__}")
-    return _split_output(vec.amps, cutoff)
+    return _split_output(full, cutoff)
 
 
 def conditional_output(
@@ -628,30 +626,25 @@ def _window_average(
     return float(probs @ eps) / weight_sum
 
 
-def _subrange_edges(m: HM, n_subranges: int) -> np.ndarray:
-    return np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth, n_subranges + 1)
+def _subrange_edges(m: HM) -> np.ndarray:
+    return np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth,
+                       tol.DEFAULT_SUBRANGES + 1)
 
 
 def average_misfit(
-    p: SchemeParams,
-    target: FockVector,
-    cutoff: int,
-    n_subranges: int = tol.DEFAULT_SUBRANGES,
-    check_input_tail: bool = True,
+    p: SchemeParams, target: FockVector, cutoff: int, check_input_tail: bool = True
 ) -> float:
     """Probability-weighted misfit over the acceptance window.
 
-    The window x +/- window_halfwidth is split into n_subranges equal
-    pieces; each contributes its midpoint misfit weighted by the
+    The window x +/- window_halfwidth is split into tol.DEFAULT_SUBRANGES
+    equal pieces; each contributes its midpoint misfit weighted by the
     probability of landing in that piece.
     """
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
     if p.measurement.window_halfwidth <= 0.0:
         raise ValueError("measurement.window_halfwidth must be > 0")
-    if n_subranges < 1:
-        raise ValueError("n_subranges must be >= 1")
-    edges = _subrange_edges(p.measurement, n_subranges)
+    edges = _subrange_edges(p.measurement)
     mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
     v, primitive = _hm_window(mixed, p.measurement.lam, edges)
     return _window_average(v, primitive, edges, target, cutoff)
@@ -684,7 +677,7 @@ def score(
     eps = misfit(out, target)
     m = p.measurement
     if isinstance(m, HM) and m.window_halfwidth > 0.0:
-        edges = _subrange_edges(m, tol.DEFAULT_SUBRANGES)
+        edges = _subrange_edges(m)
         mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
         v, primitive = _hm_window(mixed, m.lam, edges)
         eps_avg = _window_average(v, primitive, edges, target, cutoff)

@@ -122,32 +122,6 @@ def _recurrence_rows(a: np.ndarray, b: np.ndarray, c0, cutoff: int) -> np.ndarra
     return amps.T
 
 
-def squeezed_coherent(
-    p: SqueezedCoherentParams, cutoff: int, check_tail: bool = True
-) -> FockVector:
-    """Normalized squeezed coherent state |zeta, alpha> at the cutoff.
-
-    Raises TailMassError when too much of the state sits in the top Fock
-    levels (the cutoff is too small for these parameters); pass
-    check_tail=False to skip the guard when the caller tracks truncation
-    loss itself.
-    """
-    amps = squeezed_coherent_amplitudes(p, cutoff)
-    if check_tail:
-        check_tail_mass(amps, cutoff)
-    return FockVector(amps, cutoff).normalized()
-
-
-def coherent_state(alpha: complex, cutoff: int, check_tail: bool = True) -> FockVector:
-    """Coherent state |alpha>, a convenience wrapper used mostly by tests."""
-    a = complex(alpha)
-    return squeezed_coherent(
-        SqueezedCoherentParams(0.0, 0.0, abs(a), float(np.angle(a))),
-        cutoff,
-        check_tail=check_tail,
-    )
-
-
 def binomial_state(p: float, M: int, cutoff: int) -> FockVector:
     """Binomial state: c_n = [C(M,n) p^n (1-p)^(M-n)]^(1/2) on n = 0..M,
     the amplitudes of n of M photons surviving a loss of efficiency p

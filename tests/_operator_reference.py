@@ -1,24 +1,57 @@
-"""Independent operator references for the tests.
+"""Independent references for the tests.
 
-Number-basis matrices of the squeeze and displacement operators, the
-references for the state constructors: each element comes from its own
-closed form, with no recurrence shared with the package.  The loss channel
-as an explicit vacuum-ancilla dilation, the reference for the closed-form
-loss amplitudes of heraldkit.imperfections.
+Number-basis matrices of the squeeze and displacement operators, and the
+coherent state, the references for the state constructors: each element
+comes from its own closed form, with no recurrence shared with the package.
+The Hermite functions of the quadrature eigenbra from scipy's Hermite
+polynomials, the reference for the package's normalized recurrence.  The
+loss channel as an explicit vacuum-ancilla dilation, the reference for the
+closed-form loss amplitudes of heraldkit.imperfections, with the partial
+trace it needs.  Number states and product states as plain arrays.
 """
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, eval_hermite, gammaln
 
 from heraldkit.fock import (
-    MODE_SECOND,
     BeamSplitterSpec,
     DensityMatrix,
     FockVector,
+    TwoModeState,
     beam_splitter_apply,
-    partial_trace,
-    tensor,
-    vacuum,
 )
+
+
+def basis_state(n: int, cutoff: int) -> FockVector:
+    """Number state |n> at the given cutoff."""
+    return FockVector(np.eye(cutoff + 1)[n], cutoff)
+
+
+def tensor(a: FockVector, b: FockVector) -> TwoModeState:
+    """Product state with a on the first index (mode 3) and b on the second."""
+    return TwoModeState(np.outer(a.amps, b.amps), a.cutoff)
+
+
+def partial_trace(c: np.ndarray) -> DensityMatrix:
+    """Reduced state of the first index of the pure two-mode array c, the
+    second traced out; pass c.T for the reduced state of the second."""
+    rho = c @ c.conj().T
+    return DensityMatrix(0.5 * (rho + rho.conj().T), c.shape[0] - 1)
+
+
+def coherent_state(alpha: complex, cutoff: int) -> FockVector:
+    """Coherent state |alpha> from alpha^n exp(-|alpha|^2 / 2) / sqrt(n!),
+    normalized on |0>..|cutoff>."""
+    n = np.arange(cutoff + 1)
+    amps = complex(alpha) ** n * np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * gammaln(n + 1.0))
+    return FockVector(amps / np.linalg.norm(amps), cutoff)
+
+
+def quadrature_wavefunction(n: int, x: float, lam: float) -> complex:
+    """<x|n>_lam = pi^-1/4 (2^n n!)^-1/2 H_n(x) exp(-x^2 / 2) exp(-i n lam),
+    with H_n from scipy and the scale in log form."""
+    log_norm = 0.25 * np.log(np.pi) + 0.5 * (n * np.log(2.0) + gammaln(n + 1.0))
+    scale = np.exp(-log_norm - 0.5 * x * x)
+    return complex(eval_hermite(n, x) * scale * np.exp(-1j * n * lam))
 
 
 def squeeze_operator_matrix(zeta: complex, cutoff: int) -> np.ndarray:
@@ -90,8 +123,8 @@ def loss_dilation(state: FockVector, eta: float) -> DensityMatrix:
     Exact on the truncated space because the ancilla starts in vacuum, so no
     sector exceeds the cutoff.
     """
-    joint = tensor(state, vacuum(state.cutoff))
+    joint = tensor(state, basis_state(0, state.cutoff))
     mixed, dropped = beam_splitter_apply(joint, BeamSplitterSpec(eta))
     if dropped != 0.0:
         raise AssertionError("loss dilation must conserve the truncated support")
-    return partial_trace(mixed, MODE_SECOND)
+    return partial_trace(mixed.amps)

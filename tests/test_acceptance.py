@@ -11,15 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from _operator_reference import basis_state, coherent_state, tensor
 
 from heraldkit.cli import main
-from heraldkit.fock import (
-    BeamSplitterSpec,
-    basis_state,
-    beam_splitter_apply,
-    fidelity,
-    tensor,
-)
+from heraldkit.fock import BeamSplitterSpec, beam_splitter_apply, fidelity
 from heraldkit.imperfections import (
     ImperfectionSpec,
     conditional_output_lossy,
@@ -43,7 +38,6 @@ from heraldkit.states import (
     SqueezedCoherentParams,
     amplitude_squeezed_state,
     binomial_state,
-    coherent_state,
     negative_binomial_state,
     resource_state,
     target_state,

@@ -294,9 +294,10 @@ def test_option_the_command_would_not_use_or_out_of_range_refused(
     ("optimize", {"target": B37, "optimize": {"kind": "spd", "bounds": {"T": []},
                                               "ga": TINY_GA}},
      "optimize.bounds.T"),
-], ids=["deviations", "etas", "adhoc-coefficients", "bounds-pair"])
+    ("reproduce-table", {"reproduce_table": {"rows": []}}, "reproduce_table.rows"),
+], ids=["deviations", "etas", "adhoc-coefficients", "bounds-pair", "reproduce-rows"])
 def test_empty_list_refused(tmp_path, capsys, command, payload, path):
-    # an empty sweep grid used to exit 0 with a header-only sweep.csv
+    # an empty sweep grid or row list used to exit 0 with a header-only csv
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
@@ -419,6 +420,23 @@ def test_cutoff_override_below_minimum_rejected(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["evaluate", "--config", cfg, "--out", str(out), "--cutoff", "3"]) == 1
     assert "--cutoff: 3 below minimum 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("optimize", {"target": B37, "optimize": {"kind": "spd", "ga": TINY_GA}}),
+    ("sweep", {"target": B37, "sweep": DEVIATION}),
+], ids=["optimize", "sweep"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_refused(tmp_path, capsys, command, payload, where):
+    # numpy used to refuse it at compute time, with no config path
+    in_config = where == "config"
+    cfg = write_config(tmp_path, dict(payload, seed=-1) if in_config else payload)
+    out = tmp_path / "o"
+    flag = [] if in_config else ["--seed", "-1"]
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet", *flag]) == 1
+    path = "seed" if in_config else "--seed"
+    assert capsys.readouterr().err == f"config error: {path}: -1 below minimum 0\n"
     assert not out.exists()
 
 
@@ -689,14 +707,6 @@ def test_reproduce_corrupted_row_fails(tmp_path, capsys):
     assert main(["reproduce-table", "--config", cfg, "--out", str(out)]) == 3
     assert "FAIL 02-binom-0.3-7-spd" in capsys.readouterr().out
     assert read_rows(out / "report.csv")[0]["status"] == "FAIL"
-
-
-def test_reproduce_empty_rowset_succeeds(tmp_path):
-    cfg = write_config(tmp_path, {"reproduce_table": {"rows": []}})
-    out = tmp_path / "out"
-    assert main(["reproduce-table", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 0
-    assert read_rows(out / "report.csv") == []
 
 
 def test_reproduce_unknown_row_id(tmp_path, capsys):

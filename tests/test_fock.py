@@ -7,31 +7,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from _operator_reference import basis_state, partial_trace, quadrature_wavefunction, tensor
 from scipy.special import roots_legendre
 
 from heraldkit.errors import HermiteOverflowError, NormalizationError
 from heraldkit.fock import (
-    MODE_FIRST,
-    MODE_SECOND,
     BeamSplitterSpec,
     DensityMatrix,
     FockVector,
     TwoModeState,
-    basis_state,
     beam_splitter_apply,
     fidelity,
     hermite_gaussian_columns,
     hermite_sequence,
-    partial_trace,
-    project_fock,
     project_quadrature,
-    quadrature_wavefunction,
     sector_unitary,
-    tensor,
-    vacuum,
     _real_blocks,
 )
 from heraldkit.scheme import misfit_batch
+from heraldkit.states import AdHoc, target_state
 
 
 def random_fock(cutoff: int, seed: int) -> FockVector:
@@ -111,13 +105,14 @@ def test_hermite_functions_one_point_bit_identical(x):
 
 
 def test_quadrature_wavefunction_values():
+    # the package's Hermite functions, with the phase of the rotated
+    # eigenbra, against scipy's Hermite polynomials
     assert quadrature_wavefunction(0, 0.0, 1.234) == pytest.approx(np.pi ** -0.25)
     assert quadrature_wavefunction(1, 0.0, 0.0) == 0.0
-    # phase rotation preserves the modulus
-    a = quadrature_wavefunction(3, 1.2, 0.7)
-    b = quadrature_wavefunction(3, 1.2, 0.0)
-    assert abs(a) == pytest.approx(abs(b), abs=1e-14)
-    assert a == pytest.approx(b * np.exp(-3j * 0.7), abs=1e-14)
+    for x, lam in ((0.0, 1.234), (1.2, 0.7), (-2.3, 0.0), (4.0, 2.9)):
+        phi = hermite_gaussian_columns(60, x) * np.exp(-1j * np.arange(61) * lam)
+        ref = np.array([quadrature_wavefunction(n, x, lam) for n in range(61)])
+        np.testing.assert_allclose(phi, ref, rtol=0.0, atol=1e-13)
 
 
 def test_quadrature_wavefunction_normalized_over_x():
@@ -125,32 +120,9 @@ def test_quadrature_wavefunction_normalized_over_x():
     x, w = roots_legendre(200)
     x = x * 10.0
     w = w * 10.0
+    vals = hermite_gaussian_columns(12, x) ** 2
     for n in (0, 1, 5, 12):
-        vals = np.array([abs(quadrature_wavefunction(n, xi, 0.3)) ** 2 for xi in x])
-        assert float(np.dot(w, vals)) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_basis_state_and_vacuum():
-    v = basis_state(3, 10)
-    assert v.amps[3] == 1.0 and np.count_nonzero(v.amps) == 1
-    assert np.array_equal(vacuum(5).amps, basis_state(0, 5).amps)
-    with pytest.raises(ValueError):
-        basis_state(11, 10)
-
-
-def test_tensor_products():
-    z = tensor(vacuum(4), vacuum(4))
-    assert z.amps[0, 0] == 1.0 and np.count_nonzero(z.amps) == 1
-    s = tensor(basis_state(1, 4), vacuum(4))
-    assert s.amps[1, 0] == 1.0 and np.count_nonzero(s.amps) == 1
-    a = random_fock(6, 1)
-    b = random_fock(6, 2)
-    assert np.linalg.norm(tensor(a, b).amps) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tensor_cutoff_mismatch_rejected():
-    with pytest.raises(ValueError):
-        tensor(vacuum(4), vacuum(5))
+        assert float(np.dot(w, vals[n])) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("s", [1, 2, 5, 11])
@@ -264,7 +236,7 @@ def test_banded_apply_matches_full_blocks(cutoff, a_max, b_max, t, seed):
 
 
 def test_beam_splitter_transparent():
-    st = tensor(basis_state(1, 4), vacuum(4))
+    st = tensor(basis_state(1, 4), basis_state(0, 4))
     out, dropped = beam_splitter_apply(st, BeamSplitterSpec(1.0))
     assert dropped == 0.0
     # |1,0> passes through up to a global phase
@@ -304,35 +276,26 @@ def test_beam_splitter_reports_dropped_mass():
     assert kept + dropped == pytest.approx(1.0, abs=1e-12)
 
 
-def test_project_fock_basics():
-    st = tensor(basis_state(1, 4), vacuum(4))
-    vec, prob = project_fock(st, MODE_FIRST, 1)
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    assert vec.amps[0] == pytest.approx(1.0, abs=1e-12)
-
-    vec, prob = project_fock(tensor(vacuum(4), vacuum(4)), MODE_FIRST, 1)
-    assert prob == 0.0
-    assert np.all(vec.amps == 0.0)
-
-
-def test_project_fock_matches_partial_trace_diagonal():
-    st, _ = beam_splitter_apply(random_two_mode(10, seed=3, max_total=10),
-                                BeamSplitterSpec(0.42))
-    rho = partial_trace(st, MODE_SECOND)  # reduced state of the first mode
-    for n in (0, 1, 4):
-        _, prob = project_fock(st, MODE_FIRST, n)
-        assert prob == pytest.approx(float(rho.rho[n, n].real), abs=1e-12)
+def test_basis_state_and_vacuum():
+    # the package builds a number state as an ad hoc target with one
+    # nonzero coefficient, exactly
+    v = target_state(AdHoc((0, 0, 0, 2.5)), 10)
+    assert v.amps[3] == 1.0 and np.count_nonzero(v.amps) == 1
+    assert np.array_equal(target_state(AdHoc((1,)), 5).amps, basis_state(0, 5).amps)
+    with pytest.raises(ValueError):
+        target_state(AdHoc((0,) * 11 + (1,)), 10)
 
 
 def test_project_quadrature_vacuum_density():
-    _, density = project_quadrature(tensor(vacuum(4), vacuum(4)), MODE_FIRST, 0.0, 0.0)
+    vac = basis_state(0, 4)
+    _, density = project_quadrature(tensor(vac, vac), 0.0, 0.0)
     assert density == pytest.approx(np.pi ** -0.5, abs=1e-12)
 
 
 def test_project_quadrature_periodic_in_lambda():
     st = random_two_mode(8, seed=11)
-    a, da = project_quadrature(st, MODE_FIRST, 0.7, 0.4)
-    b, db = project_quadrature(st, MODE_FIRST, 0.7, 0.4 + 2 * np.pi)
+    a, da = project_quadrature(st, 0.7, 0.4)
+    b, db = project_quadrature(st, 0.7, 0.4 + 2 * np.pi)
     np.testing.assert_allclose(a.amps, b.amps, atol=1e-12)
     assert da == pytest.approx(db, abs=1e-14)
 
@@ -343,14 +306,15 @@ def test_project_quadrature_density_integrates_to_one():
     x = x * 12.0
     w = w * 12.0
     total = sum(
-        wi * project_quadrature(st, MODE_FIRST, xi, 0.9)[1] for xi, wi in zip(x, w)
+        wi * project_quadrature(st, xi, 0.9)[1] for xi, wi in zip(x, w)
     )
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_partial_trace_pure_and_mixed():
-    st = tensor(basis_state(1, 4), vacuum(4))
-    rho = partial_trace(st, MODE_SECOND)
+    # the reference partial trace of the loss dilation
+    st = tensor(basis_state(1, 4), basis_state(0, 4))
+    rho = partial_trace(st.amps)
     expect = np.zeros((5, 5))
     expect[1, 1] = 1.0
     np.testing.assert_allclose(rho.rho, expect, atol=1e-12)
@@ -358,9 +322,7 @@ def test_partial_trace_pure_and_mixed():
     # Bell-like state en route to the maximally mixed qubit
     c = np.zeros((3, 3), dtype=complex)
     c[0, 0] = c[1, 1] = 1 / np.sqrt(2)
-    bell = TwoModeState(c, 2)
-    for mode in (MODE_FIRST, MODE_SECOND):
-        rho = partial_trace(bell, mode)
+    for rho in (partial_trace(c), partial_trace(c.T)):
         np.testing.assert_allclose(np.diag(rho.rho), [0.5, 0.5, 0.0], atol=1e-12)
         assert abs(rho.rho[0, 1]) <= 1e-12
 
@@ -368,13 +330,13 @@ def test_partial_trace_pure_and_mixed():
 def test_partial_trace_of_product_state():
     a = random_fock(7, 21)
     b = random_fock(7, 22)
-    rho = partial_trace(tensor(a, b), MODE_SECOND)
+    rho = partial_trace(tensor(a, b).amps)
     np.testing.assert_allclose(rho.rho, np.outer(a.amps, a.amps.conj()), atol=1e-12)
 
 
 def test_density_matrix_invariants():
     st = random_two_mode(8, seed=17)
-    rho = partial_trace(st, MODE_FIRST)
+    rho = partial_trace(st.amps.T)
     np.testing.assert_allclose(rho.rho, rho.rho.conj().T, atol=1e-12)
     assert np.trace(rho.rho).real == pytest.approx(1.0, abs=1e-10)
     assert np.min(np.linalg.eigvalsh(rho.rho)) >= -1e-10

@@ -16,17 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "heraldkit"
 TRACING = ROOT / "bench" / "tracing.py"
 
-# Package functions and methods that only tests read.  Each is public API
-# kept for now; one that gains a reader outside the tests, or loses its
-# last one in them, leaves this list.
-TEST_ONLY = [
-    "fock.partial_trace",
-    "fock.quadrature_wavefunction",
-    "fock.vacuum",
-    "optimizer.Bounds.contains",
-    "optimizer.objective",
-    "states.coherent_state",
-]
+# Package functions and methods that only tests read.  A function the
+# tests need but nothing else reads belongs in the tests, so this list
+# stays empty; one listed here is public API kept on purpose.
+TEST_ONLY = []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -89,16 +82,24 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
 def unread_members(package: dict[str, str], readers: list[str]) -> list[str]:
     """module.function of every module-level function of the package, and
     module.Class.method of every method of its classes (dunders exempt),
-    that none of the reader sources reads.
+    that neither the reader sources nor the rest of the package read.
 
-    package maps module names to their source.  A function counts as read
-    where it is loaded or imported by name, taken as an attribute, or named
-    in a string (bench/tracing.py names the functions it wraps); a method
-    only where it is loaded as an attribute.
+    package maps module names to their source; readers are sources outside
+    it.  A function counts as read where it is loaded or imported by name,
+    taken as an attribute, or named in a string (bench/tracing.py names the
+    functions it wraps); a method only where it is loaded as an attribute.
+    A member read only inside the bodies of unread members is unread too:
+    the scan repeats with those bodies left out of the package until
+    nothing more is found, so a chain of helpers under one unread function
+    is listed whole.  Methods are matched by attribute name alone, so a
+    method that shares its name with one read elsewhere is never listed
+    (an unread DensityMatrix.normalized passed on the reads of
+    FockVector.normalized).
     """
+    trees = {module: ast.parse(source) for module, source in package.items()}
     functions, methods = [], []
-    for module, source in package.items():
-        for node in ast.parse(source).body:
+    for module, tree in trees.items():
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 functions.append(f"{module}.{node.name}")
             elif isinstance(node, ast.ClassDef):
@@ -107,9 +108,35 @@ def unread_members(package: dict[str, str], readers: list[str]) -> list[str]:
                     if isinstance(item, ast.FunctionDef)
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                 ]
+    outside = _reads(ast.parse(source) for source in readers)
+    unread: list[str] = []
+    while True:
+        kept = []
+        for module, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    kept += node.decorator_list + node.bases + [
+                        item for item in node.body
+                        if not (isinstance(item, ast.FunctionDef)
+                                and f"{module}.{node.name}.{item.name}" in unread)]
+                elif not (isinstance(node, ast.FunctionDef) and f"{module}.{node.name}" in unread):
+                    kept.append(node)
+        names, attributes = _reads(kept)
+        names |= outside[0]
+        attributes |= outside[1]
+        found = [f for f in functions if f.rsplit(".", 1)[1] not in names | attributes]
+        found += [m for m in methods if m.rsplit(".", 1)[1] not in attributes]
+        if sorted(found) == unread:
+            return unread
+        unread = sorted(found)
+
+
+def _reads(trees) -> tuple[set[str], set[str]]:
+    """The names and the attributes that the syntax trees read, for
+    unread_members."""
     names, attributes = set(), set()
-    for source in readers:
-        for node in ast.walk(ast.parse(source)):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -118,9 +145,7 @@ def unread_members(package: dict[str, str], readers: list[str]) -> list[str]:
                 names.update(a.name for a in node.names)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
-    unread = [f for f in functions if f.rsplit(".", 1)[1] not in names | attributes]
-    unread += [m for m in methods if m.rsplit(".", 1)[1] not in attributes]
-    return sorted(unread)
+    return names, attributes
 
 
 def without_reexports(source: str) -> str:
@@ -173,8 +198,19 @@ def test_unread_members_are_found():
              "    def used(self):\n        return called()\n"
              "    def stored(self):\n        pass\n",
     }
-    readers = [package["a"], "WRAPPED = [('a', 'traced')]\nC().used()\n"]
+    readers = ["WRAPPED = [('a', 'traced')]\nC().used()\n"]
     assert unread_members(package, readers) == ["a.C.stored", "a.spare"]
+
+
+def test_unread_members_follow_chains():
+    # a is read only by b, and b only by tests: both are listed, as is the
+    # method read only by b; c, read elsewhere in the package, is not
+    package = {
+        "m": "def a():\n    pass\ndef b():\n    return a(), K().helper()\ndef c():\n    pass\n"
+             "class K:\n    def helper(self):\n        return a()\n",
+        "n": "from .m import c\nVALUE = c()\n",
+    }
+    assert unread_members(package, []) == ["m.K.helper", "m.a", "m.b"]
 
 
 def test_reexports_are_not_reads():
@@ -196,16 +232,15 @@ def test_private_names_and_tolerances_are_read():
 
 def test_package_functions_and_methods_are_read():
     package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    readers = [path.read_text() for folder in ("src", "tests", "bench")
+    readers = [path.read_text() for folder in ("tests", "bench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
     assert unread_members(package, readers) == []
 
 
 def test_members_read_only_by_tests_are_listed():
-    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    readers = [without_reexports(source) if module == "__init__" else source
-               for module, source in package.items()]
-    readers += [path.read_text() for path in sorted((ROOT / "bench").rglob("*.py"))]
+    package = {path.stem: without_reexports(path.read_text()) if path.stem == "__init__"
+               else path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for path in sorted((ROOT / "bench").rglob("*.py"))]
     assert unread_members(package, readers) == TEST_ONLY
 
 

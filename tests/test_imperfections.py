@@ -4,17 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from _operator_reference import loss_dilation
+from _operator_reference import basis_state, coherent_state, loss_dilation, partial_trace
 
 from heraldkit import imperfections
-from heraldkit.fock import (
-    MODE_SECOND,
-    DensityMatrix,
-    FockVector,
-    basis_state,
-    fidelity,
-    partial_trace,
-)
+from heraldkit.fock import DensityMatrix, FockVector, fidelity
 from heraldkit.imperfections import (
     ImperfectionSpec,
     conditional_output_lossy,
@@ -32,7 +25,7 @@ from heraldkit.scheme import (
     misfit,
     success_prob_spd,
 )
-from heraldkit.states import SqueezedCoherentParams, binomial_state, coherent_state
+from heraldkit.states import SqueezedCoherentParams, binomial_state
 
 ROW_BINOM_SPD = SchemeParams(
     SqueezedCoherentParams(0.74, 3.50, 0.10, 2.14),
@@ -219,7 +212,7 @@ def test_inefficient_spd_herald_weight_matches_povm():
         ROW_BINOM_SPD, ImperfectionSpec(eta_det=eta), 30, check_input_tail=False
     )
     st = embedded_two_mode_state(ROW_BINOM_SPD, 30, check_input_tail=False)
-    rho3 = partial_trace(st, MODE_SECOND)
+    rho3 = partial_trace(st.amps)
     diag = np.diag(rho3.rho).real / np.trace(rho3.rho).real
     n = np.arange(61)
     povm = n * eta * (1.0 - eta) ** (n - 1)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heraldkit import optimizer
+from heraldkit import optimizer, scheme
 from heraldkit.errors import NormalizationError
+from heraldkit.fock import FockVector
 from heraldkit.optimizer import (
     Bounds,
     FixedMask,
     GAConfig,
     local_polish,
-    objective,
     objective_batch,
     optimize,
     params_to_vector,
@@ -29,7 +29,7 @@ from heraldkit.scheme import (
     conditional_output_batch,
     misfit,
 )
-from heraldkit.states import Binomial, SqueezedCoherentParams, target_state
+from heraldkit.states import Binomial, SqueezedCoherentParams, TargetSpec, target_state
 
 ROW_BINOM_SPD = SchemeParams(
     SqueezedCoherentParams(0.74, 3.50, 0.10, 2.14),
@@ -52,6 +52,15 @@ TINY = GAConfig(
     restarts=2,
     seed=7,
 )
+
+
+def objective(params: SchemeParams, target: TargetSpec | FockVector, cutoff: int) -> float:
+    """The scalar misfit that the polish starts from and the final scoring
+    reports, against a target vector or a family spec built as the search
+    builds it."""
+    if not isinstance(target, FockVector):
+        target = target_state(target, cutoff, check_tail=False)
+    return misfit(conditional_output(params, cutoff, check_input_tail=False), target)
 
 
 # --------------------------------------------------------------- plumbing
@@ -85,10 +94,10 @@ def test_bounds_validation_and_containment():
     with pytest.raises(ValueError, match="r1: empty range"):
         Bounds((1.0,) + b.lower[1:], (1.0,) + b.upper[1:])
     vec, _, _ = params_to_vector(ROW_BINOM_SPD)
-    assert b.contains(vec)
+    assert np.all((vec >= b.lower) & (vec <= b.upper))
     vec_out = vec.copy()
     vec_out[0] = 2.0
-    assert not b.contains(vec_out)
+    assert not np.all((vec_out >= b.lower) & (vec_out <= b.upper))
 
 
 def test_fixed_mask_constructors():
@@ -196,11 +205,12 @@ def test_reflect_into_folds_into_box():
 
 
 def test_objective_composition_identity():
-    tgt_spec = Binomial(0.3, 7)
-    got = objective(ROW_BINOM_SPD, tgt_spec, 30)
-    tgt = target_state(tgt_spec, 30)
+    # the polish's misfit read off the kernel equals the public composition
+    # to the bit
+    tgt = target_state(Binomial(0.3, 7), 30)
+    full, _ = scheme._herald(params_to_vector(ROW_BINOM_SPD)[0], 30)
     expect = misfit(conditional_output(ROW_BINOM_SPD, 30, check_input_tail=False), tgt)
-    assert got == expect
+    assert scheme._output_misfit(full, 30, tgt) == expect
 
 
 def test_objective_self_target_is_zero():
@@ -225,8 +235,8 @@ def test_objective_is_the_polish_start(params, spec):
 
 def test_objective_rejects_cutoff_mismatch():
     tgt = target_state(Binomial(0.3, 7), 25)
-    with pytest.raises(ValueError):
-        objective(ROW_BINOM_SPD, tgt, 30)
+    with pytest.raises(ValueError, match="does not match evaluation cutoff 30"):
+        objective_batch(params_to_vector(ROW_BINOM_SPD)[0][None], tgt, 30)
 
 
 # ----------------------------------------------------------------- search
@@ -292,7 +302,8 @@ def test_optimize_result_shape():
     )
     assert res.evaluations_count == TINY.restarts * per_restart
     vec, _, _ = params_to_vector(res.best_params)
-    assert Bounds.for_kind("spd").contains(vec)
+    b = Bounds.for_kind("spd")
+    assert np.all((vec >= b.lower) & (vec <= b.upper))
     assert res.eps_avg is None  # no acceptance window in play
     assert res.best_misfit == objective(res.best_params, Binomial(0.5, 2), 12)
 
@@ -399,7 +410,8 @@ def test_polish_recovers_rounding_loss_on_hm_row():
     polished = local_polish(ROW_BINOM_HM, Binomial(0.45, 8), cutoff=40, max_iters=400)
     assert polished.best_misfit <= 10 * 8.06e-4
     vec, _, _ = params_to_vector(polished.best_params)
-    assert Bounds.for_kind("hm").contains(vec)
+    b = Bounds.for_kind("hm")
+    assert np.all((vec >= b.lower) & (vec <= b.upper))
 
 
 def test_polish_respects_mask():

@@ -16,20 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from _operator_reference import basis_state, partial_trace, quadrature_wavefunction
 from scipy.special import roots_legendre
 
 from heraldkit import scheme
 from heraldkit import tolerances as tol
 from heraldkit.errors import NormalizationError, TailMassError
 from heraldkit.fock import (
-    MODE_FIRST,
-    MODE_SECOND,
     DensityMatrix,
     FockVector,
-    basis_state,
+    TwoModeState,
     hermite_gaussian_columns,
-    partial_trace,
-    project_fock,
     project_quadrature,
 )
 from heraldkit.scheme import (
@@ -54,7 +51,6 @@ from heraldkit.reference_rows import all_rows
 from heraldkit.states import (
     SqueezedCoherentParams,
     binomial_state,
-    squeezed_coherent,
     squeezed_coherent_amplitudes,
     target_state,
 )
@@ -123,8 +119,6 @@ def brute_force_spd(a1, a2, t):
 
 
 def brute_force_hm(a1, a2, t, x, lam):
-    from heraldkit.fock import quadrature_wavefunction
-
     joint = brute_force_joint(a1, a2, t)
     n_max = max(n4 for (_, n4) in joint)
     out = np.zeros(n_max + 1, dtype=complex)
@@ -134,9 +128,9 @@ def brute_force_hm(a1, a2, t, x, lam):
 
 
 def truncated_inputs(p: SchemeParams, cutoff: int):
-    a1 = squeezed_coherent(p.in1, cutoff, check_tail=False).amps
-    a2 = squeezed_coherent(p.in2, cutoff, check_tail=False).amps
-    return a1, a2
+    """The two inputs truncated at the cutoff and normalized there."""
+    return tuple(FockVector(squeezed_coherent_amplitudes(arm, cutoff), cutoff).normalized().amps
+                 for arm in (p.in1, p.in2))
 
 
 def test_scaled_sqrt_factorials_match_math_factorial():
@@ -409,7 +403,8 @@ def test_transmittance_complement_symmetry_hm(t, x, lam):
         30,
         check_input_tail=False,
     )
-    vec, _ = project_quadrature(st, MODE_SECOND, x, np.pi / 2 - lam)
+    # the relabeled arm is mode 4, the second index
+    vec, _ = project_quadrature(TwoModeState(st.amps.T, st.cutoff), x, np.pi / 2 - lam)
     flipped = vec.amps[:31]
     flipped = flipped / np.linalg.norm(flipped)
     ramp = 1j ** np.arange(31)
@@ -426,9 +421,8 @@ def test_relabeling_both_arms_is_exact():
     st_b = embedded_two_mode_state(
         SchemeParams(GENERIC_B, GENERIC_A, t, SPD()), 20, check_input_tail=False
     )
-    va, _ = project_fock(st_a, MODE_FIRST, 1)
-    vb, _ = project_fock(st_b, MODE_SECOND, 1)
-    np.testing.assert_allclose(va.amps, vb.amps, atol=1e-12)
+    # one photon in mode 3 of the first, in mode 4 of the second
+    np.testing.assert_allclose(st_a.amps[1], st_b.amps[:, 1], atol=1e-12)
 
 
 def test_embedding_memory_stays_bounded():
@@ -526,7 +520,7 @@ def test_tabulated_hm_p_fits_mirrored_reading_phase():
 def test_success_prob_spd_equals_partial_trace_route():
     p = ROW_BINOM_SPD
     st = embedded_two_mode_state(p, 30, check_input_tail=False)
-    rho = partial_trace(st, MODE_SECOND)  # reduced state of the measured arm
+    rho = partial_trace(st.amps)  # reduced state of the measured arm
     trace = float(np.trace(rho.rho).real)
     expect = float(rho.rho[1, 1].real) / trace
     assert success_prob_spd(p, 30, check_input_tail=False) == pytest.approx(
@@ -582,7 +576,7 @@ def test_success_prob_hm_monotone_in_window():
 def test_hm_outcome_density_matches_quadrature_projection():
     p = SchemeParams(GENERIC_A, GENERIC_B, 0.42, HM(0.8, 0.4))
     st = embedded_two_mode_state(p, 30, check_input_tail=False)
-    _, density = project_quadrature(st, MODE_FIRST, 1.1, 0.4)
+    _, density = project_quadrature(st, 1.1, 0.4)
     norm_sq = float(np.sum(np.abs(st.amps) ** 2))
     got = hm_outcome_density(p, 1.1, 30, check_input_tail=False)
     assert got == pytest.approx(density / norm_sq, rel=1e-9)
@@ -593,7 +587,7 @@ def oracle_window_prob(st, lam: float, lo: float, hi: float) -> float:
     a fixed 128-node Gauss-Legendre sum of project_quadrature densities."""
     nodes, node_weights = roots_legendre(128)
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    dens = [project_quadrature(st, MODE_FIRST, mid + half * t, lam)[1] for t in nodes]
+    dens = [project_quadrature(st, mid + half * t, lam)[1] for t in nodes]
     return half * float(node_weights @ np.array(dens)) / float(np.sum(np.abs(st.amps) ** 2))
 
 
@@ -672,6 +666,16 @@ def test_window_figures_converge_above_cutoff_60():
 # ----------------------------------------------------------- average misfit
 
 
+def window_average(p: SchemeParams, target: FockVector, cutoff: int, n_sub: int) -> float:
+    """The window-averaged misfit over n_sub equal subranges, read from the
+    window primitive as average_misfit reads it over its fixed count."""
+    m = p.measurement
+    edges = np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth, n_sub + 1)
+    mixed = embedded_two_mode_state(p, cutoff, check_input_tail=False)
+    v, primitive = scheme._hm_window(mixed, m.lam, edges)
+    return scheme._window_average(v, primitive, edges, target, cutoff)
+
+
 def test_average_misfit_degenerate_window():
     tgt = binomial_state(0.45, 8, 40)
     narrow = SchemeParams(
@@ -682,16 +686,16 @@ def test_average_misfit_degenerate_window():
         ROW_BINOM_HM.in1, ROW_BINOM_HM.in2, ROW_BINOM_HM.transmittance,
         HM(0.61, 0.04),
     )
-    eps_avg = average_misfit(narrow, tgt, 40, n_subranges=1, check_input_tail=False)
+    eps_avg = window_average(narrow, tgt, 40, 1)
     eps_center = misfit(conditional_output(point, 40, check_input_tail=False), tgt)
     assert eps_avg == pytest.approx(eps_center, abs=1e-6)
 
 
 def test_average_misfit_bounded_by_subrange_misfits():
     tgt = binomial_state(0.45, 8, 40)
-    n_sub = 21
     m = ROW_BINOM_HM.measurement
-    edges = np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth, n_sub + 1)
+    edges = np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth,
+                        tol.DEFAULT_SUBRANGES + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     eps_j = []
     for x_j in mids:
@@ -700,8 +704,7 @@ def test_average_misfit_bounded_by_subrange_misfits():
             HM(x_j, m.lam),
         )
         eps_j.append(misfit(conditional_output(p_j, 40, check_input_tail=False), tgt))
-    got = average_misfit(ROW_BINOM_HM, tgt, 40, n_subranges=n_sub,
-                         check_input_tail=False)
+    got = average_misfit(ROW_BINOM_HM, tgt, 40, check_input_tail=False)
     assert min(eps_j) <= got <= max(eps_j)
 
 
@@ -725,15 +728,14 @@ def test_average_misfit_matches_oracle_weighted_sum():
 
 def test_average_misfit_refinement_stable():
     tgt = binomial_state(0.45, 8, 40)
-    a = average_misfit(ROW_BINOM_HM, tgt, 40, n_subranges=21, check_input_tail=False)
-    b = average_misfit(ROW_BINOM_HM, tgt, 40, n_subranges=41, check_input_tail=False)
+    a = average_misfit(ROW_BINOM_HM, tgt, 40, check_input_tail=False)
+    assert window_average(ROW_BINOM_HM, tgt, 40, tol.DEFAULT_SUBRANGES) == a
+    b = window_average(ROW_BINOM_HM, tgt, 40, 41)
     assert abs(a - b) <= 5e-4
 
 
 def test_average_misfit_validates_arguments():
     tgt = binomial_state(0.45, 8, 40)
-    with pytest.raises(ValueError):
-        average_misfit(ROW_BINOM_HM, tgt, 40, n_subranges=0, check_input_tail=False)
     no_window = SchemeParams(GENERIC_A, GENERIC_B, 0.42, HM(0.8, 0.4))
     with pytest.raises(ValueError):
         average_misfit(no_window, tgt, 40, check_input_tail=False)

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from _operator_reference import displacement_operator_matrix, squeeze_operator_matrix
+from _operator_reference import (
+    basis_state,
+    coherent_state,
+    displacement_operator_matrix,
+    squeeze_operator_matrix,
+)
 from scipy.linalg import expm
 
 from heraldkit.errors import TailMassError, TruncationQualityError
-from heraldkit.fock import basis_state, fidelity
+from heraldkit.fock import FockVector, fidelity
 from heraldkit.states import (
     AdHoc,
     AmplitudeSqueezed,
@@ -23,10 +28,9 @@ from heraldkit.states import (
     adhoc_superposition,
     amplitude_squeezed_state,
     binomial_state,
-    coherent_state,
+    check_tail_mass,
     negative_binomial_state,
     resource_state,
-    squeezed_coherent,
     squeezed_coherent_amplitudes,
     target_state,
 )
@@ -34,6 +38,11 @@ from heraldkit.states import (
 
 def overlap(a, b) -> float:
     return abs(np.vdot(a.amps, b.amps))
+
+
+def squeezed_coherent(p: SqueezedCoherentParams, cutoff: int) -> FockVector:
+    """The input p truncated at the cutoff and normalized there."""
+    return FockVector(squeezed_coherent_amplitudes(p, cutoff), cutoff).normalized()
 
 
 # ---------------------------------------------------------------- inputs
@@ -84,7 +93,7 @@ def test_squeezed_coherent_matches_operator_oracle():
     ],
 )
 def test_squeezed_coherent_oracle_across_range(p):
-    v = squeezed_coherent(p, 40, check_tail=False)
+    v = squeezed_coherent(p, 40)
     ref = operator_oracle(p, 40)
     assert abs(np.vdot(v.amps, ref)) >= 1 - 1e-10
 
@@ -127,12 +136,13 @@ def test_zero_squeezing_is_coherent_ladder():
 def test_squeezed_coherent_tail_guard():
     p = SqueezedCoherentParams(1.7, 0.0, 4.0, 0.0)
     with pytest.raises(TailMassError):
-        squeezed_coherent(p, 15)
-    v = squeezed_coherent(p, 15, check_tail=False)
+        check_tail_mass(squeezed_coherent_amplitudes(p, 15), 15)
+    v = squeezed_coherent(p, 15)
     assert np.linalg.norm(v.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_state_matches_zero_squeezing():
+    # the closed-form coherent state of the tests' reference
     a = coherent_state(0.8 * np.exp(1.1j), 40)
     b = squeezed_coherent(SqueezedCoherentParams(0.0, 0.0, 0.8, 1.1), 40)
     np.testing.assert_allclose(a.amps, b.amps, atol=1e-12)
