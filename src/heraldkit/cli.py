@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable
 
@@ -680,7 +681,11 @@ _COMMANDS: dict[str, Callable[[dict, int, int, Path, bool], int]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later main() in the process (parse_args keeps no state in it), so a
+    process that runs many commands builds it once."""
     parser = argparse.ArgumentParser(
         prog="heraldkit",
         description="Conditional state preparation: evaluate, optimize, sweep, reproduce-table.",
@@ -697,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _read(_load_config(args.config), _TOP, "")
         cutoff = cfg["cutoff"] if args.cutoff is None else _value(

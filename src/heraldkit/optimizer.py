@@ -13,14 +13,14 @@ population (the initial one, then each generation's children) through the
 exact Gaussian core (scheme.conditional_output_batch), which keeps the
 inputs whole and costs O(cutoff) per point.  The random draws of a
 generation do not depend on how it is scored, so a seed means the same
-search either way.  Nelder-Mead polish and the final scoring evaluate one
-point at a time through the scalar route, which truncates the inputs at
-the cutoff; every reported number comes from it.  The polish evaluates
-its own search vector through that route's kernel (scheme._herald) and
-one shared misfit read (scheme._output_misfit), so no evaluation builds a
-SchemeParams or a FockVector; that misfit is, to the bit,
+search either way.  The Nelder-Mead polish minimizes the same core
+misfit, one point at a time in Python complex arithmetic
+(scheme._core_misfit: the batch's formulas with no numpy call, so no
+evaluation builds an array, a SchemeParams or a FockVector).  Every
+reported number comes from the scalar route, which truncates the inputs
+at the cutoff: the final scoring, and the polish's start and end points,
 scheme.misfit(scheme.conditional_output(params, cutoff,
-check_input_tail=False), target).
+check_input_tail=False), target), of which the polish keeps the lower.
 
 optimize(target, kind, bounds=None, mask=None, cfg=None, *,
 window_halfwidth=0.0, polish_iters=0, ...) runs the GA and then, with
@@ -54,11 +54,12 @@ from .scheme import (
     _T_RANGE,
     _TWO_PI,
     _X_RANGE,
-    _herald,
+    _core_misfit,
     _is_hm,
-    _output_misfit,
+    conditional_output,
     conditional_output_batch,
     layout_for_kind,
+    misfit,
     misfit_batch,
     params_to_vector,
     score,
@@ -372,56 +373,63 @@ def local_polish(
     Runs Nelder-Mead on the dimensions mask leaves free, keeping bounded
     dimensions inside bounds (Bounds.for_kind by default) and leaving
     angles free to cross the 0/2*pi seam (they are wrapped on assembly).
-    The polished misfit never exceeds the starting one: if the simplex
-    fails to improve, the input point is returned unchanged.  The result
-    is scored at the cutoff; its trace is the misfit before and after,
-    its seed 0 and its evaluation count the simplex's plus one.
+    The simplex minimizes the misfit of the exact Gaussian core, the
+    function the GA minimizes, one point at a time in Python complex
+    arithmetic (scheme._core_misfit).  The reported misfit is that of the
+    truncated route, misfit(conditional_output(p, cutoff,
+    check_input_tail=False), target), and the simplex's end point is kept
+    only if its reported misfit is lower than the start's, so the polished
+    misfit never exceeds the starting one.  With every dimension pinned
+    there is no simplex and the start is kept.  The result is scored at
+    the cutoff; its trace is the reported misfit before and after, its
+    seed 0 and its evaluation count the simplex's plus one.
     """
     full, kind, whw = params_to_vector(params)
     bounds, mask = _box_and_mask(kind, bounds, mask)
     free = np.array([v is None for v in mask.values])
     full[~free] = [v for v in mask.values if v is not None]
-
     tgt = _target_vector(target, cutoff)
-    periodic = np.array(bounds.periodic)
 
     def assemble(x: np.ndarray) -> SchemeParams:
         w = full.copy()
         w[free] = x
         return vector_to_params(w, whw)
 
-    def fun(x: np.ndarray) -> float:
-        # objective on the search vector itself, angles wrapped as
-        # vector_to_params wraps them
-        w = full.copy()
-        w[free] = x
-        w[periodic] %= _TWO_PI
-        return _output_misfit(_herald(w, cutoff)[0], cutoff, tgt)
-
-    # imported here, so commands that never polish never load it
-    from scipy.optimize import minimize
+    def reported_misfit(p: SchemeParams) -> float:
+        return misfit(conditional_output(p, cutoff, check_input_tail=False), tgt)
 
     x0 = full[free]
-    start = assemble(x0)  # rejects a pin outside the parameter ranges
-    eps_start = fun(x0)
-    nm_bounds = [
-        (-np.inf, np.inf) if p else (lo, hi)
-        for lo, hi, p, f in zip(bounds.lower, bounds.upper, periodic, free)
-        if f
-    ]
-    res = minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        bounds=nm_bounds,
-        options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14},
-    )
-    if res.fun < eps_start:
-        best_params = assemble(res.x)
-        eps_here = float(res.fun)
-    else:
-        best_params = start
-        eps_here = eps_start
+    best_params = assemble(x0)  # rejects a pin outside the parameter ranges
+    eps_start = eps_here = reported_misfit(best_params)
+    nfev = 0
+    if free.any():
+        core_misfit = _core_misfit(tgt)
+
+        def fun(x: np.ndarray) -> float:
+            w = full.copy()
+            w[free] = x
+            return core_misfit(w.tolist())
+
+        # imported here, so commands that never polish never load it
+        from scipy.optimize import minimize
+
+        nm_bounds = [
+            (-np.inf, np.inf) if p else (lo, hi)
+            for lo, hi, p, f in zip(bounds.lower, bounds.upper, bounds.periodic, free)
+            if f
+        ]
+        res = minimize(
+            fun,
+            x0,
+            method="Nelder-Mead",
+            bounds=nm_bounds,
+            options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14},
+        )
+        nfev = int(res.nfev)
+        end = assemble(res.x)
+        eps_end = reported_misfit(end)
+        if eps_end < eps_start:
+            best_params, eps_here = end, eps_end
 
     _, eps, prob, eps_avg = score(best_params, tgt, cutoff, check_input_tail=False)
     return OptimizationResult(
@@ -431,5 +439,5 @@ def local_polish(
         eps_avg=eps_avg,
         trace=(eps_start, eps_here),
         seed=0,
-        evaluations_count=int(res.nfev) + 1,
+        evaluations_count=nfev + 1,
     )

@@ -18,9 +18,7 @@ SPD_LAYOUT or HM_LAYOUT vector, from tables cached per cutoff:
   in one Hankel product of the arms.
 
 This closed route is what "closed" means in conditional_output, and score
-and the point figures wrap the same kernel.  The Nelder-Mead polish
-evaluates it on its own search vector and reads the misfit with
-_output_misfit, so no evaluation builds a SchemeParams or a FockVector.
+and the point figures wrap the same kernel.
 
 The whole two-mode array V[j, m] of the truncated inputs, over 0..2N in
 each mode, is formed in one place: embedded_two_mode_state embeds the
@@ -33,11 +31,15 @@ a quadratic form in Hermite functions whose primitive has a closed form
 (_hm_window).  Both routes keep every output amplitude up to total photon
 number 2N before truncating, so their retained and discarded masses agree.
 
-The batched route (conditional_output_batch, which scores the GA
-generations and the deviation-sweep levels) runs on the exact Gaussian
-core instead: both heralds act on a Gaussian two-mode state, so each
-output follows from a few complex numbers and the input recurrence, in
-O(cutoff) per point, with the inputs kept whole (_closed_form_rows).
+The search runs on the exact Gaussian core instead: both heralds act on a
+Gaussian two-mode state, so each output follows from a few complex
+numbers and the input recurrence, in O(cutoff) per point, with the inputs
+kept whole.  One function, _gaussian_core, holds those numbers'
+formulas, and two readers apply them: conditional_output_batch over a
+numpy batch (_closed_form_rows), which scores the GA generations and the
+deviation-sweep levels, and _core_misfit on one point in Python complex
+arithmetic, the Nelder-Mead polish's objective, which would spend most of
+its time in numpy's per-call overhead on a batch of one.
 
 A flat point carries its own kind: SPD_LAYOUT has 9 entries, HM_LAYOUT
 11, and every function that takes one reads the kind from the length
@@ -47,10 +49,12 @@ angle entries are marked once, in _ANGLES.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -71,8 +75,10 @@ from .fock import (
 )
 from .states import (
     SqueezedCoherentParams,
+    _SCALAR_MATH,
     _amplitudes,
     _bargmann_coefficients,
+    _input_amplitudes,
     _recurrence_roots,
     _recurrence_rows,
     check_tail_mass,
@@ -132,6 +138,8 @@ class SchemeParams:
 
 
 _TWO_PI = 2.0 * np.pi
+_SQRT2 = math.sqrt(2.0)
+_LOG_PI = math.log(math.pi)
 
 # Flat layout of a parameter point, shared by the search vectors of the
 # optimizer and the batched closed form.  A point's length gives its kind:
@@ -259,8 +267,8 @@ def _inputs(vec: np.ndarray, cutoff: int, check_input_tail: bool) -> np.ndarray:
     """The inputs of the point vec truncated at the cutoff, a_1 and a_2 as
     two rows, each checked for tail mass when asked."""
     roots = _recurrence_roots(cutoff)
-    a = np.array([_amplitudes(*vec[0:4].tolist(), roots),
-                  _amplitudes(*vec[4:8].tolist(), roots)], dtype=np.complex128)
+    a = np.array([_input_amplitudes(*vec[0:4].tolist(), roots),
+                  _input_amplitudes(*vec[4:8].tolist(), roots)], dtype=np.complex128)
     if check_input_tail:
         check_tail_mass(a[0], cutoff)
         check_tail_mass(a[1], cutoff)
@@ -406,7 +414,7 @@ def _output_misfit(full: np.ndarray, cutoff: int, target: FockVector) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched closed form
+# the exact Gaussian core
 
 
 def _rows_in_ranges(rows: np.ndarray) -> np.ndarray:
@@ -425,59 +433,113 @@ def _rows_in_ranges(rows: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _closed_form_rows(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Heralded outputs of regular rows from the exact Gaussian core.
+def _gaussian_core(point, xp=np):
+    """The exact Gaussian core of one flat point, or of a batch of points
+    given as columns (rows.T), as (a, b, log_c, linear).
 
-    Returns (d, log_c) with the unnormalized output over |0>..|cutoff> of
-    row b equal to exp(log_c[b]) d[b].  The inputs are untruncated: the
-    beam splitter turns their Bargmann functions c0_j exp(a_j z^2/2 + b_j z)
-    (states._bargmann_coefficients) into C exp(z^T A z / 2 + B^T z) in the
-    modes z = (z3, z4), with R = 1 - T,
+    The inputs are untruncated: the beam splitter turns their Bargmann
+    functions c0_j exp(a_j z^2/2 + b_j z) (states._bargmann_coefficients)
+    into C exp(z^T A z / 2 + B^T z) in the modes z = (z3, z4), with R = 1 - T,
 
         A33 = T a1 - R a2,  A34 = i sqrt(TR) (a1 + a2),  A44 = T a2 - R a1,
         B3 = sqrt(T) b1 + i sqrt(R) b2,  B4 = i sqrt(R) b1 + sqrt(T) b2,
 
     and C = c0_1 c0_2.  The SPD herald keeps the z3 coefficient,
-    C (B3 + A34 z4) exp(A44 z4^2/2 + B4 z4), so log_c = log C and
-    d_m = B3 e_m + A34 sqrt(m) e_{m-1}, with e the input recurrence
-    (states._recurrence_rows) on (A44, B4).  The HM herald contracts z3
-    with the quadrature eigenstate, a Gaussian integral: with
-    p = -e^{-2i lam}, q = sqrt(2) x e^{-i lam} and Delta = 1 - A33 p
-    (Re Delta > 0 since |A33| < 1) the output is c0 exp(a z^2/2 + b z) with
+    C (B3 + A34 z4) exp(A44 z4^2/2 + B4 z4): (a, b) = (A44, B4), log_c =
+    log C and linear = (B3, A34).  The HM herald contracts z3 with the
+    quadrature eigenstate, a Gaussian integral: with p = -e^{-2i lam},
+    q = sqrt(2) x e^{-i lam} and Delta = 1 - A33 p (Re Delta > 0 since
+    |A33| < 1) the output is c0 exp(a z^2/2 + b z) with
 
         a = A44 + A34^2 p / Delta,   b = B4 + A34 (B3 p + q) / Delta,
         c0 = C pi^{-1/4} e^{-x^2/2} Delta^{-1/2}
              exp((B3^2 p / 2 + B3 q + A33 q^2 / 2) / Delta),
 
-    so log_c = log c0 and d is the recurrence on (a, b).  Each recurrence
-    starts at 1 and the scale stays in log form, because some points in the
-    search box herald with a weight below the smallest double.  O(cutoff)
-    per row (Miatto & Quesada, Quantum 4, 366 (2020)).
+    so log_c = log c0 and linear is None.  The scale stays in log form,
+    because some points in the search box herald with a weight below the
+    smallest double.  xp gives exp, log, sqrt, cosh and tanh: numpy for
+    a batch, states._SCALAR_MATH for one point as a list of floats
+    (Miatto & Quesada, Quantum 4, 366 (2020)).
     """
-    a1, b1, c1 = _bargmann_coefficients(*rows[:, 0:4].T)
-    a2, b2, c2 = _bargmann_coefficients(*rows[:, 4:8].T)
-    t = rows[:, 8]
-    sq_t, sq_r = np.sqrt(t), np.sqrt(1.0 - t)
+    a1, b1, c1 = _bargmann_coefficients(*point[0:4], xp)
+    a2, b2, c2 = _bargmann_coefficients(*point[4:8], xp)
+    t = point[8]
+    sq_t, sq_r = xp.sqrt(t), xp.sqrt(1.0 - t)
     a33 = t * a1 - (1.0 - t) * a2
     a34 = 1j * sq_t * sq_r * (a1 + a2)
     a44 = t * a2 - (1.0 - t) * a1
     b3 = sq_t * b1 + 1j * sq_r * b2
     b4 = 1j * sq_r * b1 + sq_t * b2
-    log_c = np.log(c1) + np.log(c2)
-    if not _is_hm(rows.shape[1]):
-        e = _recurrence_rows(a44, b4, 1.0, cutoff)
-        d = b3[:, None] * e
-        d[:, 1:] += a34[:, None] * np.sqrt(np.arange(1, cutoff + 1)) * e[:, :-1]
-        return d, log_c
-    x, lam = rows[:, 9], rows[:, 10]
-    p = -np.exp(-2j * lam)
-    q = np.sqrt(2.0) * x * np.exp(-1j * lam)
+    log_c = xp.log(c1) + xp.log(c2)
+    if len(point) == len(SPD_LAYOUT):
+        return a44, b4, log_c, (b3, a34)
+    x, lam = point[9], point[10]
+    p = -xp.exp(-2j * lam)
+    q = _SQRT2 * x * xp.exp(-1j * lam)
     delta = 1.0 - a33 * p
     a = a44 + a34**2 * p / delta
     b = b4 + a34 * (b3 * p + q) / delta
-    log_c += (-0.25 * np.log(np.pi) - 0.5 * x * x - 0.5 * np.log(delta)
-              + (0.5 * b3**2 * p + b3 * q + 0.5 * a33 * q * q) / delta)
-    return _recurrence_rows(a, b, 1.0, cutoff), log_c
+    log_c = log_c + (-0.25 * _LOG_PI - 0.5 * x * x - 0.5 * xp.log(delta)
+                     + (0.5 * b3**2 * p + b3 * q + 0.5 * a33 * q * q) / delta)
+    return a, b, log_c, None
+
+
+def _closed_form_rows(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heralded outputs of regular rows from the exact Gaussian core.
+
+    Returns (d, log_c) with the unnormalized output over |0>..|cutoff> of
+    row b equal to exp(log_c[b]) d[b]: d is the input recurrence
+    (states._recurrence_rows) on the core's (a, b) started at 1, and for
+    SPD d_m = B3 e_m + A34 sqrt(m) e_{m-1} of that recurrence e
+    (_gaussian_core).  O(cutoff) per row.
+    """
+    a, b, log_c, linear = _gaussian_core(rows.T)
+    e = _recurrence_rows(a, b, 1.0, cutoff)
+    if linear is None:
+        return e, log_c
+    b3, a34 = linear
+    d = b3[:, None] * e
+    d[:, 1:] += a34[:, None] * np.sqrt(np.arange(1, cutoff + 1)) * e[:, :-1]
+    return d, log_c
+
+
+def _core_misfit(target: FockVector) -> Callable[[list[float]], float]:
+    """The misfit against target of one flat point on the exact Gaussian
+    core, as a function of the point given as a list of floats.
+
+    It reads _gaussian_core on Python floats and complex numbers and runs
+    the recurrence of states._amplitudes, so one point costs no numpy call:
+    the same formulas as conditional_output_batch, whose misfit_batch row it
+    equals to rounding.  The target's norm is checked once, here.  A point
+    whose output is zero (an impossible outcome) or not finite, an
+    overflowing cosh r included, raises NormalizationError, where the batch
+    raises it too.
+    """
+    _require_unit_norm("target", target.norm_sq())
+    conj = target.amps.conj().tolist()
+    roots = _recurrence_roots(target.cutoff)
+    sqrt_m = _recurrence_roots(target.cutoff + 1)[0][1:]  # sqrt(m), m = 1..cutoff
+
+    def point_misfit(point: list[float]) -> float:
+        try:
+            a, b, log_c, linear = _gaussian_core(point, _SCALAR_MATH)
+        # cosh r overflows, or c_0 underflows and its log is refused
+        except (OverflowError, ValueError) as exc:
+            raise NormalizationError(f"heralded output is not finite ({exc})") from None
+        d = _amplitudes(a, b, 1.0, roots)
+        if linear is not None:
+            b3, a34 = linear
+            d = [b3 * d[0]] + [b3 * e + a34 * root * prev
+                               for e, root, prev in zip(d[1:], sqrt_m, d)]
+        norm_sq = math.hypot(*map(abs, d)) ** 2
+        if not (math.isfinite(norm_sq) and cmath.isfinite(log_c)):
+            raise NormalizationError("heralded output is not finite")
+        if not norm_sq > 0.0:
+            _require_unit_norm("out", norm_sq)  # the batch's zero row
+        overlap = sum(map(operator.mul, conj, d))
+        return 1.0 - (overlap.real**2 + overlap.imag**2) / norm_sq
+
+    return point_misfit
 
 
 def conditional_output_batch(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 import numpy as np
@@ -58,13 +59,25 @@ def check_tail_mass(amps: np.ndarray, cutoff: int):
         raise TailMassError(tail, cutoff)
 
 
-def _bargmann_coefficients(r, theta, alpha_abs, phi):
+# The math of one point for the formulas that serve one point and a batch
+# alike (_bargmann_coefficients, scheme._gaussian_core): they take their
+# exp, log, sqrt, cosh and tanh from xp, numpy for arrays or this for
+# Python floats and complex numbers, which is several times cheaper than
+# numpy on one value.  Overflow raises OverflowError here where numpy
+# returns inf.
+_SCALAR_MATH = SimpleNamespace(
+    exp=cmath.exp, log=cmath.log, sqrt=math.sqrt, cosh=math.cosh, tanh=math.tanh
+)
+
+
+def _bargmann_coefficients(r, theta, alpha_abs, phi, xp=np):
     """(a, b, c_0) of the Bargmann function c_0 exp(a z^2 / 2 + b z) of
-    D(alpha)S(zeta)|0>, elementwise over arrays of arm parameters."""
-    alpha = alpha_abs * np.exp(1j * phi)
-    s = np.exp(1j * theta) * np.tanh(r)
-    c0 = np.exp(-0.5 * alpha_abs**2 - 0.5 * np.conj(alpha) ** 2 * s) / np.sqrt(np.cosh(r))
-    return -s, alpha + np.conj(alpha) * s, c0
+    D(alpha)S(zeta)|0>, elementwise over arrays of arm parameters, or on
+    plain floats with xp = _SCALAR_MATH."""
+    alpha = alpha_abs * xp.exp(1j * phi)
+    s = xp.exp(1j * theta) * xp.tanh(r)
+    c0 = xp.exp(-0.5 * alpha_abs**2 - 0.5 * alpha.conjugate() ** 2 * s) / xp.sqrt(xp.cosh(r))
+    return -s, alpha + alpha.conjugate() * s, c0
 
 
 @cache
@@ -92,13 +105,22 @@ def squeezed_coherent_amplitudes(p: SqueezedCoherentParams, cutoff: int) -> np.n
     cheaper than per-step numpy calls; _recurrence_rows runs the same
     recurrence over many coefficient triples.
     """
-    return np.array(_amplitudes(p.r, p.theta, p.alpha_abs, p.phi, _recurrence_roots(cutoff)))
+    return np.array(_input_amplitudes(p.r, p.theta, p.alpha_abs, p.phi, _recurrence_roots(cutoff)))
 
 
-def _amplitudes(r, theta, alpha_abs, phi, roots) -> list[complex]:
+def _input_amplitudes(r, theta, alpha_abs, phi, roots) -> list[complex]:
     """squeezed_coherent_amplitudes on plain floats, as a list, with
-    roots = _recurrence_roots(cutoff)."""
+    roots = _recurrence_roots(cutoff).  The coefficients come from numpy's
+    functions: _SCALAR_MATH would move every figure of the truncated route
+    in its last digits."""
     a, b, c = (complex(v) for v in _bargmann_coefficients(r, theta, alpha_abs, phi))
+    return _amplitudes(a, b, c, roots)
+
+
+def _amplitudes(a: complex, b: complex, c: complex, roots) -> list[complex]:
+    """Amplitudes c_0..c_cutoff of the Bargmann function c exp(a z^2 / 2 + b z)
+    in Python complex arithmetic, as a list, with roots =
+    _recurrence_roots(cutoff)."""
     amps = [c]
     prev = 0j
     for root, inv_root in zip(*roots):

@@ -531,6 +531,25 @@ def test_commands_without_polish_leave_out_scipy(tmp_path, config, edit):
     assert any((tmp_path / "o").iterdir())
 
 
+def test_successive_mains_match_separate_processes(tmp_path):
+    # main builds its parser once per process; two commands in one process
+    # must write what each writes in a process of its own
+    runs = [
+        ("evaluate", CONFIGS / "evaluate_binomial_spd.yaml", "row.csv"),
+        ("sweep", CONFIGS / "sweep_efficiency.yaml", "sweep.csv"),
+    ]
+    src = str(Path(heraldkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command, config, name in runs:
+        alone = tmp_path / f"{command}.alone"
+        subprocess.run([sys.executable, "-m", "heraldkit.cli", command, "--config",
+                        str(config), "--out", str(alone), "--quiet"], env=env, check=True)
+        together = tmp_path / f"{command}.together"
+        assert main([command, "--config", str(config), "--out", str(together), "--quiet"]) == 0
+        assert (together / name).read_bytes() == (alone / name).read_bytes()
+
+
 def test_quiet_flag_suppresses_chatter(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "target": {"family": "binomial", "p": 0.3, "M": 7},
@@ -640,6 +659,25 @@ def test_configured_bounds_bind_the_polish(tmp_path):
     assert 0.0 <= params["r2"] <= 0.05
 
 
+def test_optimize_with_every_dimension_pinned_polishes_nothing(tmp_path):
+    # no free dimension leaves no simplex: the start is scored, once
+    payload = small_optimize_config()
+    payload["optimize"]["mask"] = ROW2_PARAMS
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    record = json.loads((out / "result.json").read_text())
+    assert record["params"] == ROW2_PARAMS
+    ga = payload["optimize"]["ga"]
+    searched = ga["population_size"] + ga["generations"] * (ga["population_size"] - 2)
+    assert record["evaluations"] == searched + 1
+    params = SchemeParams(*(SqueezedCoherentParams(*(ROW2_PARAMS[f"{k}{i}"] for k in (
+        "r", "theta", "alpha", "phi"))) for i in (1, 2)), ROW2_PARAMS["T"], SPD())
+    want = misfit(conditional_output(params, 12, check_input_tail=False),
+                  target_state(Binomial(0.5, 2), 12))
+    assert record["best_misfit"] == want
+
+
 def test_optimize_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, small_optimize_config())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -707,6 +745,21 @@ def test_reproduce_corrupted_row_fails(tmp_path, capsys):
     assert main(["reproduce-table", "--config", cfg, "--out", str(out)]) == 3
     assert "FAIL 02-binom-0.3-7-spd" in capsys.readouterr().out
     assert read_rows(out / "report.csv")[0]["status"] == "FAIL"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cosh:RuntimeWarning")
+def test_reproduce_overflowing_squeezing_is_a_numeric_failure(tmp_path, capsys):
+    # cosh r overflows at r = 800; the polish must not let an OverflowError
+    # escape where the scoring reports a numeric failure
+    cfg = write_config(tmp_path, {
+        "reproduce_table": {
+            "rows": ["02-binom-0.3-7-spd"],
+            "polish_iters": 400,
+            "overrides": {"02-binom-0.3-7-spd": {"r1": 800.0}},
+        },
+    })
+    assert main(["reproduce-table", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "numeric failure: " in capsys.readouterr().err
 
 
 def test_reproduce_unknown_row_id(tmp_path, capsys):

@@ -29,7 +29,14 @@ from heraldkit.scheme import (
     conditional_output_batch,
     misfit,
 )
-from heraldkit.states import Binomial, SqueezedCoherentParams, TargetSpec, target_state
+from heraldkit.reference_rows import all_rows, get_row
+from heraldkit.states import (
+    Binomial,
+    NegativeBinomial,
+    SqueezedCoherentParams,
+    TargetSpec,
+    target_state,
+)
 
 ROW_BINOM_SPD = SchemeParams(
     SqueezedCoherentParams(0.74, 3.50, 0.10, 2.14),
@@ -205,8 +212,8 @@ def test_reflect_into_folds_into_box():
 
 
 def test_objective_composition_identity():
-    # the polish's misfit read off the kernel equals the public composition
-    # to the bit
+    # the misfit read off the kernel, as the window average reads it, equals
+    # the public composition to the bit
     tgt = target_state(Binomial(0.3, 7), 30)
     full, _ = scheme._herald(params_to_vector(ROW_BINOM_SPD)[0], 30)
     expect = misfit(conditional_output(ROW_BINOM_SPD, 30, check_input_tail=False), tgt)
@@ -228,7 +235,7 @@ def test_objective_reproduces_tabulated_row():
                                          (ROW_BINOM_HM, Binomial(0.45, 8))],
                          ids=["spd", "hm"])
 def test_objective_is_the_polish_start(params, spec):
-    # the polish evaluates its own search vector through the same kernel
+    # the polish reports its start on the truncated route
     polished = local_polish(params, spec, cutoff=30, max_iters=5)
     assert polished.trace[0] == objective(params, spec, 30)
 
@@ -267,6 +274,51 @@ def test_objective_batch_raises_on_impossible_outcome():
         objective_batch(vecs, Binomial(0.3, 7), 20)
     with pytest.raises(NormalizationError):
         local_polish(vector_to_params(vecs[2]), Binomial(0.3, 7), cutoff=20, max_iters=5)
+
+
+# criterion-1 box: r up to 1.7 and |alpha| up to 4, where the input tails
+# above the cutoff do not vanish
+_BOX_ARMS = st.tuples(st.floats(0.05, 1.7), st.floats(0.0, 2.0 * math.pi),
+                      st.floats(0.0, 4.0), st.floats(0.0, 2.0 * math.pi))
+
+# The scalar core against the batch: both read scheme._gaussian_core, on
+# Python complex numbers and on numpy arrays, and differ only in rounding,
+# most of it in the sums over 21-61 amplitudes.  Worst seen on 60 000 box
+# draws at cutoffs 20-60 and two targets: 1.9e-15.
+CORE_SCALAR_ATOL = 4e-15
+
+
+@settings(max_examples=150, deadline=None)
+@given(in1=_BOX_ARMS, in2=_BOX_ARMS, t=st.floats(0.1, 0.9),
+       reading=st.one_of(st.just(()), st.tuples(st.floats(0.0, 4.0),
+                                                 st.floats(0.0, 2.0 * math.pi))),
+       cutoff=st.integers(20, 60))
+def test_scalar_core_misfit_matches_batch(in1, in2, t, reading, cutoff):
+    vec = [*in1, *in2, t, *reading]
+    tgt = target_state(NegativeBinomial(0.5, 5), cutoff, check_tail=False)
+    want = objective_batch(np.array([vec]), tgt, cutoff)[0]
+    assert abs(scheme._core_misfit(tgt)(vec) - want) <= CORE_SCALAR_ATOL
+
+
+def test_scalar_core_misfit_matches_batch_on_bundled_rows():
+    for row in all_rows():
+        tgt = target_state(row.target, 40, check_tail=False)
+        vec = params_to_vector(row.params)[0]
+        want = objective_batch(vec[None], tgt, 40)[0]
+        assert abs(scheme._core_misfit(tgt)(vec.tolist()) - want) <= CORE_SCALAR_ATOL
+
+
+def test_scalar_core_misfit_fails_where_the_batch_fails():
+    tgt = target_state(Binomial(0.3, 7), 20)
+    vacuum = params_to_vector(ROW_BINOM_SPD)[0]
+    vacuum[[0, 2, 4, 6]] = 0.0  # vacuum inputs never click: a zero output
+    squeezed = params_to_vector(ROW_BINOM_SPD)[0]
+    squeezed[0] = 800.0  # cosh r overflows
+    for vec in (vacuum, squeezed):
+        with pytest.raises(NormalizationError):
+            objective_batch(vec[None], tgt, 20)
+        with pytest.raises(NormalizationError):
+            scheme._core_misfit(tgt)(vec.tolist())
 
 
 def test_optimize_with_coherent_input_reports_objective():
@@ -412,6 +464,34 @@ def test_polish_recovers_rounding_loss_on_hm_row():
     vec, _, _ = params_to_vector(polished.best_params)
     b = Bounds.for_kind("hm")
     assert np.all((vec >= b.lower) & (vec <= b.upper))
+
+
+@pytest.mark.parametrize("cutoff,moves", [(40, True), (16, False)])
+def test_polish_keeps_the_lower_reported_misfit_on_a_tail_heavy_row(cutoff, moves):
+    # row 07 (r1 = 1.54): the simplex descends on the core, which keeps the
+    # input tails, while the reported misfit truncates them; at cutoff 16
+    # the simplex's end point reports worse than the start, which is kept
+    row = get_row("07-binom-0.4-15-hm")
+    tgt = target_state(row.target, cutoff, check_tail=False)
+    polished = local_polish(row.params, tgt, cutoff, max_iters=400)
+    start = misfit(conditional_output(row.params, cutoff, check_input_tail=False), tgt)
+    assert polished.trace[0] == start
+    assert polished.best_misfit == polished.trace[1] <= start
+    assert (polished.best_params != row.params) == moves
+    core = scheme._core_misfit(tgt)
+    assert (core(params_to_vector(polished.best_params)[0].tolist())
+            <= core(params_to_vector(row.params)[0].tolist()))
+
+
+def test_polish_with_every_dimension_pinned_scores_the_start():
+    mask = FixedMask(tuple(params_to_vector(ROW_BINOM_SPD)[0].tolist()))
+    polished = local_polish(ROW_BINOM_SPD, Binomial(0.3, 7), cutoff=30, max_iters=50,
+                            mask=mask)
+    start = objective(ROW_BINOM_SPD, Binomial(0.3, 7), 30)
+    assert polished.best_params == ROW_BINOM_SPD
+    assert polished.trace == (start, start)
+    assert polished.best_misfit == start
+    assert polished.evaluations_count == 1
 
 
 def test_polish_respects_mask():

@@ -292,7 +292,8 @@ def test_conditional_output_invariants():
 
 
 def kernel_misfit(vec: np.ndarray, target, cutoff: int) -> float:
-    """The misfit the Nelder-Mead polish reads, on a flat search vector."""
+    """The misfit the window average reads at each subrange's midpoint, on
+    a flat search vector."""
     return scheme._output_misfit(scheme._herald(vec, cutoff)[0], cutoff, target)
 
 
