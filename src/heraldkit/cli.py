@@ -72,8 +72,13 @@ class _NonFiniteOutput(HeraldkitError):
     """A value bound for an output file is NaN or infinite."""
 
 
+class _RowFailure(HeraldkitError):
+    """A numeric failure on one reproduce-table row, named in the message."""
+
+
 _NUMERIC_ERRORS = (
     _NonFiniteOutput,
+    _RowFailure,
     TailMassError,
     TruncationQualityError,
     NormalizationError,
@@ -608,17 +613,19 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
     any_fail = False
     for row in rows:
         params = row_params[row.row_id]
-        tgt = target_state(row.target, cutoff, check_tail=False)
-        _, eps_raw, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=False)
-
-        eps_polished = eps_raw
-        if polish_iters > 0:
-            vec, kind, _ = params_to_vector(params)
-            names = layout_for_kind(kind)
-            pins = {n: vec[names.index(n)] for n in row.fixed}
-            mask = FixedMask.pin(kind, **pins) if pins else None
-            polished = local_polish(params, tgt, cutoff, max_iters=polish_iters, mask=mask)
-            eps_polished = polished.best_misfit
+        try:
+            tgt = target_state(row.target, cutoff, check_tail=False)
+            _, eps_raw, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=False)
+            eps_polished = eps_raw
+            if polish_iters > 0:
+                vec, kind, _ = params_to_vector(params)
+                names = layout_for_kind(kind)
+                pins = {n: vec[names.index(n)] for n in row.fixed}
+                mask = FixedMask.pin(kind, **pins) if pins else None
+                polished = local_polish(params, tgt, cutoff, max_iters=polish_iters, mask=mask)
+                eps_polished = polished.best_misfit
+        except _NUMERIC_ERRORS as exc:
+            raise _RowFailure(f"row {row.row_id}: {exc}") from exc
 
         gate = limits["eps_polish_factor"] * row.eps
         failures = []

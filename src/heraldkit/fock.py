@@ -204,30 +204,48 @@ def _hermite_coefficients(n_max: int) -> tuple[tuple[float, float], ...]:
     return tuple((math.sqrt(2.0 / k), math.sqrt((k - 1.0) / k)) for k in range(1, n_max + 1))
 
 
-def hermite_gaussian_columns(n_max: int, x: np.ndarray | float) -> np.ndarray:
-    """Normalized Hermite-Gaussian values phi_n(x) for n = 0..n_max.
+def hermite_gaussian_columns(n_max: int, x: float) -> np.ndarray:
+    """Normalized Hermite-Gaussian values phi_n(x) = pi**-0.25 (2**n n!)**-0.5
+    H_n(x) exp(-x**2/2) for n = 0..n_max, from the normalized recurrence (no
+    intermediate can overflow) in Python floats."""
+    x = float(x)
+    prev, cur = 0.0, float(_PI_QUARTER * np.exp(-0.5 * x * x))
+    vals = [cur]
+    for up, down in _hermite_coefficients(n_max):
+        prev, cur = cur, up * x * cur - down * prev
+        vals.append(cur)
+    return np.array(vals)
 
-    phi_n(x) = pi**-0.25 (2**n n!)**-0.5 H_n(x) exp(-x**2/2), evaluated with
-    the normalized recurrence so no intermediate can overflow.  Returns an
-    array of shape (n_max + 1,) + shape(x).  A single point runs the same
-    recurrence on Python floats, bit for bit, without numpy's per-step cost.
+
+def _hermite_gaussian_window(
+    n_max: int, x: float, delta: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """phi_n(lo), phi_n(hi) - phi_n(lo) for n = 0..n_max and the integral of
+    phi_0^2 over [lo, hi] = x -/+ delta, x >= 0, each to a few roundings
+    relative.
+
+    Where exp(-t^2) changes by more than a factor e across the window, the
+    ends and their erf or erfc do not cancel.  On a narrower window the
+    integral is the Taylor series about x, exp(-x^2) / sqrt(pi) sum_m
+    2 delta^(2m+1) H_2m(x) / (2m+1)! (the odd terms cancel), converged to
+    rounding after 16 terms, and the difference runs its own recurrence
+    from S_0 = phi_0(lo) expm1(-2 x delta):
+
+        S_n = sqrt(2/n) (hi S_{n-1} + 2 delta phi_{n-1}(lo)) - sqrt((n-1)/n) S_{n-2}.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        xf = float(x)
-        prev, cur = 0.0, float(_PI_QUARTER * np.exp(-0.5 * x * x))
-        vals = [cur]
-        for up, down in _hermite_coefficients(n_max):
-            prev, cur = cur, up * xf * cur - down * prev
-            vals.append(cur)
-        return np.array(vals)
-    out = np.empty((n_max + 1,) + x.shape, dtype=np.float64)
-    out[0] = _PI_QUARTER * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(2, n_max + 1):
-        out[k] = np.sqrt(2.0 / k) * x * out[k - 1] - np.sqrt((k - 1.0) / k) * out[k - 2]
-    return out
+    lo, hi = x - delta, x + delta
+    low = hermite_gaussian_columns(n_max, lo)
+    if 4.0 * delta * max(x, delta) > 1.0:
+        mass = math.erf(hi) + math.erf(-lo) if lo < 0.0 else math.erfc(lo) - math.erfc(hi)
+        return low, hermite_gaussian_columns(n_max, hi) - low, 0.5 * mass
+    prev, cur = 0.0, float(low[0]) * math.expm1(-2.0 * delta * x)
+    step = [cur]
+    for (up, down), below in zip(_hermite_coefficients(n_max), low.tolist()):
+        prev, cur = cur, up * (hi * cur + 2.0 * delta * below) - down * prev
+        step.append(cur)
+    coef = 2.0 * np.cumprod(delta / np.arange(1.0, 33.0))  # 2 delta^(k+1) / (k+1)!
+    mass = float(coef[::2] @ hermite_sequence(x, 31).real[::2])
+    return low, np.array(step), mass * math.exp(-x * x) / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)

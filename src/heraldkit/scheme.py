@@ -25,11 +25,14 @@ each mode, is formed in one place: embedded_two_mode_state embeds the
 inputs at 2N and applies the beam splitter sector by sector, building only
 the block columns that inputs truncated at N reach
 (fock.beam_splitter_apply).  The "oracle" route projects it (used to
-cross-check), and the window figures, the success probability over
-x +/- delta and the window-averaged misfit, read it: the outcome density is
-a quadratic form in Hermite functions whose primitive has a closed form
-(_hm_window).  Both routes keep every output amplitude up to total photon
-number 2N before truncating, so their retained and discarded masses agree.
+cross-check), and the window figures read it: the success probability P
+over x +/- delta and the window-averaged misfit eps_avg = 1 - int
+|<t|d_x>|^2 dx / int ||d_x||^2 dx, with d_x the unnormalized output at x
+and ||d_x|| its full norm, mass above the cutoff included.  Both
+integrands are quadratic forms in Hermite functions with a closed-form
+primitive, read at the two window edges (_hm_window).  Both routes keep
+every output amplitude up to total photon number 2N before truncating,
+so their retained and discarded masses agree.
 
 The search runs on the exact Gaussian core instead: both heralds act on a
 Gaussian two-mode state, so each output follows from a few complex
@@ -66,6 +69,7 @@ from .fock import (
     FockVector,
     TwoModeState,
     _freeze,
+    _hermite_gaussian_window,
     _log_factorials,
     _require_unit_norm,
     beam_splitter_apply,
@@ -401,18 +405,6 @@ def misfit(
     return 1.0 - fidelity(target, state)
 
 
-def _output_misfit(full: np.ndarray, cutoff: int, target: FockVector) -> float:
-    """misfit(_split_output(full, cutoff), target) to the same bits, with no
-    FockVector; it raises NormalizationError where misfit does (its norm
-    checks read np.vdot, which differs from norm_sq only by rounding)."""
-    retained = full[: cutoff + 1]
-    weight = float((np.abs(retained) ** 2).sum())
-    state = retained / np.sqrt(weight) if weight > 0.0 else retained
-    _require_unit_norm("target", np.vdot(target.amps, target.amps).real)
-    _require_unit_norm("out", np.vdot(state, state).real)
-    return 1.0 - float(abs(complex(np.vdot(target.amps, state))) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # the exact Gaussian core
 
@@ -621,95 +613,78 @@ def hm_outcome_density(
 
 
 def _hm_window(
-    mixed: TwoModeState, lam: float, edges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-mode array of one HM point with the reading phase e^{-i j lam}
-    on row j, V_lam (so c(x) = phi(x)^T V_lam), and the primitive of its
-    outcome density at each edge.
+    p: SchemeParams, cutoff: int, check_input_tail: bool, target: FockVector | None = None
+) -> tuple[float, float | None]:
+    """P over x +/- window_halfwidth and, given a target, eps_avg (else None).
 
-    mixed is the embedded beam-splitter output (embedded_two_mode_state),
-    V over 0..2N in each mode.  The outcome density is the quadratic form
-    p(x) = phi(x)^T G phi(x) in the normalized Hermite functions
-    (fock.hermite_gaussian_columns), with G = Re(V_lam V_lam^dagger) over
-    the squared norm of V; the embedding drops nothing, so that norm is the
-    product of the input norms.  As phi_n'' = (x^2 - 2n - 1) phi_n and
-    (phi_{n-1} phi_n)' = sqrt(2n) (phi_{n-1}^2 - phi_n^2), its primitive is
+    With the reading phase e^{-i j lam} on row j of the embedded output V
+    (embedded_two_mode_state, 0..2N in each mode), V_lam, the output at x is
+    d_x = phi(x)^T V_lam, so both integrands are forms phi^T G phi in the
+    Hermite functions: ||d_x||^2 with G = Re(V_lam V_lam^dagger) and
+    |<t|d_x>|^2 with G = Re(u u^dagger), u = V_lam[:, :N+1] conj(t).  P is
+    the first integral over the squared norm of V (the product of the input
+    norms: the embedding drops nothing), eps_avg one minus the second over
+    the first.  As phi_n'' = (x^2 - 2n - 1) phi_n and (phi_{n-1} phi_n)' =
+    sqrt(2n) (phi_{n-1}^2 - phi_n^2), phi^T G phi has the primitive
 
         B(x) = 2 phi^T M phi' + sum_n G[n, n] D_n(x),
 
     with M[j, k] = G[j, k] / (2 (j - k)) off the diagonal and 0 on it,
     phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, D_0 = erf(x) / 2
-    and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n).  The probability of a
-    reading between two edges is the difference of B over them.
-    """
+    and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n), read as B(hi) - B(lo)
+    from the steps phi(hi) - phi(lo) (fock._hermite_gaussian_window)."""
+    m = p.measurement
+    mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
     j = np.arange(mixed.cutoff + 1)
-    v = mixed.amps * np.exp(-1j * lam * j)[:, None]
-    # Re(V V^dagger) is X X^T for the real and imaginary parts side by side
-    x = v.view(np.float64)
-    g = x @ x.T
-    g /= mixed.norm_sq()
-    m = 2.0 * np.subtract.outer(j, j.astype(float))
-    np.fill_diagonal(m, np.inf)
-    np.divide(g, m, out=m)
-    phi = hermite_gaussian_columns(mixed.cutoff + 1, edges)
-    # at j = 0 the first term reads phi[-1] times 0
-    dphi = np.sqrt(j / 2.0)[:, None] * phi[j - 1] - np.sqrt((j + 1) / 2.0)[:, None] * phi[j + 1]
-    steps = phi[:-2] * phi[1:-1] / np.sqrt(2.0 * j[1:])[:, None]
-    erf = np.array([math.erf(e) for e in edges])
-    d = 0.5 * erf - np.vstack([np.zeros_like(edges), np.cumsum(steps, axis=0)])
-    return v, 2.0 * np.sum(phi[:-1] * (m @ dphi), axis=0) + np.diag(g) @ d
+    v = mixed.amps * np.exp(-1j * m.lam * j)[:, None]
+    low, step, d0 = _hermite_gaussian_window(mixed.cutoff + 1, m.x, m.window_halfwidth)
+    high = low + step
+    # phi' at hi and its step, as two columns (entry -1 is read times 0)
+    f = np.column_stack([high, step])
+    df = np.sqrt(j / 2.0)[:, None] * f[j - 1] - np.sqrt((j + 1) / 2.0)[:, None] * f[j + 1]
+    # D_n(hi) - D_n(lo): high_{n-1} high_n - low_{n-1} low_n = step_{n-1} high_n + low_{n-1} step_n
+    pairs = (step[:-2] * high[1:-1] + low[:-2] * step[1:-1]) / np.sqrt(2.0 * j[1:])
+    d = d0 - np.concatenate([[0.0], np.cumsum(pairs)])
+    gap = np.where(j[:, None] == j, np.inf, 2.0 * np.subtract.outer(j, j))
+
+    def integral(w: np.ndarray) -> float:
+        # Re(w w^dagger) is X X^T for the real and imaginary parts side by side
+        x = w.view(np.float64)
+        g = x @ x.T / mixed.norm_sq()
+        # high^T M high' - low^T M low' = step^T M high' + low^T M step'
+        mdf = (g / gap) @ df
+        return float(2.0 * (step[:-1] @ mdf[:, 0] + low[:-1] @ mdf[:, 1]) + np.diag(g) @ d)
+
+    prob = integral(v)
+    if target is None:
+        return prob, None
+    _require_unit_norm("target", target.norm_sq())
+    if not prob >= np.finfo(float).tiny:
+        raise NormalizationError(
+            f"acceptance window probability {prob:.3g} is below the double range")
+    return prob, 1.0 - integral((v[:, : cutoff + 1] @ target.amps.conj())[:, None]) / prob
 
 
 def success_prob_hm(p: SchemeParams, cutoff: int, check_input_tail: bool = True) -> float:
     """Probability of a quadrature reading inside x +/- window_halfwidth."""
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
-    delta = p.measurement.window_halfwidth
-    if delta == 0.0:
+    if p.measurement.window_halfwidth == 0.0:
         return 0.0
-    edges = np.array([p.measurement.x - delta, p.measurement.x + delta])
-    mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
-    _, primitive = _hm_window(mixed, p.measurement.lam, edges)
-    return float(primitive[1] - primitive[0])
-
-
-def _window_average(
-    v: np.ndarray, primitive: np.ndarray, edges: np.ndarray, target: FockVector, cutoff: int
-) -> float:
-    """Misfit at the midpoint of each pair of edges, weighted by the
-    probability of a reading between them (_hm_window)."""
-    probs = np.diff(primitive)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    eps = [_output_misfit(full, cutoff, target)
-           for full in hermite_gaussian_columns(2 * cutoff, mids).T @ v]
-    weight_sum = float(np.sum(probs))
-    if not weight_sum > 0.0:
-        raise NormalizationError("acceptance window carries no probability mass")
-    return float(probs @ eps) / weight_sum
-
-
-def _subrange_edges(m: HM) -> np.ndarray:
-    return np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth,
-                       tol.DEFAULT_SUBRANGES + 1)
+    return _hm_window(p, cutoff, check_input_tail)[0]
 
 
 def average_misfit(
     p: SchemeParams, target: FockVector, cutoff: int, check_input_tail: bool = True
 ) -> float:
-    """Probability-weighted misfit over the acceptance window.
-
-    The window x +/- window_halfwidth is split into tol.DEFAULT_SUBRANGES
-    equal pieces; each contributes its midpoint misfit weighted by the
-    probability of landing in that piece.
-    """
+    """Misfit averaged over the acceptance window x +/- window_halfwidth:
+    one minus the integral of |<t|d_x>|^2 over that of ||d_x||^2, with d_x
+    the unnormalized output at x and its full norm (_hm_window)."""
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
     if p.measurement.window_halfwidth <= 0.0:
         raise ValueError("measurement.window_halfwidth must be > 0")
-    edges = _subrange_edges(p.measurement)
-    mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
-    v, primitive = _hm_window(mixed, p.measurement.lam, edges)
-    return _window_average(v, primitive, edges, target, cutoff)
+    return _hm_window(p, cutoff, check_input_tail, target)[1]
 
 
 class Score(NamedTuple):
@@ -728,20 +703,15 @@ def score(
 
     success_prob is the herald probability for SPD; for HM it is the
     probability of a reading inside x +/- window_halfwidth, or the outcome
-    density at x when there is no window.  eps_avg is the window-averaged
-    misfit, None without a window.  The output and eps are read from the
-    arms (_herald), which are dropped before a window embeds the inputs
-    once for both of its figures; each figure equals that of the function
-    of the same name to rounding.
+    density at x when there is no window.  eps_avg is average_misfit, None
+    without a window.  The output and eps are read from the arms (_herald),
+    which are dropped before a window embeds the inputs once for both of
+    its figures (_hm_window).
     """
     full, inputs = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
     out = _split_output(full, cutoff)
     eps = misfit(out, target)
     m = p.measurement
     if isinstance(m, HM) and m.window_halfwidth > 0.0:
-        edges = _subrange_edges(m)
-        mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
-        v, primitive = _hm_window(mixed, m.lam, edges)
-        eps_avg = _window_average(v, primitive, edges, target, cutoff)
-        return Score(out, eps, float(primitive[-1] - primitive[0]), eps_avg)
+        return Score(out, eps, *_hm_window(p, cutoff, check_input_tail, target))
     return Score(out, eps, _probability(full, inputs), None)

@@ -27,7 +27,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import tolerances as tol
-from .errors import TailMassError, TruncationQualityError
+from .errors import NormalizationError, TailMassError, TruncationQualityError
 from .fock import FockVector, _log_factorials, _loss_amplitudes
 
 
@@ -112,8 +112,12 @@ def _input_amplitudes(r, theta, alpha_abs, phi, roots) -> list[complex]:
     """squeezed_coherent_amplitudes on plain floats, as a list, with
     roots = _recurrence_roots(cutoff).  The coefficients come from numpy's
     functions: _SCALAR_MATH would move every figure of the truncated route
-    in its last digits."""
-    a, b, c = (complex(v) for v in _bargmann_coefficients(r, theta, alpha_abs, phi))
+    in its last digits.  An input whose c_0 underflows (cosh r overflows
+    past r = 710) raises NormalizationError, naming it."""
+    with np.errstate(over="ignore"):
+        a, b, c = (complex(v) for v in _bargmann_coefficients(r, theta, alpha_abs, phi))
+    if c == 0.0:
+        raise NormalizationError(f"input r={r:g}, |alpha|={alpha_abs:g} is not finite (c_0 = 0)")
     return _amplitudes(a, b, c, roots)
 
 

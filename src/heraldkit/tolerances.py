@@ -24,6 +24,3 @@ DEFAULT_CUTOFF = 40
 
 # Reduced cutoff used inside the genetic search loop.
 SEARCH_CUTOFF = 30
-
-# Default number of subranges for window-averaged misfit.
-DEFAULT_SUBRANGES = 21

@@ -747,10 +747,9 @@ def test_reproduce_corrupted_row_fails(tmp_path, capsys):
     assert read_rows(out / "report.csv")[0]["status"] == "FAIL"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cosh:RuntimeWarning")
 def test_reproduce_overflowing_squeezing_is_a_numeric_failure(tmp_path, capsys):
-    # cosh r overflows at r = 800; the polish must not let an OverflowError
-    # escape where the scoring reports a numeric failure
+    # cosh r overflows at r = 800: the scoring names the row and the input,
+    # with no numpy warning, and the polish lets no OverflowError escape
     cfg = write_config(tmp_path, {
         "reproduce_table": {
             "rows": ["02-binom-0.3-7-spd"],
@@ -759,7 +758,9 @@ def test_reproduce_overflowing_squeezing_is_a_numeric_failure(tmp_path, capsys):
         },
     })
     assert main(["reproduce-table", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "numeric failure: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric failure: row 02-binom-0.3-7-spd: input r=800," in err
+    assert "is not finite" in err and "RuntimeWarning" not in err
 
 
 def test_reproduce_unknown_row_id(tmp_path, capsys):

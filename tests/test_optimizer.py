@@ -211,15 +211,6 @@ def test_reflect_into_folds_into_box():
 # -------------------------------------------------------------- objective
 
 
-def test_objective_composition_identity():
-    # the misfit read off the kernel, as the window average reads it, equals
-    # the public composition to the bit
-    tgt = target_state(Binomial(0.3, 7), 30)
-    full, _ = scheme._herald(params_to_vector(ROW_BINOM_SPD)[0], 30)
-    expect = misfit(conditional_output(ROW_BINOM_SPD, 30, check_input_tail=False), tgt)
-    assert scheme._output_misfit(full, 30, tgt) == expect
-
-
 def test_objective_self_target_is_zero():
     out = conditional_output(ROW_BINOM_SPD, 30, check_input_tail=False)
     assert objective(ROW_BINOM_SPD, out.state, 30) <= 1e-12

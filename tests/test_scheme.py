@@ -292,9 +292,8 @@ def test_conditional_output_invariants():
 
 
 def kernel_misfit(vec: np.ndarray, target, cutoff: int) -> float:
-    """The misfit the window average reads at each subrange's midpoint, on
-    a flat search vector."""
-    return scheme._output_misfit(scheme._herald(vec, cutoff)[0], cutoff, target)
+    """The misfit read off the closed-route kernel, on a flat search vector."""
+    return misfit(scheme._split_output(scheme._herald(vec, cutoff)[0], cutoff), target)
 
 
 @pytest.fixture(scope="module")
@@ -583,19 +582,32 @@ def test_hm_outcome_density_matches_quadrature_projection():
     assert got == pytest.approx(density / norm_sq, rel=1e-9)
 
 
-def oracle_window_prob(st, lam: float, lo: float, hi: float) -> float:
-    """Probability of a reading in [lo, hi] on the embedded two-mode state st:
-    a fixed 128-node Gauss-Legendre sum of project_quadrature densities."""
-    nodes, node_weights = roots_legendre(128)
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    dens = [project_quadrature(st, mid + half * t, lam)[1] for t in nodes]
-    return half * float(node_weights @ np.array(dens)) / float(np.sum(np.abs(st.amps) ** 2))
+def oracle_window(p: SchemeParams, target: FockVector, cutoff: int,
+                  nodes: np.ndarray, node_weights: np.ndarray) -> tuple[float, float]:
+    """P and eps_avg of an HM point from oracle outputs at the given reading
+    nodes, each integral read as the weighted sum over the nodes: the
+    outputs contract the embedded two-mode state with the Hermite functions,
+    and the misfit's denominator is their full norm."""
+    mixed = embedded_two_mode_state(p, cutoff, check_input_tail=False)
+    n = np.arange(2 * cutoff + 1)
+    phi = np.array([hermite_gaussian_columns(2 * cutoff, t) for t in nodes]).T
+    bra = phi * np.exp(-1j * p.measurement.lam * n)[:, None]
+    outputs = bra.T @ mixed.amps
+    mass = node_weights @ np.sum(np.abs(outputs) ** 2, axis=1)
+    kept = node_weights @ np.abs(outputs[:, : cutoff + 1] @ target.amps.conj()) ** 2
+    return mass / mixed.norm_sq(), 1.0 - kept / mass
+
+
+def gauss_legendre_window(m: HM, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of a count-node Gauss-Legendre rule on x +/- delta."""
+    nodes, node_weights = roots_legendre(count)
+    return m.x + m.window_halfwidth * nodes, m.window_halfwidth * node_weights
 
 
 def test_success_prob_hm_matches_oracle_quadrature():
-    m = ROW_BINOM_HM.measurement
-    st = embedded_two_mode_state(ROW_BINOM_HM, 30, check_input_tail=False)
-    want = oracle_window_prob(st, m.lam, m.x - m.window_halfwidth, m.x + m.window_halfwidth)
+    tgt = binomial_state(0.45, 8, 30)
+    window = gauss_legendre_window(ROW_BINOM_HM.measurement, 128)
+    want = oracle_window(ROW_BINOM_HM, tgt, 30, *window)[0]
     got = success_prob_hm(ROW_BINOM_HM, 30, check_input_tail=False)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -604,24 +616,28 @@ def test_success_prob_hm_matches_oracle_quadrature():
 @given(
     in1=_BOX_ARMS, in2=_BOX_ARMS, t=st.floats(0.1, 0.9), x=st.floats(0.0, 4.0),
     lam=st.floats(0.0, 2.0 * math.pi), delta=st.floats(0.0, 3.0, exclude_min=True),
-    cutoff=st.integers(12, 30), n_sub=st.integers(1, 41),
+    cutoff=st.integers(12, 30),
 )
-def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff, n_sub):
+def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff):
     p = SchemeParams(in1, in2, t, HM(x, lam, delta))
-    got = success_prob_hm(p, cutoff, check_input_tail=False)
-    # fixed 256-node Gauss-Legendre sum of oracle densities, all nodes at once
-    mixed = embedded_two_mode_state(p, cutoff, check_input_tail=False)
-    amps = mixed.amps
-    nodes, node_weights = roots_legendre(256)
-    n = np.arange(2 * cutoff + 1)
-    bra = hermite_gaussian_columns(2 * cutoff, x + delta * nodes) * np.exp(-1j * lam * n)[:, None]
-    dens = np.sum(np.abs(bra.T @ amps) ** 2, axis=1) / np.sum(np.abs(amps) ** 2)
-    assert got == pytest.approx(delta * float(node_weights @ dens), abs=1e-10)
-    assert got <= 1.0 + 1e-12
-    # the subrange weights of average_misfit telescope to P
-    edges = np.linspace(x - delta, x + delta, n_sub + 1)
-    _, primitive = scheme._hm_window(mixed, lam, edges)
-    assert abs(np.sum(np.diff(primitive)) - got) <= 1e-14
+    # a window whose probability leaves the double range has no eps_avg
+    # (test_average_misfit_refuses_a_window_below_the_double_range)
+    assume(delta * hm_outcome_density(p, x, cutoff, check_input_tail=False) > 1e-290)
+    # the target is the heralded output at the window's centre
+    tgt = conditional_output(p, cutoff, check_input_tail=False).state
+    got = score(p, tgt, cutoff, check_input_tail=False)
+    # fixed 256-node Gauss-Legendre sums of oracle outputs, all nodes at once
+    want_p, want_avg = oracle_window(p, tgt, cutoff, *gauss_legendre_window(p.measurement, 256))
+    assert got.success_prob == pytest.approx(want_p, abs=1e-10)
+    assert got.success_prob <= 1.0 + 1e-12
+    # both integrals are quadratic forms in n = 2N + 1 Hermite functions, so
+    # they round to about n eps of the total mass (1) times min(1, 2 delta);
+    # relative to P that passes 1e-10 only where P / min(1, 2 delta) is
+    # below about 1e-4
+    rounding = (2 * cutoff + 1) * np.finfo(float).eps * min(1.0, 2.0 * delta) / want_p
+    assert abs(got.eps_avg - want_avg) <= 1e-10 + rounding
+    assert success_prob_hm(p, cutoff, check_input_tail=False) == got.success_prob
+    assert average_misfit(p, tgt, cutoff, check_input_tail=False) == got.eps_avg
 
 
 def test_hm_figures_at_cutoff_200_match_cutoff_134():
@@ -667,72 +683,79 @@ def test_window_figures_converge_above_cutoff_60():
 # ----------------------------------------------------------- average misfit
 
 
-def window_average(p: SchemeParams, target: FockVector, cutoff: int, n_sub: int) -> float:
-    """The window-averaged misfit over n_sub equal subranges, read from the
-    window primitive as average_misfit reads it over its fixed count."""
-    m = p.measurement
-    edges = np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth, n_sub + 1)
-    mixed = embedded_two_mode_state(p, cutoff, check_input_tail=False)
-    v, primitive = scheme._hm_window(mixed, m.lam, edges)
-    return scheme._window_average(v, primitive, edges, target, cutoff)
+def full_norm_misfit(p: SchemeParams, target: FockVector, cutoff: int) -> float:
+    """1 - |<t|d>|^2 / ||d||^2 at the point reading, d the unnormalized
+    output and ||d|| its full norm, mass above the cutoff included."""
+    out = conditional_output(p, cutoff, check_input_tail=False)
+    return 1.0 - (1.0 - out.truncation_loss) * (1.0 - misfit(out, target))
+
+
+def at_reading(x: float) -> SchemeParams:
+    """ROW_BINOM_HM read at x with no window."""
+    return replace(ROW_BINOM_HM, measurement=HM(x, ROW_BINOM_HM.measurement.lam))
 
 
 def test_average_misfit_degenerate_window():
+    # as the window closes, eps_avg tends to the full-norm misfit at x and
+    # P / (2 delta) to the outcome density there, with no loss of precision
     tgt = binomial_state(0.45, 8, 40)
-    narrow = SchemeParams(
-        ROW_BINOM_HM.in1, ROW_BINOM_HM.in2, ROW_BINOM_HM.transmittance,
-        HM(0.61, 0.04, 1e-4),
-    )
-    point = SchemeParams(
-        ROW_BINOM_HM.in1, ROW_BINOM_HM.in2, ROW_BINOM_HM.transmittance,
-        HM(0.61, 0.04),
-    )
-    eps_avg = window_average(narrow, tgt, 40, 1)
-    eps_center = misfit(conditional_output(point, 40, check_input_tail=False), tgt)
-    assert eps_avg == pytest.approx(eps_center, abs=1e-6)
+    eps_x = full_norm_misfit(at_reading(0.61), tgt, 40)
+    density = hm_outcome_density(ROW_BINOM_HM, 0.61, 40, check_input_tail=False)
+    for delta in (1e-4, 1e-8, 1e-12, 1e-200):
+        got = score(replace(ROW_BINOM_HM, measurement=HM(0.61, 0.04, delta)), tgt, 40,
+                    check_input_tail=False)
+        assert got.eps_avg == pytest.approx(eps_x, abs=1e-9)
+        assert got.success_prob / (2.0 * delta) == pytest.approx(density, rel=1e-8)
 
 
-def test_average_misfit_bounded_by_subrange_misfits():
+def test_average_misfit_bounded_by_pointwise_misfits():
+    # eps_avg is a mean of the full-norm pointwise misfits, weighted by the
+    # outcome density
     tgt = binomial_state(0.45, 8, 40)
     m = ROW_BINOM_HM.measurement
-    edges = np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth,
-                        tol.DEFAULT_SUBRANGES + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    eps_j = []
-    for x_j in mids:
-        p_j = SchemeParams(
-            ROW_BINOM_HM.in1, ROW_BINOM_HM.in2, ROW_BINOM_HM.transmittance,
-            HM(x_j, m.lam),
-        )
-        eps_j.append(misfit(conditional_output(p_j, 40, check_input_tail=False), tgt))
+    eps_x = [full_norm_misfit(at_reading(x), tgt, 40)
+             for x in np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth, 41)]
     got = average_misfit(ROW_BINOM_HM, tgt, 40, check_input_tail=False)
-    assert min(eps_j) <= got <= max(eps_j)
+    assert min(eps_x) <= got <= max(eps_x)
+
+
+def midpoint_window(m: HM, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoints of pieces equal pieces of x +/- delta and their width."""
+    edges = np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth, pieces + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
 
 
 def test_average_misfit_matches_oracle_weighted_sum():
-    # midpoint misfits from the scalar closed form, weights from the oracle
-    tgt = binomial_state(0.45, 8, 30)
-    m = ROW_BINOM_HM.measurement
-    st = embedded_two_mode_state(ROW_BINOM_HM, 30, check_input_tail=False)
-    edges = np.linspace(m.x - m.window_halfwidth, m.x + m.window_halfwidth,
-                        tol.DEFAULT_SUBRANGES + 1)
-    weights, eps = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        weights.append(oracle_window_prob(st, m.lam, lo, hi))
-        p_mid = SchemeParams(ROW_BINOM_HM.in1, ROW_BINOM_HM.in2,
-                             ROW_BINOM_HM.transmittance, HM(0.5 * (lo + hi), m.lam))
-        eps.append(misfit(conditional_output(p_mid, 30, check_input_tail=False), tgt))
-    want = float(np.dot(weights, eps) / np.sum(weights))
-    got = average_misfit(ROW_BINOM_HM, tgt, 30, check_input_tail=False)
-    assert got == pytest.approx(want, abs=1e-10)
+    # a 4001-piece midpoint sum of oracle outputs, full norm, converges on
+    # the exact integral
+    tgt = binomial_state(0.45, 8, 40)
+    window = midpoint_window(ROW_BINOM_HM.measurement, 4001)
+    want = oracle_window(ROW_BINOM_HM, tgt, 40, *window)[1]
+    got = average_misfit(ROW_BINOM_HM, tgt, 40, check_input_tail=False)
+    assert abs(got - want) <= 1e-9
 
 
 def test_average_misfit_refinement_stable():
+    # eps_avg was once a 21-piece midpoint sum: each piece's oracle
+    # probability times the misfit of the output at its midpoint.  The
+    # exact integral, that sum's limit, sits 1.5e-3 to 2.5e-3 above it.
     tgt = binomial_state(0.45, 8, 40)
-    a = average_misfit(ROW_BINOM_HM, tgt, 40, check_input_tail=False)
-    assert window_average(ROW_BINOM_HM, tgt, 40, tol.DEFAULT_SUBRANGES) == a
-    b = window_average(ROW_BINOM_HM, tgt, 40, 41)
-    assert abs(a - b) <= 5e-4
+    m = ROW_BINOM_HM.measurement
+    mids, width = midpoint_window(m, 21)
+    probs = [oracle_window(ROW_BINOM_HM, tgt, 40,
+                           *gauss_legendre_window(HM(x, m.lam, w / 2), 128))[0]
+             for x, w in zip(mids, width)]
+    eps = [misfit(conditional_output(at_reading(x), 40, check_input_tail=False), tgt) for x in mids]
+    old = float(np.dot(probs, eps) / np.sum(probs))
+    got = average_misfit(ROW_BINOM_HM, tgt, 40, check_input_tail=False)
+    assert 1.5e-3 <= (got - old) / old <= 2.5e-3
+
+
+def test_average_misfit_refuses_a_window_below_the_double_range():
+    p = replace(ROW_BINOM_HM, measurement=HM(0.61, 0.04, 5e-324))
+    assert 0.0 <= success_prob_hm(p, 30, check_input_tail=False) < 1e-300
+    with pytest.raises(NormalizationError, match="below the double range"):
+        average_misfit(p, binomial_state(0.45, 8, 30), 30, check_input_tail=False)
 
 
 def test_average_misfit_validates_arguments():
