@@ -679,7 +679,10 @@ def average_misfit(
 ) -> float:
     """Misfit averaged over the acceptance window x +/- window_halfwidth:
     one minus the integral of |<t|d_x>|^2 over that of ||d_x||^2, with d_x
-    the unnormalized output at x and its full norm (_hm_window)."""
+    the unnormalized output at x and its full norm (_hm_window).  Each
+    integral rounds to about (2 cutoff + 1) eps min(1, 2 window_halfwidth),
+    so the result is good to about that over P, which grows on a window of
+    low outcome density."""
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
     if p.measurement.window_halfwidth <= 0.0:

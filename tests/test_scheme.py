@@ -582,18 +582,21 @@ def test_hm_outcome_density_matches_quadrature_projection():
     assert got == pytest.approx(density / norm_sq, rel=1e-9)
 
 
-def oracle_window(p: SchemeParams, target: FockVector, cutoff: int,
-                  nodes: np.ndarray, node_weights: np.ndarray) -> tuple[float, float]:
-    """P and eps_avg of an HM point from oracle outputs at the given reading
-    nodes, each integral read as the weighted sum over the nodes: the
-    outputs contract the embedded two-mode state with the Hermite functions,
-    and the misfit's denominator is their full norm."""
+def oracle_window(p: SchemeParams, target: FockVector | None, cutoff: int,
+                  nodes: np.ndarray, node_weights: np.ndarray) -> tuple[float, float | None]:
+    """P and eps_avg (None without a target) of an HM point from oracle
+    outputs at the given reading nodes, each integral read as the weighted
+    sum over the nodes: the outputs contract the embedded two-mode state
+    with the Hermite functions, and the misfit's denominator is their full
+    norm."""
     mixed = embedded_two_mode_state(p, cutoff, check_input_tail=False)
     n = np.arange(2 * cutoff + 1)
     phi = np.array([hermite_gaussian_columns(2 * cutoff, t) for t in nodes]).T
     bra = phi * np.exp(-1j * p.measurement.lam * n)[:, None]
     outputs = bra.T @ mixed.amps
     mass = node_weights @ np.sum(np.abs(outputs) ** 2, axis=1)
+    if target is None:
+        return mass / mixed.norm_sq(), None
     kept = node_weights @ np.abs(outputs[:, : cutoff + 1] @ target.amps.conj()) ** 2
     return mass / mixed.norm_sq(), 1.0 - kept / mass
 
@@ -620,23 +623,23 @@ def test_success_prob_hm_matches_oracle_quadrature():
 )
 def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff):
     p = SchemeParams(in1, in2, t, HM(x, lam, delta))
-    # a window whose probability leaves the double range has no eps_avg
-    # (test_average_misfit_refuses_a_window_below_the_double_range)
+    # fixed 256-node Gauss-Legendre sums of oracle outputs, all nodes at once
+    window = gauss_legendre_window(p.measurement, 256)
+    prob = success_prob_hm(p, cutoff, check_input_tail=False)
+    assert prob == pytest.approx(oracle_window(p, None, cutoff, *window)[0], abs=1e-10)
+    assert prob <= 1.0 + 1e-12
+    # the target, the heralded output at the window's centre, needs an output there
     assume(delta * hm_outcome_density(p, x, cutoff, check_input_tail=False) > 1e-290)
-    # the target is the heralded output at the window's centre
     tgt = conditional_output(p, cutoff, check_input_tail=False).state
     got = score(p, tgt, cutoff, check_input_tail=False)
-    # fixed 256-node Gauss-Legendre sums of oracle outputs, all nodes at once
-    want_p, want_avg = oracle_window(p, tgt, cutoff, *gauss_legendre_window(p.measurement, 256))
-    assert got.success_prob == pytest.approx(want_p, abs=1e-10)
-    assert got.success_prob <= 1.0 + 1e-12
-    # both integrals are quadratic forms in n = 2N + 1 Hermite functions, so
-    # they round to about n eps of the total mass (1) times min(1, 2 delta);
-    # relative to P that passes 1e-10 only where P / min(1, 2 delta) is
-    # below about 1e-4
-    rounding = (2 * cutoff + 1) * np.finfo(float).eps * min(1.0, 2.0 * delta) / want_p
-    assert abs(got.eps_avg - want_avg) <= 1e-10 + rounding
-    assert success_prob_hm(p, cutoff, check_input_tail=False) == got.success_prob
+    assert got.success_prob == prob
+    # both integrals are quadratic forms in 2N + 1 Hermite functions, so they
+    # round to about (2N + 1) eps of the mass the window can hold, min(1,
+    # 2 delta), however little of it lies there, and eps_avg to that over P.
+    # Where that passes 1e-10 (a low outcome density), eps_avg is known only
+    # to it: a limit of the two-edge rule.
+    rounding = (2 * cutoff + 1) * np.finfo(float).eps * min(1.0, 2.0 * delta) / prob
+    assert abs(got.eps_avg - oracle_window(p, tgt, cutoff, *window)[1]) <= max(1e-10, rounding)
     assert average_misfit(p, tgt, cutoff, check_input_tail=False) == got.eps_avg
 
 
