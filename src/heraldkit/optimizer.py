@@ -16,7 +16,10 @@ generation do not depend on how it is scored, so a seed means the same
 search either way.  The Nelder-Mead polish minimizes the same core
 misfit, one point at a time in Python complex arithmetic
 (scheme._core_misfit: the batch's formulas with no numpy call, so no
-evaluation builds an array, a SchemeParams or a FockVector).  Every
+evaluation builds an array, a SchemeParams or a FockVector).  Its simplex
+(_nelder_mead) works on Python lists and takes the steps of scipy 1.17's
+bounded, non-adaptive Nelder-Mead, so the package needs no scipy and the
+polish ends where scipy's would, after as many evaluations.  Every
 reported number comes from the scalar route, which truncates the inputs
 at the cutoff: the final scoring, and the polish's start and end points,
 scheme.misfit(scheme.conditional_output(params, cutoff,
@@ -41,6 +44,7 @@ per restart, so a (config, seed, target) triple fixes the result exactly.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -360,6 +364,102 @@ def optimize(
     )
 
 
+def _clip(v: list[float], lo: list[float], hi: list[float]) -> list[float]:
+    """np.clip(v, lo, hi) on lists, with its choice at ties (a value equal to
+    a limit, signed zeros included, becomes the limit) and NaN kept."""
+    out = []
+    for e, l, h in zip(v, lo, hi):
+        e = l if e <= l else e
+        out.append(h if e >= h else e)
+    return out
+
+
+def _by_value(sim: list[list[float]], fs: list[float]) -> tuple[list[list[float]], list[float]]:
+    """The vertices and their values in the order of np.argsort(fs).
+
+    The default sort is not stable and breaks ties its own way, so
+    Python's sorted would order tied vertices differently."""
+    order = np.array(fs).argsort().tolist()
+    return [sim[i] for i in order], [fs[i] for i in order]
+
+
+def _nelder_mead(
+    fun: Callable[[list[float]], float], x0: list[float], lo: list[float], hi: list[float],
+    max_iters: int, xatol: float, fatol: float,
+) -> tuple[list[float], int]:
+    """Minimize fun over the box [lo, hi] by the Nelder-Mead simplex; the
+    best vertex and the number of evaluations.
+
+    fun takes and x0, lo and hi are lists of floats; an unbounded entry has
+    infinite limits.  This is scipy 1.17's bounded, non-adaptive
+    minimize(method="Nelder-Mead") step for step, so it returns the same
+    point after the same evaluations: reflection 1, expansion 2,
+    contraction 1/2 and shrink 1/2.  The start is clipped into the box,
+    and the other vertices step each entry by 5 % (0.00025 for a zero
+    one), reflect off an upper limit they pass and are clipped; every
+    trial point is clipped.  Each step reflects the worst vertex through
+    the centroid of the others, summed left to right from 0.  It takes
+    at most max_iters - 1 steps (scipy's count starts at 1) and ends early
+    once every vertex lies within xatol of the best in each entry and
+    within fatol of it in value.
+    """
+    n = len(x0)
+    start = _clip(x0, lo, hi)
+    sim = [start]
+    for k in range(n):
+        y = start[:]
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim = [_clip([2 * h - e if e > h else e for e, h in zip(v, hi)], lo, hi) for v in sim]
+    fs = [fun(v) for v in sim]
+    nfev = n + 1
+    sim, fs = _by_value(sim, fs)
+    sim, fs = _by_value(sim, fs)  # scipy sorts twice here
+
+    for _ in range(max_iters - 1):
+        best, worst = sim[0], sim[-1]
+        if all(abs(fs[0] - f) <= fatol for f in fs[1:]) and all(
+            abs(e - b) <= xatol for v in sim[1:] for e, b in zip(v, best)
+        ):
+            break
+        xbar = []
+        for column in zip(*sim[:-1]):
+            total = 0.0
+            for e in column:
+                total += e
+            xbar.append(total / n)
+
+        xr = _clip([2 * b - w for b, w in zip(xbar, worst)], lo, hi)
+        fr = fun(xr)
+        nfev += 1
+        if fr < fs[0]:
+            xe = _clip([3 * b - 2 * w for b, w in zip(xbar, worst)], lo, hi)
+            fe = fun(xe)
+            nfev += 1
+            sim[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fs[-2]:
+            sim[-1], fs[-1] = xr, fr
+        else:
+            if fr < fs[-1]:  # contract outside
+                xc = _clip([1.5 * b - 0.5 * w for b, w in zip(xbar, worst)], lo, hi)
+                fc = fun(xc)
+                shrink = not fc <= fr
+            else:  # contract inside
+                xc = _clip([0.5 * b + 0.5 * w for b, w in zip(xbar, worst)], lo, hi)
+                fc = fun(xc)
+                shrink = not fc < fs[-1]
+            nfev += 1
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = _clip([b + 0.5 * (e - b) for b, e in zip(best, sim[j])], lo, hi)
+                    fs[j] = fun(sim[j])
+                nfev += n
+            else:
+                sim[-1], fs[-1] = xc, fc
+        sim, fs = _by_value(sim, fs)
+    return sim[0], nfev
+
+
 def local_polish(
     params: SchemeParams,
     target: TargetSpec | FockVector,
@@ -370,9 +470,12 @@ def local_polish(
 ) -> OptimizationResult:
     """Derivative-free simplex descent from one point.
 
-    Runs Nelder-Mead on the dimensions mask leaves free, keeping bounded
-    dimensions inside bounds (Bounds.for_kind by default) and leaving
-    angles free to cross the 0/2*pi seam (they are wrapped on assembly).
+    Runs Nelder-Mead (_nelder_mead) on the dimensions mask leaves free,
+    keeping bounded dimensions inside bounds (Bounds.for_kind by default)
+    and leaving angles free to cross the 0/2*pi seam (they are wrapped on
+    assembly).  The simplex stops once it spans at most 1e-10 in every
+    entry and 1e-14 in misfit, or after max_iters - 1 steps, as it did
+    under scipy's maxiter.
     The simplex minimizes the misfit of the exact Gaussian core, the
     function the GA minimizes, one point at a time in Python complex
     arithmetic (scheme._core_misfit).  The reported misfit is that of the
@@ -390,7 +493,7 @@ def local_polish(
     full[~free] = [v for v in mask.values if v is not None]
     tgt = _target_vector(target, cutoff)
 
-    def assemble(x: np.ndarray) -> SchemeParams:
+    def assemble(x: list[float]) -> SchemeParams:
         w = full.copy()
         w[free] = x
         return vector_to_params(w, whw)
@@ -398,35 +501,25 @@ def local_polish(
     def reported_misfit(p: SchemeParams) -> float:
         return misfit(conditional_output(p, cutoff, check_input_tail=False), tgt)
 
-    x0 = full[free]
+    x0 = full[free].tolist()
     best_params = assemble(x0)  # rejects a pin outside the parameter ranges
     eps_start = eps_here = reported_misfit(best_params)
     nfev = 0
     if free.any():
         core_misfit = _core_misfit(tgt)
+        base = full.tolist()
+        slots = np.flatnonzero(free).tolist()
 
-        def fun(x: np.ndarray) -> float:
-            w = full.copy()
-            w[free] = x
-            return core_misfit(w.tolist())
+        def fun(x: list[float]) -> float:
+            w = base[:]
+            for i, v in zip(slots, x):
+                w[i] = v
+            return core_misfit(w)
 
-        # imported here, so commands that never polish never load it
-        from scipy.optimize import minimize
-
-        nm_bounds = [
-            (-np.inf, np.inf) if p else (lo, hi)
-            for lo, hi, p, f in zip(bounds.lower, bounds.upper, bounds.periodic, free)
-            if f
-        ]
-        res = minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            bounds=nm_bounds,
-            options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        nfev = int(res.nfev)
-        end = assemble(res.x)
+        lo = [-np.inf if p else b for b, p, f in zip(bounds.lower, bounds.periodic, free) if f]
+        hi = [np.inf if p else b for b, p, f in zip(bounds.upper, bounds.periodic, free) if f]
+        x, nfev = _nelder_mead(fun, x0, lo, hi, max_iters, xatol=1e-10, fatol=1e-14)
+        end = assemble(x)
         eps_end = reported_misfit(end)
         if eps_end < eps_start:
             best_params, eps_here = end, eps_end

@@ -499,7 +499,7 @@ def cli_import_scipy_modules():
 
 
 def test_cli_import_leaves_out_scipy(cli_import_scipy_modules):
-    # only the polish needs scipy (scipy.optimize, imported inside it)
+    # nothing the package runs imports scipy
     assert cli_import_scipy_modules == []
 
 
@@ -509,7 +509,7 @@ def test_cli_import_leaves_out_scipy_signal(cli_import_scipy_modules):
 
 
 def test_cli_import_leaves_out_scipy_optimize(cli_import_scipy_modules):
-    # only the polish needs scipy.optimize; evaluate and sweep never load it
+    # the polish runs its own simplex; no command loads scipy.optimize
     assert "scipy.optimize" not in cli_import_scipy_modules
 
 
@@ -517,15 +517,17 @@ def test_cli_import_leaves_out_scipy_optimize(cli_import_scipy_modules):
     ("evaluate_binomial_hm.yaml", {}),
     ("sweep_efficiency.yaml", {}),
     ("sweep_deviation.yaml", {"deviations": [0.0, 0.05], "n_samples": 3}),
+    ("optimize_binomial_hm.yaml", {}),  # polish_iters 200
+    ("reproduce_designated.yaml", {}),  # polish_iters 400
 ])
-def test_commands_without_polish_leave_out_scipy(tmp_path, config, edit):
+def test_commands_leave_out_scipy(tmp_path, config, edit):
     cfg = yaml.safe_load((CONFIGS / config).read_text())
-    command = "evaluate" if "evaluate" in cfg else "sweep"
+    command = next(c for c in ("evaluate", "optimize", "sweep", "reproduce_table") if c in cfg)
     cfg[command].update(edit)
     path = write_config(tmp_path, cfg)
     code = (
         "from heraldkit.cli import main\n"
-        f"assert main({[command, '--config', path, '--out', str(tmp_path / 'o'), '--quiet']!r}) == 0"
+        f"assert main({[command.replace('_', '-'), '--config', path, '--out', str(tmp_path / 'o'), '--quiet']!r}) == 0"
     )
     assert _scipy_modules_after(code) == []
     assert any((tmp_path / "o").iterdir())

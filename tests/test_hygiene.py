@@ -2,7 +2,8 @@
 every private module-level name and every tolerance constant is read, every
 package function and method is read somewhere in the repository, and
 outside the tests unless it is listed as test-only, only the command line
-raises ConfigError, and every function the benchmark tracer wraps exists."""
+raises ConfigError, every function the benchmark tracer wraps exists, and
+no module imports scipy."""
 
 import ast
 import importlib
@@ -176,6 +177,23 @@ def config_error_raisers(sources: dict[str, str]) -> list[str]:
     )
 
 
+def scipy_imports(sources: dict[str, str]) -> list[str]:
+    """module:line of every import statement, at any depth, that loads scipy
+    or one of its modules.
+
+    scipy is the tests' reference, not a dependency of the package.
+    """
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and not node.level
+            and node.module.split(".")[0] == "scipy")
+    )
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
@@ -253,6 +271,20 @@ def test_config_error_raisers_are_found():
 def test_only_the_command_line_raises_config_error():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert config_error_raisers(sources) == []
+
+
+def test_scipy_imports_are_found():
+    sources = {
+        "a": "import numpy\nimport scipy.special as sp\n",
+        "b": "def f():\n    from scipy.optimize import minimize\n    return minimize\n",
+        "c": "from . import scipy_like\nfrom .scipy import x\nimport scipyx\n",
+    }
+    assert scipy_imports(sources) == ["a:2", "b:2"]
+
+
+def test_package_imports_no_scipy():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert scipy_imports(sources) == []
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

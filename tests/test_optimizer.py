@@ -1,11 +1,15 @@
-"""Seeded GA search, bounds/mask plumbing, and simplex polish."""
+"""Seeded GA search, bounds/mask plumbing, and simplex polish (against
+scipy's Nelder-Mead as the reference)."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeWarning, minimize
 
 from heraldkit import optimizer, scheme
 from heraldkit.errors import NormalizationError
@@ -493,3 +497,63 @@ def test_polish_respects_mask():
     assert polished.best_params.transmittance == 0.69
     assert polished.best_params.in2.alpha_abs == 1.97
     assert polished.best_misfit <= objective(ROW_BINOM_SPD, Binomial(0.3, 7), 30)
+
+
+def _scipy_simplex(fun, x0, lo, hi, max_iters):
+    """The end point, its value and the evaluation count of scipy's bounded
+    Nelder-Mead, the reference the polish's simplex retraces."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)  # a start outside the box
+        res = minimize(lambda x: fun(x.tolist()), x0, method="Nelder-Mead",
+                       bounds=list(zip(lo, hi)),
+                       options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14})
+    return res.x.tolist(), float(res.fun), int(res.nfev)
+
+
+@st.composite
+def _simplex_problems(draw):
+    """A polish problem on the default box: a start, its free dimensions
+    and their limits (infinite for angles), drawn with signed zero entries,
+    T near its upper limit (the initial simplex reflects off it) and free
+    entries outside the box (the start is clipped)."""
+    bounds = Bounds.for_kind(draw(st.sampled_from(["spd", "hm"])))
+    point = [draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(lo, hi)))
+             for lo, hi in zip(bounds.lower, bounds.upper)]
+    t_lo, t_hi = bounds.lower[8], bounds.upper[8]
+    point[8] = draw(st.one_of(st.floats(t_lo, t_hi), st.floats(t_hi - 1e-3, t_hi)))
+    free = draw(st.lists(st.booleans(), min_size=len(point), max_size=len(point))
+                .filter(any))
+    lo = [-math.inf if p else b for b, p, f in zip(bounds.lower, bounds.periodic, free) if f]
+    hi = [math.inf if p else b for b, p, f in zip(bounds.upper, bounds.periodic, free) if f]
+    x0 = [draw(st.one_of(st.just(v), st.floats(v - 1.0, v + 1.0)))
+          for v, f in zip(point, free) if f]
+    return point, np.flatnonzero(free).tolist(), x0, lo, hi
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=_simplex_problems(), surface=st.sampled_from(["core", "coarse", "flat"]),
+       max_iters=st.sampled_from([1, 2, 3, 60, 300]), cutoff=st.integers(8, 20))
+def test_simplex_retraces_scipy_nelder_mead(problem, surface, max_iters, cutoff):
+    # the core misfit, the same rounded to 0.01 and a constant: the last two
+    # tie vertices, which np.argsort orders its own way
+    point, slots, x0, lo, hi = problem
+    core = scheme._core_misfit(target_state(Binomial(0.3, 5), cutoff, check_tail=False))
+
+    def fun(x):
+        w = point[:]
+        for i, v in zip(slots, x):
+            w[i] = v
+        if surface == "flat":
+            return 0.5
+        return core(w) if surface == "core" else round(core(w), 2)
+
+    try:
+        want = _scipy_simplex(fun, np.array(x0), lo, hi, max_iters)
+    except NormalizationError as exc:  # a start or vertex with a zero output
+        with pytest.raises(NormalizationError, match=re.escape(str(exc))):
+            optimizer._nelder_mead(fun, x0, lo, hi, max_iters, 1e-10, 1e-14)
+        return
+    x, nfev = optimizer._nelder_mead(fun, x0, lo, hi, max_iters, 1e-10, 1e-14)
+    x_want, f_want, nfev_want = want
+    assert [v.hex() for v in x] == [v.hex() for v in x_want]  # signed zeros too
+    assert fun(x) == f_want and nfev == nfev_want
