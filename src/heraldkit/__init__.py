@@ -36,7 +36,6 @@ from .optimizer import (
     GAConfig,
     OptimizationResult,
     local_polish,
-    objective_batch,
     optimize,
 )
 from .reference_rows import ReferenceRow, all_rows, designated_rows, get_row
@@ -113,7 +112,6 @@ __all__ = [
     "loss_channel",
     "misfit",
     "negative_binomial_state",
-    "objective_batch",
     "optimize",
     "output_oracle",
     "resource_state",

@@ -43,6 +43,7 @@ from .optimizer import (
     Bounds,
     FixedMask,
     GAConfig,
+    _limits_fault,
     layout_for_kind,
     local_polish,
     optimize,
@@ -400,6 +401,9 @@ def parse_bounds(d: Any, kind: str, path: str) -> Bounds:
             raise ConfigError(_sub(path, key), "angle bounds are fixed at [0, 2*pi)")
         if len(pair) != 2:
             raise ConfigError(_sub(path, key), "expected a [lo, hi] pair")
+        fault = _limits_fault(key, *pair)
+        if fault:
+            raise ConfigError(_sub(path, key), fault)
         lower[i], upper[i] = pair
     return _construct(path, Bounds, tuple(lower), tuple(upper))
 

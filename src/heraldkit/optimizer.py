@@ -8,44 +8,45 @@ point and the boundary attracts nothing.  Bounded dimensions reflect
 off their limits during mutation instead of clipping, which keeps the
 population strictly inside the box almost surely.
 
-Each generation is scored in one call: objective_batch sends the whole
-population (the initial one, then each generation's children) through the
-exact Gaussian core (scheme.conditional_output_batch), which keeps the
-inputs whole and costs O(cutoff) per point.  The random draws of a
-generation do not depend on how it is scored, so a seed means the same
-search either way.  The Nelder-Mead polish minimizes the same core
-misfit, one point at a time in Python complex arithmetic
+Each generation is scored in one call: the whole population (the initial
+one, then each generation's children) goes through the exact Gaussian
+core, misfit_batch(conditional_output_batch(pop, cutoff)[0], target),
+which keeps the inputs whole and costs O(cutoff) per point.  The random
+draws of a generation do not depend on how it is scored, so a seed means
+the same search either way.  The Nelder-Mead polish minimizes the same
+core misfit, one point at a time in Python complex arithmetic
 (scheme._core_misfit: the batch's formulas with no numpy call, so no
 evaluation builds an array, a SchemeParams or a FockVector).  Its simplex
 (_nelder_mead) works on Python lists and takes the steps of scipy 1.17's
 bounded, non-adaptive Nelder-Mead, so the package needs no scipy and the
-polish ends where scipy's would, after as many evaluations.  Every
-reported number comes from the scalar route, which truncates the inputs
-at the cutoff: the final scoring, and the polish's start and end points,
-scheme.misfit(scheme.conditional_output(params, cutoff,
-check_input_tail=False), target), of which the polish keeps the lower.
+polish ends where scipy's would, after as many evaluations.  The polish
+compares its start and end points by the misfit of the scalar route,
+which truncates the inputs at the cutoff, scheme.misfit(
+scheme.conditional_output(params, cutoff, check_input_tail=False),
+target), keeps the lower and reports it in a PolishResult; it computes
+no other figure.
 
 optimize(target, kind, bounds=None, mask=None, cfg=None, *,
-window_halfwidth=0.0, polish_iters=0, ...) runs the GA and then, with
+window_halfwidth=0.0, polish_iters=0, ...) runs the GA, then, with
 polish_iters > 0, local_polish on its best point within the same Bounds
-and FixedMask.  It takes kind as "spd" or "hm" and the HM acceptance
+and FixedMask, and then scores the final point once with scheme.score on
+the scalar route, at the full cutoff, so the reported numbers carry no
+search shortcut.  It takes kind as "spd" or "hm" and the HM acceptance
 halfwidth only from window_halfwidth, checked before the search (a
-positive one with "spd" is refused).
-objective_batch(V, target, cutoff) reads the kind of the rows of V from
-their width, as scheme.conditional_output_batch does.  A Bounds holds only
-its lower and upper limits: its width gives the dimension names and the
-periodic flags, the angle entries of the flat layout (scheme._ANGLES).
-_DIM_BOUNDS holds the default box, with the T and x ranges of scheme.
+positive one with "spd" is refused).  A Bounds holds only its lower and
+upper limits: its width gives the dimension names and the periodic
+flags, the angle entries of the flat layout (scheme._ANGLES).
+_DIM_BOUNDS holds the default box, with the T and x ranges of scheme;
+a Bounds is refused where a limit lies outside the parameter ranges.
 
-Search runs at a reduced cutoff; the returned best point is scored at
-the full cutoff so the reported numbers carry no truncation shortcut.
 All randomness derives from a single seed through spawned generators, one
 per restart, so a (config, seed, target) triple fixes the result exactly.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .scheme import (
     _TWO_PI,
     _X_RANGE,
     _core_misfit,
+    _interval,
     _is_hm,
     conditional_output,
     conditional_output_batch,
@@ -86,6 +88,21 @@ _DIM_BOUNDS = {
 }
 
 
+def _limits_fault(name: str, lo: float, hi: float) -> str | None:
+    """Why [lo, hi] cannot bound dimension name, or None if it can: an
+    empty range, or a limit outside the parameter range (T and x within
+    their ranges, r and |alpha| at least 0, with no cap above)."""
+    if not lo < hi:
+        return f"empty range [{lo}, {hi}]"
+    if name in ("T", "x"):
+        floor, ceiling = _DIM_BOUNDS[name]
+        if not (floor <= lo and hi <= ceiling):
+            return f"[{lo}, {hi}] outside {_interval(_DIM_BOUNDS[name])}"
+    elif name[:-1] in ("r", "alpha") and lo < 0.0:
+        return f"lower limit {lo} below 0"
+    return None
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Per-dimension search box over a flat layout.
@@ -102,8 +119,9 @@ class Bounds:
             raise ValueError("bounds field lengths disagree")
         _is_hm(len(self.lower))  # raises unless the width is a layout's
         for name, lo, hi in zip(self.names, self.lower, self.upper):
-            if not lo < hi:
-                raise ValueError(f"{name}: empty range [{lo}, {hi}]")
+            fault = _limits_fault(name, lo, hi)
+            if fault:
+                raise ValueError(f"{name}: {fault}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -182,6 +200,16 @@ class OptimizationResult:
     evaluations_count: int
 
 
+class PolishResult(NamedTuple):
+    """A polished point and its reported misfit; trace is that misfit
+    before and after the polish."""
+
+    best_params: SchemeParams
+    best_misfit: float
+    trace: tuple[float, float]
+    evaluations_count: int
+
+
 def _target_vector(target: TargetSpec | FockVector, cutoff: int) -> FockVector:
     if isinstance(target, FockVector):
         if target.cutoff != cutoff:
@@ -192,22 +220,6 @@ def _target_vector(target: TargetSpec | FockVector, cutoff: int) -> FockVector:
     # The search pipeline must be total over the whole box, so targets are
     # materialized without the truncation-quality guard.
     return target_state(target, cutoff, check_tail=False)
-
-
-def objective_batch(V: np.ndarray, target: TargetSpec | FockVector, cutoff: int) -> np.ndarray:
-    """Misfit of every row of V, a stack of flat search vectors of one kind
-    (9 entries for SPD, 11 for HM), in one call.
-
-    The rows go through the exact Gaussian core
-    (scheme.conditional_output_batch), which keeps the inputs whole and
-    truncates only the output.  Where the input tails above the cutoff
-    vanish, row i equals misfit(conditional_output(vector_to_params(V[i]),
-    cutoff, check_input_tail=False), target) up to rounding; elsewhere the
-    two differ by about the input tail mass, because that route truncates
-    the inputs.  The call raises wherever one of those would.
-    """
-    states, _ = conditional_output_batch(V, cutoff)
-    return misfit_batch(states, _target_vector(target, cutoff))
 
 
 def _reflect_into(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -328,7 +340,7 @@ def optimize(
     tgt_search = _target_vector(target, search_cutoff)
 
     def evaluate(pop: np.ndarray) -> np.ndarray:
-        return objective_batch(pop, tgt_search, search_cutoff)
+        return misfit_batch(conditional_output_batch(pop, search_cutoff)[0], tgt_search)
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_vec: np.ndarray | None = None
@@ -350,8 +362,8 @@ def optimize(
     tgt_final = _target_vector(target, final_cutoff)
     if polish_iters > 0:
         polished = local_polish(best_params, tgt_final, final_cutoff, polish_iters, mask, bounds)
-        return replace(polished, trace=trace, seed=cfg.seed,
-                       evaluations_count=evals + polished.evaluations_count)
+        best_params = polished.best_params
+        evals += polished.evaluations_count
     _, eps, prob, eps_avg = score(best_params, tgt_final, final_cutoff, check_input_tail=False)
     return OptimizationResult(
         best_params=best_params,
@@ -467,7 +479,7 @@ def local_polish(
     max_iters: int = 400,
     mask: FixedMask | None = None,
     bounds: Bounds | None = None,
-) -> OptimizationResult:
+) -> PolishResult:
     """Derivative-free simplex descent from one point.
 
     Runs Nelder-Mead (_nelder_mead) on the dimensions mask leaves free,
@@ -483,9 +495,10 @@ def local_polish(
     check_input_tail=False), target), and the simplex's end point is kept
     only if its reported misfit is lower than the start's, so the polished
     misfit never exceeds the starting one.  With every dimension pinned
-    there is no simplex and the start is kept.  The result is scored at
-    the cutoff; its trace is the reported misfit before and after, its
-    seed 0 and its evaluation count the simplex's plus one.
+    there is no simplex and the start is kept.  The polish computes no
+    other figure: the caller scores the point it reports.  The result's
+    trace is the reported misfit before and after, and its evaluation
+    count is the simplex's plus one.
     """
     full, kind, whw = params_to_vector(params)
     bounds, mask = _box_and_mask(kind, bounds, mask)
@@ -524,13 +537,4 @@ def local_polish(
         if eps_end < eps_start:
             best_params, eps_here = end, eps_end
 
-    _, eps, prob, eps_avg = score(best_params, tgt, cutoff, check_input_tail=False)
-    return OptimizationResult(
-        best_params=best_params,
-        best_misfit=eps,
-        success_prob=prob,
-        eps_avg=eps_avg,
-        trace=(eps_start, eps_here),
-        seed=0,
-        evaluations_count=nfev + 1,
-    )
+    return PolishResult(best_params, eps_here, (eps_start, eps_here), nfev + 1)

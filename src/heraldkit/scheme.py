@@ -84,7 +84,6 @@ from .states import (
     _bargmann_coefficients,
     _input_amplitudes,
     _recurrence_roots,
-    _recurrence_rows,
     check_tail_mass,
 )
 
@@ -481,12 +480,12 @@ def _closed_form_rows(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.nda
 
     Returns (d, log_c) with the unnormalized output over |0>..|cutoff> of
     row b equal to exp(log_c[b]) d[b]: d is the input recurrence
-    (states._recurrence_rows) on the core's (a, b) started at 1, and for
-    SPD d_m = B3 e_m + A34 sqrt(m) e_{m-1} of that recurrence e
+    (states._amplitudes, on arrays) on the core's (a, b) started at 1, and
+    for SPD d_m = B3 e_m + A34 sqrt(m) e_{m-1} of that recurrence e
     (_gaussian_core).  O(cutoff) per row.
     """
     a, b, log_c, linear = _gaussian_core(rows.T)
-    e = _recurrence_rows(a, b, 1.0, cutoff)
+    e = np.array(_amplitudes(a, b, np.ones_like(a), _recurrence_roots(cutoff))).T
     if linear is None:
         return e, log_c
     b3, a34 = linear

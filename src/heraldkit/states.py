@@ -102,8 +102,8 @@ def squeezed_coherent_amplitudes(p: SqueezedCoherentParams, cutoff: int) -> np.n
     which is regular for every r >= 0 and gives the coherent ladder
     alpha^n e^{-|alpha|^2/2} / sqrt(n!) at r = 0 (Miatto & Quesada, Quantum 4,
     366 (2020)).  One input loops in Python complex arithmetic, which is
-    cheaper than per-step numpy calls; _recurrence_rows runs the same
-    recurrence over many coefficient triples.
+    cheaper than per-step numpy calls; the same loop (_amplitudes) runs
+    over many coefficient triples at once on numpy arrays.
     """
     return np.array(_input_amplitudes(p.r, p.theta, p.alpha_abs, p.phi, _recurrence_roots(cutoff)))
 
@@ -124,28 +124,14 @@ def _input_amplitudes(r, theta, alpha_abs, phi, roots) -> list[complex]:
 def _amplitudes(a: complex, b: complex, c: complex, roots) -> list[complex]:
     """Amplitudes c_0..c_cutoff of the Bargmann function c exp(a z^2 / 2 + b z)
     in Python complex arithmetic, as a list, with roots =
-    _recurrence_roots(cutoff)."""
+    _recurrence_roots(cutoff).  Given numpy arrays a, b, c of one length,
+    entry n holds amplitude n of every triple."""
     amps = [c]
     prev = 0j
     for root, inv_root in zip(*roots):
         c, prev = (b * c + a * root * prev) * inv_root, c
         amps.append(c)
     return amps
-
-
-def _recurrence_rows(a: np.ndarray, b: np.ndarray, c0, cutoff: int) -> np.ndarray:
-    """Amplitudes c_0..c_cutoff of the Bargmann function c_0 exp(a z^2 / 2 + b z)
-    for arrays a, b of equal length and a scalar or matching c0; one state
-    per row, shape (B, cutoff + 1).  Same recurrence as
-    squeezed_coherent_amplitudes."""
-    roots, inv_roots = _recurrence_roots(cutoff)
-    amps = np.empty((cutoff + 1, len(a)), dtype=np.complex128)
-    amps[0] = c0
-    prev = np.zeros(len(a), dtype=np.complex128)
-    for n in range(cutoff):
-        amps[n + 1] = (b * amps[n] + a * roots[n] * prev) * inv_roots[n]
-        prev = amps[n]
-    return amps.T
 
 
 def binomial_state(p: float, M: int, cutoff: int) -> FockVector:

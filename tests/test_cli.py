@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import heraldkit
-from heraldkit import cli
+from heraldkit import cli, scheme
 from heraldkit.cli import main
 from heraldkit.scheme import (
     SPD,
@@ -269,10 +269,22 @@ TINY_GA = {"population_size": 6, "generations": 1, "restarts": 1}
     ("evaluate", {"target": {"family": "amplitude_squeezed", "alpha0": 1.0, "u": 0, "delta": 1.0},
                   "evaluate": SPD_POINT},
      "target.u", "0.0 must be above 0"),
+    # a search box outside the parameter ranges failed mid-search, or passed
+    # when no draw left the ranges (this one did, with this GA)
+    ("optimize", {"target": B37, "optimize": {"kind": "spd", "bounds": {"T": [0.05, 0.95]},
+                                              "ga": TINY_GA}},
+     "optimize.bounds.T", "[0.05, 0.95] outside [0.1, 0.9]"),
+    ("optimize", {"target": B37, "optimize": {"kind": "hm", "bounds": {"x": [0, 6]},
+                                              "ga": TINY_GA}},
+     "optimize.bounds.x", "[0.0, 6.0] outside [0, 4]"),
+    ("optimize", {"target": B37, "optimize": {"kind": "spd", "bounds": {"alpha1": [-1, 2]},
+                                              "ga": TINY_GA}},
+     "optimize.bounds.alpha1", "lower limit -1.0 below 0"),
 ], ids=[
     "spd-window", "deviation-etas", "deviation-which", "deviation-strict_tails",
     "efficiency-deviations", "efficiency-sampling", "efficiency-n_samples",
     "eta-above-1", "deviation-above-0.2", "alpha0-zero", "u-zero",
+    "bounds-T", "bounds-x", "bounds-alpha",
 ])
 def test_option_the_command_would_not_use_or_out_of_range_refused(
     tmp_path, capsys, command, payload, path, message
@@ -733,6 +745,23 @@ def test_reproduce_subset_passes(tmp_path, capsys):
     assert "PASS 17-ampsq-1-0.5-1-spd" in text
     report = read_rows(out / "report.csv")
     assert [r["status"] for r in report] == ["PASS", "PASS"]
+
+
+def test_reproduce_scores_each_row_once(tmp_path, monkeypatch):
+    # the row's figures come from one score; the polish reads only its
+    # start and end misfits and builds no window
+    calls = {"_hm_window": 0, "_herald": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(scheme, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scheme, name, counted)
+    cfg = write_config(tmp_path, {
+        "reproduce_table": {"rows": ["03-binom-0.45-8-hm"], "polish_iters": 5},
+    })
+    assert main(["reproduce-table", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    assert calls == {"_hm_window": 1, "_herald": 3}
 
 
 def test_reproduce_corrupted_row_fails(tmp_path, capsys):

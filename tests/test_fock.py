@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -159,7 +160,6 @@ def _mpmath_sector_block(s: int, t: float):
     and with T = num/den exactly the sum is one integer over (den-num)**s, so
     only the final scaling is rounded.
     """
-    mp = pytest.importorskip("mpmath")
     num, den = Fraction(t).as_integer_ratio()
     powers = [(-num) ** k * (den - num) ** (s - k) for k in range(s + 1)]
     block = np.empty((s + 1, s + 1), dtype=np.complex128)

@@ -19,7 +19,6 @@ from heraldkit.optimizer import (
     FixedMask,
     GAConfig,
     local_polish,
-    objective_batch,
     optimize,
     params_to_vector,
     vector_to_params,
@@ -32,6 +31,8 @@ from heraldkit.scheme import (
     conditional_output,
     conditional_output_batch,
     misfit,
+    misfit_batch,
+    score,
 )
 from heraldkit.reference_rows import all_rows, get_row
 from heraldkit.states import (
@@ -74,6 +75,13 @@ def objective(params: SchemeParams, target: TargetSpec | FockVector, cutoff: int
     return misfit(conditional_output(params, cutoff, check_input_tail=False), target)
 
 
+def batch_objective(V: np.ndarray, target: TargetSpec | FockVector, cutoff: int) -> np.ndarray:
+    """The misfit of every row of V as the GA scores a generation: the exact
+    Gaussian core batch against the target the search builds."""
+    return misfit_batch(conditional_output_batch(V, cutoff)[0],
+                        optimizer._target_vector(target, cutoff))
+
+
 # --------------------------------------------------------------- plumbing
 
 
@@ -109,6 +117,25 @@ def test_bounds_validation_and_containment():
     vec_out = vec.copy()
     vec_out[0] = 2.0
     assert not np.all((vec_out >= b.lower) & (vec_out <= b.upper))
+    # magnitudes have no cap above
+    assert Bounds(b.lower, (5.0,) + b.upper[1:]).upper[0] == 5.0
+
+
+@pytest.mark.parametrize("name,limits,message", [
+    ("T", (0.05, 0.95), "T: [0.05, 0.95] outside [0.1, 0.9]"),
+    ("x", (0.0, 6.0), "x: [0.0, 6.0] outside [0, 4]"),
+    ("alpha1", (-1.0, 2.0), "alpha1: lower limit -1.0 below 0"),
+    ("r2", (-0.1, 1.0), "r2: lower limit -0.1 below 0"),
+])
+def test_bounds_outside_the_parameter_ranges_refused(name, limits, message):
+    # a box the scheme cannot evaluate everywhere would fail mid-search, or
+    # pass by luck of the draws
+    b = Bounds.for_kind("hm")
+    lower, upper = list(b.lower), list(b.upper)
+    i = b.names.index(name)
+    lower[i], upper[i] = limits
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Bounds(tuple(lower), tuple(upper))
 
 
 def test_fixed_mask_constructors():
@@ -166,7 +193,7 @@ def test_flat_point_of_another_width_is_refused():
     with pytest.raises(ValueError, match="not 10"):
         conditional_output_batch(vec[None], 20)
     with pytest.raises(ValueError, match="not 10"):
-        objective_batch(vec[None], Binomial(0.3, 7), 20)
+        batch_objective(vec[None], Binomial(0.3, 7), 20)
     # a box's width names its dimensions
     with pytest.raises(ValueError, match="not 10"):
         Bounds((0.0,) * 10, (1.0,) * 10)
@@ -238,7 +265,7 @@ def test_objective_is_the_polish_start(params, spec):
 def test_objective_rejects_cutoff_mismatch():
     tgt = target_state(Binomial(0.3, 7), 25)
     with pytest.raises(ValueError, match="does not match evaluation cutoff 30"):
-        objective_batch(params_to_vector(ROW_BINOM_SPD)[0][None], tgt, 30)
+        batch_objective(params_to_vector(ROW_BINOM_SPD)[0][None], tgt, 30)
 
 
 # ----------------------------------------------------------------- search
@@ -255,7 +282,7 @@ def test_objective_batch_matches_objective():
         hi[[2, 6]] = 1.5
         vecs = lo + rng.uniform(size=(7, len(b.names))) * (hi - lo)
         vecs[1, 0] = 0.0  # coherent input 1
-        got = objective_batch(vecs, Binomial(0.3, 7), 60)
+        got = batch_objective(vecs, Binomial(0.3, 7), 60)
         want = [objective(vector_to_params(v), Binomial(0.3, 7), 60) for v in vecs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -266,7 +293,7 @@ def test_objective_batch_raises_on_impossible_outcome():
     with pytest.raises(NormalizationError):
         objective(vector_to_params(vecs[2]), Binomial(0.3, 7), 20)
     with pytest.raises(NormalizationError):
-        objective_batch(vecs, Binomial(0.3, 7), 20)
+        batch_objective(vecs, Binomial(0.3, 7), 20)
     with pytest.raises(NormalizationError):
         local_polish(vector_to_params(vecs[2]), Binomial(0.3, 7), cutoff=20, max_iters=5)
 
@@ -291,7 +318,7 @@ CORE_SCALAR_ATOL = 4e-15
 def test_scalar_core_misfit_matches_batch(in1, in2, t, reading, cutoff):
     vec = [*in1, *in2, t, *reading]
     tgt = target_state(NegativeBinomial(0.5, 5), cutoff, check_tail=False)
-    want = objective_batch(np.array([vec]), tgt, cutoff)[0]
+    want = batch_objective(np.array([vec]), tgt, cutoff)[0]
     assert abs(scheme._core_misfit(tgt)(vec) - want) <= CORE_SCALAR_ATOL
 
 
@@ -299,7 +326,7 @@ def test_scalar_core_misfit_matches_batch_on_bundled_rows():
     for row in all_rows():
         tgt = target_state(row.target, 40, check_tail=False)
         vec = params_to_vector(row.params)[0]
-        want = objective_batch(vec[None], tgt, 40)[0]
+        want = batch_objective(vec[None], tgt, 40)[0]
         assert abs(scheme._core_misfit(tgt)(vec.tolist()) - want) <= CORE_SCALAR_ATOL
 
 
@@ -311,7 +338,7 @@ def test_scalar_core_misfit_fails_where_the_batch_fails():
     squeezed[0] = 800.0  # cosh r overflows
     for vec in (vacuum, squeezed):
         with pytest.raises(NormalizationError):
-            objective_batch(vec[None], tgt, 20)
+            batch_objective(vec[None], tgt, 20)
         with pytest.raises(NormalizationError):
             scheme._core_misfit(tgt)(vec.tolist())
 
@@ -368,6 +395,23 @@ def test_optimize_hm_kind_carries_window():
     assert res.best_params.measurement.window_halfwidth == 0.25
     assert res.eps_avg is not None and 0.0 <= res.eps_avg <= 1.0
     assert 0.0 <= res.success_prob <= 1.0
+
+
+@pytest.mark.parametrize("polish_iters", [0, 30])
+def test_optimize_reports_the_score_of_its_point(polish_iters):
+    # optimize scores its final point once, polished or not, and reports
+    # exactly the figures score gives for it
+    res = optimize(
+        Binomial(0.45, 8), "hm", window_halfwidth=0.25,
+        cfg=GAConfig(population_size=10, generations=4, restarts=1, seed=5),
+        polish_iters=polish_iters, search_cutoff=20, final_cutoff=30,
+    )
+    _, eps, prob, eps_avg = score(
+        res.best_params, target_state(Binomial(0.45, 8), 30, check_tail=False), 30,
+        check_input_tail=False,
+    )
+    assert (res.best_misfit, res.success_prob, res.eps_avg) == (eps, prob, eps_avg)
+    assert eps_avg is not None
 
 
 def test_optimize_respects_pins():

@@ -46,7 +46,7 @@ from heraldkit.scheme import (
     success_prob_spd,
     vector_to_params,
 )
-from heraldkit.optimizer import Bounds, objective_batch
+from heraldkit.optimizer import Bounds
 from heraldkit.reference_rows import all_rows
 from heraldkit.states import (
     SqueezedCoherentParams,
@@ -967,8 +967,6 @@ def test_batch_raises_on_non_finite_core_row(row, monkeypatch):
     rows[1, 4] = 1000.0
     with pytest.raises(NormalizationError, match="row 1: heralded output is not finite"):
         conditional_output_batch(rows, 20)
-    with pytest.raises(NormalizationError, match="row 1"):
-        objective_batch(rows, binomial_state(0.3, 7, 20), 20)
 
 
 def test_spd_high_cutoff_stays_finite():

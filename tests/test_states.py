@@ -23,8 +23,9 @@ from heraldkit.states import (
     NegativeBinomial,
     Resource,
     SqueezedCoherentParams,
+    _amplitudes,
     _bargmann_coefficients,
-    _recurrence_rows,
+    _recurrence_roots,
     adhoc_superposition,
     amplitude_squeezed_state,
     binomial_state,
@@ -115,9 +116,10 @@ _ARM = st.tuples(st.floats(0.0, 1.7), _ANGLE, st.floats(0.0, 4.0), _ANGLE)
 @given(arms=st.lists(_ARM, min_size=1, max_size=6), cutoff=st.integers(12, 40))
 @example(arms=[(0.0, 0.3, 1.3, 1.1), (0.0, 0.0, 0.0, 0.0), (1.7, 2.0, 4.0, 5.0)], cutoff=40)
 def test_amplitude_loops_agree(arms, cutoff):
-    # the one-input loop and the rows loop run the same recurrence in
-    # different arithmetic
-    rows = _recurrence_rows(*_bargmann_coefficients(*np.array(arms).T), cutoff)
+    # one loop runs the recurrence for one input in Python complex
+    # arithmetic and for a batch on numpy arrays, one row per input
+    rows = np.array(_amplitudes(*_bargmann_coefficients(*np.array(arms).T),
+                                _recurrence_roots(cutoff))).T
     for arm, row in zip(arms, rows):
         one = squeezed_coherent_amplitudes(SqueezedCoherentParams(*arm), cutoff)
         assert np.max(np.abs(row - one)) <= 1e-13 * np.max(np.abs(one))
