@@ -32,7 +32,6 @@ from .imperfections import (
 )
 from .optimizer import (
     Bounds,
-    FixedMask,
     GAConfig,
     OptimizationResult,
     local_polish,
@@ -78,7 +77,6 @@ __all__ = [
     "ConditionalOutput",
     "ConfigError",
     "DensityMatrix",
-    "FixedMask",
     "FockVector",
     "GAConfig",
     "HM",

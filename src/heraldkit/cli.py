@@ -41,9 +41,7 @@ from .errors import (
 from .imperfections import sweep_efficiency, sweep_parameter_deviation
 from .optimizer import (
     Bounds,
-    FixedMask,
     GAConfig,
-    _limits_fault,
     layout_for_kind,
     local_polish,
     optimize,
@@ -397,15 +395,14 @@ def parse_bounds(d: Any, kind: str, path: str) -> Bounds:
     for i, (key, pair) in enumerate(pairs.items()):
         if pair is None:
             continue
-        if base.periodic[i]:
-            raise ConfigError(_sub(path, key), "angle bounds are fixed at [0, 2*pi)")
         if len(pair) != 2:
             raise ConfigError(_sub(path, key), "expected a [lo, hi] pair")
-        fault = _limits_fault(key, *pair)
-        if fault:
-            raise ConfigError(_sub(path, key), fault)
         lower[i], upper[i] = pair
-    return _construct(path, Bounds, tuple(lower), tuple(upper))
+    try:
+        return Bounds(tuple(lower), tuple(upper))
+    except ValueError as exc:  # "<dimension>: <fault>"
+        name, _, fault = str(exc).partition(": ")
+        raise ConfigError(_sub(path, name), fault) from None
 
 
 def _check_fits(spec: TargetSpec, cutoff: int, key: str, path: str = "target") -> None:
@@ -512,15 +509,14 @@ def cmd_optimize(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
     ga = _construct("optimize.ga", GAConfig, **_read(section["ga"], _GA, "optimize.ga"),
                     seed=seed)
     bounds = parse_bounds(section["bounds"], kind, "optimize.bounds")
-    pins = _pins(section["mask"], kind, "optimize.mask")
-    for name, value in pins.items():
-        _construct(_sub("optimize.mask", name), bounds.check_pin, name, value)
+    for name, value in _pins(section["mask"], kind, "optimize.mask").items():
+        bounds = _construct(_sub("optimize.mask", name), bounds.pin, name, value)
     spec = parse_target(cfg["target"])
     _check_fits(spec, section["search_cutoff"], "optimize.search_cutoff")
     _check_fits(spec, cutoff, "cutoff")
 
     result = optimize(
-        spec, kind, bounds=bounds, mask=FixedMask.pin(kind, **pins), cfg=ga,
+        spec, bounds, ga,
         window_halfwidth=section.get("window_halfwidth", 0.0),
         polish_iters=section["polish_iters"],
         search_cutoff=section["search_cutoff"], final_cutoff=cutoff,
@@ -622,11 +618,15 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
             _, eps_raw, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=False)
             eps_polished = eps_raw
             if polish_iters > 0:
+                # the row's fixed dimensions pinned at its own values
                 vec, kind, _ = params_to_vector(params)
-                names = layout_for_kind(kind)
-                pins = {n: vec[names.index(n)] for n in row.fixed}
-                mask = FixedMask.pin(kind, **pins) if pins else None
-                polished = local_polish(params, tgt, cutoff, max_iters=polish_iters, mask=mask)
+                box = Bounds.for_kind(kind)
+                lower, upper = list(box.lower), list(box.upper)
+                for i, name in enumerate(box.names):
+                    if name in row.fixed:
+                        lower[i] = upper[i] = float(vec[i])
+                box = Bounds(tuple(lower), tuple(upper))
+                polished = local_polish(params, tgt, cutoff, polish_iters, box)
                 eps_polished = polished.best_misfit
         except _NUMERIC_ERRORS as exc:
             raise _RowFailure(f"row {row.row_id}: {exc}") from exc

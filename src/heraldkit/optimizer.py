@@ -26,24 +26,26 @@ scheme.conditional_output(params, cutoff, check_input_tail=False),
 target), keeps the lower and reports it in a PolishResult; it computes
 no other figure.
 
-optimize(target, kind, bounds=None, mask=None, cfg=None, *,
-window_halfwidth=0.0, polish_iters=0, ...) runs the GA, then, with
-polish_iters > 0, local_polish on its best point within the same Bounds
-and FixedMask, and then scores the final point once with scheme.score on
-the scalar route, at the full cutoff, so the reported numbers carry no
-search shortcut.  It takes kind as "spd" or "hm" and the HM acceptance
-halfwidth only from window_halfwidth, checked before the search (a
-positive one with "spd" is refused).  A Bounds holds only its lower and
-upper limits: its width gives the dimension names and the periodic
-flags, the angle entries of the flat layout (scheme._ANGLES).
+optimize(target, bounds, cfg=None, *, window_halfwidth=0.0,
+polish_iters=0, ...) runs the GA, then, with polish_iters > 0,
+local_polish on its best point within the same Bounds, and then scores
+the final point once with scheme.score on the scalar route, at the full
+cutoff, so the reported numbers carry no search shortcut.  One Bounds
+states the whole search space: its width, 9 (SPD) or 11 (HM), gives the
+measurement kind, the dimension names and the periodic flags (the angle
+entries of the flat layout, scheme._ANGLES); its limits bound each
+dimension, and a dimension whose two limits are equal is pinned there.
+The HM acceptance halfwidth comes only from window_halfwidth, checked
+before the search (a positive one on an SPD box is refused).
 _DIM_BOUNDS holds the default box, with the T and x ranges of scheme;
-a Bounds is refused where a limit lies outside the parameter ranges.
+Bounds refuses limits the search cannot honour before any evaluation.
 
 All randomness derives from a single seed through spawned generators, one
 per restart, so a (config, seed, target) triple fixes the result exactly.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -89,17 +91,24 @@ _DIM_BOUNDS = {
 
 
 def _limits_fault(name: str, lo: float, hi: float) -> str | None:
-    """Why [lo, hi] cannot bound dimension name, or None if it can: an
-    empty range, or a limit outside the parameter range (T and x within
-    their ranges, r and |alpha| at least 0, with no cap above)."""
-    if not lo < hi:
+    """Why [lo, hi] cannot bound dimension name, or None if it can: a limit
+    that is not finite, a reversed range, a limit outside the parameter
+    range (T and x within their ranges, r and |alpha| at least 0, with no
+    cap above), or angle limits other than [0, 2*pi) that do not pin the
+    angle.  Equal limits pin the dimension."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return f"limits [{lo}, {hi}] not finite"
+    if lo > hi:
         return f"empty range [{lo}, {hi}]"
     if name in ("T", "x"):
         floor, ceiling = _DIM_BOUNDS[name]
         if not (floor <= lo and hi <= ceiling):
             return f"[{lo}, {hi}] outside {_interval(_DIM_BOUNDS[name])}"
-    elif name[:-1] in ("r", "alpha") and lo < 0.0:
-        return f"lower limit {lo} below 0"
+    elif name[:-1] in ("r", "alpha"):
+        if lo < 0.0:
+            return f"lower limit {lo} below 0"
+    elif lo < hi and (lo, hi) != (0.0, _TWO_PI):  # the rest are angles
+        return "angle bounds are fixed at [0, 2*pi)"
     return None
 
 
@@ -108,7 +117,9 @@ class Bounds:
     """Per-dimension search box over a flat layout.
 
     The width, 9 (SPD) or 11 (HM), gives the dimension names and which of
-    them are periodic angles.
+    them are periodic angles.  A dimension whose limits are equal is
+    pinned at that value.  Limits the search cannot honour (_limits_fault)
+    raise ValueError "<dimension>: <why>".
     """
 
     lower: tuple[float, ...]
@@ -136,31 +147,18 @@ class Bounds:
         lo, hi = zip(*(_DIM_BOUNDS[n] for n in layout_for_kind(kind)))
         return cls(lo, hi)
 
-    def check_pin(self, name: str, value: float) -> None:
-        """Raise ValueError unless value lies in the range of dimension name."""
+    def pin(self, name: str, value: float) -> "Bounds":
+        """This box with dimension name pinned at value, which must lie
+        within the dimension's limits."""
+        if name not in self.names:
+            raise ValueError(f"unknown dimension {name!r}")
         i = self.names.index(name)
         lo, hi = self.lower[i], self.upper[i]
         if not lo <= value <= hi:
             raise ValueError(f"pinned {name}={value} outside [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class FixedMask:
-    """Optional pinned value per dimension; pinned dims never move."""
-
-    values: tuple[float | None, ...]
-
-    @classmethod
-    def free(cls, kind: str) -> "FixedMask":
-        return cls((None,) * len(layout_for_kind(kind)))
-
-    @classmethod
-    def pin(cls, kind: str, **by_name: float) -> "FixedMask":
-        names = layout_for_kind(kind)
-        unknown = set(by_name) - set(names)
-        if unknown:
-            raise ValueError(f"unknown dimensions {sorted(unknown)}")
-        return cls(tuple(by_name.get(n) for n in names))
+        lower, upper = list(self.lower), list(self.upper)
+        lower[i] = upper[i] = value
+        return Bounds(tuple(lower), tuple(upper))
 
 
 @dataclass(frozen=True)
@@ -230,19 +228,16 @@ def _reflect_into(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _run_restart(
-    evaluate, bounds: Bounds, mask: FixedMask, cfg: GAConfig, rng: np.random.Generator
+    evaluate, lo: np.ndarray, hi: np.ndarray, cfg: GAConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, float, list[float], int]:
-    lo = np.asarray(bounds.lower)
-    hi = np.asarray(bounds.upper)
-    per = np.asarray(bounds.periodic)
-    hard = ~per
+    per = _ANGLES[: lo.size]
+    pinned = lo == hi
+    hard = ~per & ~pinned  # a zero span cannot reflect
     span = hi - lo
     sigma = cfg.mutation_sigma_fraction * span
-    pinned = np.array([v is not None for v in mask.values])
-    pin_vals = np.array([v if v is not None else 0.0 for v in mask.values])
 
     pop = lo + rng.uniform(size=(cfg.population_size, lo.size)) * span
-    pop[:, pinned] = pin_vals[pinned]
+    pop[:, pinned] = lo[pinned]
     fit = evaluate(pop)
     evals = cfg.population_size
     gen_best: list[float] = []
@@ -272,7 +267,7 @@ def _run_restart(
         children = children + sigma * noise
         children[:, per] = np.mod(children[:, per], _TWO_PI)
         children[:, hard] = _reflect_into(children[:, hard], lo[hard], hi[hard])
-        children[:, pinned] = pin_vals[pinned]
+        children[:, pinned] = lo[pinned]
 
         child_fit = evaluate(children)
         evals += n_child
@@ -284,22 +279,9 @@ def _run_restart(
     return pop[best].copy(), float(fit[best]), gen_best, evals
 
 
-def _box_and_mask(
-    kind: str, bounds: Bounds | None, mask: FixedMask | None
-) -> tuple[Bounds, FixedMask]:
-    """The search box and the pins of one kind, the defaults where not given."""
-    bounds = bounds if bounds is not None else Bounds.for_kind(kind)
-    mask = mask if mask is not None else FixedMask.free(kind)
-    if not len(bounds.lower) == len(mask.values) == len(layout_for_kind(kind)):
-        raise ValueError("bounds or mask layout does not match the measurement kind")
-    return bounds, mask
-
-
 def optimize(
     target: TargetSpec | FockVector,
-    kind: str,
-    bounds: Bounds | None = None,
-    mask: FixedMask | None = None,
+    bounds: Bounds,
     cfg: GAConfig | None = None,
     *,
     window_halfwidth: float = 0.0,
@@ -310,9 +292,10 @@ def optimize(
     """Genetic-algorithm minimization of the conditional-output misfit,
     then an optional simplex polish of the best point.
 
-    kind is "spd" or "hm"; window_halfwidth is the HM acceptance
-    halfwidth (finite and >= 0, and 0 for SPD; checked before the
-    search).  Tournament selection, blend crossover (shortest-arc on
+    The width of bounds gives the measurement kind, and its pinned
+    dimensions (equal limits) never move; window_halfwidth is the HM
+    acceptance halfwidth (finite and >= 0, and 0 for SPD; checked before
+    the search).  Tournament selection, blend crossover (shortest-arc on
     angles), Gaussian mutation with per-dimension sigma equal to
     mutation_sigma_fraction times the range, elitism, and independent
     restarts keeping the overall best.  The trace is the running best
@@ -320,8 +303,8 @@ def optimize(
     construction.
 
     With polish_iters > 0 the best point goes through local_polish at
-    final_cutoff for at most that many iterations, on the same bounds and
-    mask, and the evaluation count adds the polish's.  The final point is
+    final_cutoff for at most that many iterations, in the same bounds,
+    and the evaluation count adds the polish's.  The final point is
     scored once, at final_cutoff; for quadrature conditioning with a
     positive window halfwidth the success probability integrates over the
     acceptance window and eps_avg is the window-averaged misfit, otherwise
@@ -329,13 +312,10 @@ def optimize(
     """
     if not 0.0 <= window_halfwidth < np.inf:
         raise ValueError(f"window_halfwidth={window_halfwidth} must be finite and >= 0")
-    if kind == "spd" and window_halfwidth > 0.0:
+    if window_halfwidth > 0.0 and not _is_hm(len(bounds.lower)):
         raise ValueError(f"window_halfwidth={window_halfwidth} applies to hm only")
-    bounds, mask = _box_and_mask(kind, bounds, mask)
     cfg = cfg if cfg is not None else GAConfig()
-    for name, v in zip(bounds.names, mask.values):
-        if v is not None:
-            bounds.check_pin(name, v)
+    lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
 
     tgt_search = _target_vector(target, search_cutoff)
 
@@ -348,9 +328,7 @@ def optimize(
     all_gen_best: list[float] = []
     evals = 0
     for child in children:
-        vec, val, gen_best, n = _run_restart(
-            evaluate, bounds, mask, cfg, np.random.default_rng(child)
-        )
+        vec, val, gen_best, n = _run_restart(evaluate, lo, hi, cfg, np.random.default_rng(child))
         all_gen_best.extend(gen_best)
         evals += n
         if val < best_val:
@@ -361,7 +339,7 @@ def optimize(
     best_params = vector_to_params(best_vec, window_halfwidth)
     tgt_final = _target_vector(target, final_cutoff)
     if polish_iters > 0:
-        polished = local_polish(best_params, tgt_final, final_cutoff, polish_iters, mask, bounds)
+        polished = local_polish(best_params, tgt_final, final_cutoff, polish_iters, bounds)
         best_params = polished.best_params
         evals += polished.evaluations_count
     _, eps, prob, eps_avg = score(best_params, tgt_final, final_cutoff, check_input_tail=False)
@@ -477,15 +455,15 @@ def local_polish(
     target: TargetSpec | FockVector,
     cutoff: int = tol.DEFAULT_CUTOFF,
     max_iters: int = 400,
-    mask: FixedMask | None = None,
     bounds: Bounds | None = None,
 ) -> PolishResult:
     """Derivative-free simplex descent from one point.
 
-    Runs Nelder-Mead (_nelder_mead) on the dimensions mask leaves free,
-    keeping bounded dimensions inside bounds (Bounds.for_kind by default)
-    and leaving angles free to cross the 0/2*pi seam (they are wrapped on
-    assembly).  The simplex stops once it spans at most 1e-10 in every
+    Runs Nelder-Mead (_nelder_mead) on the dimensions of bounds
+    (Bounds.for_kind by default) whose lower limit is below the upper, the
+    others held at their pinned value, keeping bounded dimensions inside
+    their limits and leaving angles free to cross the 0/2*pi seam (they
+    are wrapped on assembly).  The simplex stops once it spans at most 1e-10 in every
     entry and 1e-14 in misfit, or after max_iters - 1 steps, as it did
     under scipy's maxiter.
     The simplex minimizes the misfit of the exact Gaussian core, the
@@ -501,9 +479,12 @@ def local_polish(
     count is the simplex's plus one.
     """
     full, kind, whw = params_to_vector(params)
-    bounds, mask = _box_and_mask(kind, bounds, mask)
-    free = np.array([v is None for v in mask.values])
-    full[~free] = [v for v in mask.values if v is not None]
+    bounds = bounds if bounds is not None else Bounds.for_kind(kind)
+    if len(bounds.lower) != full.size:
+        raise ValueError(f"a box of width {len(bounds.lower)} for a {kind} point")
+    lower = np.asarray(bounds.lower)
+    free = lower < bounds.upper
+    full[~free] = lower[~free]
     tgt = _target_vector(target, cutoff)
 
     def assemble(x: list[float]) -> SchemeParams:
@@ -515,7 +496,7 @@ def local_polish(
         return misfit(conditional_output(p, cutoff, check_input_tail=False), tgt)
 
     x0 = full[free].tolist()
-    best_params = assemble(x0)  # rejects a pin outside the parameter ranges
+    best_params = assemble(x0)
     eps_start = eps_here = reported_misfit(best_params)
     nfev = 0
     if free.any():

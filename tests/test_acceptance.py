@@ -21,7 +21,7 @@ from heraldkit.imperfections import (
     loss_channel,
     sweep_parameter_deviation,
 )
-from heraldkit.optimizer import local_polish, optimize
+from heraldkit.optimizer import Bounds, local_polish, optimize
 from heraldkit.reference_rows import all_rows, designated_rows
 from heraldkit.scheme import (
     HM,
@@ -129,7 +129,7 @@ def test_criterion_2_tabulated_row_reproduction():
 
 def test_criterion_3_ga_end_to_end():
     crit = Criterion(3, "seeded GA reaches a good binomial(0.3, 7) design")
-    result = optimize(Binomial(0.3, 7), "hm", window_halfwidth=0.25)
+    result = optimize(Binomial(0.3, 7), Bounds.for_kind("hm"), window_halfwidth=0.25)
     crit.check(
         result.best_misfit <= 1e-2,
         f"best misfit {result.best_misfit:.3e} above 1e-2",

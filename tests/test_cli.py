@@ -280,11 +280,17 @@ TINY_GA = {"population_size": 6, "generations": 1, "restarts": 1}
     ("optimize", {"target": B37, "optimize": {"kind": "spd", "bounds": {"alpha1": [-1, 2]},
                                               "ga": TINY_GA}},
      "optimize.bounds.alpha1", "lower limit -1.0 below 0"),
+    ("optimize", {"target": B37, "optimize": {"kind": "spd", "bounds": {"T": [0.7, 0.3]},
+                                              "ga": TINY_GA}},
+     "optimize.bounds.T", "empty range [0.7, 0.3]"),
+    ("optimize", {"target": B37, "optimize": {"kind": "hm", "bounds": {"lam": [0, 1]},
+                                              "ga": TINY_GA}},
+     "optimize.bounds.lam", "angle bounds are fixed at [0, 2*pi)"),
 ], ids=[
     "spd-window", "deviation-etas", "deviation-which", "deviation-strict_tails",
     "efficiency-deviations", "efficiency-sampling", "efficiency-n_samples",
     "eta-above-1", "deviation-above-0.2", "alpha0-zero", "u-zero",
-    "bounds-T", "bounds-x", "bounds-alpha",
+    "bounds-T", "bounds-x", "bounds-alpha", "bounds-reversed", "bounds-angle",
 ])
 def test_option_the_command_would_not_use_or_out_of_range_refused(
     tmp_path, capsys, command, payload, path, message
@@ -671,6 +677,20 @@ def test_configured_bounds_bind_the_polish(tmp_path):
     params = json.loads((out / "result.json").read_text())["params"]
     assert 0.0 <= params["r1"] <= 0.05
     assert 0.0 <= params["r2"] <= 0.05
+
+
+def test_equal_bound_limits_pin_as_the_mask_does(tmp_path):
+    # one box states the search: a [v, v] range is the pin the mask sets
+    outs = []
+    for key, value in (("bounds", {"T": [0.69, 0.69]}), ("mask", {"T": 0.69})):
+        payload = small_optimize_config()
+        payload["optimize"][key] = value
+        cfg = write_config(tmp_path, payload, f"{key}.yaml")
+        outs.append(tmp_path / key)
+        assert main(["optimize", "--config", cfg, "--out", str(outs[-1]), "--quiet"]) == 0
+    for name in ("row.csv", "result.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert json.loads((outs[0] / "result.json").read_text())["params"]["T"] == 0.69
 
 
 def test_optimize_with_every_dimension_pinned_polishes_nothing(tmp_path):

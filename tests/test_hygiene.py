@@ -2,16 +2,19 @@
 every private module-level name and every tolerance constant is read, every
 package function and method is read somewhere in the repository, and
 outside the tests unless it is listed as test-only, only the command line
-raises ConfigError, every function the benchmark tracer wraps exists, and
-no module imports scipy."""
+raises ConfigError, every function the benchmark tracer wraps exists and
+takes the arguments the tracer reads, and no module imports scipy."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "heraldkit"
@@ -287,13 +290,19 @@ def test_package_imports_no_scipy():
     assert scipy_imports(sources) == []
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
-    # bench/tracing.py wraps functions by name; a renamed one would crash
-    # every traced benchmark run
+def _tracing():
+    """bench/tracing.py, loaded after the package modules it wraps."""
     importlib.import_module("heraldkit.cli")
     spec = importlib.util.spec_from_file_location("heraldkit_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # bench/tracing.py wraps functions by name; a renamed one would crash
+    # every traced benchmark run
+    tracing = _tracing()
     originals = {(mod, fn): getattr(sys.modules[mod], fn) for mod, fn, _ in tracing.TRACED}
     tracer = tracing.Tracer()
     try:
@@ -304,3 +313,32 @@ def test_benchmark_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (mod, fn), orig in originals.items():
         assert getattr(sys.modules[mod], fn) is orig
+
+
+def test_benchmark_tracer_reads_the_search_arguments(tmp_path):
+    # the tracer counts generations from _run_restart's fourth argument (the
+    # GA config) and polish evaluations from local_polish's result; a change
+    # to either would crash or miscount only traced benchmark runs
+    tracing = _tracing()
+    cli = sys.modules["heraldkit.cli"]
+    ga = {"population_size": 8, "generations": 4, "restarts": 2}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "target": {"family": "binomial", "p": 0.5, "M": 2},
+        "cutoff": 12,
+        "optimize": {"kind": "spd", "search_cutoff": 12, "polish_iters": 20, "ga": ga,
+                     "mask": {"T": 0.5}},
+    }))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    searched = ga["restarts"] * (ga["population_size"] + ga["generations"] * (
+        ga["population_size"] - 2))
+    evaluations = json.loads((tmp_path / "o" / "result.json").read_text())["evaluations"]
+    assert tracer.generations == 8
+    assert tracer.nfev == evaluations - searched - 1 > 0  # the polish's simplex count
+    assert all(math.isfinite(m["value"]) for m in tracer.per_layer(1).values())

@@ -1,5 +1,5 @@
-"""Seeded GA search, bounds/mask plumbing, and simplex polish (against
-scipy's Nelder-Mead as the reference)."""
+"""Seeded GA search, the search box and its pins, and simplex polish
+(against scipy's Nelder-Mead as the reference)."""
 
 import math
 import re
@@ -16,7 +16,6 @@ from heraldkit.errors import NormalizationError
 from heraldkit.fock import FockVector
 from heraldkit.optimizer import (
     Bounds,
-    FixedMask,
     GAConfig,
     local_polish,
     optimize,
@@ -55,6 +54,9 @@ ROW_BINOM_HM = SchemeParams(
     0.90,
     HM(0.61, 0.04, 0.30),
 )
+
+SPD_BOX = Bounds.for_kind("spd")
+HM_BOX = Bounds.for_kind("hm")
 
 TINY = GAConfig(
     population_size=14,
@@ -110,8 +112,10 @@ def test_default_bounds():
 
 def test_bounds_validation_and_containment():
     b = Bounds.for_kind("spd")
-    with pytest.raises(ValueError, match="r1: empty range"):
-        Bounds((1.0,) + b.lower[1:], (1.0,) + b.upper[1:])
+    # equal limits pin a dimension; reversed ones are refused
+    assert Bounds((1.0,) + b.lower[1:], (1.0,) + b.upper[1:]) == b.pin("r1", 1.0)
+    with pytest.raises(ValueError, match=re.escape("r1: empty range [1.0, 0.5]")):
+        Bounds((1.0,) + b.lower[1:], (0.5,) + b.upper[1:])
     vec, _, _ = params_to_vector(ROW_BINOM_SPD)
     assert np.all((vec >= b.lower) & (vec <= b.upper))
     vec_out = vec.copy()
@@ -126,10 +130,14 @@ def test_bounds_validation_and_containment():
     ("x", (0.0, 6.0), "x: [0.0, 6.0] outside [0, 4]"),
     ("alpha1", (-1.0, 2.0), "alpha1: lower limit -1.0 below 0"),
     ("r2", (-0.1, 1.0), "r2: lower limit -0.1 below 0"),
+    ("r1", (0.0, math.inf), "r1: limits [0.0, inf] not finite"),
+    ("theta1", (0.0, math.inf), "theta1: limits [0.0, inf] not finite"),
+    ("theta1", (0.0, 1.0), "theta1: angle bounds are fixed at [0, 2*pi)"),
 ])
 def test_bounds_outside_the_parameter_ranges_refused(name, limits, message):
     # a box the scheme cannot evaluate everywhere would fail mid-search, or
-    # pass by luck of the draws
+    # pass by luck of the draws; the polish treats every angle as unbounded,
+    # so narrowed angle limits would bind the search and not the polish
     b = Bounds.for_kind("hm")
     lower, upper = list(b.lower), list(b.upper)
     i = b.names.index(name)
@@ -138,14 +146,14 @@ def test_bounds_outside_the_parameter_ranges_refused(name, limits, message):
         Bounds(tuple(lower), tuple(upper))
 
 
-def test_fixed_mask_constructors():
-    free = FixedMask.free("hm")
-    assert free.values == (None,) * 11
-    pinned = FixedMask.pin("spd", r1=0.5, T=0.3)
-    assert pinned.values[0] == 0.5 and pinned.values[8] == 0.3
-    assert all(v is None for i, v in enumerate(pinned.values) if i not in (0, 8))
-    with pytest.raises(ValueError):
-        FixedMask.pin("spd", x=1.0)  # an HM-only dimension
+def test_bounds_pin():
+    pinned = SPD_BOX.pin("r1", 0.5).pin("T", 0.3).pin("theta2", 4.43)
+    lower, upper = list(SPD_BOX.lower), list(SPD_BOX.upper)
+    for i, value in ((0, 0.5), (5, 4.43), (8, 0.3)):
+        lower[i] = upper[i] = value
+    assert (pinned.lower, pinned.upper) == (tuple(lower), tuple(upper))
+    with pytest.raises(ValueError, match="unknown dimension 'x'"):
+        SPD_BOX.pin("x", 1.0)  # an HM-only dimension
 
 
 def test_ga_config_validation_paths():
@@ -194,35 +202,29 @@ def test_flat_point_of_another_width_is_refused():
         conditional_output_batch(vec[None], 20)
     with pytest.raises(ValueError, match="not 10"):
         batch_objective(vec[None], Binomial(0.3, 7), 20)
-    # a box's width names its dimensions
+    # a box's width names its dimensions, and the polish's box is the point's
     with pytest.raises(ValueError, match="not 10"):
         Bounds((0.0,) * 10, (1.0,) * 10)
+    with pytest.raises(ValueError, match="a box of width 9 for a hm point"):
+        local_polish(ROW_BINOM_HM, Binomial(0.45, 8), cutoff=20, bounds=SPD_BOX)
 
 
 def _no_search(*args, **kwargs):
     raise AssertionError("the search ran")
 
 
-@pytest.mark.parametrize("kind", ["SPD", SPD, HM(0.0, 0.0, 0.25)],
-                         ids=["upper", "class", "instance"])
-def test_optimize_takes_kind_only_as_lower_case_name(kind, monkeypatch):
-    monkeypatch.setattr(optimizer, "_run_restart", _no_search)
-    with pytest.raises(ValueError, match="unknown measurement kind"):
-        optimize(Binomial(0.5, 2), kind, cfg=TINY, search_cutoff=12, final_cutoff=12)
-
-
 @pytest.mark.parametrize("window", [-0.5, math.nan, math.inf])
 def test_optimize_checks_window_before_search(window, monkeypatch):
     monkeypatch.setattr(optimizer, "_run_restart", _no_search)
     with pytest.raises(ValueError, match="window_halfwidth"):
-        optimize(Binomial(0.3, 7), "hm", window_halfwidth=window)
+        optimize(Binomial(0.3, 7), HM_BOX, window_halfwidth=window)
 
 
 def test_optimize_refuses_spd_window_before_search(monkeypatch):
     # a single-photon herald has no acceptance window to use it on
     monkeypatch.setattr(optimizer, "_run_restart", _no_search)
     with pytest.raises(ValueError, match="window_halfwidth=0.3 applies to hm only"):
-        optimize(Binomial(0.3, 7), "spd", window_halfwidth=0.3)
+        optimize(Binomial(0.3, 7), SPD_BOX, window_halfwidth=0.3)
 
 
 def test_reflect_into_folds_into_box():
@@ -348,7 +350,7 @@ def test_optimize_with_coherent_input_reports_objective():
     # form like any other row
     cfg = GAConfig(population_size=6, generations=3, restarts=1, seed=2)
     res = optimize(
-        Binomial(0.5, 1), "spd", mask=FixedMask.pin("spd", r1=0.0), cfg=cfg,
+        Binomial(0.5, 1), SPD_BOX.pin("r1", 0.0), cfg,
         search_cutoff=12, final_cutoff=12,
     )
     assert res.best_params.in1.r == 0.0
@@ -357,8 +359,8 @@ def test_optimize_with_coherent_input_reports_objective():
 
 
 def test_optimize_deterministic():
-    a = optimize(Binomial(0.5, 2), "spd", cfg=TINY, search_cutoff=12, final_cutoff=12)
-    b = optimize(Binomial(0.5, 2), "spd", cfg=TINY, search_cutoff=12, final_cutoff=12)
+    a = optimize(Binomial(0.5, 2), SPD_BOX, TINY, search_cutoff=12, final_cutoff=12)
+    b = optimize(Binomial(0.5, 2), SPD_BOX, TINY, search_cutoff=12, final_cutoff=12)
     assert a.best_params == b.best_params
     assert a.best_misfit == b.best_misfit
     assert a.trace == b.trace
@@ -367,7 +369,7 @@ def test_optimize_deterministic():
 
 
 def test_optimize_result_shape():
-    res = optimize(Binomial(0.5, 2), "spd", cfg=TINY, search_cutoff=12, final_cutoff=12)
+    res = optimize(Binomial(0.5, 2), SPD_BOX, TINY, search_cutoff=12, final_cutoff=12)
     # best-so-far trace never rises, across restart boundaries included
     assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
     assert len(res.trace) == TINY.restarts * TINY.generations
@@ -385,9 +387,9 @@ def test_optimize_result_shape():
 def test_optimize_hm_kind_carries_window():
     res = optimize(
         Binomial(0.5, 2),
-        "hm",
+        HM_BOX,
+        GAConfig(population_size=10, generations=6, restarts=1, seed=3),
         window_halfwidth=0.25,
-        cfg=GAConfig(population_size=10, generations=6, restarts=1, seed=3),
         search_cutoff=12,
         final_cutoff=12,
     )
@@ -402,9 +404,8 @@ def test_optimize_reports_the_score_of_its_point(polish_iters):
     # optimize scores its final point once, polished or not, and reports
     # exactly the figures score gives for it
     res = optimize(
-        Binomial(0.45, 8), "hm", window_halfwidth=0.25,
-        cfg=GAConfig(population_size=10, generations=4, restarts=1, seed=5),
-        polish_iters=polish_iters, search_cutoff=20, final_cutoff=30,
+        Binomial(0.45, 8), HM_BOX, GAConfig(population_size=10, generations=4, restarts=1, seed=5),
+        window_halfwidth=0.25, polish_iters=polish_iters, search_cutoff=20, final_cutoff=30,
     )
     _, eps, prob, eps_avg = score(
         res.best_params, target_state(Binomial(0.45, 8), 30, check_tail=False), 30,
@@ -415,20 +416,17 @@ def test_optimize_reports_the_score_of_its_point(polish_iters):
 
 
 def test_optimize_respects_pins():
-    mask = FixedMask.pin("spd", T=0.69, r1=0.74)
-    res = optimize(
-        Binomial(0.3, 7), "spd", mask=mask, cfg=TINY, search_cutoff=12, final_cutoff=12
-    )
+    box = SPD_BOX.pin("T", 0.69).pin("r1", 0.74)
+    res = optimize(Binomial(0.3, 7), box, TINY, search_cutoff=12, final_cutoff=12)
     assert res.best_params.transmittance == 0.69
     assert res.best_params.in1.r == 0.74
 
 
 def test_optimize_fully_pinned_is_flat():
-    vec, _, _ = params_to_vector(ROW_BINOM_SPD)
-    names = layout_for_kind("spd")
-    mask = FixedMask.pin("spd", **dict(zip(names, vec)))
+    # every hard dimension has a zero span, which the GA must not reflect in
+    vec = tuple(params_to_vector(ROW_BINOM_SPD)[0].tolist())
     res = optimize(
-        Binomial(0.3, 7), "spd", mask=mask, cfg=TINY, search_cutoff=30, final_cutoff=30
+        Binomial(0.3, 7), Bounds(vec, vec), TINY, search_cutoff=30, final_cutoff=30
     )
     assert len(set(res.trace)) == 1
     assert res.best_misfit == objective(ROW_BINOM_SPD, Binomial(0.3, 7), 30)
@@ -436,18 +434,19 @@ def test_optimize_fully_pinned_is_flat():
 
 
 def test_optimize_pin_outside_bounds_rejected():
-    with pytest.raises(ValueError):
-        optimize(
-            Binomial(0.5, 2), "spd", mask=FixedMask.pin("spd", T=0.95),
-            cfg=TINY, search_cutoff=12, final_cutoff=12,
-        )
+    # the box refuses the pin, so no search can start from it
+    with pytest.raises(ValueError, match=re.escape("pinned T=0.95 outside [0.1, 0.9]")):
+        SPD_BOX.pin("T", 0.95)
+    narrowed = Bounds(SPD_BOX.lower[:8] + (0.3,), SPD_BOX.upper[:8] + (0.7,))
+    with pytest.raises(ValueError, match=re.escape("pinned T=0.2 outside [0.3, 0.7]")):
+        narrowed.pin("T", 0.2)
 
 
 def test_optimize_then_polish_finds_easy_target():
     def search(polish_iters):
         return optimize(
-            Binomial(0.5, 1), "spd",
-            cfg=GAConfig(population_size=60, generations=60, restarts=2, seed=2),
+            Binomial(0.5, 1), SPD_BOX,
+            GAConfig(population_size=60, generations=60, restarts=2, seed=2),
             polish_iters=polish_iters, search_cutoff=15, final_cutoff=15,
         )
 
@@ -459,9 +458,9 @@ def test_optimize_then_polish_finds_easy_target():
 
 
 def test_polish_never_increases():
-    res = optimize(Binomial(0.5, 2), "spd", cfg=TINY, search_cutoff=12, final_cutoff=12)
+    res = optimize(Binomial(0.5, 2), SPD_BOX, TINY, search_cutoff=12, final_cutoff=12)
     polished = optimize(
-        Binomial(0.5, 2), "spd", cfg=TINY, polish_iters=120, search_cutoff=12, final_cutoff=12
+        Binomial(0.5, 2), SPD_BOX, TINY, polish_iters=120, search_cutoff=12, final_cutoff=12
     )
     assert polished.best_misfit <= res.best_misfit
     # the search trace is carried through untouched
@@ -492,7 +491,7 @@ def test_polish_rejects_target_vector_at_another_cutoff():
     with pytest.raises(ValueError) as polish_error:
         local_polish(ROW_BINOM_SPD, tgt, cutoff=30, max_iters=10)
     with pytest.raises(ValueError) as search_error:
-        optimize(tgt, "spd", cfg=TINY, search_cutoff=30, final_cutoff=30)
+        optimize(tgt, SPD_BOX, TINY, search_cutoff=30, final_cutoff=30)
     assert str(polish_error.value) == str(search_error.value)
     assert "does not match evaluation cutoff 30" in str(polish_error.value)
 
@@ -523,9 +522,9 @@ def test_polish_keeps_the_lower_reported_misfit_on_a_tail_heavy_row(cutoff, move
 
 
 def test_polish_with_every_dimension_pinned_scores_the_start():
-    mask = FixedMask(tuple(params_to_vector(ROW_BINOM_SPD)[0].tolist()))
+    vec = tuple(params_to_vector(ROW_BINOM_SPD)[0].tolist())
     polished = local_polish(ROW_BINOM_SPD, Binomial(0.3, 7), cutoff=30, max_iters=50,
-                            mask=mask)
+                            bounds=Bounds(vec, vec))
     start = objective(ROW_BINOM_SPD, Binomial(0.3, 7), 30)
     assert polished.best_params == ROW_BINOM_SPD
     assert polished.trace == (start, start)
@@ -534,9 +533,9 @@ def test_polish_with_every_dimension_pinned_scores_the_start():
 
 
 def test_polish_respects_mask():
-    mask = FixedMask.pin("spd", T=0.69, alpha2=1.97)
+    box = SPD_BOX.pin("T", 0.69).pin("alpha2", 1.97)
     polished = local_polish(
-        ROW_BINOM_SPD, Binomial(0.3, 7), cutoff=30, max_iters=200, mask=mask
+        ROW_BINOM_SPD, Binomial(0.3, 7), cutoff=30, max_iters=200, bounds=box
     )
     assert polished.best_params.transmittance == 0.69
     assert polished.best_params.in2.alpha_abs == 1.97
