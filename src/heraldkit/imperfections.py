@@ -41,11 +41,10 @@ from .scheme import (
     SPD,
     SchemeParams,
     _ANGLES,
+    _core_misfit_batch,
     conditional_output,
-    conditional_output_batch,
     embedded_two_mode_state,
     misfit,
-    misfit_batch,
     params_to_vector,
 )
 
@@ -180,12 +179,12 @@ def sweep_parameter_deviation(
     "signed_uniform" draws the unit scatter uniformly in [-1, 1],
     "worst_case" uses random corner signs (every scatter at +/-1).  d = 0
     skips perturbation entirely and reproduces the unperturbed evaluation
-    bit for bit.  The n_samples points of a nonzero level are evaluated in
-    one batched call on the exact Gaussian core
-    (scheme.conditional_output_batch), which keeps the inputs whole; where
-    their tails above the cutoff vanish it agrees with the scalar route.
-    Points are processed and returned sorted ascending, and misfit_max
-    accumulates the worst value seen at any deviation <= d.
+    bit for bit.  The n_samples points of a nonzero level are scored in one
+    batched call on the exact Gaussian core (scheme._core_misfit_batch),
+    which keeps the inputs and the output whole: its misfit and
+    herald_weight count the output's mass above the cutoff.  Points are
+    processed and returned sorted ascending, and misfit_max accumulates the
+    worst value seen at any deviation <= d.
     """
     devs = sorted(float(d) for d in rel_devs)
     if devs and not 0.0 <= devs[0] <= devs[-1] <= 0.2:
@@ -207,8 +206,7 @@ def sweep_parameter_deviation(
             xi = rng.uniform(-1.0, 1.0, size=(n_samples, 8))
             if sampling == "worst_case":
                 xi = np.where(xi >= 0.0, 1.0, -1.0)
-            states, weights = conditional_output_batch(_perturbed_rows(p, d, xi), cutoff)
-            eps = misfit_batch(states, target)
+            eps, weights = _core_misfit_batch(_perturbed_rows(p, d, xi), target)
         envelope = max(envelope, float(np.max(eps)))
         points.append(
             SweepPoint(d, float(np.mean(eps)), envelope, float(np.mean(weights)))

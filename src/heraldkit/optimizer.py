@@ -8,23 +8,21 @@ point and the boundary attracts nothing.  Bounded dimensions reflect
 off their limits during mutation instead of clipping, which keeps the
 population strictly inside the box almost surely.
 
-Each generation is scored in one call: the whole population (the initial
-one, then each generation's children) goes through the exact Gaussian
-core, misfit_batch(conditional_output_batch(pop, cutoff)[0], target),
-which keeps the inputs whole and costs O(cutoff) per point.  The random
-draws of a generation do not depend on how it is scored, so a seed means
-the same search either way.  The Nelder-Mead polish minimizes the same
-core misfit, one point at a time in Python complex arithmetic
-(scheme._core_misfit: the batch's formulas with no numpy call, so no
-evaluation builds an array, a SchemeParams or a FockVector).  Its simplex
-(_nelder_mead) works on Python lists and takes the steps of scipy 1.17's
-bounded, non-adaptive Nelder-Mead, so the package needs no scipy and the
-polish ends where scipy's would, after as many evaluations.  The polish
-compares its start and end points by the misfit of the scalar route,
-which truncates the inputs at the cutoff, scheme.misfit(
+Each generation is scored in one call, scheme._core_misfit_batch(pop,
+target), on the exact Gaussian core: the inputs kept whole, the output's
+norm in closed form and its overlap read up to the target's last nonzero
+amplitude K, so a finite target scores the same at any search cutoff.
+The random draws of a generation do not depend on how it is scored, so a
+seed means the same search either way.  The Nelder-Mead polish minimizes
+the same misfit one point at a time in Python complex arithmetic
+(scheme._core_misfit, with no numpy call).  Its simplex (_nelder_mead)
+works on Python lists and takes the steps of scipy 1.17's bounded,
+non-adaptive Nelder-Mead, so the package needs no scipy and the polish
+ends where scipy's would, after as many evaluations.  The polish compares
+its start and end points by the misfit of the scalar route, which
+truncates the inputs at the cutoff, scheme.misfit(
 scheme.conditional_output(params, cutoff, check_input_tail=False),
-target), keeps the lower and reports it in a PolishResult; it computes
-no other figure.
+target), keeps the lower and reports it in a PolishResult.
 
 optimize(target, bounds, cfg=None, *, window_halfwidth=0.0,
 polish_iters=0, ...) runs the GA, then, with polish_iters > 0,
@@ -62,13 +60,12 @@ from .scheme import (
     _TWO_PI,
     _X_RANGE,
     _core_misfit,
+    _core_misfit_batch,
     _interval,
     _is_hm,
     conditional_output,
-    conditional_output_batch,
     layout_for_kind,
     misfit,
-    misfit_batch,
     params_to_vector,
     score,
     vector_to_params,
@@ -298,9 +295,9 @@ def optimize(
     the search).  Tournament selection, blend crossover (shortest-arc on
     angles), Gaussian mutation with per-dimension sigma equal to
     mutation_sigma_fraction times the range, elitism, and independent
-    restarts keeping the overall best.  The trace is the running best
-    misfit over all generations of all restarts, so it is monotone by
-    construction.
+    restarts keeping the overall best, against the target built at
+    search_cutoff.  The trace is the running best misfit over all
+    generations of all restarts, so it is monotone by construction.
 
     With polish_iters > 0 the best point goes through local_polish at
     final_cutoff for at most that many iterations, in the same bounds,
@@ -320,7 +317,7 @@ def optimize(
     tgt_search = _target_vector(target, search_cutoff)
 
     def evaluate(pop: np.ndarray) -> np.ndarray:
-        return misfit_batch(conditional_output_batch(pop, search_cutoff)[0], tgt_search)
+        return _core_misfit_batch(pop, tgt_search)[0]
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_vec: np.ndarray | None = None
@@ -355,12 +352,14 @@ def optimize(
 
 
 def _clip(v: list[float], lo: list[float], hi: list[float]) -> list[float]:
-    """np.clip(v, lo, hi) on lists, with its choice at ties (a value equal to
-    a limit, signed zeros included, becomes the limit) and NaN kept."""
+    """np.clip(v, lo, hi) on lists as scipy's simplex calls it, NaN kept: at
+    a tie (a signed zero at a zero limit) one entry keeps its value, as numpy
+    does on the stride-0 limits scipy then passes; more take the limit."""
+    keep = len(v) == 1
     out = []
     for e, l, h in zip(v, lo, hi):
-        e = l if e <= l else e
-        out.append(h if e >= h else e)
+        e = l if (e < l if keep else e <= l) else e
+        out.append(h if (e > h if keep else e >= h) else e)
     return out
 
 

@@ -35,20 +35,19 @@ every output amplitude up to total photon number 2N before truncating,
 so their retained and discarded masses agree.
 
 The search runs on the exact Gaussian core instead: both heralds act on a
-Gaussian two-mode state, so each output follows from a few complex
-numbers and the input recurrence, in O(cutoff) per point, with the inputs
-kept whole.  One function, _gaussian_core, holds those numbers'
-formulas, and two readers apply them: conditional_output_batch over a
-numpy batch (_closed_form_rows), which scores the GA generations and the
-deviation-sweep levels, and _core_misfit on one point in Python complex
-arithmetic, the Nelder-Mead polish's objective, which would spend most of
-its time in numpy's per-call overhead on a batch of one.
+Gaussian two-mode state with the inputs kept whole, so each output is a
+few complex numbers (_gaussian_core) read by the input recurrence, and
+its squared norm over every n has a closed form (_core_log_norm_sq).  A
+misfit reads the output only up to the target's last nonzero amplitude
+K, in K + 1 steps.  _core_misfit_batch scores a numpy batch (the GA
+generations, the deviation-sweep levels) with herald weights, and
+_core_misfit one point in Python complex arithmetic, the polish's
+objective, which numpy's per-call overhead would dominate.
 
 A flat point carries its own kind: SPD_LAYOUT has 9 entries, HM_LAYOUT
 11, and every function that takes one reads the kind from the length
 (any other width raises ValueError), as in vector_to_params(vec,
-window_halfwidth=0.0) and conditional_output_batch(rows, cutoff).  The
-angle entries are marked once, in _ANGLES.
+window_halfwidth=0.0).  The angle entries are marked once, in _ANGLES.
 """
 from __future__ import annotations
 
@@ -61,7 +60,6 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import NormalizationError
 from .fock import (
     BeamSplitterSpec,
@@ -475,113 +473,115 @@ def _gaussian_core(point, xp=np):
     return a, b, log_c, None
 
 
-def _closed_form_rows(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Heralded outputs of regular rows from the exact Gaussian core.
+def _core_log_norm_sq(a, b, linear, xp=np):
+    """log ||d||^2 over every n of the core's output d, scale C left out,
+    from _gaussian_core's (a, b, linear) and its xp.  With a = m e^{i phi}
+    (m < 1) and u = b e^{-i phi/2}, exp(a z^2/2 + b z) has
 
-    Returns (d, log_c) with the unnormalized output over |0>..|cutoff> of
-    row b equal to exp(log_c[b]) d[b]: d is the input recurrence
-    (states._amplitudes, on arrays) on the core's (a, b) started at 1, and
-    for SPD d_m = B3 e_m + A34 sqrt(m) e_{m-1} of that recurrence e
-    (_gaussian_core).  O(cutoff) per row.
-    """
+        log N0 = u_r^2 / (1 - m) + u_i^2 / (1 + m) - log(1 - m^2) / 2,
+
+    positive terms where (|b|^2 + Re(conj(a) b^2)) / (1 - m^2) cancels,
+    and mean mu = e^{i phi/2} (u_r / (1 - m) + i u_i / (1 + m)) with
+    <a a^dagger> - |mu|^2 = 1 / (1 - m^2).  So SPD's (B3 + A34 a^dagger)
+    on it adds log(|B3 + A34 conj(mu)|^2 + |A34|^2 / (1 - m^2)), -inf
+    for a zero output (Weedbrook et al., RMP 84, 621 (2012))."""
+    w = xp.exp(-0.5j * xp.angle(a))
+    # u = b w in real steps: numpy's complex product may fuse them
+    u_r = b.real * w.real - b.imag * w.imag
+    u_i = b.real * w.imag + b.imag * w.real
+    m = xp.sqrt(_abs2(a))
+    g = (1.0 - m) * (1.0 + m)
+    log_norm = u_r * u_r / (1.0 - m) + u_i * u_i / (1.0 + m) - 0.5 * xp.log(g)
+    if linear is not None:
+        b3, a34 = linear
+        mu = (u_r / (1.0 - m) + 1j * u_i / (1.0 + m)) * w.conjugate()
+        log_norm = log_norm + xp.log(_abs2(b3 + a34 * mu.conjugate()) + _abs2(a34) / g)
+    return log_norm.real
+
+
+def _abs2(z):
+    """|z|^2, rounded alike for Python and numpy (their abs may not be)."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _closed_form_rows(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
+    """Heralded outputs of regular rows from the exact Gaussian core, as
+    (d, log_c, log_norm): the output over |0>..|cutoff> of row b is
+    exp(log_c[b]) d[b], with d the input recurrence (states._amplitudes,
+    on arrays) on the core's (a, b) started at 1, and for SPD d_m = B3 e_m
+    + A34 sqrt(m) e_{m-1} of that recurrence e (_gaussian_core); log_norm
+    is log ||d[b]||^2 over every n (_core_log_norm_sq)."""
     a, b, log_c, linear = _gaussian_core(rows.T)
     e = np.array(_amplitudes(a, b, np.ones_like(a), _recurrence_roots(cutoff))).T
+    log_norm = _core_log_norm_sq(a, b, linear)
     if linear is None:
-        return e, log_c
+        return e, log_c, log_norm
     b3, a34 = linear
     d = b3[:, None] * e
     d[:, 1:] += a34[:, None] * np.sqrt(np.arange(1, cutoff + 1)) * e[:, :-1]
-    return d, log_c
+    return d, log_c, log_norm
+
+
+def _support(target: FockVector) -> np.ndarray:
+    """The conjugate amplitudes of a unit-norm target up to its last
+    nonzero one, K: the core's misfit reads the output no further."""
+    _require_unit_norm("target", target.norm_sq())
+    return target.amps[: np.flatnonzero(target.amps)[-1] + 1].conj()
 
 
 def _core_misfit(target: FockVector) -> Callable[[list[float]], float]:
-    """The misfit against target of one flat point on the exact Gaussian
-    core, as a function of the point given as a list of floats.
-
-    It reads _gaussian_core on Python floats and complex numbers and runs
-    the recurrence of states._amplitudes, so one point costs no numpy call:
-    the same formulas as conditional_output_batch, whose misfit_batch row it
-    equals to rounding.  The target's norm is checked once, here.  A point
-    whose output is zero (an impossible outcome) or not finite, an
-    overflowing cosh r included, raises NormalizationError, where the batch
-    raises it too.
-    """
-    _require_unit_norm("target", target.norm_sq())
-    conj = target.amps.conj().tolist()
-    roots = _recurrence_roots(target.cutoff)
-    sqrt_m = _recurrence_roots(target.cutoff + 1)[0][1:]  # sqrt(m), m = 1..cutoff
+    """The misfit against target of one flat point, given as a list of
+    floats, on the exact Gaussian core: 1 - |sum_{n<=K} conj(t_n) d_n|^2 /
+    ||d||^2 over the target's support K (_support), the norm in closed
+    form.  The formulas of _core_misfit_batch on Python complex numbers,
+    with no numpy call, equal to its row to rounding.  A point whose output
+    is zero (an impossible outcome) or not finite, an overflowing cosh r
+    included, raises NormalizationError, as in the batch."""
+    conj = _support(target).tolist()
+    roots = _recurrence_roots(len(conj) - 1)
+    sqrt_m = _recurrence_roots(len(conj))[0][1:]  # sqrt(m), m = 1..K
 
     def point_misfit(point: list[float]) -> float:
         try:
             a, b, log_c, linear = _gaussian_core(point, _SCALAR_MATH)
-        # cosh r overflows, or c_0 underflows and its log is refused
-        except (OverflowError, ValueError) as exc:
-            raise NormalizationError(f"heralded output is not finite ({exc})") from None
+            scale = math.exp(-0.5 * _core_log_norm_sq(a, b, linear, _SCALAR_MATH))
+        # cosh r overflows, or a log of 0 (c_0 or the output) is refused
+        except (ArithmeticError, ValueError) as exc:
+            raise NormalizationError(f"heralded output is zero or not finite ({exc})") from None
         d = _amplitudes(a, b, 1.0, roots)
         if linear is not None:
             b3, a34 = linear
             d = [b3 * d[0]] + [b3 * e + a34 * root * prev
                                for e, root, prev in zip(d[1:], sqrt_m, d)]
-        norm_sq = math.hypot(*map(abs, d)) ** 2
-        if not (math.isfinite(norm_sq) and cmath.isfinite(log_c)):
+        eps = 1.0 - _abs2(sum(map(operator.mul, conj, d)) * scale)
+        if not (math.isfinite(eps) and cmath.isfinite(log_c)):
             raise NormalizationError("heralded output is not finite")
-        if not norm_sq > 0.0:
-            _require_unit_norm("out", norm_sq)  # the batch's zero row
-        overlap = sum(map(operator.mul, conj, d))
-        return 1.0 - (overlap.real**2 + overlap.imag**2) / norm_sq
+        return eps
 
     return point_misfit
 
 
-def conditional_output_batch(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Heralded states of many points at once, one point per row.
-
-    rows are flat SPD_LAYOUT or HM_LAYOUT points, all of one kind (read
-    from the width, 9 or 11); angles need not be wrapped.  Returns the
-    normalized states, shape (B, cutoff + 1) and C-contiguous, and the raw
-    weights, shape (B,), of the exact Gaussian core (_closed_form_rows):
-    the heralded state of untruncated inputs, truncated at the output.
-    Where the input tails above the cutoff vanish, these are row by row the
-    state and weight of conditional_output(vector_to_params(row), cutoff,
-    check_input_tail=False), which truncates the inputs; elsewhere they
-    differ by about the input tail mass.
-
-    Coherent inputs (r = 0) are ordinary rows, and an impossible outcome
-    keeps its zero row, as in _split_output.  A row outside the parameter
-    ranges raises ValueError, with the message of vector_to_params, before
-    any work; a row whose core output is not finite (an input squeezed so
-    far that cosh r overflows) raises NormalizationError.
-    """
+def _core_misfit_batch(rows: np.ndarray, target: FockVector) -> tuple[np.ndarray, np.ndarray]:
+    """_core_misfit of flat points of one kind, one per row (angles need
+    not be wrapped), and their herald weights |C|^2 ||d||^2, mass above
+    any cutoff included; scales stay in log form.  A row outside the
+    parameter ranges raises ValueError, with the message of
+    vector_to_params, before any work; one whose output is zero (vacuum
+    inputs under SPD) or not finite (cosh r overflows) raises
+    NormalizationError, naming the row."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"expected one flat point per row, got shape {rows.shape}")
     for i in np.flatnonzero(~_rows_in_ranges(rows)):
         vector_to_params(rows[i])  # raises, naming the range the row leaves
+    conj = _support(target)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d, log_c = _closed_form_rows(rows, cutoff)
-        norm_sq = np.sum(np.abs(d) ** 2, axis=1)
-        weights = np.exp(2.0 * log_c.real + np.log(norm_sq))
-    bad = np.flatnonzero(~(np.isfinite(d).all(axis=1) & np.isfinite(norm_sq)
-                           & np.isfinite(log_c)))
+        d, log_c, log_norm = _closed_form_rows(rows, len(conj) - 1)
+        scaled = (d @ conj) * np.exp(-0.5 * log_norm)
+        eps = 1.0 - _abs2(scaled)
+        weights = np.exp(2.0 * log_c.real + log_norm)
+    bad = np.flatnonzero(~(np.isfinite(eps) & np.isfinite(log_c) & np.isfinite(log_norm)))
     if bad.size:
-        raise NormalizationError(f"row {bad[0]}: heralded output is not finite")
-    scale = np.exp(1j * log_c.imag) / np.sqrt(np.where(norm_sq > 0.0, norm_sq, 1.0))
-    # the core's rows come out column-major; misfit_batch reads C order
-    return np.ascontiguousarray(d * scale[:, None]), weights
-
-
-def misfit_batch(states: np.ndarray, target: FockVector) -> np.ndarray:
-    """misfit of each row of states against the target.
-
-    Raises NormalizationError where fidelity would: an unnormalized target
-    or row (a zero row from an impossible outcome, for instance).
-    """
-    _require_unit_norm("target", target.norm_sq())
-    norms = np.sum(np.abs(states) ** 2, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol.INPUT_NORM_ATOL))
-    if bad.size:
-        _require_unit_norm("out", float(norms[bad[0]]))
-    return 1.0 - np.abs(states @ target.amps.conj()) ** 2
+        raise NormalizationError(f"row {bad[0]}: heralded output is not finite or zero")
+    return eps, weights
 
 
 def _probability(full: np.ndarray, inputs: np.ndarray) -> float:
@@ -658,9 +658,11 @@ def _hm_window(
     if target is None:
         return prob, None
     _require_unit_norm("target", target.norm_sq())
-    if not prob >= np.finfo(float).tiny:
-        raise NormalizationError(
-            f"acceptance window probability {prob:.3g} is below the double range")
+    # each integral rounds to about this (average_misfit)
+    bound = (2 * cutoff + 1) * np.finfo(float).eps * min(1.0, 2.0 * m.window_halfwidth)
+    if not prob > max(bound, np.finfo(float).tiny):
+        raise NormalizationError(f"acceptance window probability {prob:.3g} is below the "
+                                 f"double range or within its rounding bound {bound:.3g}")
     return prob, 1.0 - integral((v[:, : cutoff + 1] @ target.amps.conj())[:, None]) / prob
 
 
@@ -680,8 +682,8 @@ def average_misfit(
     one minus the integral of |<t|d_x>|^2 over that of ||d_x||^2, with d_x
     the unnormalized output at x and its full norm (_hm_window).  Each
     integral rounds to about (2 cutoff + 1) eps min(1, 2 window_halfwidth),
-    so the result is good to about that over P, which grows on a window of
-    low outcome density."""
+    so the result is good to about that over P; a P not above it raises
+    NormalizationError."""
     if not isinstance(p.measurement, HM):
         raise TypeError("measurement must be HM")
     if p.measurement.window_halfwidth <= 0.0:

@@ -60,13 +60,14 @@ def check_tail_mass(amps: np.ndarray, cutoff: int):
 
 
 # The math of one point for the formulas that serve one point and a batch
-# alike (_bargmann_coefficients, scheme._gaussian_core): they take their
-# exp, log, sqrt, cosh and tanh from xp, numpy for arrays or this for
-# Python floats and complex numbers, which is several times cheaper than
-# numpy on one value.  Overflow raises OverflowError here where numpy
-# returns inf.
+# alike (_bargmann_coefficients, scheme._gaussian_core and
+# scheme._core_log_norm_sq): they take their exp, log, sqrt, cosh, tanh and
+# angle from xp, numpy for arrays or this for Python floats and complex
+# numbers, which is several times cheaper than numpy on one value.
+# Overflow raises OverflowError here where numpy returns inf.
 _SCALAR_MATH = SimpleNamespace(
-    exp=cmath.exp, log=cmath.log, sqrt=math.sqrt, cosh=math.cosh, tanh=math.tanh
+    exp=cmath.exp, log=cmath.log, sqrt=math.sqrt, cosh=math.cosh, tanh=math.tanh,
+    angle=cmath.phase,
 )
 
 

@@ -22,5 +22,5 @@ TAIL_MASS_LIMIT = 1e-8
 # Default photon-number cutoff for final scoring and reporting.
 DEFAULT_CUTOFF = 40
 
-# Reduced cutoff used inside the genetic search loop.
+# Cutoff the genetic search builds its target at (its score reads K only).
 SEARCH_CUTOFF = 30

@@ -7,11 +7,14 @@ The Hermite functions of the quadrature eigenbra from scipy's Hermite
 polynomials, the reference for the package's normalized recurrence.  The
 loss channel as an explicit vacuum-ancilla dilation, the reference for the
 closed-form loss amplitudes of heraldkit.imperfections, with the partial
-trace it needs.  Number states and product states as plain arrays.
+trace it needs.  Number states and product states as plain arrays.  The
+exact Gaussian core's outputs truncated at the cutoff, normalized there,
+for the tests that compare states rather than misfits.
 """
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_hermite, gammaln
 
+from heraldkit import scheme
 from heraldkit.fock import (
     BeamSplitterSpec,
     DensityMatrix,
@@ -128,3 +131,17 @@ def loss_dilation(state: FockVector, eta: float) -> DensityMatrix:
     if dropped != 0.0:
         raise AssertionError("loss dilation must conserve the truncated support")
     return partial_trace(mixed.amps)
+
+
+def core_outputs(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact Gaussian core's heralded states of flat points, one per
+    row (scheme._closed_form_rows): each output truncated at the cutoff
+    and normalized over |0>..|cutoff>, shape (B, cutoff + 1), and its
+    weight over that range.  An impossible outcome keeps its zero row and
+    weight 0."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d, log_c, _ = scheme._closed_form_rows(np.asarray(rows, dtype=float), cutoff)
+        norm_sq = np.sum(np.abs(d) ** 2, axis=1)
+        weights = np.exp(2.0 * log_c.real + np.log(norm_sq))
+    scale = np.exp(1j * log_c.imag) / np.sqrt(np.where(norm_sq > 0.0, norm_sq, 1.0))
+    return d * scale[:, None], weights

@@ -197,6 +197,25 @@ def test_resource_target_mass_above_cutoff_is_a_numeric_failure(tmp_path, capsys
     assert not out.exists()
 
 
+
+def test_window_probability_within_its_rounding_is_a_numeric_failure(tmp_path, capsys):
+    # P = 4.4e-16 lies below the window's rounding bound (2 cutoff + 1) eps
+    # min(1, 2 delta) = 2.7e-14 at cutoff 60, where eps_avg read 1.00006
+    params = {"r1": 0.307, "theta1": 1.35, "alpha1": 3.669, "phi1": 3.747,
+              "r2": 0.295, "theta2": 2.248, "alpha2": 1.723, "phi2": 4.442,
+              "T": 0.761, "x": 3.232, "lam": 0.757, "delta": 2.0}
+    cfg = write_config(tmp_path, {
+        "target": {"family": "binomial", "p": 0.3, "M": 7},
+        "cutoff": 60,
+        "evaluate": {"kind": "hm", "params": params},
+    })
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure: acceptance window probability 4.44e-16" in err
+    assert "rounding bound 2.69e-14" in err
+    assert not out.exists()
+
 NAN, INF = float("nan"), float("inf")
 
 

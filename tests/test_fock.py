@@ -25,7 +25,7 @@ from heraldkit.fock import (
     sector_unitary,
     _real_blocks,
 )
-from heraldkit.scheme import misfit_batch
+from heraldkit.scheme import _core_misfit_batch
 from heraldkit.states import AdHoc, target_state
 
 
@@ -382,6 +382,7 @@ def test_nan_state_raises():
     nan_state = FockVector(np.full(4, np.nan), 3)
     with pytest.raises(NormalizationError):
         fidelity(basis_state(0, 3), nan_state)
-    rows = np.stack([basis_state(1, 3).amps, nan_state.amps])
+    # and so is a NaN target in the search's batch
+    point = np.array([[0.5, 0.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.5]])
     with pytest.raises(NormalizationError):
-        misfit_batch(rows, basis_state(0, 3))
+        _core_misfit_batch(point, nan_state)

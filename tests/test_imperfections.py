@@ -286,12 +286,12 @@ def test_deviation_sweep_levels_match_scalar_evaluations():
                     eps.append(misfit(out, tgt))
                     weights.append(out.raw_weight)
                     continue
-                # the batched levels keep the inputs whole: compare with the
-                # scalar route on inputs kept to |100>, truncated at the output
+                # the batched levels keep the inputs and the output whole:
+                # compare with the scalar route at |100>, where the target
+                # is padded with zeros
                 out = conditional_output(q, 100, check_input_tail=False)
-                amps = out.state.amps[:31]
-                eps.append(misfit(FockVector(amps, 30).normalized(), tgt))
-                weights.append(out.raw_weight * float(np.sum(np.abs(amps) ** 2)))
+                eps.append(misfit(out, FockVector(np.pad(tgt.amps, (0, 70)), 100)))
+                weights.append(out.raw_weight)
             envelope = max(envelope, max(eps))
             assert pt.misfit_mean == pytest.approx(np.mean(eps), abs=1e-12)
             assert pt.misfit_max == pytest.approx(envelope, abs=1e-12)

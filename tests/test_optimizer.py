@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, minimize
 
@@ -28,9 +28,7 @@ from heraldkit.scheme import (
     SPD,
     SchemeParams,
     conditional_output,
-    conditional_output_batch,
     misfit,
-    misfit_batch,
     score,
 )
 from heraldkit.reference_rows import all_rows, get_row
@@ -80,8 +78,7 @@ def objective(params: SchemeParams, target: TargetSpec | FockVector, cutoff: int
 def batch_objective(V: np.ndarray, target: TargetSpec | FockVector, cutoff: int) -> np.ndarray:
     """The misfit of every row of V as the GA scores a generation: the exact
     Gaussian core batch against the target the search builds."""
-    return misfit_batch(conditional_output_batch(V, cutoff)[0],
-                        optimizer._target_vector(target, cutoff))
+    return scheme._core_misfit_batch(V, optimizer._target_vector(target, cutoff))[0]
 
 
 # --------------------------------------------------------------- plumbing
@@ -198,8 +195,6 @@ def test_flat_point_of_another_width_is_refused():
     vec = np.append(params_to_vector(ROW_BINOM_SPD)[0], 0.5)
     with pytest.raises(ValueError, match="not 10"):
         vector_to_params(vec)
-    with pytest.raises(ValueError, match="not 10"):
-        conditional_output_batch(vec[None], 20)
     with pytest.raises(ValueError, match="not 10"):
         batch_objective(vec[None], Binomial(0.3, 7), 20)
     # a box's width names its dimensions, and the polish's box is the point's
@@ -576,6 +571,10 @@ def _simplex_problems(draw):
 @settings(max_examples=120, deadline=None)
 @given(problem=_simplex_problems(), surface=st.sampled_from(["core", "coarse", "flat"]),
        max_iters=st.sampled_from([1, 2, 3, 60, 300]), cutoff=st.integers(8, 20))
+# one free entry: scipy's limits are then stride-0 views, and numpy's clip
+# keeps a -0.0 start at a 0.0 limit where it takes the limit for two
+@example(problem=([0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.5], [2], [-0.0], [0.0], [4.0]),
+         surface="core", max_iters=1, cutoff=8)
 def test_simplex_retraces_scipy_nelder_mead(problem, surface, max_iters, cutoff):
     # the core misfit, the same rounded to 0.01 and a constant: the last two
     # tie vertices, which np.argsort orders its own way

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from _operator_reference import basis_state, partial_trace, quadrature_wavefunction
+from _operator_reference import basis_state, core_outputs, partial_trace, quadrature_wavefunction
 from scipy.special import roots_legendre
 
 from heraldkit import scheme
@@ -35,7 +35,6 @@ from heraldkit.scheme import (
     SchemeParams,
     average_misfit,
     conditional_output,
-    conditional_output_batch,
     embedded_two_mode_state,
     hm_outcome_density,
     misfit,
@@ -226,12 +225,15 @@ def test_zero_squeezing_takes_closed_route(meas, monkeypatch):
     refs = [output_oracle(p, 60) for p in points]
     monkeypatch.setattr(scheme, "output_oracle", _no_route)
     rows = np.array([params_to_vector(p)[0] for p in points])
-    states, weights = conditional_output_batch(rows, 60)
+    states, weights = core_outputs(rows, 60)
+    eps, _ = scheme._core_misfit_batch(rows, binomial_state(0.3, 7, 60))
     for p, ref, state, weight in zip(points, refs, states, weights):
         out = conditional_output(p, 60)
         for amps, w in ((out.state.amps, out.raw_weight), (state, weight)):
             assert overlap_deficit(amps, ref.state.amps) <= 1e-10
             assert w == pytest.approx(ref.raw_weight, rel=1e-9)
+    np.testing.assert_allclose(eps, [misfit(r, binomial_state(0.3, 7, 60)) for r in refs],
+                               rtol=0.0, atol=1e-10)
 
 
 def test_nearly_coherent_input_stays_finite_at_high_cutoff():
@@ -839,7 +841,7 @@ def input_tail_norm(arm: SqueezedCoherentParams, cutoff: int) -> float:
 def batch_amplitudes(points: list[SchemeParams], cutoff: int) -> np.ndarray:
     """Unnormalized batched outputs over |0>..|cutoff>, one row per point."""
     rows = np.array([params_to_vector(p)[0] for p in points])
-    states, weights = conditional_output_batch(rows, cutoff)
+    states, weights = core_outputs(rows, cutoff)
     return states * np.sqrt(weights)[:, None]
 
 
@@ -886,7 +888,7 @@ _LIGHT_ARMS = st.builds(
 def test_core_matches_closed_form_where_input_tails_vanish(in1, in2, t, meas):
     p = SchemeParams(in1, in2, t, meas)
     vec = params_to_vector(p)[0]
-    states, weights = conditional_output_batch(vec[None], 60)
+    states, weights = core_outputs(vec[None], 60)
     ref = conditional_output(p, 60, check_input_tail=False)
     # below a density of about 1e-8 the input tails, small as they are, move
     # the closed form by more than 1e-12 (a 50-digit evaluation of the
@@ -898,28 +900,33 @@ def test_core_matches_closed_form_where_input_tails_vanish(in1, in2, t, meas):
 
 
 def test_batch_keeps_underflowing_weight_in_log_form(monkeypatch):
-    # the literal weight of this box point, about 1e-331, is below the
-    # smallest double; the state must still come out whole from the batch
+    # this box point's output over |0>..|30> has a weight of about 1e-331,
+    # below the smallest double, and the whole output one of 2.06e-121 with
+    # a squared norm of e^583 beside the scale |C|^2 = e^-861: the batch
+    # keeps both in log form, and its misfit equals the scalar core's
     row = np.array([1.306, 3.966, 3.238, 5.876, 1.557, 1.413, 2.692, 3.725, 0.223, 3.469, 2.249])
+    tgt = binomial_state(0.3, 7, 30)
     monkeypatch.setattr(scheme, "conditional_output", _no_route)
-    states, weights = conditional_output_batch(row[None], 30)
-    assert np.all(np.isfinite(states))
-    assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
-    assert 0.0 <= weights[0] < 1e-300
+    eps, weights = scheme._core_misfit_batch(row[None], tgt)
+    assert eps[0] == scheme._core_misfit(tgt)(row.tolist())
+    assert weights[0] == pytest.approx(2.0595062584042e-121, rel=1e-12)
+    assert 0.0 <= core_outputs(row[None], 30)[1][0] < 1e-300
 
 
 @pytest.mark.parametrize("kind", ["spd", "hm"])
 def test_batch_evaluates_every_box_corner(kind, monkeypatch):
     b = Bounds.for_kind(kind)
     rows = np.array(list(itertools.product(*zip(b.lower, b.upper))))
+    tgt = binomial_state(0.3, 7, tol.SEARCH_CUTOFF)
     monkeypatch.setattr(scheme, "conditional_output", _no_route)
-    states, weights = conditional_output_batch(rows, tol.SEARCH_CUTOFF)
-    assert np.all(np.isfinite(states)) and np.all(np.isfinite(weights))
-    norms = np.linalg.norm(states, axis=1)
     # only vacuum in both arms cannot herald, and only under SPD
     vacuum = (rows[:, [0, 2, 4, 6]] == 0.0).all(axis=1) & (kind == "spd")
-    np.testing.assert_allclose(norms[~vacuum], 1.0, rtol=0.0, atol=1e-12)
-    assert np.all(norms[vacuum] == 0.0) and np.all(weights[vacuum] == 0.0)
+    eps, weights = scheme._core_misfit_batch(rows[~vacuum], tgt)
+    assert np.all((-1e-15 <= eps) & (eps <= 1.0)) and np.all(np.isfinite(weights))
+    assert vacuum.sum() == (32 if kind == "spd" else 0)  # 2^5 for angles and T
+    for row in rows[vacuum]:
+        with pytest.raises(NormalizationError, match="heralded output is not finite or zero"):
+            scheme._core_misfit_batch(row[None], tgt)
 
 
 def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
@@ -928,6 +935,7 @@ def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
     rows[1, 0] = 0.0                       # coherent input 1
     rows[3, 4] = 5e-9                      # nearly coherent input 2
     rows[4, 1] += 2.0 * math.pi            # unwrapped angle stays regular
+    tgt = binomial_state(0.3, 7, 60)
     for width in (11, 9):
         # at cutoff 60 the input tails vanish, so the scalar route agrees
         refs = {
@@ -938,24 +946,25 @@ def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
         # no row leaves the batch for the scalar route
         with monkeypatch.context() as m:
             m.setattr(scheme, "conditional_output", _no_route)
-            states, weights = conditional_output_batch(rows[:, :width], 60)
+            eps, weights = scheme._core_misfit_batch(rows[:, :width], tgt)
         for i, ref in refs.items():
-            assert abs(np.vdot(ref.state.amps, states[i])) == pytest.approx(1.0, abs=1e-12)
+            assert eps[i] == pytest.approx(misfit(ref, tgt), abs=1e-12)
             assert weights[i] == pytest.approx(ref.raw_weight, rel=1e-12)
-        assert abs(np.vdot(states[0], states[4])) == pytest.approx(1.0, abs=1e-12)
+        assert eps[4] == pytest.approx(eps[0], abs=1e-12)
         assert weights[4] == pytest.approx(weights[0], rel=1e-12)
 
 
 def test_batch_raises_where_scalar_route_raises():
     vec, _, _ = params_to_vector(SchemeParams(GENERIC_A, GENERIC_B, 0.42, HM(0.8, 0.4)))
     rows = np.tile(vec, (3, 1))
+    tgt = binomial_state(0.3, 7, 20)
     rows[2, 8] = 0.95
-    with pytest.raises(ValueError, match="transmittance"):
-        conditional_output_batch(rows[:, :9], 20)
+    with pytest.raises(ValueError, match=r"transmittance 0.95 outside \[0.1, 0.9\]"):
+        scheme._core_misfit_batch(rows[:, :9], tgt)
     rows[2, 8] = 0.42
     rows[1, 9] = 4.5
-    with pytest.raises(ValueError, match="quadrature value"):
-        conditional_output_batch(rows, 20)
+    with pytest.raises(ValueError, match=r"quadrature value 4.5 outside \[0, 4\]"):
+        scheme._core_misfit_batch(rows, tgt)
 
 
 @pytest.mark.parametrize("row", [ROW_BINOM_SPD, ROW_BINOM_HM], ids=["spd", "hm"])
@@ -966,7 +975,7 @@ def test_batch_raises_on_non_finite_core_row(row, monkeypatch):
     rows = np.tile(params_to_vector(row)[0], (3, 1))
     rows[1, 4] = 1000.0
     with pytest.raises(NormalizationError, match="row 1: heralded output is not finite"):
-        conditional_output_batch(rows, 20)
+        scheme._core_misfit_batch(rows, binomial_state(0.3, 7, 20))
 
 
 def test_spd_high_cutoff_stays_finite():
