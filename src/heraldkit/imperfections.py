@@ -194,6 +194,7 @@ def sweep_parameter_deviation(
     if sampling not in ("signed_uniform", "worst_case"):
         raise ValueError(f"unknown sampling {sampling!r}")
     children = np.random.SeedSequence(seed).spawn(len(devs))
+    level_misfit = _core_misfit_batch(target)
     points: list[SweepPoint] = []
     envelope = -np.inf
     for d, child in zip(devs, children):
@@ -206,7 +207,7 @@ def sweep_parameter_deviation(
             xi = rng.uniform(-1.0, 1.0, size=(n_samples, 8))
             if sampling == "worst_case":
                 xi = np.where(xi >= 0.0, 1.0, -1.0)
-            eps, weights = _core_misfit_batch(_perturbed_rows(p, d, xi), target)
+            eps, weights = level_misfit(_perturbed_rows(p, d, xi))
         envelope = max(envelope, float(np.max(eps)))
         points.append(
             SweepPoint(d, float(np.mean(eps)), envelope, float(np.mean(weights)))

@@ -8,19 +8,17 @@ point and the boundary attracts nothing.  Bounded dimensions reflect
 off their limits during mutation instead of clipping, which keeps the
 population strictly inside the box almost surely.
 
-Each generation is scored in one call, scheme._core_misfit_batch(pop,
-target), on the exact Gaussian core: the inputs kept whole, the output's
-norm in closed form and its overlap read up to the target's last nonzero
-amplitude K, so a finite target scores the same at any search cutoff.
-The random draws of a generation do not depend on how it is scored, so a
-seed means the same search either way.  The Nelder-Mead polish minimizes
-the same misfit one point at a time in Python complex arithmetic
-(scheme._core_misfit, with no numpy call).  Its simplex (_nelder_mead)
-works on Python lists and takes the steps of scipy 1.17's bounded,
-non-adaptive Nelder-Mead, so the package needs no scipy and the polish
-ends where scipy's would, after as many evaluations.  The polish compares
-its start and end points by the misfit of the scalar route, which
-truncates the inputs at the cutoff, scheme.misfit(
+Each generation is scored in one call of scheme._core_misfit_batch(
+target), built once per search, on the exact Gaussian core: the inputs
+kept whole, the output's norm in closed form and its overlap read up to
+the target's last nonzero amplitude K, so a finite target scores the same
+at any search cutoff.  The random draws of a generation do not depend on
+how it is scored, so a seed means the same search either way.  The
+polish minimizes the same misfit, with its exact gradient, one point at
+a time in Python complex arithmetic (scheme._core_misfit, no numpy call),
+by a projected BFGS descent (_descend) on small numpy arrays.
+The polish compares its start and end points by the misfit of the scalar
+route, which truncates the inputs at the cutoff, scheme.misfit(
 scheme.conditional_output(params, cutoff, check_input_tail=False),
 target), keeps the lower and reports it in a PolishResult.
 
@@ -51,6 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances as tol
+from .errors import NormalizationError
 from .fock import FockVector
 from .scheme import (
     HM_LAYOUT,
@@ -287,7 +286,7 @@ def optimize(
     final_cutoff: int = tol.DEFAULT_CUTOFF,
 ) -> OptimizationResult:
     """Genetic-algorithm minimization of the conditional-output misfit,
-    then an optional simplex polish of the best point.
+    then an optional gradient polish of the best point.
 
     The width of bounds gives the measurement kind, and its pinned
     dimensions (equal limits) never move; window_halfwidth is the HM
@@ -314,10 +313,10 @@ def optimize(
     cfg = cfg if cfg is not None else GAConfig()
     lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
 
-    tgt_search = _target_vector(target, search_cutoff)
+    search_misfit = _core_misfit_batch(_target_vector(target, search_cutoff))
 
     def evaluate(pop: np.ndarray) -> np.ndarray:
-        return _core_misfit_batch(pop, tgt_search)[0]
+        return search_misfit(pop)[0]
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_vec: np.ndarray | None = None
@@ -351,102 +350,78 @@ def optimize(
     )
 
 
-def _clip(v: list[float], lo: list[float], hi: list[float]) -> list[float]:
-    """np.clip(v, lo, hi) on lists as scipy's simplex calls it, NaN kept: at
-    a tie (a signed zero at a zero limit) one entry keeps its value, as numpy
-    does on the stride-0 limits scipy then passes; more take the limit."""
-    keep = len(v) == 1
-    out = []
-    for e, l, h in zip(v, lo, hi):
-        e = l if (e < l if keep else e <= l) else e
-        out.append(h if (e > h if keep else e >= h) else e)
-    return out
+def _descend(
+    fun: Callable[[list[float]], tuple[float, list[float]]],
+    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_iters: int,
+) -> tuple[np.ndarray, int]:
+    """Minimize fun, which maps a list of floats to its value and gradient,
+    over the box [lo, hi] (infinite limits on unbounded entries) by a
+    projected BFGS descent from x; the end point and the calls of fun.
 
-
-def _by_value(sim: list[list[float]], fs: list[float]) -> tuple[list[list[float]], list[float]]:
-    """The vertices and their values in the order of np.argsort(fs).
-
-    The default sort is not stable and breaks ties its own way, so
-    Python's sorted would order tied vertices differently."""
-    order = np.array(fs).argsort().tolist()
-    return [sim[i] for i in order], [fs[i] for i in order]
-
-
-def _nelder_mead(
-    fun: Callable[[list[float]], float], x0: list[float], lo: list[float], hi: list[float],
-    max_iters: int, xatol: float, fatol: float,
-) -> tuple[list[float], int]:
-    """Minimize fun over the box [lo, hi] by the Nelder-Mead simplex; the
-    best vertex and the number of evaluations.
-
-    fun takes and x0, lo and hi are lists of floats; an unbounded entry has
-    infinite limits.  This is scipy 1.17's bounded, non-adaptive
-    minimize(method="Nelder-Mead") step for step, so it returns the same
-    point after the same evaluations: reflection 1, expansion 2,
-    contraction 1/2 and shrink 1/2.  The start is clipped into the box,
-    and the other vertices step each entry by 5 % (0.00025 for a zero
-    one), reflect off an upper limit they pass and are clipped; every
-    trial point is clipped.  Each step reflects the worst vertex through
-    the centroid of the others, summed left to right from 0.  It takes
-    at most max_iters - 1 steps (scipy's count starts at 1) and ends early
-    once every vertex lies within xatol of the best in each entry and
-    within fatol of it in value.
+    Each iteration holds the entries at a limit the gradient pushes
+    against, steps the others along the quasi-Newton direction of the
+    free block of the Hessian estimate (the gradient, its largest entry
+    cut to 0.1, at the start and after a step that is not a descent),
+    projects the trial into the box and backtracks by safeguarded
+    quadratic interpolation until the value falls by the Armijo fraction
+    1e-4 of the slope.  A trial on which fun raises NormalizationError is
+    rejected like one that rises.  It stops after max_iters iterations,
+    once no free gradient entry exceeds 1e-12, when 30 trials lower
+    nothing, or when a step lowers the value by at most 1e-10 of itself.
     """
-    n = len(x0)
-    start = _clip(x0, lo, hi)
-    sim = [start]
-    for k in range(n):
-        y = start[:]
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    sim = [_clip([2 * h - e if e > h else e for e, h in zip(v, hi)], lo, hi) for v in sim]
-    fs = [fun(v) for v in sim]
-    nfev = n + 1
-    sim, fs = _by_value(sim, fs)
-    sim, fs = _by_value(sim, fs)  # scipy sorts twice here
-
-    for _ in range(max_iters - 1):
-        best, worst = sim[0], sim[-1]
-        if all(abs(fs[0] - f) <= fatol for f in fs[1:]) and all(
-            abs(e - b) <= xatol for v in sim[1:] for e, b in zip(v, best)
-        ):
+    x = np.clip(x, lo, hi)
+    f, g = fun(x.tolist())
+    g = np.array(g)
+    calls = 1
+    inv_h = None  # the inverse Hessian estimate, from the first curvature pair
+    for _ in range(max_iters):
+        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        g_free = np.where(held, 0.0, g)
+        if not np.abs(g_free).max() > 1e-12:
             break
-        xbar = []
-        for column in zip(*sim[:-1]):
-            total = 0.0
-            for e in column:
-                total += e
-            xbar.append(total / n)
-
-        xr = _clip([2 * b - w for b, w in zip(xbar, worst)], lo, hi)
-        fr = fun(xr)
-        nfev += 1
-        if fr < fs[0]:
-            xe = _clip([3 * b - 2 * w for b, w in zip(xbar, worst)], lo, hi)
-            fe = fun(xe)
-            nfev += 1
-            sim[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fs[-2]:
-            sim[-1], fs[-1] = xr, fr
+        step = -g_free
+        if inv_h is not None and held.any():
+            keep = ~held  # invert the free block: the Schur complement of the held one
+            h_fa = inv_h[np.ix_(keep, held)]
+            step[keep] = -(inv_h[np.ix_(keep, keep)] - h_fa @ np.linalg.solve(
+                inv_h[np.ix_(held, held)], h_fa.T)) @ g[keep]
+        elif inv_h is not None:
+            step = -(inv_h @ g)
+        if not g_free @ step < 0.0:
+            inv_h, step = None, -g_free
+        t = 1.0 if inv_h is not None else min(1.0, 0.1 / np.abs(step).max())
+        for _ in range(30):
+            trial = np.minimum(np.maximum(x + t * step, lo), hi)
+            moved = trial - x
+            if not moved.any():
+                return x, calls
+            slope = g @ moved
+            calls += 1
+            try:
+                f_new, g_new = fun(trial.tolist())
+            except NormalizationError:
+                f_new = math.inf
+            if f_new < f and f_new <= f + 1e-4 * slope:
+                break
+            # to the minimum of the quadratic through f, slope and f_new
+            curve = f_new - f - slope
+            t *= min(0.5, max(0.1, -0.5 * slope / curve)) if 0.0 < curve < math.inf else 0.5
         else:
-            if fr < fs[-1]:  # contract outside
-                xc = _clip([1.5 * b - 0.5 * w for b, w in zip(xbar, worst)], lo, hi)
-                fc = fun(xc)
-                shrink = not fc <= fr
-            else:  # contract inside
-                xc = _clip([0.5 * b + 0.5 * w for b, w in zip(xbar, worst)], lo, hi)
-                fc = fun(xc)
-                shrink = not fc < fs[-1]
-            nfev += 1
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = _clip([b + 0.5 * (e - b) for b, e in zip(best, sim[j])], lo, hi)
-                    fs[j] = fun(sim[j])
-                nfev += n
-            else:
-                sim[-1], fs[-1] = xc, fc
-        sim, fs = _by_value(sim, fs)
-    return sim[0], nfev
+            break
+        g_new = np.array(g_new)
+        y = g_new - g
+        sy = moved @ y
+        if sy > 1e-12 * math.sqrt((moved @ moved) * (y @ y)):
+            if inv_h is None:
+                inv_h = np.eye(x.size) * (sy / (y @ y))
+            hy = inv_h @ y
+            v = np.outer((0.5 * (1.0 + (y @ hy) / sy) * moved - hy) / sy, moved)
+            inv_h += v + v.T
+        progress = f - f_new > 1e-10 * f
+        x, f, g = trial, f_new, g_new
+        if not progress:
+            break
+    return x, calls
 
 
 def local_polish(
@@ -456,37 +431,33 @@ def local_polish(
     max_iters: int = 400,
     bounds: Bounds | None = None,
 ) -> PolishResult:
-    """Derivative-free simplex descent from one point.
+    """Quasi-Newton descent on the exact gradient from one point.
 
-    Runs Nelder-Mead (_nelder_mead) on the dimensions of bounds
-    (Bounds.for_kind by default) whose lower limit is below the upper, the
-    others held at their pinned value, keeping bounded dimensions inside
-    their limits and leaving angles free to cross the 0/2*pi seam (they
-    are wrapped on assembly).  The simplex stops once it spans at most 1e-10 in every
-    entry and 1e-14 in misfit, or after max_iters - 1 steps, as it did
-    under scipy's maxiter.
-    The simplex minimizes the misfit of the exact Gaussian core, the
-    function the GA minimizes, one point at a time in Python complex
-    arithmetic (scheme._core_misfit).  The reported misfit is that of the
-    truncated route, misfit(conditional_output(p, cutoff,
-    check_input_tail=False), target), and the simplex's end point is kept
-    only if its reported misfit is lower than the start's, so the polished
-    misfit never exceeds the starting one.  With every dimension pinned
-    there is no simplex and the start is kept.  The polish computes no
-    other figure: the caller scores the point it reports.  The result's
-    trace is the reported misfit before and after, and its evaluation
-    count is the simplex's plus one.
+    Runs _descend for at most max_iters iterations on the dimensions of
+    bounds (Bounds.for_kind by default) whose lower limit is below the
+    upper, the others held at their pinned value; angles are free to cross
+    the 0/2*pi seam (they are wrapped on assembly).  It minimizes the
+    misfit the GA minimizes, on the exact Gaussian core, with its gradient
+    (scheme._core_misfit).  The reported misfit is that of the truncated
+    route, misfit(conditional_output(p, cutoff, check_input_tail=False),
+    target), and the descent's end point is kept only if its reported
+    misfit is lower than the start's, so the polished misfit never
+    exceeds the starting one.  With every dimension pinned the start is
+    kept.  The polish computes no other figure: the caller scores the
+    point it reports.  The result's trace is the reported misfit before
+    and after, and its evaluation count is the descent's calls, one per
+    value and gradient, plus one.
     """
     full, kind, whw = params_to_vector(params)
     bounds = bounds if bounds is not None else Bounds.for_kind(kind)
     if len(bounds.lower) != full.size:
         raise ValueError(f"a box of width {len(bounds.lower)} for a {kind} point")
-    lower = np.asarray(bounds.lower)
-    free = lower < bounds.upper
+    lower, upper = np.asarray(bounds.lower), np.asarray(bounds.upper)
+    free = lower < upper
     full[~free] = lower[~free]
     tgt = _target_vector(target, cutoff)
 
-    def assemble(x: list[float]) -> SchemeParams:
+    def assemble(x: np.ndarray) -> SchemeParams:
         w = full.copy()
         w[free] = x
         return vector_to_params(w, whw)
@@ -494,27 +465,27 @@ def local_polish(
     def reported_misfit(p: SchemeParams) -> float:
         return misfit(conditional_output(p, cutoff, check_input_tail=False), tgt)
 
-    x0 = full[free].tolist()
-    best_params = assemble(x0)
+    best_params = assemble(full[free])
     eps_start = eps_here = reported_misfit(best_params)
-    nfev = 0
+    calls = 0
     if free.any():
         core_misfit = _core_misfit(tgt)
         base = full.tolist()
         slots = np.flatnonzero(free).tolist()
 
-        def fun(x: list[float]) -> float:
+        def fun(x: list[float]) -> tuple[float, list[float]]:
             w = base[:]
             for i, v in zip(slots, x):
                 w[i] = v
-            return core_misfit(w)
+            eps, grad = core_misfit(w)
+            return eps, [grad[i] for i in slots]
 
-        lo = [-np.inf if p else b for b, p, f in zip(bounds.lower, bounds.periodic, free) if f]
-        hi = [np.inf if p else b for b, p, f in zip(bounds.upper, bounds.periodic, free) if f]
-        x, nfev = _nelder_mead(fun, x0, lo, hi, max_iters, xatol=1e-10, fatol=1e-14)
+        angle = np.asarray(bounds.periodic)[free]
+        x, calls = _descend(fun, full[free], np.where(angle, -np.inf, lower[free]),
+                            np.where(angle, np.inf, upper[free]), max_iters)
         end = assemble(x)
         eps_end = reported_misfit(end)
         if eps_end < eps_start:
             best_params, eps_here = end, eps_end
 
-    return PolishResult(best_params, eps_here, (eps_start, eps_here), nfev + 1)
+    return PolishResult(best_params, eps_here, (eps_start, eps_here), calls + 1)

@@ -39,9 +39,10 @@ Gaussian two-mode state with the inputs kept whole, so each output is a
 few complex numbers (_gaussian_core) read by the input recurrence, and
 its squared norm over every n has a closed form (_core_log_norm_sq).  A
 misfit reads the output only up to the target's last nonzero amplitude
-K, in K + 1 steps.  _core_misfit_batch scores a numpy batch (the GA
-generations, the deviation-sweep levels) with herald weights, and
-_core_misfit one point in Python complex arithmetic, the polish's
+K, in K + 1 steps.  Each reader is built once per target:
+_core_misfit_batch scores numpy batches (the GA generations, the
+deviation-sweep levels) with herald weights, and _core_misfit one point
+with its exact gradient in Python complex arithmetic, the polish's
 objective, which numpy's per-call overhead would dominate.
 
 A flat point carries its own kind: SPD_LAYOUT has 9 entries, HM_LAYOUT
@@ -424,7 +425,10 @@ def _rows_in_ranges(rows: np.ndarray) -> np.ndarray:
 
 def _gaussian_core(point, xp=np):
     """The exact Gaussian core of one flat point, or of a batch of points
-    given as columns (rows.T), as (a, b, log_c, linear).
+    given as columns (rows.T), as (a, b, log_c, linear), last of the
+    stages it returns: the arms' (a1, b1, a2, b2), the beam splitter's
+    (A33, A34, A44, B3, B4), the HM reading's (p, q, Delta) or None for
+    SPD, and the core, for the chain rule of _core_misfit's gradient.
 
     The inputs are untruncated: the beam splitter turns their Bargmann
     functions c0_j exp(a_j z^2/2 + b_j z) (states._bargmann_coefficients)
@@ -460,8 +464,9 @@ def _gaussian_core(point, xp=np):
     b3 = sq_t * b1 + 1j * sq_r * b2
     b4 = 1j * sq_r * b1 + sq_t * b2
     log_c = xp.log(c1) + xp.log(c2)
+    arms, mixed = (a1, b1, a2, b2), (a33, a34, a44, b3, b4)
     if len(point) == len(SPD_LAYOUT):
-        return a44, b4, log_c, (b3, a34)
+        return arms, mixed, None, (a44, b4, log_c, (b3, a34))
     x, lam = point[9], point[10]
     p = -xp.exp(-2j * lam)
     q = _SQRT2 * x * xp.exp(-1j * lam)
@@ -470,7 +475,7 @@ def _gaussian_core(point, xp=np):
     b = b4 + a34 * (b3 * p + q) / delta
     log_c = log_c + (-0.25 * _LOG_PI - 0.5 * x * x - 0.5 * xp.log(delta)
                      + (0.5 * b3**2 * p + b3 * q + 0.5 * a33 * q * q) / delta)
-    return a, b, log_c, None
+    return arms, mixed, (p, q, delta), (a, b, log_c, None)
 
 
 def _core_log_norm_sq(a, b, linear, xp=np):
@@ -511,7 +516,7 @@ def _closed_form_rows(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
     on arrays) on the core's (a, b) started at 1, and for SPD d_m = B3 e_m
     + A34 sqrt(m) e_{m-1} of that recurrence e (_gaussian_core); log_norm
     is log ||d[b]||^2 over every n (_core_log_norm_sq)."""
-    a, b, log_c, linear = _gaussian_core(rows.T)
+    a, b, log_c, linear = _gaussian_core(rows.T)[-1]
     e = np.array(_amplitudes(a, b, np.ones_like(a), _recurrence_roots(cutoff))).T
     log_norm = _core_log_norm_sq(a, b, linear)
     if linear is None:
@@ -529,59 +534,137 @@ def _support(target: FockVector) -> np.ndarray:
     return target.amps[: np.flatnonzero(target.amps)[-1] + 1].conj()
 
 
-def _core_misfit(target: FockVector) -> Callable[[list[float]], float]:
-    """The misfit against target of one flat point, given as a list of
-    floats, on the exact Gaussian core: 1 - |sum_{n<=K} conj(t_n) d_n|^2 /
-    ||d||^2 over the target's support K (_support), the norm in closed
-    form.  The formulas of _core_misfit_batch on Python complex numbers,
-    with no numpy call, equal to its row to rounding.  A point whose output
-    is zero (an impossible outcome) or not finite, an overflowing cosh r
-    included, raises NormalizationError, as in the batch."""
+def _core_misfit(target: FockVector) -> Callable[[list[float]], tuple[float, list[float]]]:
+    """The misfit against target of one flat point, a list of floats, on
+    the exact Gaussian core, and its gradient over the point's entries, in
+    Python complex arithmetic with no numpy call.
+
+    eps = 1 - |S|^2 / ||d||^2, S = sum_{n<=K} conj(t_n) d_n over the
+    target's support (_support), as in _core_misfit_batch, whose row it
+    equals to rounding.  S is holomorphic in the core's (a, b) and, for
+    SPD's d = (B3 + A34 z) e, in (B3, A34); its derivatives are overlaps
+    with z^k e (de_n/db = sqrt(n) e_{n-1}, de_n/da = sqrt(n(n-1)) e_{n-2}
+    / 2).  log ||d||^2 is differentiated in its smooth form (|b|^2 +
+    Re(conj(a) b^2)) / g - log(g) / 2, g = 1 - |a|^2, plus SPD's log(|B3 +
+    A34 conj(mu)|^2 + |A34|^2 / g), mu = (b + a conj(b)) / g.  The
+    Wirtinger derivatives h_w (d eps = 2 Re sum_w h_w dw) go back through
+    the stages of _gaussian_core to the real entries.  A point whose output
+    is zero or not finite (an overflowing cosh r or gradient included)
+    raises NormalizationError, as in the batch.
+    """
     conj = _support(target).tolist()
     roots = _recurrence_roots(len(conj) - 1)
     sqrt_m = _recurrence_roots(len(conj))[0][1:]  # sqrt(m), m = 1..K
+    # shifted[k][m] = conj(t_{m+k}) sqrt((m+k)! / m!): the overlap of the
+    # target with z^k e is sum_m shifted[k][m] e_m
+    shifted = [conj]
+    for _ in range(3):
+        shifted.append([v * root for v, root in zip(shifted[-1][1:], sqrt_m)])
 
-    def point_misfit(point: list[float]) -> float:
+    def point_misfit(point: list[float]) -> tuple[float, list[float]]:
         try:
-            a, b, log_c, linear = _gaussian_core(point, _SCALAR_MATH)
+            arms, mixed, reading, (a, b, log_c, linear) = _gaussian_core(point, _SCALAR_MATH)
             scale = math.exp(-0.5 * _core_log_norm_sq(a, b, linear, _SCALAR_MATH))
         # cosh r overflows, or a log of 0 (c_0 or the output) is refused
         except (ArithmeticError, ValueError) as exc:
             raise NormalizationError(f"heralded output is zero or not finite ({exc})") from None
-        d = _amplitudes(a, b, 1.0, roots)
-        if linear is not None:
+        e = _amplitudes(a, b, 1.0, roots)
+        shifts = [sum(map(operator.mul, w, e)) for w in shifted[: 3 if linear is None else 4]]
+        overlap = shifts[0]
+        if linear is not None:  # d = (B3 + A34 z) e
             b3, a34 = linear
-            d = [b3 * d[0]] + [b3 * e + a34 * root * prev
-                               for e, root, prev in zip(d[1:], sqrt_m, d)]
-        eps = 1.0 - _abs2(sum(map(operator.mul, conj, d)) * scale)
-        if not (math.isfinite(eps) and cmath.isfinite(log_c)):
+            overlap = b3 * shifts[0] + a34 * shifts[1]
+        eps = 1.0 - _abs2(overlap * scale)
+
+        fid = 1.0 - eps
+        c = -scale * scale * overlap.conjugate()
+        ac = a.conjugate()
+        g = 1.0 - _abs2(a)
+        mu_c = (b.conjugate() + ac * b) / g
+        h_a = 0.5 * fid * (mu_c * mu_c + ac / g)
+        h_b = fid * mu_c
+        if linear is None:
+            h_a += 0.5 * c * shifts[2]
+            h_b += c * shifts[1]
+            p, q, delta = reading
+            inv = 1.0 / delta
+            a33, a34, _, b3, _ = mixed
+            lead = b3 * p + q
+            h33 = a34 * (h_a * a34 * p + h_b * lead) * p * inv * inv
+            h34 = (2.0 * h_a * a34 * p + h_b * lead) * inv
+            h3 = h_b * a34 * p * inv
+            tail = [2.0 * (h_b * a34 * inv * _SQRT2 * cmath.exp(-1j * point[10])).real,
+                    2.0 * (a34 * ((h_a * a34 + h_b * lead * a33) * -2j * p * inv * inv
+                                  + h_b * (-2j * b3 * p - 1j * q) * inv)).real]
+        else:
+            pc = (b3 + a34 * mu_c).conjugate()
+            k = fid / (_abs2(pc) + _abs2(a34) / g)
+            a34c = a34.conjugate()
+            h33 = 0.0
+            h34 = c * shifts[1] + k * (mu_c * pc + a34c / g)
+            h3 = c * shifts[0] + k * pc
+            h_b += (c * (b3 * shifts[1] + a34 * shifts[2])
+                    + k * (a34 * pc * ac + pc.conjugate() * a34c) / g)
+            h_a += (0.5 * c * (b3 * shifts[2] + a34 * shifts[3])
+                    + k * (a34 * pc * mu_c * ac + pc.conjugate() * a34c
+                           * (b.conjugate() + mu_c.conjugate() * ac) + _abs2(a34) * ac / g) / g)
+            tail = []
+        h44, h4 = h_a, h_b
+
+        a1, b1, a2, b2 = arms
+        t = point[8]
+        sq_t, sq_r = math.sqrt(t), math.sqrt(1.0 - t)
+        cross = 1j * sq_t * sq_r * h34
+        g_t = 2.0 * ((a1 + a2) * (h33 + h44 + 0.5j * (1.0 - 2.0 * t) / (sq_t * sq_r) * h34)
+                     + 0.5 * ((h3 * b1 + h4 * b2) / sq_t
+                              - 1j * (h3 * b2 + h4 * b1) / sq_r)).real
+        grad = []
+        for (r, theta, alpha_abs, phi), h_aj, h_bj, a_j in (
+            (point[0:4], t * h33 - (1.0 - t) * h44 + cross, sq_t * h3 + 1j * sq_r * h4, a1),
+            (point[4:8], t * h44 - (1.0 - t) * h33 + cross, sq_t * h4 + 1j * sq_r * h3, a2),
+        ):
+            s = -a_j
+            rot = cmath.rect(1.0, phi)
+            alpha_c = alpha_abs * rot.conjugate()
+            k_s = h_bj * alpha_c - h_aj  # times ds, the arm's share
+            tanh_r = math.tanh(r)
+            grad += [2.0 * (k_s * cmath.rect(1.0, theta)).real * (1.0 - tanh_r * tanh_r),
+                     -2.0 * (k_s * s).imag,
+                     2.0 * (h_bj * (rot + rot.conjugate() * s)).real,
+                     -2.0 * (h_bj * (alpha_c.conjugate() - alpha_c * s)).imag]
+        grad += [g_t] + tail
+        if not (math.isfinite(eps + sum(grad)) and cmath.isfinite(log_c)):
             raise NormalizationError("heralded output is not finite")
-        return eps
+        return eps, grad
 
     return point_misfit
 
 
-def _core_misfit_batch(rows: np.ndarray, target: FockVector) -> tuple[np.ndarray, np.ndarray]:
-    """_core_misfit of flat points of one kind, one per row (angles need
-    not be wrapped), and their herald weights |C|^2 ||d||^2, mass above
-    any cutoff included; scales stay in log form.  A row outside the
-    parameter ranges raises ValueError, with the message of
-    vector_to_params, before any work; one whose output is zero (vacuum
-    inputs under SPD) or not finite (cosh r overflows) raises
-    NormalizationError, naming the row."""
-    rows = np.asarray(rows, dtype=float)
-    for i in np.flatnonzero(~_rows_in_ranges(rows)):
-        vector_to_params(rows[i])  # raises, naming the range the row leaves
+def _core_misfit_batch(target: FockVector) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """_core_misfit's misfit of flat points of one kind, one per row
+    (angles need not be wrapped), and their herald weights |C|^2 ||d||^2,
+    mass above any cutoff included; scales stay in log form.  The target's
+    support is read once, here.  A row outside the parameter ranges raises
+    ValueError, with the message of vector_to_params, before any work; one
+    whose output is zero (vacuum inputs under SPD) or not finite (cosh r
+    overflows) raises NormalizationError, naming the row."""
     conj = _support(target)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d, log_c, log_norm = _closed_form_rows(rows, len(conj) - 1)
-        scaled = (d @ conj) * np.exp(-0.5 * log_norm)
-        eps = 1.0 - _abs2(scaled)
-        weights = np.exp(2.0 * log_c.real + log_norm)
-    bad = np.flatnonzero(~(np.isfinite(eps) & np.isfinite(log_c) & np.isfinite(log_norm)))
-    if bad.size:
-        raise NormalizationError(f"row {bad[0]}: heralded output is not finite or zero")
-    return eps, weights
+
+    def rows_misfit(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.asarray(rows, dtype=float)
+        for i in np.flatnonzero(~_rows_in_ranges(rows)):
+            vector_to_params(rows[i])  # raises, naming the range the row leaves
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d, log_c, log_norm = _closed_form_rows(rows, len(conj) - 1)
+            scaled = (d @ conj) * np.exp(-0.5 * log_norm)
+            eps = 1.0 - _abs2(scaled)
+            weights = np.exp(2.0 * log_c.real + log_norm)
+        bad = np.flatnonzero(~(np.isfinite(eps) & np.isfinite(log_c) & np.isfinite(log_norm)))
+        if bad.size:
+            raise NormalizationError(f"row {bad[0]}: heralded output is not finite or zero")
+        return eps, weights
+
+    return rows_misfit
 
 
 def _probability(full: np.ndarray, inputs: np.ndarray) -> float:

@@ -546,7 +546,7 @@ def test_cli_import_leaves_out_scipy_signal(cli_import_scipy_modules):
 
 
 def test_cli_import_leaves_out_scipy_optimize(cli_import_scipy_modules):
-    # the polish runs its own simplex; no command loads scipy.optimize
+    # the polish runs its own descent; no command loads scipy.optimize
     assert "scipy.optimize" not in cli_import_scipy_modules
 
 
@@ -713,7 +713,7 @@ def test_equal_bound_limits_pin_as_the_mask_does(tmp_path):
 
 
 def test_optimize_with_every_dimension_pinned_polishes_nothing(tmp_path):
-    # no free dimension leaves no simplex: the start is scored, once
+    # no free dimension leaves nothing to descend: the start is scored, once
     payload = small_optimize_config()
     payload["optimize"]["mask"] = ROW2_PARAMS
     cfg = write_config(tmp_path, payload)

@@ -46,7 +46,7 @@ def _as_batch(a, b, linear):
 @pytest.mark.parametrize("point", DRAWS, ids=range(len(DRAWS)))
 def test_closed_form_log_norm_matches_a_50_digit_sum(point):
     # both evaluations of the formula, on the same (a, b)
-    a, b, _, linear = scheme._gaussian_core(point, scheme._SCALAR_MATH)
+    a, b, _, linear = scheme._gaussian_core(point, scheme._SCALAR_MATH)[-1]
     want = core_log_norm_sq(a, b, linear)
     scale = max(1.0, abs(want))
     assert abs(scheme._core_log_norm_sq(a, b, linear, scheme._SCALAR_MATH) - want) \
@@ -58,14 +58,14 @@ def test_closed_form_log_norm_matches_a_50_digit_sum(point):
 def _check_support_misfit(point, tgt):
     # each route against 50 digits on its own core: numpy's and Python's
     # math differ in the last bits of (a, b)
-    a, b, _, linear = scheme._gaussian_core(point, scheme._SCALAR_MATH)
-    assert abs(scheme._core_misfit(tgt)(point) - support_misfit(a, b, linear, tgt.amps)) \
+    a, b, _, linear = scheme._gaussian_core(point, scheme._SCALAR_MATH)[-1]
+    assert abs(scheme._core_misfit(tgt)(point)[0] - support_misfit(a, b, linear, tgt.amps)) \
         <= SUPPORT_ATOL
-    a, b, _, linear = scheme._gaussian_core(np.array(point)[:, None])
+    a, b, _, linear = scheme._gaussian_core(np.array(point)[:, None])[-1]
     want = support_misfit(complex(a[0]), complex(b[0]),
                           None if linear is None else tuple(complex(v[0]) for v in linear),
                           tgt.amps)
-    assert abs(scheme._core_misfit_batch(np.array([point]), tgt)[0][0] - want) <= SUPPORT_ATOL
+    assert abs(scheme._core_misfit_batch(tgt)(np.array([point]))[0][0] - want) <= SUPPORT_ATOL
 
 
 def test_support_misfit_matches_a_50_digit_sum_on_bundled_rows():
@@ -94,7 +94,7 @@ def test_binomial_score_is_the_same_at_every_search_cutoff():
         box = Bounds.for_kind(kind)
         lo, hi = np.array(box.lower), np.array(box.upper)
         rows = lo + rng.uniform(size=(200, lo.size)) * (hi - lo)
-        scores = [scheme._core_misfit_batch(rows, target_state(_BINOMIAL, c))
+        scores = [scheme._core_misfit_batch(target_state(_BINOMIAL, c))(rows)
                   for c in (30, 60, 200)]
         for eps, weights in scores[1:]:
             assert np.array_equal(eps, scores[0][0]) and np.array_equal(weights, scores[0][1])

@@ -385,4 +385,4 @@ def test_nan_state_raises():
     # and so is a NaN target in the search's batch
     point = np.array([[0.5, 0.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.5]])
     with pytest.raises(NormalizationError):
-        _core_misfit_batch(point, nan_state)
+        _core_misfit_batch(nan_state)(point)

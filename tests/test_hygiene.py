@@ -340,5 +340,5 @@ def test_benchmark_tracer_reads_the_search_arguments(tmp_path):
         ga["population_size"] - 2))
     evaluations = json.loads((tmp_path / "o" / "result.json").read_text())["evaluations"]
     assert tracer.generations == 8
-    assert tracer.nfev == evaluations - searched - 1 > 0  # the polish's simplex count
+    assert tracer.nfev == evaluations - searched - 1 > 0  # the polish's value-and-gradient calls
     assert all(math.isfinite(m["value"]) for m in tracer.per_layer(1).values())

@@ -1,15 +1,14 @@
-"""Seeded GA search, the search box and its pins, and simplex polish
-(against scipy's Nelder-Mead as the reference)."""
+"""Seeded GA search, the search box and its pins, and the polish: the
+exact gradient of the core misfit against central differences, and the
+projected quasi-Newton descent on it."""
 
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeWarning, minimize
 
 from heraldkit import optimizer, scheme
 from heraldkit.errors import NormalizationError
@@ -78,7 +77,7 @@ def objective(params: SchemeParams, target: TargetSpec | FockVector, cutoff: int
 def batch_objective(V: np.ndarray, target: TargetSpec | FockVector, cutoff: int) -> np.ndarray:
     """The misfit of every row of V as the GA scores a generation: the exact
     Gaussian core batch against the target the search builds."""
-    return scheme._core_misfit_batch(V, optimizer._target_vector(target, cutoff))[0]
+    return scheme._core_misfit_batch(optimizer._target_vector(target, cutoff))(V)[0]
 
 
 # --------------------------------------------------------------- plumbing
@@ -316,7 +315,7 @@ def test_scalar_core_misfit_matches_batch(in1, in2, t, reading, cutoff):
     vec = [*in1, *in2, t, *reading]
     tgt = target_state(NegativeBinomial(0.5, 5), cutoff, check_tail=False)
     want = batch_objective(np.array([vec]), tgt, cutoff)[0]
-    assert abs(scheme._core_misfit(tgt)(vec) - want) <= CORE_SCALAR_ATOL
+    assert abs(scheme._core_misfit(tgt)(vec)[0] - want) <= CORE_SCALAR_ATOL
 
 
 def test_scalar_core_misfit_matches_batch_on_bundled_rows():
@@ -324,7 +323,7 @@ def test_scalar_core_misfit_matches_batch_on_bundled_rows():
         tgt = target_state(row.target, 40, check_tail=False)
         vec = params_to_vector(row.params)[0]
         want = batch_objective(vec[None], tgt, 40)[0]
-        assert abs(scheme._core_misfit(tgt)(vec.tolist()) - want) <= CORE_SCALAR_ATOL
+        assert abs(scheme._core_misfit(tgt)(vec.tolist())[0] - want) <= CORE_SCALAR_ATOL
 
 
 def test_scalar_core_misfit_fails_where_the_batch_fails():
@@ -471,7 +470,7 @@ def test_polish_from_raw_params_records_descent():
 
 
 def test_polish_stays_put_at_converged_point():
-    # run the simplex to convergence, then confirm a second pass is inert
+    # run the descent to convergence, then confirm a second pass is inert
     first = local_polish(ROW_BINOM_SPD, Binomial(0.3, 7), cutoff=30, max_iters=4000)
     second = local_polish(
         first.best_params, Binomial(0.3, 7), cutoff=30, max_iters=4000
@@ -481,7 +480,7 @@ def test_polish_stays_put_at_converged_point():
 
 
 def test_polish_rejects_target_vector_at_another_cutoff():
-    # checked before the simplex starts, with the message optimize gives
+    # checked before the descent starts, with the message optimize gives
     tgt = target_state(Binomial(0.3, 7), 20)
     with pytest.raises(ValueError) as polish_error:
         local_polish(ROW_BINOM_SPD, tgt, cutoff=30, max_iters=10)
@@ -501,9 +500,9 @@ def test_polish_recovers_rounding_loss_on_hm_row():
 
 @pytest.mark.parametrize("cutoff,moves", [(40, True), (16, False)])
 def test_polish_keeps_the_lower_reported_misfit_on_a_tail_heavy_row(cutoff, moves):
-    # row 07 (r1 = 1.54): the simplex descends on the core, which keeps the
+    # row 07 (r1 = 1.54): the polish descends on the core, which keeps the
     # input tails, while the reported misfit truncates them; at cutoff 16
-    # the simplex's end point reports worse than the start, which is kept
+    # the descent's end point reports worse than the start, which is kept
     row = get_row("07-binom-0.4-15-hm")
     tgt = target_state(row.target, cutoff, check_tail=False)
     polished = local_polish(row.params, tgt, cutoff, max_iters=400)
@@ -512,8 +511,8 @@ def test_polish_keeps_the_lower_reported_misfit_on_a_tail_heavy_row(cutoff, move
     assert polished.best_misfit == polished.trace[1] <= start
     assert (polished.best_params != row.params) == moves
     core = scheme._core_misfit(tgt)
-    assert (core(params_to_vector(polished.best_params)[0].tolist())
-            <= core(params_to_vector(row.params)[0].tolist()))
+    assert (core(params_to_vector(polished.best_params)[0].tolist())[0]
+            <= core(params_to_vector(row.params)[0].tolist())[0])
 
 
 def test_polish_with_every_dimension_pinned_scores_the_start():
@@ -537,65 +536,99 @@ def test_polish_respects_mask():
     assert polished.best_misfit <= objective(ROW_BINOM_SPD, Binomial(0.3, 7), 30)
 
 
-def _scipy_simplex(fun, x0, lo, hi, max_iters):
-    """The end point, its value and the evaluation count of scipy's bounded
-    Nelder-Mead, the reference the polish's simplex retraces."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)  # a start outside the box
-        res = minimize(lambda x: fun(x.tolist()), x0, method="Nelder-Mead",
-                       bounds=list(zip(lo, hi)),
-                       options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14})
-    return res.x.tolist(), float(res.fun), int(res.nfev)
+# ------------------------------------------------------ gradient and descent
+
+# Draws for the gradient: the box corners (r = 1.7, |alpha| = 4), T at its
+# limits, angles on both sides of the 0/2*pi seam, and r = 0, a coherent
+# input (with both inputs coherent SPD's a = A44 is 0).
+_GRAD_R = st.one_of(st.sampled_from([0.0, 1.7]), st.floats(0.0, 1.7))
+_GRAD_ALPHA = st.one_of(st.sampled_from([0.0, 4.0]), st.floats(0.0, 4.0))
+_GRAD_ANGLE = st.one_of(st.sampled_from([0.0, 1e-9, 2.0 * math.pi - 1e-9]),
+                        st.floats(0.0, 2.0 * math.pi))
+_GRAD_T = st.one_of(st.sampled_from([0.1, 0.9]), st.floats(0.1, 0.9))
+
+# The gradient against central differences of step GRADIENT_STEP, relative
+# to max(1, |difference|): worst seen 7.8e-9 on 20 000 draws.  The step's
+# truncation error is about 1e-12 of the third derivative and its rounding
+# about 1e-10.
+GRADIENT_STEP = 1e-6
+GRADIENT_RTOL = 1e-7
 
 
-@st.composite
-def _simplex_problems(draw):
-    """A polish problem on the default box: a start, its free dimensions
-    and their limits (infinite for angles), drawn with signed zero entries,
-    T near its upper limit (the initial simplex reflects off it) and free
-    entries outside the box (the start is clipped)."""
-    bounds = Bounds.for_kind(draw(st.sampled_from(["spd", "hm"])))
-    point = [draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(lo, hi)))
-             for lo, hi in zip(bounds.lower, bounds.upper)]
-    t_lo, t_hi = bounds.lower[8], bounds.upper[8]
-    point[8] = draw(st.one_of(st.floats(t_lo, t_hi), st.floats(t_hi - 1e-3, t_hi)))
-    free = draw(st.lists(st.booleans(), min_size=len(point), max_size=len(point))
-                .filter(any))
-    lo = [-math.inf if p else b for b, p, f in zip(bounds.lower, bounds.periodic, free) if f]
-    hi = [math.inf if p else b for b, p, f in zip(bounds.upper, bounds.periodic, free) if f]
-    x0 = [draw(st.one_of(st.just(v), st.floats(v - 1.0, v + 1.0)))
-          for v, f in zip(point, free) if f]
-    return point, np.flatnonzero(free).tolist(), x0, lo, hi
+@settings(max_examples=60, deadline=None)
+@given(arms=st.tuples(_GRAD_R, _GRAD_ANGLE, _GRAD_ALPHA, _GRAD_ANGLE,
+                      _GRAD_R, _GRAD_ANGLE, _GRAD_ALPHA, _GRAD_ANGLE),
+       t=_GRAD_T, reading=st.one_of(st.just(()), st.tuples(st.floats(0.0, 4.0), _GRAD_ANGLE)),
+       coherent=st.booleans(), spec=st.sampled_from([Binomial(0.3, 7), NegativeBinomial(0.5, 5)]))
+def test_core_gradient_matches_central_differences(arms, t, reading, coherent, spec):
+    point = [*arms, t, *reading]
+    if coherent:
+        point[0] = point[4] = 0.0
+    # near SPD's zero output (B3 = A34 = 0: vacuum inputs) the misfit turns
+    # on the scale of |B3| and |A34|, which no fixed step resolves
+    _, _, _, linear = scheme._gaussian_core(point, scheme._SCALAR_MATH)[-1]
+    assume(linear is None or abs(linear[0]) ** 2 + abs(linear[1]) ** 2 >= 1e-4)
+    core = scheme._core_misfit(target_state(spec, 30, check_tail=False))
+    _, grad = core(point)
+    assert len(grad) == len(point)
+    for i in range(len(point)):
+        up, down = point[:], point[:]
+        up[i] += GRADIENT_STEP
+        down[i] -= GRADIENT_STEP
+        diff = (core(up)[0] - core(down)[0]) / (2.0 * GRADIENT_STEP)
+        assert abs(grad[i] - diff) <= GRADIENT_RTOL * max(1.0, abs(diff)), i
 
 
-@settings(max_examples=120, deadline=None)
-@given(problem=_simplex_problems(), surface=st.sampled_from(["core", "coarse", "flat"]),
-       max_iters=st.sampled_from([1, 2, 3, 60, 300]), cutoff=st.integers(8, 20))
-# one free entry: scipy's limits are then stride-0 views, and numpy's clip
-# keeps a -0.0 start at a 0.0 limit where it takes the limit for two
-@example(problem=([0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.5], [2], [-0.0], [0.0], [4.0]),
-         surface="core", max_iters=1, cutoff=8)
-def test_simplex_retraces_scipy_nelder_mead(problem, surface, max_iters, cutoff):
-    # the core misfit, the same rounded to 0.01 and a constant: the last two
-    # tie vertices, which np.argsort orders its own way
-    point, slots, x0, lo, hi = problem
-    core = scheme._core_misfit(target_state(Binomial(0.3, 5), cutoff, check_tail=False))
-
-    def fun(x):
-        w = point[:]
-        for i, v in zip(slots, x):
-            w[i] = v
-        if surface == "flat":
-            return 0.5
-        return core(w) if surface == "core" else round(core(w), 2)
-
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["spd", "hm"]),
+       unit=st.lists(st.floats(0.0, 1.0), min_size=11, max_size=11),
+       pinned=st.lists(st.booleans(), min_size=11, max_size=11))
+def test_polish_never_ends_above_its_start(kind, unit, pinned):
+    # from a random start in the box, some dimensions pinned there: the
+    # descent lowers the core misfit or stays, the reported misfit never
+    # rises, the pins hold and the bounded dimensions stay in the box
+    box = Bounds.for_kind(kind)
+    vec = [lo + u * (hi - lo) for lo, hi, u in zip(box.lower, box.upper, unit)]
+    for name, value, pin in zip(box.names, vec, pinned):
+        if pin:
+            box = box.pin(name, value)
+    params = vector_to_params(vec)
+    tgt = target_state(Binomial(0.3, 7), 20)
+    core = scheme._core_misfit(tgt)
     try:
-        want = _scipy_simplex(fun, np.array(x0), lo, hi, max_iters)
-    except NormalizationError as exc:  # a start or vertex with a zero output
-        with pytest.raises(NormalizationError, match=re.escape(str(exc))):
-            optimizer._nelder_mead(fun, x0, lo, hi, max_iters, 1e-10, 1e-14)
-        return
-    x, nfev = optimizer._nelder_mead(fun, x0, lo, hi, max_iters, 1e-10, 1e-14)
-    x_want, f_want, nfev_want = want
-    assert [v.hex() for v in x] == [v.hex() for v in x_want]  # signed zeros too
-    assert fun(x) == f_want and nfev == nfev_want
+        start = core(params_to_vector(params)[0].tolist())[0]
+    except NormalizationError:  # vacuum inputs under SPD never click
+        assume(False)
+    polished = local_polish(params, tgt, cutoff=20, max_iters=30, bounds=box)
+    assert polished.best_misfit <= polished.trace[0] == objective(params, tgt, 20)
+    end = params_to_vector(polished.best_params)[0]
+    assert core(end.tolist())[0] <= start
+    for i, (lo, hi, per) in enumerate(zip(box.lower, box.upper, box.periodic)):
+        if lo == hi:
+            assert end[i] == params_to_vector(params)[0][i]
+        elif not per:
+            assert lo <= end[i] <= hi
+
+
+# The GA's end points for B(0.3, 7) under SPD (population 60, 160
+# generations, one restart, search cutoff 30; optimize with no polish) for
+# seeds 3, 17 and 101, the search workload's operating point.
+_GA_END_POINTS = {
+    3: [0.2168996807428663, 3.9243020721909376, 1.3775392730864129, 5.114537196863944,
+        0.5774686666172243, 5.138825080633546, 1.3995913793175656, 5.043655447669715,
+        0.21866364400812147],
+    17: [0.5282902000880441, 2.100443324793548, 1.7845027897610064, 4.09937052621955,
+         0.6442313612928908, 1.5098987393572494, 1.5774587917770613, 1.7958192959367698,
+         0.5269677523540147],
+    101: [0.3522864635039133, 5.27274825766508, 0.14434926409873344, 2.8682689394244627,
+          0.54179712647992, 5.9909136713923665, 1.8459351131945354, 0.23332997517277365,
+          0.5483287517906416],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GA_END_POINTS))
+def test_polish_reaches_the_spd_optimum_from_ga_end_points(seed):
+    # each polish ends at 1.6042e-5, the optimum every seed reaches
+    polished = local_polish(vector_to_params(_GA_END_POINTS[seed]), Binomial(0.3, 7),
+                            cutoff=40, max_iters=400)
+    assert polished.best_misfit < 2e-5

@@ -226,7 +226,7 @@ def test_zero_squeezing_takes_closed_route(meas, monkeypatch):
     monkeypatch.setattr(scheme, "output_oracle", _no_route)
     rows = np.array([params_to_vector(p)[0] for p in points])
     states, weights = core_outputs(rows, 60)
-    eps, _ = scheme._core_misfit_batch(rows, binomial_state(0.3, 7, 60))
+    eps, _ = scheme._core_misfit_batch(binomial_state(0.3, 7, 60))(rows)
     for p, ref, state, weight in zip(points, refs, states, weights):
         out = conditional_output(p, 60)
         for amps, w in ((out.state.amps, out.raw_weight), (state, weight)):
@@ -907,8 +907,8 @@ def test_batch_keeps_underflowing_weight_in_log_form(monkeypatch):
     row = np.array([1.306, 3.966, 3.238, 5.876, 1.557, 1.413, 2.692, 3.725, 0.223, 3.469, 2.249])
     tgt = binomial_state(0.3, 7, 30)
     monkeypatch.setattr(scheme, "conditional_output", _no_route)
-    eps, weights = scheme._core_misfit_batch(row[None], tgt)
-    assert eps[0] == scheme._core_misfit(tgt)(row.tolist())
+    eps, weights = scheme._core_misfit_batch(tgt)(row[None])
+    assert eps[0] == scheme._core_misfit(tgt)(row.tolist())[0]
     assert weights[0] == pytest.approx(2.0595062584042e-121, rel=1e-12)
     assert 0.0 <= core_outputs(row[None], 30)[1][0] < 1e-300
 
@@ -921,12 +921,12 @@ def test_batch_evaluates_every_box_corner(kind, monkeypatch):
     monkeypatch.setattr(scheme, "conditional_output", _no_route)
     # only vacuum in both arms cannot herald, and only under SPD
     vacuum = (rows[:, [0, 2, 4, 6]] == 0.0).all(axis=1) & (kind == "spd")
-    eps, weights = scheme._core_misfit_batch(rows[~vacuum], tgt)
+    eps, weights = scheme._core_misfit_batch(tgt)(rows[~vacuum])
     assert np.all((-1e-15 <= eps) & (eps <= 1.0)) and np.all(np.isfinite(weights))
     assert vacuum.sum() == (32 if kind == "spd" else 0)  # 2^5 for angles and T
     for row in rows[vacuum]:
         with pytest.raises(NormalizationError, match="heralded output is not finite or zero"):
-            scheme._core_misfit_batch(row[None], tgt)
+            scheme._core_misfit_batch(tgt)(row[None])
 
 
 def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
@@ -946,7 +946,7 @@ def test_batch_evaluates_coherent_rows_in_closed_form(monkeypatch):
         # no row leaves the batch for the scalar route
         with monkeypatch.context() as m:
             m.setattr(scheme, "conditional_output", _no_route)
-            eps, weights = scheme._core_misfit_batch(rows[:, :width], tgt)
+            eps, weights = scheme._core_misfit_batch(tgt)(rows[:, :width])
         for i, ref in refs.items():
             assert eps[i] == pytest.approx(misfit(ref, tgt), abs=1e-12)
             assert weights[i] == pytest.approx(ref.raw_weight, rel=1e-12)
@@ -960,11 +960,11 @@ def test_batch_raises_where_scalar_route_raises():
     tgt = binomial_state(0.3, 7, 20)
     rows[2, 8] = 0.95
     with pytest.raises(ValueError, match=r"transmittance 0.95 outside \[0.1, 0.9\]"):
-        scheme._core_misfit_batch(rows[:, :9], tgt)
+        scheme._core_misfit_batch(tgt)(rows[:, :9])
     rows[2, 8] = 0.42
     rows[1, 9] = 4.5
     with pytest.raises(ValueError, match=r"quadrature value 4.5 outside \[0, 4\]"):
-        scheme._core_misfit_batch(rows, tgt)
+        scheme._core_misfit_batch(tgt)(rows)
 
 
 @pytest.mark.parametrize("row", [ROW_BINOM_SPD, ROW_BINOM_HM], ids=["spd", "hm"])
@@ -975,7 +975,7 @@ def test_batch_raises_on_non_finite_core_row(row, monkeypatch):
     rows = np.tile(params_to_vector(row)[0], (3, 1))
     rows[1, 4] = 1000.0
     with pytest.raises(NormalizationError, match="row 1: heralded output is not finite"):
-        scheme._core_misfit_batch(rows, binomial_state(0.3, 7, 20))
+        scheme._core_misfit_batch(binomial_state(0.3, 7, 20))(rows)
 
 
 def test_spd_high_cutoff_stays_finite():
