@@ -64,18 +64,21 @@ def _log_factorials(n_max: int) -> np.ndarray:
     return _freeze(np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)]))
 
 
-def _loss_amplitudes(eta: float, n_max: int) -> np.ndarray:
+def _loss_amplitudes(eta: float, n_max: int, kept: int | None = None) -> np.ndarray:
     """Loss amplitudes L[p, n] = sqrt(C(n, p) eta^p (1-eta)^(n-p)), 0 for p > n.
 
     L[p, n] is the amplitude for p of n photons surviving (n - p going to
     the ancilla), computed in log space so no binomial overflows; a zero
     power of a zero base counts as 1, so eta = 0 and eta = 1 are exact.  The
     symmetric convention's phase i^(n-p) is common to every entry of one
-    Kraus operator, so it cancels in every use and is left out.
+    Kraus operator, so it cancels in every use and is left out.  Given a
+    number kept = p, only the row L[p, :] is built, from the same expression
+    and so to the same bits.
     """
     n = np.arange(n_max + 1)
-    kept = n[:, None]
-    lost = n[None, :] - kept
+    if kept is None:
+        kept = n[:, None]
+    lost = n - kept
     valid = lost >= 0
     lost = np.where(valid, lost, 0)
     lf = _log_factorials(n_max)

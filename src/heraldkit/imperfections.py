@@ -2,17 +2,22 @@
 
 Photon loss is modeled by a fictitious beam splitter coupling the lossy
 mode to vacuum, with transmittance equal to the efficiency eta; tracing out
-the ancilla gives the channel.  Every use reads the closed-form loss
-amplitudes sqrt(C(n, p) eta^p (1-eta)^(n-p)) of p out of n photons
-surviving: loss_channel(state, eta) applies them as a Kraus sum to a pure
-state or a density matrix at the state's cutoff, and the lossy herald
-applies them to the measured arm.  The explicit dilation stays in the tests
-as an independent reference for the closed form.
+the ancilla gives the channel.  The amplitude of p out of n photons
+surviving is sqrt(C(n, p) eta^p (1-eta)^(n-p)).  The lossy herald reads
+these closed-form amplitudes (fock._loss_amplitudes) on the measured arm.
+loss_channel(state, eta) sums the same Kraus terms, on a pure state or a
+density matrix at the state's cutoff, as one Toeplitz product along the
+diagonals of the state.  The explicit dilation and the textbook Kraus loop
+stay in the tests as independent references.
 
 An inefficient single-photon detector is loss followed by an ideal
 projection: the measured arm passes through the eta_det channel before the
 (ideal) click or quadrature reading.  Signal-path transmission eta_signal
-acts on the heralded mode after conditioning.
+acts on the heralded mode after conditioning.  Only detector loss needs
+the two-mode state: with eta_det = 1 the lossy herald is the ideal herald
+of the closed route (scheme._herald), followed by the signal loss, and the
+two-mode state at twice the cutoff is embedded only for points with
+eta_det < 1.
 
 Sweeps report misfit statistics as a function of parameter deviation
 (input-state parameters scattered around their chosen values) or detection
@@ -42,6 +47,10 @@ from .scheme import (
     SchemeParams,
     _ANGLES,
     _core_misfit_batch,
+    _herald,
+    _probability,
+    _scaled_sqrt_factorials,
+    _split_output,
     conditional_output,
     embedded_two_mode_state,
     misfit,
@@ -67,22 +76,57 @@ def loss_channel(state: FockVector | DensityMatrix, eta: float) -> DensityMatrix
     """Transmit a state through efficiency eta; returns the mixed output at
     the state's cutoff.
 
-    The Kraus sum over the number q of lost photons: each term is a shifted
-    slice of rho (|psi><psi| for a pure state) weighted by the closed-form
-    loss amplitudes.  The truncated space is closed under loss, so the
-    channel is exact there.
+    The Kraus sum over the number k of lost photons,
+
+        rho'[m, n] = eta^((m+n)/2) / sqrt(m! n!)
+                     sum_k (1-eta)^k / k! sqrt((m+k)! (n+k)!) rho[m+k, n+k],
+
+    is one upper-triangular Toeplitz product with positive weights along
+    the diagonals of sigma[m, n] = s[m] rho[m, n] s[n], s the kappa-scaled
+    square-root factorials of scheme._scaled_sqrt_factorials, which keep
+    every factor finite up to cutoffs near 1900, far above where sqrt(n!)
+    overflows.  The upper diagonals are the columns of one strided view of
+    sigma padded with zeros (_diagonals); the product runs on that view in
+    real form, its result goes back through the same view, and the lower
+    triangle is the mirror.  eta = 1 returns the state as it is.  The
+    truncated space is closed under loss, so the channel is exact there.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
     cutoff = state.cutoff
     rho = np.outer(state.amps, state.amps.conj()) if isinstance(state, FockVector) else state.rho
-    amps = _loss_amplitudes(eta, cutoff)
-    out = np.zeros_like(rho)
-    for q in range(cutoff + 1):
-        l_q = np.diagonal(amps, offset=q)
-        out[: cutoff + 1 - q, : cutoff + 1 - q] += l_q[:, None] * rho[q:, q:] * l_q
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, cutoff)
+    if eta == 1.0:
+        return DensityMatrix(0.5 * (rho + rho.conj().T), cutoff)
+    dim = cutoff + 1
+    s = _scaled_sqrt_factorials(cutoff)
+    n = np.arange(dim)
+    # in sigma's scale the weights are (1-eta)^k / s[k]^2, and the prefactor
+    # is g[m] g[n] with g[m] = eta^(m/2) / s[m]: the powers of kappa cancel
+    w = (1.0 - eta) ** n / s**2
+    lag = n[None, :] - n[:, None]
+    toeplitz = np.where(lag >= 0, w[np.abs(lag)], 0.0)
+    # sigma in rows of 2 dim entries, so each diagonal ends in zeros
+    padded = np.zeros((dim, 2 * dim), dtype=np.complex128)
+    padded[:, :dim] = s[:, None] * rho * s
+    out = np.zeros_like(padded)
+    _diagonals(out)[...] = toeplitz @ _diagonals(padded)
+    upper = out[:, :dim]
+    g = np.sqrt(eta) ** n / s
+    upper *= g[:, None] * g
+    upper[n, n] = 0.5 * upper[n, n].real
+    return DensityMatrix(upper + upper.conj().T, cutoff)
+
+
+def _diagonals(padded: np.ndarray) -> np.ndarray:
+    """Float view of a (dim, 2 dim) complex array whose row i holds its
+    entries (i, i), (i, i + 1), ... (i, i + dim - 1), real and imaginary
+    parts interleaved; every entry lies inside the array."""
+    dim = padded.shape[0]
+    flat = padded.view(np.float64)
+    row, col = flat.strides
+    return np.lib.stride_tricks.as_strided(
+        flat, shape=(dim, 2 * dim), strides=(row + 2 * col, col)
+    )
 
 
 def conditional_output_lossy(
@@ -98,24 +142,46 @@ def conditional_output_lossy(
     The weight uses the same normalization as the ideal success
     probabilities: outcome probability for SPD, probability density at x
     for HM.  When the herald can never fire (eta_det = 0 with SPD) the
-    weight is exactly 0 and the state is None.
+    weight is exactly 0 and the state is None.  An ideal detector
+    (eta_det = 1) heralds on the closed route (scheme._herald), the ideal
+    herald of conditional_output; only detector loss embeds the two-mode
+    state and walks it (_herald_lossy).
     """
+    if imp.eta_det == 1.0:
+        closed = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
+        return _herald_ideal(*closed, imp, cutoff)
     return _herald_lossy(embedded_two_mode_state(p, cutoff, check_input_tail), p, imp, cutoff)
+
+
+def _herald_ideal(
+    full: np.ndarray, inputs: np.ndarray, imp: ImperfectionSpec, cutoff: int
+) -> tuple[DensityMatrix | None, float]:
+    """conditional_output_lossy with an ideal detector, on the closed
+    route's output and truncated inputs (scheme._herald): the ideal output
+    state, passed through the eta_signal channel."""
+    weight = _probability(full, inputs)
+    if weight == 0.0:
+        return None, 0.0
+    out = _split_output(full, cutoff)
+    if out.raw_weight <= 0.0:
+        raise NormalizationError("heralded state lost all mass to truncation")
+    return loss_channel(out.state, imp.eta_signal), weight
 
 
 def _herald_lossy(
     mixed: TwoModeState, p: SchemeParams, imp: ImperfectionSpec, cutoff: int
 ) -> tuple[DensityMatrix | None, float]:
-    """conditional_output_lossy on an already embedded two-mode state."""
+    """conditional_output_lossy on an already embedded two-mode state, any
+    eta_det included."""
     c = mixed.amps
     big = mixed.cutoff
     total = mixed.norm_sq()
-    amps = _loss_amplitudes(imp.eta_det, big)
     if isinstance(p.measurement, SPD):
         # Losing q photons before an n=1 click means 1+q were present.
-        v = amps[1, 1:, None] * c[1:]
+        v = _loss_amplitudes(imp.eta_det, big, kept=1)[1:, None] * c[1:]
     elif isinstance(p.measurement, HM):
         # Row q of the bra matrix reads x after q photons were lost.
+        amps = _loss_amplitudes(imp.eta_det, big)
         n_idx = np.arange(big + 1)
         phi = hermite_gaussian_columns(big, p.measurement.x) * np.exp(
             -1j * p.measurement.lam * n_idx
@@ -226,21 +292,29 @@ def sweep_efficiency(
     """Misfit of the lossy pipeline over an efficiency grid, sorted ascending.
 
     which selects where the loss sits: the measurement path ("det"), the
-    signal path ("signal"), or both ("both").  The two-mode state does not
-    depend on eta, so it is embedded once for the whole grid.
+    signal path ("signal"), or both ("both").  Neither route depends on
+    eta, so each is built once for the whole grid, and only when a point
+    needs it: the closed route (scheme._herald) at the first point with an
+    ideal detector, the two-mode embedding at the first point with detector
+    loss.  A "signal" grid never embeds.
     """
     if which not in ("det", "signal", "both"):
         raise ValueError(f"unknown placement {which!r}")
     points = []
-    mixed = None
+    closed = mixed = None
     for eta in sorted(float(e) for e in eta_grid):
         imp = ImperfectionSpec(
             eta_det=eta if which in ("det", "both") else 1.0,
             eta_signal=eta if which in ("signal", "both") else 1.0,
         )
-        if mixed is None:
-            mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
-        rho, weight = _herald_lossy(mixed, p, imp, cutoff)
+        if imp.eta_det == 1.0:
+            if closed is None:
+                closed = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
+            rho, weight = _herald_ideal(*closed, imp, cutoff)
+        else:
+            if mixed is None:
+                mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
+            rho, weight = _herald_lossy(mixed, p, imp, cutoff)
         eps = 1.0 if rho is None else misfit(rho, target)
         points.append(SweepPoint(eta, eps, eps, weight))
     return points

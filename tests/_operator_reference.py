@@ -6,10 +6,12 @@ comes from its own closed form, with no recurrence shared with the package.
 The Hermite functions of the quadrature eigenbra from scipy's Hermite
 polynomials, the reference for the package's normalized recurrence.  The
 loss channel as an explicit vacuum-ancilla dilation, the reference for the
-closed-form loss amplitudes of heraldkit.imperfections, with the partial
-trace it needs.  Number states and product states as plain arrays.  The
-exact Gaussian core's outputs truncated at the cutoff, normalized there,
-for the tests that compare states rather than misfits.
+closed-form loss amplitudes of heraldkit.fock, with the partial trace it
+needs, and as the textbook Kraus sum over those amplitudes, the reference
+for the Toeplitz product of heraldkit.imperfections.loss_channel.  Number
+states and product states as plain arrays.  The exact Gaussian core's
+outputs truncated at the cutoff, normalized there, for the tests that
+compare states rather than misfits.
 """
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_hermite, gammaln
@@ -20,6 +22,7 @@ from heraldkit.fock import (
     DensityMatrix,
     FockVector,
     TwoModeState,
+    _loss_amplitudes,
     beam_splitter_apply,
 )
 
@@ -131,6 +134,20 @@ def loss_dilation(state: FockVector, eta: float) -> DensityMatrix:
     if dropped != 0.0:
         raise AssertionError("loss dilation must conserve the truncated support")
     return partial_trace(mixed.amps)
+
+
+def loss_kraus_sum(state: FockVector | DensityMatrix, eta: float) -> DensityMatrix:
+    """Loss of efficiency eta as the textbook Kraus sum over the number q of
+    lost photons: each term is a shifted slice of rho (|psi><psi| for a pure
+    state) weighted by the loss amplitudes of heraldkit.fock."""
+    cutoff = state.cutoff
+    rho = np.outer(state.amps, state.amps.conj()) if isinstance(state, FockVector) else state.rho
+    amps = _loss_amplitudes(eta, cutoff)
+    out = np.zeros_like(rho)
+    for q in range(cutoff + 1):
+        l_q = np.diagonal(amps, offset=q)
+        out[: cutoff + 1 - q, : cutoff + 1 - q] += l_q[:, None] * rho[q:, q:] * l_q
+    return DensityMatrix(0.5 * (out + out.conj().T), cutoff)
 
 
 def core_outputs(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import heraldkit
-from heraldkit import cli, scheme
+from heraldkit import cli, imperfections, scheme
 from heraldkit.cli import main
 from heraldkit.scheme import (
     SPD,
@@ -639,6 +639,52 @@ def test_sweep_efficiency_unit_endpoint(tmp_path):
     ideal = misfit(conditional_output(api_row2(), 30, check_input_tail=False), tgt)
     assert abs(float(rows[-1]["misfit_mean"]) - ideal) <= 1e-12
     assert float(rows[0]["misfit_mean"]) > float(rows[-1]["misfit_mean"])
+
+
+def efficiency_sweep_rows(tmp_path, which: str, etas: list[float]) -> list[dict]:
+    cfg = write_config(tmp_path, {
+        "target": {"family": "binomial", "p": 0.3, "M": 7},
+        "cutoff": 30,
+        "sweep": {
+            "mode": "efficiency", "kind": "spd", "params": ROW2_PARAMS,
+            "etas": etas, "which": which,
+        },
+    }, f"{which}.yaml")
+    out = tmp_path / which
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    return read_rows(out / "sweep.csv")
+
+
+def test_sweep_efficiency_signal_path(tmp_path):
+    # loss after conditioning: the herald weight is the ideal one at every
+    # eta, and the state is the loss channel of the ideal state
+    etas = [0.7, 0.85, 1.0]
+    rows = efficiency_sweep_rows(tmp_path, "signal", etas)
+    tgt = target_state(Binomial(0.3, 7), 30)
+    ideal = conditional_output(api_row2(), 30, check_input_tail=False)
+    weight = success_prob_spd(api_row2(), 30, check_input_tail=False)
+    assert [float(r["sweep_var"]) for r in rows] == etas
+    for row, eta in zip(rows, etas):
+        assert float(row["herald_weight"]) == weight
+        eps = misfit(imperfections.loss_channel(ideal.state, eta), tgt)
+        assert float(row["misfit_mean"]) == eps
+        assert float(row["misfit_max"]) == eps
+
+
+def test_sweep_efficiency_both_paths(tmp_path):
+    # signal loss leaves the herald weight of detector loss unchanged and
+    # only degrades the state further
+    etas = [0.8, 0.9]
+    both = efficiency_sweep_rows(tmp_path, "both", etas)
+    det = efficiency_sweep_rows(tmp_path, "det", etas)
+    assert [float(r["sweep_var"]) for r in both] == etas
+    for b, d, eta in zip(both, det, etas):
+        assert b["herald_weight"] == d["herald_weight"]
+        assert float(b["misfit_mean"]) > float(d["misfit_mean"])
+        rho, _ = imperfections.conditional_output_lossy(
+            api_row2(), imperfections.ImperfectionSpec(eta, eta), 30, check_input_tail=False
+        )
+        assert float(b["misfit_mean"]) == misfit(rho, target_state(Binomial(0.3, 7), 30))
 
 
 # ---------------------------------------------------------------- optimize

@@ -4,10 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
-from _operator_reference import basis_state, coherent_state, loss_dilation, partial_trace
+from _operator_reference import (
+    basis_state,
+    coherent_state,
+    loss_dilation,
+    loss_kraus_sum,
+    partial_trace,
+)
+from test_scheme import box_draws
 
 from heraldkit import imperfections
-from heraldkit.fock import DensityMatrix, FockVector, fidelity
+from heraldkit.fock import DensityMatrix, FockVector, _loss_amplitudes, fidelity
 from heraldkit.imperfections import (
     ImperfectionSpec,
     conditional_output_lossy,
@@ -25,6 +32,7 @@ from heraldkit.scheme import (
     misfit,
     success_prob_spd,
 )
+from heraldkit.reference_rows import all_rows
 from heraldkit.states import SqueezedCoherentParams, binomial_state
 
 ROW_BINOM_SPD = SchemeParams(
@@ -114,6 +122,39 @@ def test_kraus_route_matches_dilation_route(eta):
         np.testing.assert_allclose(loss_channel(state, eta).rho, via_dilation.rho, atol=1e-12)
 
 
+@pytest.mark.parametrize("cutoff", [40, 60])
+@pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+def test_kraus_route_matches_dilation_route_at_higher_cutoffs(cutoff, eta):
+    psi = random_pure(cutoff, seed=cutoff)
+    via_dilation = loss_dilation(psi, eta)
+    rho_in = DensityMatrix(np.outer(psi.amps, psi.amps.conj()), cutoff)
+    for state in (psi, rho_in):
+        np.testing.assert_allclose(loss_channel(state, eta).rho, via_dilation.rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [12, 40, 60, 200])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.72, 0.95, 1.0])
+def test_toeplitz_product_matches_kraus_loop(cutoff, eta):
+    # the kappa-scaled weights keep cutoff 200 in range: the two routes
+    # differ by at most 6.6e-16 on these states, and the endpoints raise no
+    # warning
+    for state in (random_pure(cutoff, seed=17), random_density(cutoff, seed=19)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = loss_channel(state, eta).rho
+        assert np.max(np.abs(got - loss_kraus_sum(state, eta).rho)) <= 2e-15
+        np.testing.assert_array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.8, 1.0])
+def test_single_loss_row_is_bit_identical(eta):
+    # the single-photon herald builds row 1 of the loss table alone
+    for n_max in (60, 120):
+        np.testing.assert_array_equal(
+            _loss_amplitudes(eta, n_max, kept=1), _loss_amplitudes(eta, n_max)[1]
+        )
+
+
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.8, 1.0])
 def test_loss_amplitudes_match_gammaln_formula(eta):
     # scipy's gammaln and xlogy as an independent reference.  Both sides
@@ -167,6 +208,44 @@ def test_unit_efficiency_reproduces_ideal(p):
     if isinstance(p.measurement, SPD):
         expect = success_prob_spd(p, 30, check_input_tail=False)
         assert weight == pytest.approx(expect, rel=1e-10)
+
+
+# the bundled rows 02 and 03 and the first criterion-1 box draws of each kind
+IDEAL_DETECTOR_POINTS = (
+    [r.params for r in all_rows() if r.row_id in ("02-binom-0.3-7-spd", "03-binom-0.45-8-hm")]
+    + box_draws(np.random.default_rng(20260823), "spd", 3)
+    + box_draws(np.random.default_rng(20260823), "hm", 3)
+)
+
+
+@pytest.mark.parametrize("p", IDEAL_DETECTOR_POINTS, ids=[
+    "row02", "row03", "box-spd-0", "box-spd-1", "box-spd-2", "box-hm-0", "box-hm-1", "box-hm-2",
+])
+def test_ideal_detector_closed_route_matches_walk(p):
+    # an ideal detector heralds on the closed route, so its output is the
+    # ideal state; the embedded walk at eta_det = 1 is the independent
+    # check, to criterion 5's bounds
+    rho, weight = conditional_output_lossy(p, ImperfectionSpec(), 30, check_input_tail=False)
+    walk_rho, walk_weight = imperfections._herald_lossy(
+        embedded_two_mode_state(p, 30, False), p, ImperfectionSpec(), 30
+    )
+    assert weight == pytest.approx(walk_weight, rel=1e-10)
+    # the output is pure: its one vector against the walk's state
+    state = FockVector(np.linalg.eigh(rho.rho)[1][:, -1], 30)
+    assert fidelity(state, walk_rho) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("p", IDEAL_DETECTOR_POINTS[:2], ids=["spd", "hm"])
+def test_ideal_detector_seam(p):
+    # eta_det = 1 - 1e-9 walks the embedding, eta_det = 1 takes the closed
+    # route: one lost photon in 1e9 moves the weight by about <n> 1e-9 of
+    # itself and the state by as little, well inside 1e-7
+    eps = 1e-9
+    mixed = embedded_two_mode_state(p, 30, False)
+    near, near_weight = imperfections._herald_lossy(mixed, p, ImperfectionSpec(1.0 - eps), 30)
+    rho, weight = conditional_output_lossy(p, ImperfectionSpec(), 30, check_input_tail=False)
+    assert near_weight == pytest.approx(weight, rel=100 * eps)
+    assert np.max(np.abs(near.rho - rho.rho)) <= 100 * eps
 
 
 def test_blind_detector_never_heralds():
@@ -383,6 +462,29 @@ def test_efficiency_sweep_embeds_once(monkeypatch):
         assert (pt.sweep_var, pt.misfit_mean, pt.misfit_max, pt.herald_weight) == (
             eta, eps, eps, weight
         )
+
+
+@pytest.mark.parametrize("which, etas, embeds", [
+    ("signal", [0.7, 1.0, 0.9], 0),
+    ("det", [1.0, 1.0], 0),
+    ("det", [1.0, 0.9, 0.8], 1),
+    ("both", [0.9, 1.0], 1),
+])
+def test_efficiency_sweep_embeds_only_for_detector_loss(monkeypatch, which, etas, embeds):
+    # an ideal detector heralds on the closed route; the grid embeds the
+    # two-mode state once, at its first point with detector loss, or never
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return embedded_two_mode_state(*args, **kwargs)
+
+    monkeypatch.setattr(imperfections, "embedded_two_mode_state", counting)
+    for p, tgt in ((ROW_BINOM_SPD, binomial_state(0.3, 7, 30)),
+                   (ROW_BINOM_HM, binomial_state(0.45, 8, 30))):
+        calls.clear()
+        sweep_efficiency(p, tgt, etas, which=which, cutoff=30, check_input_tail=False)
+        assert len(calls) == embeds
 
 
 def test_efficiency_sweep_validation():
