@@ -16,7 +16,12 @@ at any search cutoff.  The random draws of a generation do not depend on
 how it is scored, so a seed means the same search either way.  The
 polish minimizes the same misfit, with its exact gradient, one point at
 a time in Python complex arithmetic (scheme._core_misfit, no numpy call),
-by a projected BFGS descent (_descend) on small numpy arrays.
+by a projected BFGS descent (_descend) on small numpy arrays.  It moves
+each input in its Bargmann coordinates (_chart): a free (r, theta) or
+(|alpha|, phi) pair as the real and imaginary parts of s = e^{i theta}
+tanh r or of alpha, which the core is linear and bilinear in, held in
+the disk of its limits by radial projection.  Polar coordinates are
+singular at r = 0 and |alpha| = 0, and the descent crawled near them.
 The polish compares its start and end points by the misfit of the scalar
 route, which truncates the inputs at the cutoff, scheme.misfit(
 scheme.conditional_output(params, cutoff, check_input_tail=False),
@@ -41,6 +46,7 @@ per restart, so a (config, seed, target) triple fixes the result exactly.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -55,6 +61,7 @@ from .scheme import (
     HM_LAYOUT,
     SchemeParams,
     _ANGLES,
+    _bargmann_point,
     _T_RANGE,
     _TWO_PI,
     _X_RANGE,
@@ -353,52 +360,79 @@ def optimize(
 def _descend(
     fun: Callable[[list[float]], tuple[float, list[float]]],
     x: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_iters: int,
+    disks: tuple[tuple[int, float, float], ...],
 ) -> tuple[np.ndarray, int]:
     """Minimize fun, which maps a list of floats to its value and gradient,
-    over the box [lo, hi] (infinite limits on unbounded entries) by a
-    projected BFGS descent from x; the end point and the calls of fun.
+    over the box [lo, hi] (infinite limits on unbounded entries) and the
+    annuli of disks by a projected BFGS descent from x; the end point and
+    the calls of fun.  A disk (i, inner, outer) holds the pair of entries
+    i and i + 1 at a radius in [inner, outer], by radial projection.
 
-    Each iteration holds the entries at a limit the gradient pushes
-    against, steps the others along the quasi-Newton direction of the
-    free block of the Hessian estimate (the gradient, its largest entry
-    cut to 0.1, at the start and after a step that is not a descent),
-    projects the trial into the box and backtracks by safeguarded
-    quadratic interpolation until the value falls by the Armijo fraction
-    1e-4 of the slope.  A trial on which fun raises NormalizationError is
-    rejected like one that rises.  It stops after max_iters iterations,
-    once no free gradient entry exceeds 1e-12, when 30 trials lower
-    nothing, or when a step lowers the value by at most 1e-10 of itself.
+    Each iteration holds the entries at a limit of the box the gradient
+    pushes against, steps the others along the quasi-Newton direction of
+    the free block of the Hessian estimate (the gradient, its largest
+    entry cut to 0.1, at the start and after a step that is not a
+    descent), projects the trial into the box and the annuli and
+    backtracks by safeguarded quadratic interpolation until the value
+    falls by the Armijo fraction 1e-4 of the slope.  A trial on which fun
+    raises NormalizationError is rejected like one that rises.  It stops
+    after max_iters iterations, once no free gradient entry exceeds
+    1e-12, when 30 trials lower nothing, or when a step lowers the value
+    by at most 1e-10 of itself.  At 9 to 11 entries a numpy call costs
+    more than its arithmetic, so scalars stay Python floats and the
+    entries that have a limit are checked one by one.
     """
-    x = np.clip(x, lo, hi)
-    f, g = fun(x.tolist())
-    g = np.array(g)
+    bounded = [(i, float(lo[i]), float(hi[i])) for i in range(x.size)
+               if lo[i] > -math.inf or hi[i] < math.inf]
+
+    def project(v: np.ndarray) -> np.ndarray:
+        v = np.minimum(np.maximum(v, lo), hi)
+        for i, inner, outer in disks:
+            radius = math.hypot(v[i], v[i + 1])
+            if radius > outer or radius < inner:
+                if radius == 0.0:
+                    v[i] = inner
+                else:
+                    v[i:i + 2] *= min(outer, max(inner, radius)) / radius
+        return v
+
+    x = project(x)
+    f, g_list = fun(x.tolist())
+    g = np.array(g_list)
     calls = 1
     inv_h = None  # the inverse Hessian estimate, from the first curvature pair
     for _ in range(max_iters):
-        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
-        g_free = np.where(held, 0.0, g)
-        if not np.abs(g_free).max() > 1e-12:
+        held = [i for i, low, high in bounded
+                if (g_list[i] > 0.0 and x[i] <= low) or (g_list[i] < 0.0 and x[i] >= high)]
+        g_free = g
+        if held:
+            g_free = g.copy()
+            g_free[held] = 0.0
+        if not max(map(abs, g_free.tolist())) > 1e-12:
             break
-        step = -g_free
-        if inv_h is not None and held.any():
-            keep = ~held  # invert the free block: the Schur complement of the held one
+        if inv_h is None:
+            step = -g_free
+        elif held:  # invert the free block: the Schur complement of the held one
+            keep = np.ones(x.size, dtype=bool)
+            keep[held] = False
             h_fa = inv_h[np.ix_(keep, held)]
+            step = np.zeros(x.size)
             step[keep] = -(inv_h[np.ix_(keep, keep)] - h_fa @ np.linalg.solve(
                 inv_h[np.ix_(held, held)], h_fa.T)) @ g[keep]
-        elif inv_h is not None:
+        else:
             step = -(inv_h @ g)
         if not g_free @ step < 0.0:
             inv_h, step = None, -g_free
-        t = 1.0 if inv_h is not None else min(1.0, 0.1 / np.abs(step).max())
+        t = 1.0 if inv_h is not None else min(1.0, 0.1 / float(np.abs(step).max()))
         for _ in range(30):
-            trial = np.minimum(np.maximum(x + t * step, lo), hi)
+            trial = project(x + t * step)
             moved = trial - x
             if not moved.any():
                 return x, calls
-            slope = g @ moved
+            slope = float(g @ moved)
             calls += 1
             try:
-                f_new, g_new = fun(trial.tolist())
+                f_new, g_list = fun(trial.tolist())
             except NormalizationError:
                 f_new = math.inf
             if f_new < f and f_new <= f + 1e-4 * slope:
@@ -408,20 +442,111 @@ def _descend(
             t *= min(0.5, max(0.1, -0.5 * slope / curve)) if 0.0 < curve < math.inf else 0.5
         else:
             break
-        g_new = np.array(g_new)
+        g_new = np.array(g_list)
         y = g_new - g
-        sy = moved @ y
-        if sy > 1e-12 * math.sqrt((moved @ moved) * (y @ y)):
+        sy, yy = float(moved @ y), float(y @ y)
+        if sy > 1e-12 * math.sqrt(float(moved @ moved) * yy):
             if inv_h is None:
-                inv_h = np.eye(x.size) * (sy / (y @ y))
+                inv_h = np.eye(x.size) * (sy / yy)
             hy = inv_h @ y
-            v = np.outer((0.5 * (1.0 + (y @ hy) / sy) * moved - hy) / sy, moved)
-            inv_h += v + v.T
+            u = ((0.5 + 0.5 * float(y @ hy) / sy) * moved - hy) * (1.0 / sy)
+            v = u[:, None] * moved  # the BFGS update H + u m^T + m u^T
+            inv_h += v
+            inv_h += v.T
         progress = f - f_new > 1e-10 * f
         x, f, g = trial, f_new, g_new
         if not progress:
             break
     return x, calls
+
+
+class _Chart(NamedTuple):
+    """The polish's coordinates for one box and start: the descent's
+    variables at the start, their box (infinite limits on angles and on
+    the pairs in Bargmann coordinates), the annuli (first entry, inner and
+    outer radius) that hold those pairs, the misfit with its gradient over
+    the variables, and the map from variables to a flat point in the box."""
+
+    start: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    disks: tuple[tuple[int, float, float], ...]
+    fun: Callable[[list[float]], tuple[float, list[float]]]
+    flat: Callable[[np.ndarray], np.ndarray]
+
+
+# Each input's (radius, angle) pairs in the flat layout, by the radius's
+# index, and whether the pair is the squeezing, s = e^{i theta} tanh r,
+# rather than the displacement alpha = |alpha| e^{i phi}.
+_PAIRS = ((0, True), (2, False), (4, True), (6, False))
+
+
+def _chart(full: np.ndarray, bounds: Bounds, core_misfit) -> _Chart:
+    """The descent's coordinates over the free entries of the flat point
+    full in bounds, for core_misfit (scheme._core_misfit).
+
+    A pair whose two entries are free moves as the real and imaginary
+    parts of s_j or alpha_j, the core's own coordinates, in the annulus
+    tanh(r limits) or |alpha| limits, so r = 0 and |alpha| = 0 are
+    ordinary points.  A pair with a pinned entry moves its free entry in
+    polar form, through the Jacobian of s or alpha.  T, x and lam move as
+    they are.  flat converts back: r = atanh|s|, |alpha|, the angles by
+    atan2, and every bounded entry clamped into its limits."""
+    lower, upper = np.asarray(bounds.lower), np.asarray(bounds.upper)
+    periodic = np.asarray(bounds.periodic)
+    free = lower < upper
+    slots = np.flatnonzero(free).tolist()
+    base = _bargmann_point(full)
+    start = full.copy()
+    lo = np.where(periodic, -np.inf, lower)
+    hi = np.where(periodic, np.inf, upper)
+    disks, bargmann, polar = [], [], []
+    for k, squeezed in _PAIRS:
+        if free[k] and free[k + 1]:
+            radial = math.tanh if squeezed else float
+            disks.append((slots.index(k), radial(lower[k]), radial(upper[k])))
+            bargmann.append((slots.index(k), k, squeezed))
+            start[k:k + 2] = base[k:k + 2]
+            lo[k:k + 2], hi[k:k + 2] = -np.inf, np.inf
+        elif free[k] or free[k + 1]:
+            turn = bool(free[k + 1])  # the angle is the free entry
+            polar.append((slots.index(k + turn), k, squeezed, turn, float(full[k + 1 - turn])))
+
+    def fun(y: list[float]) -> tuple[float, list[float]]:
+        w = base[:]
+        for i, v in zip(slots, y):
+            w[i] = v
+        tangents = []
+        for pos, k, squeezed, turn, fixed in polar:
+            radius, angle = (fixed, y[pos]) if turn else (y[pos], fixed)
+            rot = cmath.exp(1j * angle)
+            if squeezed:
+                tanh_r = math.tanh(radius)
+                z = rot * tanh_r
+                dz = 1j * z if turn else rot * (1.0 - tanh_r * tanh_r)
+            else:
+                z = radius * rot
+                dz = 1j * z if turn else rot
+            w[k], w[k + 1] = z.real, z.imag
+            tangents.append((pos, k, dz))
+        eps, g = core_misfit(w)
+        grad = [g[i] for i in slots]
+        for pos, k, dz in tangents:
+            grad[pos] = g[k] * dz.real + g[k + 1] * dz.imag
+        return eps, grad
+
+    def flat(y: np.ndarray) -> np.ndarray:
+        w = full.copy()
+        w[free] = y
+        for pos, k, squeezed in bargmann:
+            radius = math.hypot(y[pos], y[pos + 1])
+            w[k] = math.atanh(radius) if squeezed else radius
+            w[k + 1] = math.atan2(y[pos + 1], y[pos])
+        return np.where(periodic, w, np.clip(w, lower, upper))
+
+    if not polar and len(slots) == full.size:
+        fun = core_misfit  # every entry free: the variables are the core's point
+    return _Chart(start[free], lo[free], hi[free], tuple(disks), fun, flat)
 
 
 def local_polish(
@@ -431,61 +556,53 @@ def local_polish(
     max_iters: int = 400,
     bounds: Bounds | None = None,
 ) -> PolishResult:
-    """Quasi-Newton descent on the exact gradient from one point.
+    """Quasi-Newton descent on the exact gradient from one point, in the
+    inputs' Bargmann coordinates.
 
     Runs _descend for at most max_iters iterations on the dimensions of
     bounds (Bounds.for_kind by default) whose lower limit is below the
-    upper, the others held at their pinned value; angles are free to cross
-    the 0/2*pi seam (they are wrapped on assembly).  It minimizes the
-    misfit the GA minimizes, on the exact Gaussian core, with its gradient
-    (scheme._core_misfit).  The reported misfit is that of the truncated
-    route, misfit(conditional_output(p, cutoff, check_input_tail=False),
-    target), and the descent's end point is kept only if its reported
-    misfit is lower than the start's, so the polished misfit never
-    exceeds the starting one.  With every dimension pinned the start is
-    kept.  The polish computes no other figure: the caller scores the
-    point it reports.  The result's trace is the reported misfit before
-    and after, and its evaluation count is the descent's calls, one per
-    value and gradient, plus one.
+    upper, the others held at their pinned value.  An input's (r, theta)
+    and (|alpha|, phi) pairs whose entries are both free move as the
+    real and imaginary parts of s = e^{i theta} tanh r and of alpha, the
+    coordinates the core is linear and bilinear in (_chart): polar
+    coordinates are singular at r = 0 and |alpha| = 0, where the descent
+    would crawl, and the GA's and the table's points sit near them.  A
+    pair with a pinned entry moves in polar form; angles are free to
+    cross the 0/2*pi seam (they are wrapped on assembly).  It minimizes
+    the misfit the GA minimizes, on the exact Gaussian core, with its
+    gradient (scheme._core_misfit), and converts the end point back to
+    the flat layout, clamped into the box.  The reported misfit is that
+    of the truncated route, misfit(conditional_output(p, cutoff,
+    check_input_tail=False), target), and the descent's end point is kept
+    only if its reported misfit is lower than the start's, so the
+    polished misfit never exceeds the starting one.  With every dimension
+    pinned the start is kept.  The polish computes no other figure: the
+    caller scores the point it reports.  The result's trace is the
+    reported misfit before and after, and its evaluation count is the
+    descent's calls, one per value and gradient, plus one.
     """
     full, kind, whw = params_to_vector(params)
     bounds = bounds if bounds is not None else Bounds.for_kind(kind)
     if len(bounds.lower) != full.size:
         raise ValueError(f"a box of width {len(bounds.lower)} for a {kind} point")
     lower, upper = np.asarray(bounds.lower), np.asarray(bounds.upper)
-    free = lower < upper
-    full[~free] = lower[~free]
+    full[lower == upper] = lower[lower == upper]
     tgt = _target_vector(target, cutoff)
-
-    def assemble(x: np.ndarray) -> SchemeParams:
-        w = full.copy()
-        w[free] = x
-        return vector_to_params(w, whw)
 
     def reported_misfit(p: SchemeParams) -> float:
         return misfit(conditional_output(p, cutoff, check_input_tail=False), tgt)
 
-    best_params = assemble(full[free])
+    best_params = vector_to_params(full, whw)
     eps_start = eps_here = reported_misfit(best_params)
     calls = 0
-    if free.any():
-        core_misfit = _core_misfit(tgt)
-        base = full.tolist()
-        slots = np.flatnonzero(free).tolist()
-
-        def fun(x: list[float]) -> tuple[float, list[float]]:
-            w = base[:]
-            for i, v in zip(slots, x):
-                w[i] = v
-            eps, grad = core_misfit(w)
-            return eps, [grad[i] for i in slots]
-
-        angle = np.asarray(bounds.periodic)[free]
-        x, calls = _descend(fun, full[free], np.where(angle, -np.inf, lower[free]),
-                            np.where(angle, np.inf, upper[free]), max_iters)
-        end = assemble(x)
-        eps_end = reported_misfit(end)
-        if eps_end < eps_start:
-            best_params, eps_here = end, eps_end
+    if (lower < upper).any():
+        chart = _chart(full, bounds, _core_misfit(tgt))
+        y, calls = _descend(chart.fun, chart.start, chart.lower, chart.upper, max_iters,
+                            chart.disks)
+        if not np.array_equal(y, chart.start):
+            end = vector_to_params(chart.flat(y), whw)
+            eps_end = reported_misfit(end)
+            if eps_end < eps_start:
+                best_params, eps_here = end, eps_end
 
     return PolishResult(best_params, eps_here, (eps_start, eps_here), calls + 1)

@@ -43,7 +43,10 @@ K, in K + 1 steps.  Each reader is built once per target:
 _core_misfit_batch scores numpy batches (the GA generations, the
 deviation-sweep levels) with herald weights, and _core_misfit one point
 with its exact gradient in Python complex arithmetic, the polish's
-objective, which numpy's per-call overhead would dominate.
+objective, which numpy's per-call overhead would dominate.  The polish
+gives its point in the inputs' Bargmann coordinates (_bargmann_point),
+s_j = e^{i theta_j} tanh r_j and alpha_j, in which the arms are linear
+and bilinear.
 
 A flat point carries its own kind: SPD_LAYOUT has 9 entries, HM_LAYOUT
 11, and every function that takes one reads the kind from the length
@@ -456,18 +459,25 @@ def _gaussian_core(point, xp=np):
     """
     a1, b1, c1 = _bargmann_coefficients(*point[0:4], xp)
     a2, b2, c2 = _bargmann_coefficients(*point[4:8], xp)
-    t = point[8]
+    return _mix((a1, b1, a2, b2), xp.log(c1) + xp.log(c2), point[8:], xp)
+
+
+def _mix(arms, log_c, tail, xp):
+    """_gaussian_core's stages from the arms' (a1, b1, a2, b2), the log of
+    the inputs' scale c0_1 c0_2 (0 where only the output's shape is read,
+    as in _core_misfit) and the point's entries from T on."""
+    a1, b1, a2, b2 = arms
+    t = tail[0]
     sq_t, sq_r = xp.sqrt(t), xp.sqrt(1.0 - t)
     a33 = t * a1 - (1.0 - t) * a2
     a34 = 1j * sq_t * sq_r * (a1 + a2)
     a44 = t * a2 - (1.0 - t) * a1
     b3 = sq_t * b1 + 1j * sq_r * b2
     b4 = 1j * sq_r * b1 + sq_t * b2
-    log_c = xp.log(c1) + xp.log(c2)
-    arms, mixed = (a1, b1, a2, b2), (a33, a34, a44, b3, b4)
-    if len(point) == len(SPD_LAYOUT):
+    mixed = (a33, a34, a44, b3, b4)
+    if len(tail) == 1:
         return arms, mixed, None, (a44, b4, log_c, (b3, a34))
-    x, lam = point[9], point[10]
+    x, lam = tail[1], tail[2]
     p = -xp.exp(-2j * lam)
     q = _SQRT2 * x * xp.exp(-1j * lam)
     delta = 1.0 - a33 * p
@@ -534,23 +544,41 @@ def _support(target: FockVector) -> np.ndarray:
     return target.amps[: np.flatnonzero(target.amps)[-1] + 1].conj()
 
 
-def _core_misfit(target: FockVector) -> Callable[[list[float]], tuple[float, list[float]]]:
-    """The misfit against target of one flat point, a list of floats, on
-    the exact Gaussian core, and its gradient over the point's entries, in
-    Python complex arithmetic with no numpy call.
+def _bargmann_point(vec: Sequence[float]) -> list[float]:
+    """A flat point in the core's layout, as _core_misfit takes it: each
+    input's (r, theta) becomes the real and imaginary parts of s = e^{i
+    theta} tanh r, its (|alpha|, phi) those of alpha, and T, x and lam are
+    kept.  s and alpha are formed as _gaussian_core forms them for one
+    point, so the core's arms agree to the bit."""
+    point = [float(v) for v in vec]
+    for k in (0, 4):
+        s = cmath.exp(1j * point[k + 1]) * math.tanh(point[k])
+        alpha = point[k + 2] * cmath.exp(1j * point[k + 3])
+        point[k:k + 4] = s.real, s.imag, alpha.real, alpha.imag
+    return point
 
-    eps = 1 - |S|^2 / ||d||^2, S = sum_{n<=K} conj(t_n) d_n over the
-    target's support (_support), as in _core_misfit_batch, whose row it
-    equals to rounding.  S is holomorphic in the core's (a, b) and, for
-    SPD's d = (B3 + A34 z) e, in (B3, A34); its derivatives are overlaps
-    with z^k e (de_n/db = sqrt(n) e_{n-1}, de_n/da = sqrt(n(n-1)) e_{n-2}
-    / 2).  log ||d||^2 is differentiated in its smooth form (|b|^2 +
-    Re(conj(a) b^2)) / g - log(g) / 2, g = 1 - |a|^2, plus SPD's log(|B3 +
-    A34 conj(mu)|^2 + |A34|^2 / g), mu = (b + a conj(b)) / g.  The
-    Wirtinger derivatives h_w (d eps = 2 Re sum_w h_w dw) go back through
-    the stages of _gaussian_core to the real entries.  A point whose output
-    is zero or not finite (an overflowing cosh r or gradient included)
-    raises NormalizationError, as in the batch.
+
+def _core_misfit(target: FockVector) -> Callable[[list[float]], tuple[float, list[float]]]:
+    """The misfit against target of one point in the core's layout
+    (_bargmann_point), a list of floats, on the exact Gaussian core, and
+    its gradient over the point's entries, in Python complex arithmetic
+    with no numpy call.
+
+    The arms are linear and bilinear in these entries, a_j = -s_j and b_j
+    = alpha_j + conj(alpha_j) s_j, so s = 0 and alpha = 0 are ordinary
+    points, and no tanh, cosh or exp of an input is taken.  eps = 1 -
+    |S|^2 / ||d||^2, S = sum_{n<=K} conj(t_n) d_n over the target's support
+    (_support), as in _core_misfit_batch, whose row it equals to rounding.
+    S is holomorphic in the core's (a, b) and, for SPD's d = (B3 + A34 z)
+    e, in (B3, A34); its derivatives are overlaps with z^k e (de_n/db =
+    sqrt(n) e_{n-1}, de_n/da = sqrt(n(n-1)) e_{n-2} / 2).  log ||d||^2 is
+    differentiated in its smooth form (|b|^2 + Re(conj(a) b^2)) / g -
+    log(g) / 2, g = 1 - |a|^2, plus SPD's log(|B3 + A34 conj(mu)|^2 +
+    |A34|^2 / g), mu = (b + a conj(b)) / g.  The Wirtinger derivatives h_w
+    (d eps = 2 Re sum_w h_w dw) go back through the stages of _mix to the
+    real entries.  A point with |s_j| >= 1 (tanh r rounds to 1 past r =
+    19), or whose output is zero or not finite, raises
+    NormalizationError, as the batch does.
     """
     conj = _support(target).tolist()
     roots = _recurrence_roots(len(conj) - 1)
@@ -562,10 +590,15 @@ def _core_misfit(target: FockVector) -> Callable[[list[float]], tuple[float, lis
         shifted.append([v * root for v, root in zip(shifted[-1][1:], sqrt_m)])
 
     def point_misfit(point: list[float]) -> tuple[float, list[float]]:
+        s1, alpha1 = complex(point[0], point[1]), complex(point[2], point[3])
+        s2, alpha2 = complex(point[4], point[5]), complex(point[6], point[7])
+        if not (_abs2(s1) < 1.0 and _abs2(s2) < 1.0):
+            raise NormalizationError("an input's squeezing |s| = tanh r is not below 1")
+        arms = (-s1, alpha1 + alpha1.conjugate() * s1, -s2, alpha2 + alpha2.conjugate() * s2)
         try:
-            arms, mixed, reading, (a, b, log_c, linear) = _gaussian_core(point, _SCALAR_MATH)
+            _, mixed, reading, (a, b, _, linear) = _mix(arms, 0.0, point[8:], _SCALAR_MATH)
             scale = math.exp(-0.5 * _core_log_norm_sq(a, b, linear, _SCALAR_MATH))
-        # cosh r overflows, or a log of 0 (c_0 or the output) is refused
+        # a log of 0 (the output) is refused, or the norm overflows
         except (ArithmeticError, ValueError) as exc:
             raise NormalizationError(f"heralded output is zero or not finite ({exc})") from None
         e = _amplitudes(a, b, 1.0, roots)
@@ -619,21 +652,16 @@ def _core_misfit(target: FockVector) -> Callable[[list[float]], tuple[float, lis
                      + 0.5 * ((h3 * b1 + h4 * b2) / sq_t
                               - 1j * (h3 * b2 + h4 * b1) / sq_r)).real
         grad = []
-        for (r, theta, alpha_abs, phi), h_aj, h_bj, a_j in (
-            (point[0:4], t * h33 - (1.0 - t) * h44 + cross, sq_t * h3 + 1j * sq_r * h4, a1),
-            (point[4:8], t * h44 - (1.0 - t) * h33 + cross, sq_t * h4 + 1j * sq_r * h3, a2),
+        for s, alpha, h_aj, h_bj in (
+            (s1, alpha1, t * h33 - (1.0 - t) * h44 + cross, sq_t * h3 + 1j * sq_r * h4),
+            (s2, alpha2, t * h44 - (1.0 - t) * h33 + cross, sq_t * h4 + 1j * sq_r * h3),
         ):
-            s = -a_j
-            rot = cmath.rect(1.0, phi)
-            alpha_c = alpha_abs * rot.conjugate()
-            k_s = h_bj * alpha_c - h_aj  # times ds, the arm's share
-            tanh_r = math.tanh(r)
-            grad += [2.0 * (k_s * cmath.rect(1.0, theta)).real * (1.0 - tanh_r * tanh_r),
-                     -2.0 * (k_s * s).imag,
-                     2.0 * (h_bj * (rot + rot.conjugate() * s)).real,
-                     -2.0 * (h_bj * (alpha_c.conjugate() - alpha_c * s)).imag]
+            # d eps = 2 Re(k_s ds + h_bj (d alpha + s d conj(alpha)))
+            k_s = h_bj * alpha.conjugate() - h_aj
+            grad += [2.0 * k_s.real, -2.0 * k_s.imag,
+                     2.0 * (h_bj * (1.0 + s)).real, -2.0 * (h_bj * (1.0 - s)).imag]
         grad += [g_t] + tail
-        if not (math.isfinite(eps + sum(grad)) and cmath.isfinite(log_c)):
+        if not math.isfinite(eps + sum(grad)):
             raise NormalizationError("heralded output is not finite")
         return eps, grad
 

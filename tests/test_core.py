@@ -59,8 +59,8 @@ def _check_support_misfit(point, tgt):
     # each route against 50 digits on its own core: numpy's and Python's
     # math differ in the last bits of (a, b)
     a, b, _, linear = scheme._gaussian_core(point, scheme._SCALAR_MATH)[-1]
-    assert abs(scheme._core_misfit(tgt)(point)[0] - support_misfit(a, b, linear, tgt.amps)) \
-        <= SUPPORT_ATOL
+    assert abs(scheme._core_misfit(tgt)(scheme._bargmann_point(point))[0]
+               - support_misfit(a, b, linear, tgt.amps)) <= SUPPORT_ATOL
     a, b, _, linear = scheme._gaussian_core(np.array(point)[:, None])[-1]
     want = support_misfit(complex(a[0]), complex(b[0]),
                           None if linear is None else tuple(complex(v[0]) for v in linear),
@@ -99,7 +99,7 @@ def test_binomial_score_is_the_same_at_every_search_cutoff():
         for eps, weights in scores[1:]:
             assert np.array_equal(eps, scores[0][0]) and np.array_equal(weights, scores[0][1])
         points = [scheme._core_misfit(target_state(_BINOMIAL, c)) for c in (30, 60, 200)]
-        for row in rows[:20].tolist():
+        for row in map(scheme._bargmann_point, rows[:20]):
             assert points[0](row) == points[1](row) == points[2](row)
     cfg = GAConfig(population_size=10, generations=6, restarts=2, seed=3)
     runs = [optimize(_BINOMIAL, Bounds.for_kind("hm"), cfg, search_cutoff=c, final_cutoff=30)

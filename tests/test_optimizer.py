@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heraldkit import optimizer, scheme
@@ -315,7 +315,8 @@ def test_scalar_core_misfit_matches_batch(in1, in2, t, reading, cutoff):
     vec = [*in1, *in2, t, *reading]
     tgt = target_state(NegativeBinomial(0.5, 5), cutoff, check_tail=False)
     want = batch_objective(np.array([vec]), tgt, cutoff)[0]
-    assert abs(scheme._core_misfit(tgt)(vec)[0] - want) <= CORE_SCALAR_ATOL
+    assert abs(scheme._core_misfit(tgt)(scheme._bargmann_point(vec))[0] - want) \
+        <= CORE_SCALAR_ATOL
 
 
 def test_scalar_core_misfit_matches_batch_on_bundled_rows():
@@ -323,7 +324,8 @@ def test_scalar_core_misfit_matches_batch_on_bundled_rows():
         tgt = target_state(row.target, 40, check_tail=False)
         vec = params_to_vector(row.params)[0]
         want = batch_objective(vec[None], tgt, 40)[0]
-        assert abs(scheme._core_misfit(tgt)(vec.tolist())[0] - want) <= CORE_SCALAR_ATOL
+        assert abs(scheme._core_misfit(tgt)(scheme._bargmann_point(vec))[0] - want) \
+            <= CORE_SCALAR_ATOL
 
 
 def test_scalar_core_misfit_fails_where_the_batch_fails():
@@ -336,7 +338,7 @@ def test_scalar_core_misfit_fails_where_the_batch_fails():
         with pytest.raises(NormalizationError):
             batch_objective(vec[None], tgt, 20)
         with pytest.raises(NormalizationError):
-            scheme._core_misfit(tgt)(vec.tolist())
+            scheme._core_misfit(tgt)(scheme._bargmann_point(vec))
 
 
 def test_optimize_with_coherent_input_reports_objective():
@@ -511,8 +513,8 @@ def test_polish_keeps_the_lower_reported_misfit_on_a_tail_heavy_row(cutoff, move
     assert polished.best_misfit == polished.trace[1] <= start
     assert (polished.best_params != row.params) == moves
     core = scheme._core_misfit(tgt)
-    assert (core(params_to_vector(polished.best_params)[0].tolist())[0]
-            <= core(params_to_vector(row.params)[0].tolist())[0])
+    assert (core(scheme._bargmann_point(params_to_vector(polished.best_params)[0]))[0]
+            <= core(scheme._bargmann_point(params_to_vector(row.params)[0]))[0])
 
 
 def test_polish_with_every_dimension_pinned_scores_the_start():
@@ -555,12 +557,29 @@ GRADIENT_STEP = 1e-6
 GRADIENT_RTOL = 1e-7
 
 
+def _check_gradient(fun, point):
+    """fun's gradient at point against central differences of its value."""
+    _, grad = fun(point)
+    assert len(grad) == len(point)
+    for i in range(len(point)):
+        up, down = point[:], point[:]
+        up[i] += GRADIENT_STEP
+        down[i] -= GRADIENT_STEP
+        diff = (fun(up)[0] - fun(down)[0]) / (2.0 * GRADIENT_STEP)
+        assert abs(grad[i] - diff) <= GRADIENT_RTOL * max(1.0, abs(diff)), i
+
+
 @settings(max_examples=60, deadline=None)
 @given(arms=st.tuples(_GRAD_R, _GRAD_ANGLE, _GRAD_ALPHA, _GRAD_ANGLE,
                       _GRAD_R, _GRAD_ANGLE, _GRAD_ALPHA, _GRAD_ANGLE),
        t=_GRAD_T, reading=st.one_of(st.just(()), st.tuples(st.floats(0.0, 4.0), _GRAD_ANGLE)),
-       coherent=st.booleans(), spec=st.sampled_from([Binomial(0.3, 7), NegativeBinomial(0.5, 5)]))
-def test_core_gradient_matches_central_differences(arms, t, reading, coherent, spec):
+       coherent=st.booleans(), spec=st.sampled_from([Binomial(0.3, 7), NegativeBinomial(0.5, 5)]),
+       turns=st.lists(st.booleans(), min_size=4, max_size=4))
+@example(arms=(0.0, 0.3, 0.0, 1.1, 0.5, 2.0, 1.2, 0.4), t=0.5, reading=(), coherent=False,
+         spec=Binomial(0.3, 7), turns=[False, True, True, False])
+@example(arms=(0.7, 4.0, 0.0, 0.0, 0.0, 0.0, 2.0, 5.0), t=0.3, reading=(1.2, 0.5),
+         coherent=False, spec=NegativeBinomial(0.5, 5), turns=[True, False, False, True])
+def test_core_gradient_matches_central_differences(arms, t, reading, coherent, spec, turns):
     point = [*arms, t, *reading]
     if coherent:
         point[0] = point[4] = 0.0
@@ -569,20 +588,34 @@ def test_core_gradient_matches_central_differences(arms, t, reading, coherent, s
     _, _, _, linear = scheme._gaussian_core(point, scheme._SCALAR_MATH)[-1]
     assume(linear is None or abs(linear[0]) ** 2 + abs(linear[1]) ** 2 >= 1e-4)
     core = scheme._core_misfit(target_state(spec, 30, check_tail=False))
-    _, grad = core(point)
-    assert len(grad) == len(point)
-    for i in range(len(point)):
-        up, down = point[:], point[:]
-        up[i] += GRADIENT_STEP
-        down[i] -= GRADIENT_STEP
-        diff = (core(up)[0] - core(down)[0]) / (2.0 * GRADIENT_STEP)
-        assert abs(grad[i] - diff) <= GRADIENT_RTOL * max(1.0, abs(diff)), i
+    # in the core's coordinates (Re s, Im s, Re alpha, Im alpha of each
+    # input, T[, x, lam]), where r = 0 and |alpha| = 0 give s = 0 and alpha
+    # = 0 exactly
+    _check_gradient(core, scheme._bargmann_point(point))
+    # in polar form, through the polish's chart: one entry of each (r,
+    # theta) and (|alpha|, phi) pair pinned, the radius or the angle
+    box = Bounds.for_kind("hm" if reading else "spd")
+    for k, turn in zip((0, 2, 4, 6), turns):
+        box = box.pin(box.names[k + 1 - turn], point[k + 1 - turn])
+    chart = optimizer._chart(np.array(point), box, core)
+    assert not chart.disks
+    _check_gradient(chart.fun, chart.start.tolist())
 
 
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["spd", "hm"]),
        unit=st.lists(st.floats(0.0, 1.0), min_size=11, max_size=11),
        pinned=st.lists(st.booleans(), min_size=11, max_size=11))
+# starts at r = 0 and |alpha| = 0, where polar coordinates are singular:
+# free pairs, and pairs with the angle pinned
+@example(kind="spd", unit=[0.0, 0.3, 0.5, 0.6, 0.0, 0.8, 0.4, 0.2, 0.5, 0.5, 0.5],
+         pinned=[False] * 11)
+@example(kind="hm", unit=[0.4, 0.3, 0.0, 0.6, 0.5, 0.8, 0.0, 0.2, 0.7, 0.3, 0.6],
+         pinned=[False] * 11)
+@example(kind="spd", unit=[0.0, 0.3, 0.0, 0.6, 0.5, 0.8, 0.4, 0.2, 0.5, 0.5, 0.5],
+         pinned=[False, True, False, True] + [False] * 7)
+@example(kind="hm", unit=[0.0, 0.3, 0.5, 0.6, 0.6, 0.8, 0.0, 0.2, 0.5, 0.5, 0.1],
+         pinned=[False, False, False, False, False, False, False, True, True, False, False])
 def test_polish_never_ends_above_its_start(kind, unit, pinned):
     # from a random start in the box, some dimensions pinned there: the
     # descent lowers the core misfit or stays, the reported misfit never
@@ -596,13 +629,13 @@ def test_polish_never_ends_above_its_start(kind, unit, pinned):
     tgt = target_state(Binomial(0.3, 7), 20)
     core = scheme._core_misfit(tgt)
     try:
-        start = core(params_to_vector(params)[0].tolist())[0]
+        start = core(scheme._bargmann_point(params_to_vector(params)[0]))[0]
     except NormalizationError:  # vacuum inputs under SPD never click
         assume(False)
     polished = local_polish(params, tgt, cutoff=20, max_iters=30, bounds=box)
     assert polished.best_misfit <= polished.trace[0] == objective(params, tgt, 20)
     end = params_to_vector(polished.best_params)[0]
-    assert core(end.tolist())[0] <= start
+    assert core(scheme._bargmann_point(end))[0] <= start
     for i, (lo, hi, per) in enumerate(zip(box.lower, box.upper, box.periodic)):
         if lo == hi:
             assert end[i] == params_to_vector(params)[0][i]
@@ -632,3 +665,24 @@ def test_polish_reaches_the_spd_optimum_from_ga_end_points(seed):
     polished = local_polish(vector_to_params(_GA_END_POINTS[seed]), Binomial(0.3, 7),
                             cutoff=40, max_iters=400)
     assert polished.best_misfit < 2e-5
+
+
+# eps_polished and evaluation counts of three SPD rows (cutoff 40, 400
+# iterations) when the descent moved every pair in polar coordinates: it
+# crawled where r or |alpha| neared 0 (on row 25, r1 and r2 sank to about
+# 0.05 and the polish ran to its cap of 400 iterations, 504 calls)
+_POLAR_DESCENT = {
+    "06-binom-0.2-10-spd": (9.879e-7, 194),
+    "15-negbinom-0.45-10-spd": (6.711e-6, 154),
+    "25-ampsq-1-6-1-spd": (3.770e-8, 504),
+}
+
+
+@pytest.mark.parametrize("row_id", sorted(_POLAR_DESCENT))
+def test_polish_does_not_crawl_where_polar_coordinates_are_singular(row_id):
+    eps_polar, calls_polar = _POLAR_DESCENT[row_id]
+    row = get_row(row_id)
+    tgt = target_state(row.target, 40, check_tail=False)
+    polished = local_polish(row.params, tgt, 40, max_iters=400)
+    assert polished.best_misfit <= eps_polar
+    assert polished.evaluations_count <= 0.6 * calls_polar

@@ -632,17 +632,33 @@ def test_window_probability_matches_oracle(in1, in2, t, x, lam, delta, cutoff):
     assert prob <= 1.0 + 1e-12
     # the target, the heralded output at the window's centre, needs an output there
     assume(delta * hm_outcome_density(p, x, cutoff, check_input_tail=False) > 1e-290)
-    tgt = conditional_output(p, cutoff, check_input_tail=False).state
-    got = score(p, tgt, cutoff, check_input_tail=False)
-    assert got.success_prob == prob
     # both integrals are quadratic forms in 2N + 1 Hermite functions, so they
     # round to about (2N + 1) eps of the mass the window can hold, min(1,
     # 2 delta), however little of it lies there, and eps_avg to that over P.
-    # Where that passes 1e-10 (a low outcome density), eps_avg is known only
-    # to it: a limit of the two-edge rule.
-    rounding = (2 * cutoff + 1) * np.finfo(float).eps * min(1.0, 2.0 * delta) / prob
+    # score refuses a P within that bound (as the next test shows); where
+    # the bound over P passes 1e-10 (a low outcome density), eps_avg is
+    # known only to it: a limit of the two-edge rule.
+    bound = (2 * cutoff + 1) * np.finfo(float).eps * min(1.0, 2.0 * delta)
+    assume(prob > bound)
+    tgt = conditional_output(p, cutoff, check_input_tail=False).state
+    got = score(p, tgt, cutoff, check_input_tail=False)
+    assert got.success_prob == prob
+    rounding = bound / prob
     assert abs(got.eps_avg - oracle_window(p, tgt, cutoff, *window)[1]) <= max(1e-10, rounding)
     assert average_misfit(p, tgt, cutoff, check_input_tail=False) == got.eps_avg
+
+
+def test_window_probability_within_its_rounding_bound_is_refused():
+    # a draw of the test above: P = 2.19e-15 lies below the rounding bound
+    # 33 eps min(1, 2 delta) = 3.66e-15 of the window integrals, so score
+    # refuses it rather than report an eps_avg made of rounding
+    p = SchemeParams(SqueezedCoherentParams(0.0546875, 0.0, 1.0, 4.0),
+                     SqueezedCoherentParams(0.125, 0.0, 1.0, 3.0), 0.5, HM(4.0, 1.0, 0.25))
+    prob = success_prob_hm(p, 16, check_input_tail=False)
+    assert 0.0 < prob <= 33 * np.finfo(float).eps * 0.5
+    tgt = conditional_output(p, 16, check_input_tail=False).state
+    with pytest.raises(NormalizationError, match="within its rounding bound"):
+        score(p, tgt, 16, check_input_tail=False)
 
 
 def test_hm_figures_at_cutoff_200_match_cutoff_134():
@@ -908,7 +924,7 @@ def test_batch_keeps_underflowing_weight_in_log_form(monkeypatch):
     tgt = binomial_state(0.3, 7, 30)
     monkeypatch.setattr(scheme, "conditional_output", _no_route)
     eps, weights = scheme._core_misfit_batch(tgt)(row[None])
-    assert eps[0] == scheme._core_misfit(tgt)(row.tolist())[0]
+    assert eps[0] == scheme._core_misfit(tgt)(scheme._bargmann_point(row))[0]
     assert weights[0] == pytest.approx(2.0595062584042e-121, rel=1e-12)
     assert 0.0 <= core_outputs(row[None], 30)[1][0] < 1e-300
 
