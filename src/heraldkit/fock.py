@@ -28,16 +28,38 @@ Quantum 4, 366 (2020)):
 
 with u00 = u11 = sqrt(T) and u01 = u10 = i sqrt(1-T) the entries of the
 single-photon matrix of the splitter.  Dividing by the larger root keeps
-every coefficient at most sqrt(2) in size.  In the symmetric
-convention entry [p, n] of block s is i^(p+n) times a real number, so the
-blocks are walked in real form and the phases go on the rows of the state
-before and after.  A column of block s comes from a column of block s - 1,
-so a state whose amplitudes vanish outside n <= A, m <= B needs only the
-band of columns n in [max(0, s - B), min(s, A)], and only that band is
-built.  Against a 50-digit reference the blocks agree to 2.1e-14 at
-s = 60 and to 8.1e-12 at s = 120, the top sectors of an embedding at
-cutoffs 30 and 60.  The blocks are streamed from the vacuum up and never
-cached.
+every coefficient at most sqrt(2) in size.  In the symmetric convention
+entry [p, n] of block s is i^(p+n) times a real number R_s[p, n], and the
+blocks are walked in scaled real form,
+
+    Q_s[p, n] = R_s[p, n] kappa^s / sqrt(p! (s-p)!) = R_s[p, n] / (sigma[p] sigma[s-p]),
+
+with kappa and sigma[k] = sqrt(k!) / kappa^k from the table
+_scaled_sqrt_factorials(n_cut), the cutoff of the state walked.  The
+creation operators' row factors sqrt(p) and sqrt(s-p) cancel against the
+scale, so a step multiplies each column by kappa over its larger root and
+nothing else; the phases i^n go on the input's rows and i^p sigma[p]
+sigma[m] on the whole output at once.  A column of block s comes from a
+column of block s - 1, so a state whose amplitudes vanish outside n <= A,
+m <= B needs only the band of columns n in [max(0, s - B), min(s, A)], and
+only that band is built.  Row p of block s comes from rows p - 1 and p of
+block s - 1, so a reader of the rows p < depth alone (the single-photon
+herald reads row 1) walks only those (_walk).  The blocks are streamed
+from the vacuum up and never cached.
+
+Range and rounding.  In exact arithmetic |R| <= 1, so an entry of Q is at
+most 1/(sigma[p] sigma[s-p]) <= e^(n_cut/e) in size and each product that
+forms it at most sqrt(2) times that: neither overflows for n_cut <= 1939.
+sigma[p] sigma[s-p] stays below (2 pi n_cut)^(1/4), about 10.5 there, so
+no entry underflows to 0 where R is a normal number.  The walk's rounding
+grows with s: against a 50-digit reference the full blocks agree to
+2.1e-14 at s = 60 and 7.9e-12 at s = 120 (the top sectors of an embedding
+at cutoffs 30 and 60), 3.2e-10 to 5.0e-10 at s = 160 and 1.9e-8 to
+3.1e-8 at s = 200 (T = 0.1, 0.5, 0.9).  That growth, not the scale,
+limits the walk: on the full band at T = 0.5 it lifts the computed R far
+above 1 at large s, and a computed entry of Q overflows at n_cut = 1722
+(the walk at 1716 stays finite).  At 2N = 400, the embedding of a
+cutoff-200 state, every sector keeps its norm to a few parts in 1e9.
 """
 from __future__ import annotations
 
@@ -266,26 +288,52 @@ class BeamSplitterSpec:
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _real_blocks(t: float, a_max: int, b_max: int, s_max: int):
-    """Yield (s, lo, R) for sectors s = 0..s_max: the band columns
-    n = lo..lo + R.shape[1] - 1 of block s in real form, with
-    <p, s-p| U |n, s-n> = i^(p+n) R[p, n - lo].
+def _kappa(n_max: int) -> float:
+    """The scale kappa = sqrt(n_max / e) of _scaled_sqrt_factorials(n_max)."""
+    return float(np.sqrt(max(n_max, 1) / np.e))
+
+
+@cache
+def _scaled_sqrt_factorials(n_max: int) -> np.ndarray:
+    """s[n] = sqrt(n!) / kappa**n for n = 0..n_max, with kappa = _kappa(n_max).
+
+    The scale keeps every entry between about exp(-n_max / (2 e)) and
+    (2 pi n_max)**(1/4), so factorial ratios stay finite at cutoffs where
+    sqrt(n!) itself overflows.
+    """
+    n = np.arange(n_max + 1)
+    return _freeze(np.exp(0.5 * _log_factorials(n_max) - n * np.log(_kappa(n_max))))
+
+
+def _real_blocks(t: float, a_max: int, b_max: int, s_max: int, n_cut: int,
+                 depth: int | None = None):
+    """Yield (s, lo, Q) for sectors s = 0..s_max: rows p < depth (all s + 1
+    by default) of the band columns n = lo..lo + Q.shape[1] - 1 of block s
+    in scaled real form,
+
+        <p, s-p| U |n, s-n> = i^(p+n) sigma[p] sigma[s-p] Q[p, n - lo],
+
+    with sigma = _scaled_sqrt_factorials(n_cut) and kappa = _kappa(n_cut).
 
     The band holds the columns that inputs with n <= a_max and
     s - n <= b_max reach, n in [max(0, s - b_max), min(s, a_max)].  Each
     comes from a column of the band of block s - 1, by the recurrence of
-    the module docstring in real form:
+    the module docstring, in which the row factors cancel:
 
-        R_s[p, n] = (r sqrt(p) R[p-1, n] + t sqrt(s-p) R[p, n]) / sqrt(s-n)       2n < s,
-        R_s[p, n] = (-t sqrt(p) R[p-1, n-1] + r sqrt(s-p) R[p, n-1]) / sqrt(n)    2n >= s,
+        Q_s[p, n] = kappa (r Q[p-1, n] + t Q[p, n]) / sqrt(s-n)      2n < s,
+        Q_s[p, n] = kappa (-t Q[p-1, n-1] + r Q[p, n-1]) / sqrt(n)   2n >= s,
 
-    with t = sqrt(T), r = sqrt(1-T) and R the block of sector s - 1.  One
-    buffer holds the block at rows 1..s+1 between zero rows, so both terms
-    read shifted row slices of one gathered copy.  The yielded R is a view
-    of that buffer, valid until the next step.
+    with t = sqrt(T), r = sqrt(1-T) and Q the block of sector s - 1.  Row
+    p reads rows p - 1 and p only, so the rows below depth are walked on
+    their own.  One buffer holds the block at rows 1.. between a zero row
+    and, while the block is shorter than depth, a second zero row, so both
+    terms read shifted row slices of one gathered copy.  The yielded Q is a
+    view of that buffer, valid until the next step.
     """
+    kappa = _kappa(n_cut)
     tt, rr = math.sqrt(t), math.sqrt(1.0 - t)
     width = min(a_max, b_max) + 1
+    rows = s_max + 1 if depth is None else min(depth, s_max + 1)
     root = np.sqrt(np.arange(s_max + 1.0))
     # per step s (row s - 1) and band column j: the source column in the
     # band of block s - 1 and the two coefficients over the larger root
@@ -293,39 +341,69 @@ def _real_blocks(t: float, a_max: int, b_max: int, s_max: int):
     firsts = np.maximum(steps - b_max, 0)
     n = firsts + np.arange(width)
     left = 2 * n < steps
-    inv = 1.0 / root[np.clip(np.maximum(n, steps - n), 1, s_max)]
+    gain = kappa / root[np.clip(np.maximum(n, steps - n), 1, s_max)]
     src = np.arange(width) + (firsts - np.maximum(steps - 1 - b_max, 0)) - ~left
-    c_up = np.where(left, rr, -tt) * inv
-    c_side = np.where(left, tt, rr) * inv
-    buf = np.zeros((s_max + 2, width))
+    c_up = np.where(left, rr, -tt) * gain
+    c_side = np.where(left, tt, rr) * gain
+    buf = np.zeros((rows + 1, width))
     buf[1, 0] = 1.0
     yield 0, 0, buf[1:2, :1]
     for s in range(1, s_max + 1):
         lo = max(0, s - b_max)
         band = min(s, a_max) - lo + 1
-        g = buf[: s + 2].take(src[s - 1, :band], axis=1)
-        block = buf[1 : s + 2, :band]
-        np.multiply(g[: s + 1], root[: s + 1, None], out=block)
-        block *= c_up[s - 1, :band]
-        side = g[1:] * root[s::-1, None]
-        side *= c_side[s - 1, :band]
-        block += side
+        high = min(s + 1, rows)
+        g = buf[: high + 1].take(src[s - 1, :band], axis=1)
+        block = buf[1 : high + 1, :band]
+        np.multiply(g[:high], c_up[s - 1, :band], out=block)
+        block += g[1:] * c_side[s - 1, :band]
         yield s, lo, block
+
+
+def _walk(box: np.ndarray, t: float, n_cut: int, depth: int | None = None) -> np.ndarray:
+    """Rows p < depth (all n_cut + 1 by default) of the two-mode amplitudes
+    box[n, m], n <= A, m <= B, mixed by the beam splitter of transmittance
+    t, as a (depth, n_cut + 1) array over the sectors s <= n_cut; box
+    entries with n + m > n_cut are left out.
+
+    Each sector's band of scaled blocks (_real_blocks) is applied as it is
+    built: the box's rows take the phase i^n, each anti-diagonal is
+    multiplied as a (band, 2) real array, and the whole output then takes
+    i^p sigma[p] sigma[m] at [p, m] at once.
+    """
+    a_max, b_max = box.shape[0] - 1, box.shape[1] - 1
+    s_max = min(n_cut, a_max + b_max)
+    rows = n_cut + 1 if depth is None else depth
+    out = np.zeros((rows, n_cut + 1), dtype=np.complex128)
+    phase = _I_POWERS[np.arange(max(a_max, rows - 1) + 1) % 4]
+    # the box with row n times i^n, as pairs (re, im); anti-diagonal s of
+    # an (A + 1) x (B + 1) array has stride B, of out n_cut
+    pairs_in = (phase[: a_max + 1, None] * box).view(np.float64).reshape(-1, 2)
+    pairs = out.view(np.float64).reshape(-1, 2)
+    step_in, step_out = max(b_max, 1), max(n_cut, 1)
+    for s, lo, block in _real_blocks(t, a_max, b_max, s_max, n_cut, depth):
+        hi = lo + block.shape[1] - 1
+        v = pairs_in[s + lo * b_max : s + hi * b_max + 1 : step_in]
+        pairs[s : s + (block.shape[0] - 1) * n_cut + 1 : step_out] = block @ v
+    sigma = _scaled_sqrt_factorials(n_cut)
+    out *= (phase[:rows] * sigma[:rows])[:, None] * sigma
+    return out
 
 
 def sector_unitary(s: int, spec: BeamSplitterSpec) -> np.ndarray:
     """Beam-splitter block on the total-photon-number-s subspace.
 
-    Entry [p, n] is <p, s-p| U |n, s-n>: the last block of the real walk
-    `_real_blocks` over the full band, which climbs from the vacuum block
-    through every sector below s, times the phases i^(p+n).
+    Entry [p, n] is <p, s-p| U |n, s-n>: the last scaled block of the real
+    walk `_real_blocks` over the full band, which climbs from the vacuum
+    block through every sector below s, with its rows rescaled by
+    sigma[p] sigma[s-p] and the phases i^(p+n) put on.
     """
     if s < 0:
         raise ValueError(f"sector {s} is negative")
-    for _, _, block in _real_blocks(spec.transmittance, s, s, s):
+    for _, _, block in _real_blocks(spec.transmittance, s, s, s, s):
         pass
     phase = _I_POWERS[np.arange(s + 1) % 4]
-    return phase[:, None] * block * phase
+    sigma = _scaled_sqrt_factorials(s)
+    return (phase * sigma * sigma[::-1])[:, None] * block * phase
 
 
 def beam_splitter_apply(state: TwoModeState, spec: BeamSplitterSpec) -> tuple[TwoModeState, float]:
@@ -333,38 +411,24 @@ def beam_splitter_apply(state: TwoModeState, spec: BeamSplitterSpec) -> tuple[Tw
 
     Total photon number n + m is conserved exactly, so each sector with
     n + m <= cutoff is rotated by its exact unitary block, walked once from
-    the vacuum up and applied as it is built.  If c[n, m] vanishes outside
-    n <= A and m <= B, only the band of columns that box reaches is built,
-    in real form (`_real_blocks`): the input's rows take the phase i^n, each
-    anti-diagonal is multiplied as a (band, 2) real array, and the output's
-    rows take i^p.  Sectors with n + m > cutoff cannot be represented
+    the vacuum up and applied as it is built (`_walk`).  If c[n, m]
+    vanishes outside n <= A and m <= B, only the band of columns that box
+    reaches is built.  Sectors with n + m > cutoff cannot be represented
     completely on the truncated grid; their amplitudes are dropped and the
     dropped probability mass is returned alongside the new state.
     """
     n_cut = state.cutoff
     c = state.amps
-    out = np.zeros_like(c)
     rows = np.flatnonzero(c.any(axis=1))
     if rows.size == 0:
-        return TwoModeState(out, n_cut), 0.0
+        return TwoModeState(np.zeros_like(c), n_cut), 0.0
     a_max, b_max = int(rows[-1]), int(np.flatnonzero(c.any(axis=0))[-1])
     dropped = 0.0
     if a_max + b_max > n_cut:
         grid = np.add.outer(np.arange(n_cut + 1), np.arange(n_cut + 1))
         dropped = float(np.sum(np.abs(c[grid > n_cut]) ** 2))
-    s_max = min(n_cut, a_max + b_max)
-    phase = _I_POWERS[np.arange(max(a_max, s_max) + 1) % 4]
-    # the support box with row n times i^n, as pairs (re, im); anti-diagonal
-    # s of a (a_max + 1) x (b_max + 1) array has stride b_max, of out n_cut
-    box = (phase[: a_max + 1, None] * c[: a_max + 1, : b_max + 1]).view(np.float64).reshape(-1, 2)
-    pairs = out.view(np.float64).reshape(-1, 2)
-    step_in, step_out = max(b_max, 1), max(n_cut, 1)
-    for s, lo, block in _real_blocks(spec.transmittance, a_max, b_max, s_max):
-        hi = lo + block.shape[1] - 1
-        v = box[s + lo * b_max : s + hi * b_max + 1 : step_in]
-        pairs[s : s + s * n_cut + 1 : step_out] = block @ v
-    out[: s_max + 1] *= phase[: s_max + 1, None]
-    return TwoModeState(out, n_cut), dropped
+    mixed = _walk(c[: a_max + 1, : b_max + 1], spec.transmittance, n_cut)
+    return TwoModeState(mixed, n_cut), dropped
 
 
 def project_quadrature(state: TwoModeState, x: float, lam: float) -> tuple[FockVector, float]:

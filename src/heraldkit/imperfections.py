@@ -39,6 +39,7 @@ from .fock import (
     FockVector,
     TwoModeState,
     _loss_amplitudes,
+    _scaled_sqrt_factorials,
     hermite_gaussian_columns,
 )
 from .scheme import (
@@ -49,7 +50,6 @@ from .scheme import (
     _core_misfit_batch,
     _herald,
     _probability,
-    _scaled_sqrt_factorials,
     _split_output,
     conditional_output,
     embedded_two_mode_state,
@@ -83,7 +83,7 @@ def loss_channel(state: FockVector | DensityMatrix, eta: float) -> DensityMatrix
 
     is one upper-triangular Toeplitz product with positive weights along
     the diagonals of sigma[m, n] = s[m] rho[m, n] s[n], s the kappa-scaled
-    square-root factorials of scheme._scaled_sqrt_factorials, which keep
+    square-root factorials of fock._scaled_sqrt_factorials, which keep
     every factor finite up to cutoffs near 1900, far above where sqrt(n!)
     overflows.  The upper diagonals are the columns of one strided view of
     sigma padded with zeros (_diagonals); the product runs on that view in

@@ -93,11 +93,29 @@ _DIM_BOUNDS = {
 }
 
 
+def _largest_r() -> float:
+    """The largest r whose tanh rounds below 1, the largest squeezing the
+    polish's chart s = e^{i theta} tanh r can hold.  1 - tanh r = 2 /
+    (e^{2r} + 1) reaches half the spacing of the doubles below 1, 2^-54,
+    near r = 27.5 ln 2 (about 19.06); the steps from there settle on the
+    rounding of math.tanh itself."""
+    r = 27.5 * math.log(2.0)
+    while math.tanh(r) >= 1.0:
+        r = math.nextafter(r, 0.0)
+    while math.tanh(math.nextafter(r, math.inf)) < 1.0:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+_R_MAX = _largest_r()
+
+
 def _limits_fault(name: str, lo: float, hi: float) -> str | None:
     """Why [lo, hi] cannot bound dimension name, or None if it can: a limit
     that is not finite, a reversed range, a limit outside the parameter
-    range (T and x within their ranges, r and |alpha| at least 0, with no
-    cap above), or angle limits other than [0, 2*pi) that do not pin the
+    range (T and x within their ranges, r and |alpha| at least 0, r at
+    most _R_MAX, where the polish's chart ends, and |alpha| with no cap
+    above), or angle limits other than [0, 2*pi) that do not pin the
     angle.  Equal limits pin the dimension."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return f"limits [{lo}, {hi}] not finite"
@@ -110,6 +128,8 @@ def _limits_fault(name: str, lo: float, hi: float) -> str | None:
     elif name[:-1] in ("r", "alpha"):
         if lo < 0.0:
             return f"lower limit {lo} below 0"
+        if name[0] == "r" and hi > _R_MAX:
+            return f"upper limit {hi} above {_R_MAX!r}, the largest r whose tanh rounds below 1"
     elif lo < hi and (lo, hi) != (0.0, _TWO_PI):  # the rest are angles
         return "angle bounds are fixed at [0, 2*pi)"
     return None

@@ -24,15 +24,16 @@ The whole two-mode array V[j, m] of the truncated inputs, over 0..2N in
 each mode, is formed in one place: embedded_two_mode_state embeds the
 inputs at 2N and applies the beam splitter sector by sector, building only
 the block columns that inputs truncated at N reach
-(fock.beam_splitter_apply).  The "oracle" route projects it (used to
-cross-check), and the window figures read it: the success probability P
-over x +/- delta and the window-averaged misfit eps_avg = 1 - int
-|<t|d_x>|^2 dx / int ||d_x||^2 dx, with d_x the unnormalized output at x
-and ||d_x|| its full norm, mass above the cutoff included.  Both
-integrands are quadratic forms in Hermite functions with a closed-form
-primitive, read at the two window edges (_hm_window).  Both routes keep
-every output amplitude up to total photon number 2N before truncating,
-so their retained and discarded masses agree.
+(fock.beam_splitter_apply).  The "oracle" route (used to cross-check)
+projects it for HM, and for SPD walks the same beam splitter only as
+deep as its row 1 (fock._walk with depth 2).  The window figures read V:
+the success probability P over x +/- delta and the window-averaged misfit
+eps_avg = 1 - int |<t|d_x>|^2 dx / int ||d_x||^2 dx, with d_x the
+unnormalized output at x and ||d_x|| its full norm, mass above the cutoff
+included.  Both integrands are quadratic forms in Hermite functions with a
+closed-form primitive, read at the two window edges (_hm_window).  Both
+routes keep every output amplitude up to total photon number 2N before
+truncating, so their retained and discarded masses agree.
 
 The search runs on the exact Gaussian core instead: both heralds act on a
 Gaussian two-mode state with the inputs kept whole, so each output is a
@@ -72,8 +73,9 @@ from .fock import (
     TwoModeState,
     _freeze,
     _hermite_gaussian_window,
-    _log_factorials,
     _require_unit_norm,
+    _scaled_sqrt_factorials,
+    _walk,
     beam_splitter_apply,
     fidelity,
     hermite_gaussian_columns,
@@ -230,19 +232,6 @@ def _split_output(full: np.ndarray, cutoff: int) -> ConditionalOutput:
 
 
 @cache
-def _scaled_sqrt_factorials(n_max: int) -> np.ndarray:
-    """s[n] = sqrt(n!) / kappa**n for n = 0..n_max, with kappa = sqrt(n_max / e).
-
-    The scale keeps every entry between about exp(-n_max / (2 e)) and
-    sqrt(n_max), so the factorial ratios of the arms and their readings
-    stay finite at cutoffs where sqrt(n!) itself overflows.
-    """
-    kappa = np.sqrt(max(n_max, 1) / np.e)
-    n = np.arange(n_max + 1)
-    return _freeze(np.exp(0.5 * _log_factorials(n_max) - n * np.log(kappa)))
-
-
-@cache
 def _binomials(cutoff: int) -> np.ndarray:
     """C(d + k, d) at [d, k] for d + k <= cutoff and 0 elsewhere, each the
     exact integer rounded once."""
@@ -369,13 +358,18 @@ def embedded_two_mode_state(
 def output_oracle(
     p: SchemeParams, cutoff: int, check_input_tail: bool = True
 ) -> ConditionalOutput:
-    """Reference evaluation through the explicit two-mode pipeline: the
-    single-photon herald reads row 1 of the embedded state, the homodyne
-    herald contracts its first index (fock.project_quadrature)."""
-    mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
+    """Reference evaluation through the explicit two-mode pipeline.  The
+    homodyne herald contracts the first index of the embedded state
+    (embedded_two_mode_state, fock.project_quadrature).  The single-photon
+    herald reads row 1 of the same state, and rows p <= 1 of each sector
+    depend only on rows p <= 1 of the sector below, so it walks the beam
+    splitter two rows deep over the (N + 1)^2 box of the truncated inputs
+    (fock._walk) and never forms the rest."""
     if isinstance(p.measurement, SPD):
-        full = mixed.amps[1]
+        a = _inputs(params_to_vector(p)[0], cutoff, check_input_tail)
+        full = _walk(np.outer(a[0], a[1]), p.transmittance, 2 * cutoff, depth=2)[1]
     elif isinstance(p.measurement, HM):
+        mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
         full = project_quadrature(mixed, p.measurement.x, p.measurement.lam)[0].amps
     else:
         raise TypeError(f"unknown measurement {type(p.measurement).__name__}")

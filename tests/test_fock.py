@@ -24,9 +24,19 @@ from heraldkit.fock import (
     project_quadrature,
     sector_unitary,
     _real_blocks,
+    _scaled_sqrt_factorials,
+    _walk,
 )
-from heraldkit.scheme import _core_misfit_batch
-from heraldkit.states import AdHoc, target_state
+from heraldkit.scheme import (
+    HM,
+    SPD,
+    SchemeParams,
+    _core_misfit_batch,
+    _inputs,
+    embedded_two_mode_state,
+    params_to_vector,
+)
+from heraldkit.states import AdHoc, SqueezedCoherentParams, target_state
 
 
 def random_fock(cutoff: int, seed: int) -> FockVector:
@@ -188,7 +198,7 @@ def test_sector_unitary_matches_high_precision_block(t):
 @pytest.mark.parametrize("t", [0.1, 0.9])
 def test_top_lossy_sector_matches_high_precision_block(t):
     # s = 120 is the top sector of a lossy point at cutoff 60; the rounding
-    # of the walk grows with s, to 8.1e-12 (T = 0.1) and 6.5e-12 (T = 0.9)
+    # of the walk grows with s, to 7.9e-12 (T = 0.1) and 7.4e-12 (T = 0.9)
     ref = _mpmath_sector_block(120, t)
     block = sector_unitary(120, BeamSplitterSpec(t))
     assert np.max(np.abs(block - ref)) <= 2e-11
@@ -201,9 +211,12 @@ def test_top_lossy_sector_matches_high_precision_block(t):
 def test_sector_blocks_unitary_and_norm_preserving(s_max, t):
     spec = BeamSplitterSpec(t)
     # the real form of a unitary block with phases i^(p+n) is orthogonal
-    for s, lo, block in _real_blocks(t, s_max, s_max, s_max):
+    # once its rows are rescaled by sigma[p] sigma[s-p]
+    sigma = _scaled_sqrt_factorials(s_max)
+    for s, lo, block in _real_blocks(t, s_max, s_max, s_max, s_max):
         assert lo == 0 and block.shape == (s + 1, s + 1)
-        assert np.max(np.abs(block @ block.T - np.eye(s + 1))) <= 1e-12
+        real = (sigma[: s + 1] * sigma[s::-1])[:, None] * block
+        assert np.max(np.abs(real @ real.T - np.eye(s + 1))) <= 1e-12
     st_in = random_two_mode(s_max, seed=s_max)
     out, _ = beam_splitter_apply(st_in, spec)
     for s in range(s_max + 1):
@@ -211,6 +224,56 @@ def test_sector_blocks_unitary_and_norm_preserving(s_max, t):
         before = np.sum(np.abs(st_in.amps[p, s - p]) ** 2)
         after = np.sum(np.abs(out.amps[p, s - p]) ** 2)
         assert after == pytest.approx(before, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a_max=st.integers(0, 14),
+    b_max=st.integers(0, 14),
+    n_cut=st.integers(0, 30),
+    t=st.floats(0.0, 1.0),
+    depth=st.integers(1, 31),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(a_max=14, b_max=14, n_cut=28, t=0.5, depth=2, seed=1)
+@example(a_max=3, b_max=14, n_cut=10, t=0.2, depth=1, seed=2)
+@example(a_max=14, b_max=0, n_cut=0, t=0.8, depth=1, seed=3)
+def test_depth_limited_walk_matches_full_walk_rows(a_max, b_max, n_cut, t, depth, seed):
+    # rows p < depth of each block are formed by the same products from the
+    # same rows of the block below, so they agree; the bound, 16 ulps of
+    # the unit-norm input, leaves room for a matrix product that orders the
+    # sums of a shorter block differently
+    depth = min(depth, n_cut + 1)
+    rng = np.random.default_rng(seed)
+    box = rng.standard_normal((a_max + 1, b_max + 1, 2)) @ [1.0, 1.0j]
+    box /= np.linalg.norm(box)
+    full = _walk(box, t, n_cut)
+    rows = _walk(box, t, n_cut, depth)
+    assert full.shape == (n_cut + 1, n_cut + 1) and rows.shape == (depth, n_cut + 1)
+    assert np.max(np.abs(rows - full[:depth])) <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", ["spd", "hm"])
+def test_walk_at_twice_cutoff_200_is_finite_and_keeps_sector_norms(kind):
+    # the embedding of the benchmark's cutoff-200 evaluate points, 2N = 400,
+    # where the scale of the walk reaches e^144; every sector of the input
+    # holds a normal mass, the smallest about 1e-163
+    point = (SchemeParams(SqueezedCoherentParams(0.74, 3.50, 0.10, 2.14),
+                          SqueezedCoherentParams(0.16, 4.43, 1.97, 0.08), 0.69, SPD())
+             if kind == "spd" else
+             SchemeParams(SqueezedCoherentParams(0.45, 0.74, 0.34, 1.01),
+                          SqueezedCoherentParams(0.45, 0.28, 1.97, 0.06), 0.90, HM(0.61, 0.04)))
+    mixed = embedded_two_mode_state(point, 200, check_input_tail=False)
+    inputs = np.zeros((2, 401), dtype=np.complex128)
+    inputs[:, :201] = _inputs(params_to_vector(point)[0], 200, False)
+    sector = np.add.outer(np.arange(401), np.arange(401)).ravel()
+    before = np.bincount(sector, np.abs(np.outer(*inputs).ravel()) ** 2)[:401]
+    after = np.bincount(sector, np.abs(mixed.amps.ravel()) ** 2)[:401]
+    assert np.all(np.isfinite(mixed.amps)) and np.all(before > 1e-300)
+    assert np.max(np.abs(after - before)) <= 1e-10
+    # and each to its own mass: the rounding of the walk, which grows with
+    # s, leaves 1.3e-9 (HM) and 3.4e-9 (SPD) here, near s = 200 and 265
+    assert np.max(np.abs(after / before - 1.0)) <= 1e-7
 
 
 @settings(max_examples=80, deadline=None)

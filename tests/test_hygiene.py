@@ -197,6 +197,33 @@ def scipy_imports(sources: dict[str, str]) -> list[str]:
     )
 
 
+def package_module_imports(sources: dict[str, str], modules: tuple[str, ...]) -> list[str]:
+    """module:line of every import statement, at any depth, that loads one
+    of the package modules named in modules, relatively (from .scheme
+    import x, from . import scheme) or by the package's name."""
+    def loaded(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.Import):
+            return [a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("heraldkit.")]
+        if not isinstance(node, ast.ImportFrom):
+            return []
+        # the module path below the package: "" for "from . import x"
+        if node.level == 1:
+            inner = node.module or ""
+        elif node.level == 0 and (node.module + ".").startswith("heraldkit."):
+            inner = node.module[len("heraldkit."):]
+        else:
+            return []
+        return [inner.split(".")[0]] if inner else [a.name for a in node.names]
+
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if any(name in modules for name in loaded(node))
+    )
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
@@ -288,6 +315,25 @@ def test_scipy_imports_are_found():
 def test_package_imports_no_scipy():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert scipy_imports(sources) == []
+
+
+def test_package_module_imports_are_found():
+    sources = {
+        "a": "from . import tolerances as tol\nfrom .scheme import SPD\n",
+        "b": "def f():\n    from . import scheme, states\n    return scheme\n",
+        "c": "import heraldkit.optimizer\nfrom heraldkit import fock\n"
+             "from heraldkit.imperfections import loss_channel\nfrom .states import x\n",
+        "d": "import scheme\nfrom scheme import SPD\n",
+    }
+    assert package_module_imports(sources, ("scheme", "optimizer", "imperfections")) == [
+        "a:2", "b:2", "c:1", "c:3"]
+
+
+def test_fock_imports_no_layer_above_it():
+    # fock holds the factorial tables that scheme and imperfections read,
+    # so it must not import them back
+    source = (SRC / "fock.py").read_text()
+    assert package_module_imports({"fock": source}, ("scheme", "imperfections", "optimizer")) == []
 
 
 def _tracing():

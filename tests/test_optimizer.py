@@ -117,7 +117,7 @@ def test_bounds_validation_and_containment():
     vec_out = vec.copy()
     vec_out[0] = 2.0
     assert not np.all((vec_out >= b.lower) & (vec_out <= b.upper))
-    # magnitudes have no cap above
+    # |alpha| has no cap above, and r none below optimizer._R_MAX
     assert Bounds(b.lower, (5.0,) + b.upper[1:]).upper[0] == 5.0
 
 
@@ -140,6 +140,28 @@ def test_bounds_outside_the_parameter_ranges_refused(name, limits, message):
     lower[i], upper[i] = limits
     with pytest.raises(ValueError, match=re.escape(message)):
         Bounds(tuple(lower), tuple(upper))
+
+
+def test_r_limits_stop_where_tanh_rounds_to_one():
+    # the polish moves s = e^{i theta} tanh r, which has no point where
+    # tanh r rounds to 1, so the box refuses such an r before any evaluation
+    cap = optimizer._R_MAX
+    assert math.tanh(cap) < 1.0 == math.tanh(math.nextafter(cap, math.inf))
+    assert 19.06 < cap < 19.07
+    b = Bounds.for_kind("spd")
+    with pytest.raises(ValueError, match=r"^r1: upper limit 20\.0 above 19\.06"):
+        Bounds(b.lower, (20.0,) + b.upper[1:])
+    with pytest.raises(ValueError, match="^r2: upper limit"):
+        Bounds(b.lower, b.upper[:4] + (math.nextafter(cap, math.inf),) + b.upper[5:])
+    # a polish that starts at the cap, inside a box that reaches it, runs
+    # to the SPD optimum of B(0.3, 7) (1.60423e-5) and stays in the box
+    box = Bounds(b.lower, (cap,) + b.upper[1:])
+    start = SchemeParams(SqueezedCoherentParams(cap, 0.3, 1.0, 0.5),
+                         SqueezedCoherentParams(0.5, 2.0, 1.2, 0.4), 0.5, SPD())
+    res = local_polish(start, Binomial(0.3, 7), 30, 400, box)
+    assert res.trace[0] > 0.8 and res.best_misfit == res.trace[1]
+    assert res.best_misfit == pytest.approx(1.60423e-5, rel=1e-5)
+    assert 0.0 <= res.best_params.in1.r <= cap
 
 
 def test_bounds_pin():

@@ -207,6 +207,23 @@ def test_hm_closed_form_matches_oracle(x, lam):
     assert closed.raw_weight == pytest.approx(oracle.raw_weight, rel=1e-9)
 
 
+def test_spd_oracle_reads_row_one_of_the_embedded_state():
+    # the SPD oracle walks only rows 0 and 1 of the beam splitter over the
+    # inputs' box; row 1 of the whole embedding is the same figure, up to
+    # the order in which a matrix product of another shape sums (measured
+    # on these draws: 3.1e-17 on the unnormalized row, 1.4e-13 relative
+    # on the weight)
+    rng = np.random.default_rng(20260823)
+    for p in box_draws(rng, "spd", 200):
+        out = output_oracle(p, 30, check_input_tail=False)
+        row = embedded_two_mode_state(p, 30, check_input_tail=False).amps[1]
+        ref = scheme._split_output(row, 30)
+        assert out.raw_weight == pytest.approx(ref.raw_weight, rel=1e-12)
+        assert out.truncation_loss == pytest.approx(ref.truncation_loss, rel=1e-12)
+        unnormalized = out.state.amps * math.sqrt(out.raw_weight)
+        assert np.max(np.abs(unnormalized - row[:31])) <= 2e-16
+
+
 def _no_route(*args, **kwargs):
     raise AssertionError("route must not be taken")
 
