@@ -431,6 +431,11 @@ def beam_splitter_apply(state: TwoModeState, spec: BeamSplitterSpec) -> tuple[Tw
     return TwoModeState(mixed, n_cut), dropped
 
 
+def _quadrature_bra(x: float, lam: float, n_max: int) -> np.ndarray:
+    """<x|n>_lam = phi_n(x) e^{-i n lam} for n = 0..n_max."""
+    return hermite_gaussian_columns(n_max, float(x)) * np.exp(-1j * lam * np.arange(n_max + 1))
+
+
 def project_quadrature(state: TwoModeState, x: float, lam: float) -> tuple[FockVector, float]:
     """Condition on a quadrature reading x along phase lam in the measured mode 3.
 
@@ -438,10 +443,7 @@ def project_quadrature(state: TwoModeState, x: float, lam: float) -> tuple[FockV
     amplitude vector of mode 4 and the outcome probability density
     (its squared norm), normalized so integrating over x gives 1.
     """
-    c = state.amps
-    n_idx = np.arange(state.cutoff + 1)
-    bra = hermite_gaussian_columns(state.cutoff, float(x)) * np.exp(-1j * lam * n_idx)
-    v = bra @ c
+    v = _quadrature_bra(x, lam, state.cutoff) @ state.amps
     density = float(np.sum(np.abs(v) ** 2))
     return FockVector(v, state.cutoff), density
 

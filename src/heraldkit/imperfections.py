@@ -16,8 +16,8 @@ projection: the measured arm passes through the eta_det channel before the
 acts on the heralded mode after conditioning.  Only detector loss needs
 the two-mode state: with eta_det = 1 the lossy herald is the ideal herald
 of the closed route (scheme._herald), followed by the signal loss, and the
-two-mode state at twice the cutoff is embedded only for points with
-eta_det < 1.
+two-mode array V over 0..2N in each mode (scheme._two_mode) is walked only
+for points with eta_det < 1.
 
 Sweeps report misfit statistics as a function of parameter deviation
 (input-state parameters scattered around their chosen values) or detection
@@ -37,10 +37,9 @@ from .errors import NormalizationError
 from .fock import (
     DensityMatrix,
     FockVector,
-    TwoModeState,
     _loss_amplitudes,
+    _quadrature_bra,
     _scaled_sqrt_factorials,
-    hermite_gaussian_columns,
 )
 from .scheme import (
     HM,
@@ -51,8 +50,8 @@ from .scheme import (
     _herald,
     _probability,
     _split_output,
+    _two_mode,
     conditional_output,
-    embedded_two_mode_state,
     misfit,
     params_to_vector,
 )
@@ -144,13 +143,13 @@ def conditional_output_lossy(
     for HM.  When the herald can never fire (eta_det = 0 with SPD) the
     weight is exactly 0 and the state is None.  An ideal detector
     (eta_det = 1) heralds on the closed route (scheme._herald), the ideal
-    herald of conditional_output; only detector loss embeds the two-mode
-    state and walks it (_herald_lossy).
+    herald of conditional_output; only detector loss walks the two-mode
+    array V (scheme._two_mode) and reads it (_herald_lossy).
     """
+    vec = params_to_vector(p)[0]
     if imp.eta_det == 1.0:
-        closed = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
-        return _herald_ideal(*closed, imp, cutoff)
-    return _herald_lossy(embedded_two_mode_state(p, cutoff, check_input_tail), p, imp, cutoff)
+        return _herald_ideal(*_herald(vec, cutoff, check_input_tail), imp, cutoff)
+    return _herald_lossy(_two_mode(vec, cutoff, check_input_tail), p, imp, cutoff)
 
 
 def _herald_ideal(
@@ -169,27 +168,24 @@ def _herald_ideal(
 
 
 def _herald_lossy(
-    mixed: TwoModeState, p: SchemeParams, imp: ImperfectionSpec, cutoff: int
+    mixed: np.ndarray, p: SchemeParams, imp: ImperfectionSpec, cutoff: int
 ) -> tuple[DensityMatrix | None, float]:
-    """conditional_output_lossy on an already embedded two-mode state, any
-    eta_det included."""
-    c = mixed.amps
-    big = mixed.cutoff
-    total = mixed.norm_sq()
+    """conditional_output_lossy on the two-mode array V of p's truncated
+    inputs (scheme._two_mode), any eta_det included."""
+    big = mixed.shape[0] - 1
+    total = float(np.sum(np.abs(mixed) ** 2))
     if isinstance(p.measurement, SPD):
         # Losing q photons before an n=1 click means 1+q were present.
-        v = _loss_amplitudes(imp.eta_det, big, kept=1)[1:, None] * c[1:]
+        v = _loss_amplitudes(imp.eta_det, big, kept=1)[1:, None] * mixed[1:]
     elif isinstance(p.measurement, HM):
         # Row q of the bra matrix reads x after q photons were lost.
         amps = _loss_amplitudes(imp.eta_det, big)
         n_idx = np.arange(big + 1)
-        phi = hermite_gaussian_columns(big, p.measurement.x) * np.exp(
-            -1j * p.measurement.lam * n_idx
-        )
+        phi = _quadrature_bra(p.measurement.x, p.measurement.lam, big)
         kept = n_idx[None, :] - n_idx[:, None]
         valid = kept >= 0
         kept = np.where(valid, kept, 0)
-        v = np.where(valid, phi[kept] * amps[kept, n_idx], 0.0) @ c
+        v = np.where(valid, phi[kept] * amps[kept, n_idx], 0.0) @ mixed
     else:
         raise TypeError(f"unknown measurement {type(p.measurement).__name__}")
     weight = float(np.sum(np.abs(v) ** 2)) / total
@@ -295,11 +291,12 @@ def sweep_efficiency(
     signal path ("signal"), or both ("both").  Neither route depends on
     eta, so each is built once for the whole grid, and only when a point
     needs it: the closed route (scheme._herald) at the first point with an
-    ideal detector, the two-mode embedding at the first point with detector
-    loss.  A "signal" grid never embeds.
+    ideal detector, the two-mode array V (scheme._two_mode) at the first
+    point with detector loss.  A "signal" grid never walks V.
     """
     if which not in ("det", "signal", "both"):
         raise ValueError(f"unknown placement {which!r}")
+    vec = params_to_vector(p)[0]
     points = []
     closed = mixed = None
     for eta in sorted(float(e) for e in eta_grid):
@@ -309,11 +306,11 @@ def sweep_efficiency(
         )
         if imp.eta_det == 1.0:
             if closed is None:
-                closed = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
+                closed = _herald(vec, cutoff, check_input_tail)
             rho, weight = _herald_ideal(*closed, imp, cutoff)
         else:
             if mixed is None:
-                mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
+                mixed = _two_mode(vec, cutoff, check_input_tail)
             rho, weight = _herald_lossy(mixed, p, imp, cutoff)
         eps = 1.0 if rho is None else misfit(rho, target)
         points.append(SweepPoint(eta, eps, eps, weight))

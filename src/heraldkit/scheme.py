@@ -21,12 +21,12 @@ This closed route is what "closed" means in conditional_output, and score
 and the point figures wrap the same kernel.
 
 The whole two-mode array V[j, m] of the truncated inputs, over 0..2N in
-each mode, is formed in one place: embedded_two_mode_state embeds the
-inputs at 2N and applies the beam splitter sector by sector, building only
-the block columns that inputs truncated at N reach
-(fock.beam_splitter_apply).  The "oracle" route (used to cross-check)
-projects it for HM, and for SPD walks the same beam splitter only as
-deep as its row 1 (fock._walk with depth 2).  The window figures read V:
+each mode, is walked in one place, _two_mode (fock._walk over the inputs'
+(N + 1)^2 box, only as deep as its reader reads).  The "oracle" route
+(used to cross-check) contracts it with the quadrature bra for HM and
+reads its row 1 for SPD; the lossy herald reads it too, and
+embedded_two_mode_state wraps it for callers outside the package.  The
+window figures read V:
 the success probability P over x +/- delta and the window-averaged misfit
 eps_avg = 1 - int |<t|d_x>|^2 dx / int ||d_x||^2 dx, with d_x the
 unnormalized output at x and ||d_x|| its full norm, mass above the cutoff
@@ -67,19 +67,17 @@ import numpy as np
 
 from .errors import NormalizationError
 from .fock import (
-    BeamSplitterSpec,
     DensityMatrix,
     FockVector,
     TwoModeState,
     _freeze,
     _hermite_gaussian_window,
+    _quadrature_bra,
     _require_unit_norm,
     _scaled_sqrt_factorials,
     _walk,
-    beam_splitter_apply,
     fidelity,
     hermite_gaussian_columns,
-    project_quadrature,
 )
 from .states import (
     SqueezedCoherentParams,
@@ -336,43 +334,41 @@ def _herald(
     return tb.s * sums[: 2 * cutoff + 1], inputs
 
 
+def _two_mode(
+    vec: np.ndarray, cutoff: int, check_input_tail: bool, depth: int | None = None
+) -> np.ndarray:
+    """Rows p < depth (all by default) of V, the point vec's inputs
+    truncated at the cutoff N and mixed by its beam splitter, over 0..2N in
+    each mode, where every sector they reach is complete: V drops nothing.
+    The one place scheme and imperfections mix the inputs."""
+    a = _inputs(vec, cutoff, check_input_tail)
+    return _walk(np.outer(a[0], a[1]), float(vec[8]), 2 * cutoff, depth)
+
+
 def embedded_two_mode_state(
     p: SchemeParams, cutoff: int, check_input_tail: bool = True
 ) -> TwoModeState:
-    """Post-beam-splitter state embedded at twice the cutoff.
-
-    At cutoff 2N every total-photon sector reachable from inputs truncated
-    at N is complete, so the beam splitter drops nothing and projections of
-    this state are exact for the truncated inputs.
-    """
-    big = 2 * cutoff
-    e = np.zeros((2, big + 1), dtype=np.complex128)
-    e[:, : cutoff + 1] = _inputs(params_to_vector(p)[0], cutoff, check_input_tail)
-    joint = TwoModeState(np.outer(e[0], e[1]), big)
-    mixed, dropped = beam_splitter_apply(joint, BeamSplitterSpec(p.transmittance))
-    if dropped != 0.0:
-        raise AssertionError("embedding at twice the cutoff must not drop mass")
-    return mixed
+    """Post-beam-splitter state embedded at twice the cutoff: the array V
+    of _two_mode, validated as a TwoModeState for callers outside the
+    package's own paths, which read the array itself."""
+    return TwoModeState(_two_mode(params_to_vector(p)[0], cutoff, check_input_tail), 2 * cutoff)
 
 
 def output_oracle(
     p: SchemeParams, cutoff: int, check_input_tail: bool = True
 ) -> ConditionalOutput:
-    """Reference evaluation through the explicit two-mode pipeline.  The
-    homodyne herald contracts the first index of the embedded state
-    (embedded_two_mode_state, fock.project_quadrature).  The single-photon
-    herald reads row 1 of the same state, and rows p <= 1 of each sector
-    depend only on rows p <= 1 of the sector below, so it walks the beam
-    splitter two rows deep over the (N + 1)^2 box of the truncated inputs
-    (fock._walk) and never forms the rest."""
-    if isinstance(p.measurement, SPD):
-        a = _inputs(params_to_vector(p)[0], cutoff, check_input_tail)
-        full = _walk(np.outer(a[0], a[1]), p.transmittance, 2 * cutoff, depth=2)[1]
-    elif isinstance(p.measurement, HM):
-        mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
-        full = project_quadrature(mixed, p.measurement.x, p.measurement.lam)[0].amps
+    """Reference evaluation through the explicit two-mode array V
+    (_two_mode).  The homodyne herald contracts its first index with the
+    quadrature bra (fock._quadrature_bra).  The single-photon herald reads
+    row 1, and rows p <= 1 of each sector depend only on rows p <= 1 of
+    the sector below, so it walks the beam splitter two rows deep and
+    never forms the rest."""
+    vec = params_to_vector(p)[0]
+    m = p.measurement
+    if isinstance(m, SPD):
+        full = _two_mode(vec, cutoff, check_input_tail, depth=2)[1]
     else:
-        raise TypeError(f"unknown measurement {type(p.measurement).__name__}")
+        full = _quadrature_bra(m.x, m.lam, 2 * cutoff) @ _two_mode(vec, cutoff, check_input_tail)
     return _split_output(full, cutoff)
 
 
@@ -422,10 +418,7 @@ def _rows_in_ranges(rows: np.ndarray) -> np.ndarray:
 
 def _gaussian_core(point, xp=np):
     """The exact Gaussian core of one flat point, or of a batch of points
-    given as columns (rows.T), as (a, b, log_c, linear), last of the
-    stages it returns: the arms' (a1, b1, a2, b2), the beam splitter's
-    (A33, A34, A44, B3, B4), the HM reading's (p, q, Delta) or None for
-    SPD, and the core, for the chain rule of _core_misfit's gradient.
+    given as columns (rows.T), as (a, b, log_c, linear).
 
     The inputs are untruncated: the beam splitter turns their Bargmann
     functions c0_j exp(a_j z^2/2 + b_j z) (states._bargmann_coefficients)
@@ -453,13 +446,14 @@ def _gaussian_core(point, xp=np):
     """
     a1, b1, c1 = _bargmann_coefficients(*point[0:4], xp)
     a2, b2, c2 = _bargmann_coefficients(*point[4:8], xp)
-    return _mix((a1, b1, a2, b2), xp.log(c1) + xp.log(c2), point[8:], xp)
+    return _mix((a1, b1, a2, b2), xp.log(c1) + xp.log(c2), point[8:], xp)[-1]
 
 
 def _mix(arms, log_c, tail, xp):
-    """_gaussian_core's stages from the arms' (a1, b1, a2, b2), the log of
-    the inputs' scale c0_1 c0_2 (0 where only the output's shape is read,
-    as in _core_misfit) and the point's entries from T on."""
+    """The beam splitter's (A33, A34, A44, B3, B4), the HM reading's (p,
+    q, Delta) or None for SPD, and _gaussian_core's core, from the arms'
+    (a1, b1, a2, b2), the log of the inputs' scale c0_1 c0_2 (0 where only
+    the output's shape is read, as in _core_misfit) and the entries from T."""
     a1, b1, a2, b2 = arms
     t = tail[0]
     sq_t, sq_r = xp.sqrt(t), xp.sqrt(1.0 - t)
@@ -470,7 +464,7 @@ def _mix(arms, log_c, tail, xp):
     b4 = 1j * sq_r * b1 + sq_t * b2
     mixed = (a33, a34, a44, b3, b4)
     if len(tail) == 1:
-        return arms, mixed, None, (a44, b4, log_c, (b3, a34))
+        return mixed, None, (a44, b4, log_c, (b3, a34))
     x, lam = tail[1], tail[2]
     p = -xp.exp(-2j * lam)
     q = _SQRT2 * x * xp.exp(-1j * lam)
@@ -479,7 +473,7 @@ def _mix(arms, log_c, tail, xp):
     b = b4 + a34 * (b3 * p + q) / delta
     log_c = log_c + (-0.25 * _LOG_PI - 0.5 * x * x - 0.5 * xp.log(delta)
                      + (0.5 * b3**2 * p + b3 * q + 0.5 * a33 * q * q) / delta)
-    return arms, mixed, (p, q, delta), (a, b, log_c, None)
+    return mixed, (p, q, delta), (a, b, log_c, None)
 
 
 def _core_log_norm_sq(a, b, linear, xp=np):
@@ -520,7 +514,7 @@ def _closed_form_rows(rows: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
     on arrays) on the core's (a, b) started at 1, and for SPD d_m = B3 e_m
     + A34 sqrt(m) e_{m-1} of that recurrence e (_gaussian_core); log_norm
     is log ||d[b]||^2 over every n (_core_log_norm_sq)."""
-    a, b, log_c, linear = _gaussian_core(rows.T)[-1]
+    a, b, log_c, linear = _gaussian_core(rows.T)
     e = np.array(_amplitudes(a, b, np.ones_like(a), _recurrence_roots(cutoff))).T
     log_norm = _core_log_norm_sq(a, b, linear)
     if linear is None:
@@ -590,7 +584,7 @@ def _core_misfit(target: FockVector) -> Callable[[list[float]], tuple[float, lis
             raise NormalizationError("an input's squeezing |s| = tanh r is not below 1")
         arms = (-s1, alpha1 + alpha1.conjugate() * s1, -s2, alpha2 + alpha2.conjugate() * s2)
         try:
-            _, mixed, reading, (a, b, _, linear) = _mix(arms, 0.0, point[8:], _SCALAR_MATH)
+            mixed, reading, (a, b, _, linear) = _mix(arms, 0.0, point[8:], _SCALAR_MATH)
             scale = math.exp(-0.5 * _core_log_norm_sq(a, b, linear, _SCALAR_MATH))
         # a log of 0 (the output) is refused, or the norm overflows
         except (ArithmeticError, ValueError) as exc:
@@ -721,13 +715,13 @@ def _hm_window(
 ) -> tuple[float, float | None]:
     """P over x +/- window_halfwidth and, given a target, eps_avg (else None).
 
-    With the reading phase e^{-i j lam} on row j of the embedded output V
-    (embedded_two_mode_state, 0..2N in each mode), V_lam, the output at x is
+    With the reading phase e^{-i j lam} on row j of the two-mode array V
+    (_two_mode, 0..2N in each mode), V_lam, the output at x is
     d_x = phi(x)^T V_lam, so both integrands are forms phi^T G phi in the
     Hermite functions: ||d_x||^2 with G = Re(V_lam V_lam^dagger) and
     |<t|d_x>|^2 with G = Re(u u^dagger), u = V_lam[:, :N+1] conj(t).  P is
     the first integral over the squared norm of V (the product of the input
-    norms: the embedding drops nothing), eps_avg one minus the second over
+    norms: V drops nothing), eps_avg one minus the second over
     the first.  As phi_n'' = (x^2 - 2n - 1) phi_n and (phi_{n-1} phi_n)' =
     sqrt(2n) (phi_{n-1}^2 - phi_n^2), phi^T G phi has the primitive
 
@@ -738,10 +732,11 @@ def _hm_window(
     and D_n = D_{n-1} - phi_{n-1} phi_n / sqrt(2n), read as B(hi) - B(lo)
     from the steps phi(hi) - phi(lo) (fock._hermite_gaussian_window)."""
     m = p.measurement
-    mixed = embedded_two_mode_state(p, cutoff, check_input_tail)
-    j = np.arange(mixed.cutoff + 1)
-    v = mixed.amps * np.exp(-1j * m.lam * j)[:, None]
-    low, step, d0 = _hermite_gaussian_window(mixed.cutoff + 1, m.x, m.window_halfwidth)
+    v = _two_mode(params_to_vector(p)[0], cutoff, check_input_tail)
+    norm_sq = float(np.sum(np.abs(v) ** 2))
+    j = np.arange(2 * cutoff + 1)
+    v *= np.exp(-1j * m.lam * j)[:, None]
+    low, step, d0 = _hermite_gaussian_window(2 * cutoff + 1, m.x, m.window_halfwidth)
     high = low + step
     # phi' at hi and its step, as two columns (entry -1 is read times 0)
     f = np.column_stack([high, step])
@@ -754,7 +749,7 @@ def _hm_window(
     def integral(w: np.ndarray) -> float:
         # Re(w w^dagger) is X X^T for the real and imaginary parts side by side
         x = w.view(np.float64)
-        g = x @ x.T / mixed.norm_sq()
+        g = x @ x.T / norm_sq
         # high^T M high' - low^T M low' = step^T M high' + low^T M step'
         mdf = (g / gap) @ df
         return float(2.0 * (step[:-1] @ mdf[:, 0] + low[:-1] @ mdf[:, 1]) + np.diag(g) @ d)
@@ -814,8 +809,8 @@ def score(
     probability of a reading inside x +/- window_halfwidth, or the outcome
     density at x when there is no window.  eps_avg is average_misfit, None
     without a window.  The output and eps are read from the arms (_herald),
-    which are dropped before a window embeds the inputs once for both of
-    its figures (_hm_window).
+    which are dropped before a window walks the inputs into V once for
+    both of its figures (_hm_window).
     """
     full, inputs = _herald(params_to_vector(p)[0], cutoff, check_input_tail)
     out = _split_output(full, cutoff)

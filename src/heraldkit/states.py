@@ -50,11 +50,12 @@ class SqueezedCoherentParams:
 
 
 def check_tail_mass(amps: np.ndarray, cutoff: int):
-    """Raise TailMassError when the top Fock levels hold too much relative mass."""
+    """Raise TailMassError when the top TAIL_WINDOW Fock levels, never the
+    vacuum, hold too much relative mass."""
     total = float(np.sum(np.abs(amps) ** 2))
     if total == 0.0:
         return
-    tail = float(np.sum(np.abs(amps[cutoff - tol.TAIL_WINDOW + 1:]) ** 2)) / total
+    tail = float(np.sum(np.abs(amps[max(cutoff - tol.TAIL_WINDOW + 1, 1):]) ** 2)) / total
     if tail > tol.TAIL_MASS_LIMIT:
         raise TailMassError(tail, cutoff)
 

@@ -460,6 +460,22 @@ def test_cutoff_override_below_minimum_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_at_minimum_cutoff_keeps_strict_tails(tmp_path):
+    # the tail window at cutoff 4 is levels 1..4, so vacuum inputs and a
+    # two-level target pass the default strict_tails
+    vacuum = {"r1": 0.0, "theta1": 0.0, "alpha1": 0.0, "phi1": 0.0,
+              "r2": 0.0, "theta2": 0.0, "alpha2": 0.0, "phi2": 0.0, "T": 0.5,
+              "x": 0.5, "lam": 0.0, "delta": 0.3}
+    cfg = write_config(tmp_path, {
+        "target": {"family": "binomial", "p": 0.5, "M": 1},
+        "evaluate": {"kind": "hm", "params": vacuum},
+    })
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--quiet",
+                 "--cutoff", "4"]) == 0
+    assert float(read_rows(out / "row.csv")[0]["eps"]) == pytest.approx(0.5, abs=1e-12)
+
+
 @pytest.mark.parametrize("command,payload", [
     ("optimize", {"target": B37, "optimize": {"kind": "spd", "ga": TINY_GA}}),
     ("sweep", {"target": B37, "sweep": DEVIATION}),

@@ -3,7 +3,8 @@ every private module-level name and every tolerance constant is read, every
 package function and method is read somewhere in the repository, and
 outside the tests unless it is listed as test-only, only the command line
 raises ConfigError, every function the benchmark tracer wraps exists and
-takes the arguments the tracer reads, and no module imports scipy."""
+takes the arguments the tracer reads, no module imports scipy, and scheme
+and imperfections mix the inputs in one function."""
 
 import ast
 import importlib
@@ -224,6 +225,29 @@ def package_module_imports(sources: dict[str, str], modules: tuple[str, ...]) ->
     )
 
 
+def mixing_reads(sources: dict[str, str], walker: str) -> list[str]:
+    """module:line of every read, in the sources, of fock's beam-splitter
+    walk (_walk, by name or as an attribute) outside the module-level
+    function named walker, and of beam_splitter_apply or
+    project_quadrature anywhere: the public two-mode pipeline is for
+    callers outside these modules."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            inside = isinstance(top, ast.FunctionDef) and top.name == walker
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in ("beam_splitter_apply", "project_quadrature") or (
+                        name == "_walk" and not inside):
+                    found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
@@ -334,6 +358,23 @@ def test_fock_imports_no_layer_above_it():
     # so it must not import them back
     source = (SRC / "fock.py").read_text()
     assert package_module_imports({"fock": source}, ("scheme", "imperfections", "optimizer")) == []
+
+
+def test_mixing_reads_are_found():
+    sources = {
+        "a": "from .fock import _walk\ndef _two_mode(v):\n    return _walk(v)\n"
+             "def f(v):\n    return fock._walk(v)\n",
+        "b": "def g(s):\n    return beam_splitter_apply(s)\nproject = project_quadrature\n"
+             "class C:\n    def _two_mode(self, v):\n        return _walk(v)\n",
+    }
+    assert mixing_reads(sources, "_two_mode") == ["a:5", "b:2", "b:3", "b:6"]
+
+
+def test_one_function_mixes_the_inputs():
+    # scheme and imperfections reach the beam-splitter walk only through
+    # scheme._two_mode, and never through the public two-mode pipeline
+    sources = {module: (SRC / f"{module}.py").read_text() for module in ("scheme", "imperfections")}
+    assert mixing_reads(sources, "_two_mode") == []
 
 
 def _tracing():

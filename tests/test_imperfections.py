@@ -13,7 +13,7 @@ from _operator_reference import (
 )
 from test_scheme import box_draws
 
-from heraldkit import imperfections
+from heraldkit import imperfections, scheme
 from heraldkit.fock import DensityMatrix, FockVector, _loss_amplitudes, fidelity
 from heraldkit.imperfections import (
     ImperfectionSpec,
@@ -227,7 +227,7 @@ def test_ideal_detector_closed_route_matches_walk(p):
     # check, to criterion 5's bounds
     rho, weight = conditional_output_lossy(p, ImperfectionSpec(), 30, check_input_tail=False)
     walk_rho, walk_weight = imperfections._herald_lossy(
-        embedded_two_mode_state(p, 30, False), p, ImperfectionSpec(), 30
+        embedded_two_mode_state(p, 30, False).amps, p, ImperfectionSpec(), 30
     )
     assert weight == pytest.approx(walk_weight, rel=1e-10)
     # the output is pure: its one vector against the walk's state
@@ -241,7 +241,7 @@ def test_ideal_detector_seam(p):
     # route: one lost photon in 1e9 moves the weight by about <n> 1e-9 of
     # itself and the state by as little, well inside 1e-7
     eps = 1e-9
-    mixed = embedded_two_mode_state(p, 30, False)
+    mixed = embedded_two_mode_state(p, 30, False).amps
     near, near_weight = imperfections._herald_lossy(mixed, p, ImperfectionSpec(1.0 - eps), 30)
     rho, weight = conditional_output_lossy(p, ImperfectionSpec(), 30, check_input_tail=False)
     assert near_weight == pytest.approx(weight, rel=100 * eps)
@@ -446,9 +446,9 @@ def test_efficiency_sweep_embeds_once(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return embedded_two_mode_state(*args, **kwargs)
+        return scheme._two_mode(*args, **kwargs)
 
-    monkeypatch.setattr(imperfections, "embedded_two_mode_state", counting)
+    monkeypatch.setattr(imperfections, "_two_mode", counting)
     pts = sweep_efficiency(
         ROW_BINOM_HM, tgt, etas, which="both", cutoff=30, check_input_tail=False
     )
@@ -471,15 +471,15 @@ def test_efficiency_sweep_embeds_once(monkeypatch):
     ("both", [0.9, 1.0], 1),
 ])
 def test_efficiency_sweep_embeds_only_for_detector_loss(monkeypatch, which, etas, embeds):
-    # an ideal detector heralds on the closed route; the grid embeds the
-    # two-mode state once, at its first point with detector loss, or never
+    # an ideal detector heralds on the closed route; the grid walks the
+    # two-mode array once, at its first point with detector loss, or never
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return embedded_two_mode_state(*args, **kwargs)
+        return scheme._two_mode(*args, **kwargs)
 
-    monkeypatch.setattr(imperfections, "embedded_two_mode_state", counting)
+    monkeypatch.setattr(imperfections, "_two_mode", counting)
     for p, tgt in ((ROW_BINOM_SPD, binomial_state(0.3, 7, 30)),
                    (ROW_BINOM_HM, binomial_state(0.45, 8, 30))):
         calls.clear()

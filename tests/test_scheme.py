@@ -23,9 +23,11 @@ from heraldkit import scheme
 from heraldkit import tolerances as tol
 from heraldkit.errors import NormalizationError, TailMassError
 from heraldkit.fock import (
+    BeamSplitterSpec,
     DensityMatrix,
     FockVector,
     TwoModeState,
+    beam_splitter_apply,
     hermite_gaussian_columns,
     project_quadrature,
 )
@@ -222,6 +224,44 @@ def test_spd_oracle_reads_row_one_of_the_embedded_state():
         assert out.truncation_loss == pytest.approx(ref.truncation_loss, rel=1e-12)
         unnormalized = out.state.amps * math.sqrt(out.raw_weight)
         assert np.max(np.abs(unnormalized - row[:31])) <= 2e-16
+
+
+def pinned_draws() -> list[tuple[SchemeParams, int]]:
+    """Criterion 1's 400 draws at cutoff 30, then three HM draws at each of
+    cutoffs 40 and 60, as (point, cutoff) pairs."""
+    rng = np.random.default_rng(20260823)
+    draws = [(p, 30) for p in box_draws(rng, "spd", 200) + box_draws(rng, "hm", 200)]
+    return draws + [(p, cutoff) for cutoff in (40, 60)
+                    for p in box_draws(np.random.default_rng(cutoff), "hm", 3)]
+
+
+def test_embedding_is_the_public_beam_splitter_pipeline():
+    # the package mixes the inputs in _two_mode; the public pipeline, the
+    # product of the truncated inputs padded to twice the cutoff through
+    # beam_splitter_apply, gives the same bits and drops nothing
+    for p, cutoff in pinned_draws():
+        padded = np.zeros((2, 2 * cutoff + 1), dtype=np.complex128)
+        padded[:, : cutoff + 1] = scheme._inputs(params_to_vector(p)[0], cutoff, False)
+        mixed, dropped = beam_splitter_apply(TwoModeState(np.outer(*padded), 2 * cutoff),
+                                             BeamSplitterSpec(p.transmittance))
+        assert dropped == 0.0
+        got = embedded_two_mode_state(p, cutoff, check_input_tail=False).amps
+        assert got.tobytes() == mixed.amps.tobytes()
+
+
+def test_hm_oracle_is_the_public_quadrature_projection():
+    # the HM oracle contracts the walked array with fock._quadrature_bra,
+    # the bra of project_quadrature, in the same product
+    for p, cutoff in pinned_draws():
+        if isinstance(p.measurement, SPD):
+            continue
+        m = p.measurement
+        vec, _ = project_quadrature(embedded_two_mode_state(p, cutoff, check_input_tail=False),
+                                    m.x, m.lam)
+        ref = scheme._split_output(vec.amps, cutoff)
+        out = output_oracle(p, cutoff, check_input_tail=False)
+        assert out.state.amps.tobytes() == ref.state.amps.tobytes()
+        assert (out.raw_weight, out.truncation_loss) == (ref.raw_weight, ref.truncation_loss)
 
 
 def _no_route(*args, **kwargs):

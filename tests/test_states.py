@@ -143,6 +143,18 @@ def test_squeezed_coherent_tail_guard():
     assert np.linalg.norm(v.amps) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("cutoff", range(5))
+def test_tail_window_never_reads_the_vacuum(cutoff):
+    # below TAIL_WINDOW levels the window is levels 1..cutoff: the vacuum
+    # passes, and an input with mass at the top still raises
+    vacuum = squeezed_coherent_amplitudes(SqueezedCoherentParams(0.0, 0.0, 0.0, 0.0), cutoff)
+    check_tail_mass(vacuum, cutoff)
+    if cutoff:
+        heavy = squeezed_coherent_amplitudes(SqueezedCoherentParams(0.0, 0.0, 2.0, 0.0), cutoff)
+        with pytest.raises(TailMassError):
+            check_tail_mass(heavy, cutoff)
+
+
 def test_coherent_state_matches_zero_squeezing():
     # the closed-form coherent state of the tests' reference
     a = coherent_state(0.8 * np.exp(1.1j), 40)
