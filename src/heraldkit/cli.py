@@ -10,6 +10,9 @@ infinite output value), 3 regression gate failure from
 reproduce-table.  Config files are validated before any computation, and
 output files are only written once the computation has finished and every
 value bound for them is finite, so a failing run leaves no partial outputs.
+A pin, in optimize.bounds or at a reproduce-table row's fixed dimensions,
+is a pair of equal limits, checked as every limit of the search box is.  A
+sweep reports the outcome density at x and never reads params.delta.
 
 Each config section has one schema table (key -> kind of value, default,
 range) and _read checks a section against it, so a key that the command
@@ -42,6 +45,7 @@ from .imperfections import sweep_efficiency, sweep_parameter_deviation
 from .optimizer import (
     Bounds,
     GAConfig,
+    _limits_fault,
     layout_for_kind,
     local_polish,
     optimize,
@@ -305,7 +309,6 @@ _OPTIMIZE_SPD = {
     "search_cutoff": _key(int, tol.SEARCH_CUTOFF, "[4, inf)"),
     "polish_iters": _key(int, 0, "[0, inf)"),
     "ga": _key(_mapping, None),
-    "mask": _key(_mapping, None),
     "bounds": _key(_mapping, None),
 }
 _OPTIMIZE = ("kind", {
@@ -381,28 +384,21 @@ def parse_params(d: Any, kind: str, path: str) -> SchemeParams:
     )
 
 
-def _pins(d: Any, kind: str, path: str) -> dict[str, float]:
-    """The dimensions a mapping pins, by name: a mask or a row override."""
-    table = {name: _key(_number, None) for name in layout_for_kind(kind)}
-    return {k: v for k, v in _read(d, table, path).items() if v is not None}
-
-
 def parse_bounds(d: Any, kind: str, path: str) -> Bounds:
+    """kind's default box with mapping d's [lo, hi] pairs, checked at path.<dim>."""
     base = Bounds.for_kind(kind)
     pairs = _read(d, {name: _key([_number], None) for name in base.names}, path)
-    lower = list(base.lower)
-    upper = list(base.upper)
-    for i, (key, pair) in enumerate(pairs.items()):
+    lower, upper = list(base.lower), list(base.upper)
+    for i, (name, pair) in enumerate(pairs.items()):
         if pair is None:
             continue
         if len(pair) != 2:
-            raise ConfigError(_sub(path, key), "expected a [lo, hi] pair")
+            raise ConfigError(_sub(path, name), "expected a [lo, hi] pair")
+        fault = _limits_fault(name, *pair)
+        if fault:
+            raise ConfigError(_sub(path, name), fault)
         lower[i], upper[i] = pair
-    try:
-        return Bounds(tuple(lower), tuple(upper))
-    except ValueError as exc:  # "<dimension>: <fault>"
-        name, _, fault = str(exc).partition(": ")
-        raise ConfigError(_sub(path, name), fault) from None
+    return Bounds(tuple(lower), tuple(upper))
 
 
 def _check_fits(spec: TargetSpec, cutoff: int, key: str, path: str = "target") -> None:
@@ -509,8 +505,6 @@ def cmd_optimize(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) 
     ga = _construct("optimize.ga", GAConfig, **_read(section["ga"], _GA, "optimize.ga"),
                     seed=seed)
     bounds = parse_bounds(section["bounds"], kind, "optimize.bounds")
-    for name, value in _pins(section["mask"], kind, "optimize.mask").items():
-        bounds = _construct(_sub("optimize.mask", name), bounds.pin, name, value)
     spec = parse_target(cfg["target"])
     _check_fits(spec, section["search_cutoff"], "optimize.search_cutoff")
     _check_fits(spec, cutoff, "cutoff")
@@ -582,14 +576,14 @@ def cmd_sweep(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet: bool) -> 
 
 
 def _override(row: ReferenceRow, d: Any, path: str) -> SchemeParams:
-    """The row's parameters with the dimensions that mapping d pins replaced."""
-    pins = _pins(d, row.kind, path)
-    if not pins:
+    """The row's parameters with the dimensions that mapping d sets replaced."""
+    table = {name: _key(_number, None) for name in layout_for_kind(row.kind)}
+    given = [(i, v) for i, v in enumerate(_read(d, table, path).values()) if v is not None]
+    if not given:
         return row.params
-    vec, kind, whw = params_to_vector(row.params)
-    names = layout_for_kind(kind)
-    for name, value in pins.items():
-        vec[names.index(name)] = value
+    vec, _, whw = params_to_vector(row.params)
+    for i, value in given:
+        vec[i] = value
     return _construct(path, vector_to_params, vec, whw)
 
 
@@ -604,28 +598,28 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
     # only the selected rows can be overridden
     table = {row.row_id: _key(_mapping, None) for row in rows}
     overrides = _read(section["overrides"], table, path)
-    row_params = {
-        row.row_id: _override(row, overrides[row.row_id], _sub(path, row.row_id)) for row in rows
-    }
+    plan = {}  # row id -> its parameters and, to polish, its box
+    for row in rows:
+        row_path = _sub(path, row.row_id)
+        params = _override(row, overrides[row.row_id], row_path)
+        box = None
+        if polish_iters > 0:  # the row's fixed dimensions pinned at its own values
+            values = dict(zip(layout_for_kind(row.kind), params_to_vector(params)[0].tolist()))
+            box = Bounds.for_kind(row.kind)
+            for name in row.fixed:
+                box = _construct(_sub(row_path, name), box.pin, name, values[name])
+        plan[row.row_id] = params, box
 
     report: list[list[str]] = []
     lines: list[str] = []
     any_fail = False
     for row in rows:
-        params = row_params[row.row_id]
+        params, box = plan[row.row_id]
         try:
             tgt = target_state(row.target, cutoff, check_tail=False)
             _, eps_raw, prob, eps_avg = score(params, tgt, cutoff, check_input_tail=False)
             eps_polished = eps_raw
-            if polish_iters > 0:
-                # the row's fixed dimensions pinned at its own values
-                vec, kind, _ = params_to_vector(params)
-                box = Bounds.for_kind(kind)
-                lower, upper = list(box.lower), list(box.upper)
-                for i, name in enumerate(box.names):
-                    if name in row.fixed:
-                        lower[i] = upper[i] = float(vec[i])
-                box = Bounds(tuple(lower), tuple(upper))
+            if box is not None:
                 polished = local_polish(params, tgt, cutoff, polish_iters, box)
                 eps_polished = polished.best_misfit
         except _NUMERIC_ERRORS as exc:

@@ -39,7 +39,8 @@ dimension, and a dimension whose two limits are equal is pinned there.
 The HM acceptance halfwidth comes only from window_halfwidth, checked
 before the search (a positive one on an SPD box is refused).
 _DIM_BOUNDS holds the default box, with the T and x ranges of scheme;
-Bounds refuses limits the search cannot honour before any evaluation.
+_limits_fault, the one check of a pair of limits, refuses in Bounds and in
+Bounds.pin limits the search cannot honour, before any evaluation.
 
 All randomness derives from a single seed through spawned generators, one
 per restart, so a (config, seed, target) triple fixes the result exactly.
@@ -171,14 +172,15 @@ class Bounds:
         return cls(lo, hi)
 
     def pin(self, name: str, value: float) -> "Bounds":
-        """This box with dimension name pinned at value, which must lie
-        within the dimension's limits."""
+        """This box with dimension name's limits set to (value, value),
+        whatever they were; ValueError with _limits_fault's text if that
+        pair cannot bound the dimension (an angle may be any finite value)."""
         if name not in self.names:
             raise ValueError(f"unknown dimension {name!r}")
+        fault = _limits_fault(name, value, value)
+        if fault:
+            raise ValueError(fault)
         i = self.names.index(name)
-        lo, hi = self.lower[i], self.upper[i]
-        if not lo <= value <= hi:
-            raise ValueError(f"pinned {name}={value} outside [{lo}, {hi}]")
         lower, upper = list(self.lower), list(self.upper)
         lower[i] = upper[i] = value
         return Bounds(tuple(lower), tuple(upper))

@@ -16,6 +16,8 @@ import yaml
 import heraldkit
 from heraldkit import cli, imperfections, scheme
 from heraldkit.cli import main
+from heraldkit.optimizer import Bounds, params_to_vector, vector_to_params
+from heraldkit.reference_rows import all_rows
 from heraldkit.scheme import (
     SPD,
     SchemeParams,
@@ -357,8 +359,8 @@ B9 = {"family": "binomial", "p": 0.3, "M": 9}
         "kind": "spd", "search_cutoff": 8, "ga": TINY_GA}},
      "target.M", "9 above optimize.search_cutoff 8"),
     ("optimize", {"target": B37, "optimize": {
-        "kind": "spd", "mask": {"T": 0.95}, "ga": TINY_GA}},
-     "optimize.mask.T", "pinned T=0.95 outside [0.1, 0.9]"),
+        "kind": "spd", "bounds": {"T": [0.95, 0.95]}, "ga": TINY_GA}},
+     "optimize.bounds.T", "[0.95, 0.95] outside [0.1, 0.9]"),
     ("evaluate", {"target": {"family": "adhoc", "coefficients": [1, 0, 0, 0, 0, 0, 1]},
                   "cutoff": 5, "evaluate": SPD_POINT},
      "target.coefficients", "7 coefficients exceed cutoff 5"),
@@ -367,12 +369,25 @@ B9 = {"family": "binomial", "p": 0.3, "M": 9}
      "target.coefficients", "7 coefficients exceed optimize.search_cutoff 5"),
     ("reproduce-table", {"cutoff": 10, "reproduce_table": {"rows": "all", "polish_iters": 0}},
      "reproduce_table.rows.07-binom-0.4-15-hm.M", "15 above cutoff 10"),
+    # row 16 holds r1 fixed, so the override is a pin, checked before row 15 runs
+    ("reproduce-table", {"reproduce_table": {
+        "rows": ["15-negbinom-0.45-10-spd", "16-ampsq-1-0.5-1-spd-pinned"],
+        "overrides": {"16-ampsq-1-0.5-1-spd-pinned": {"r1": 25.0}}}},
+     "reproduce_table.overrides.16-ampsq-1-0.5-1-spd-pinned.r1",
+     "upper limit 25.0 above 19.061547465398494, the largest r whose tanh rounds below 1"),
 ], ids=["elitism", "evaluate-M", "sweep-M", "optimize-search-M", "pin-outside-box",
-        "evaluate-adhoc", "optimize-search-adhoc", "table-row-M"])
-def test_error_of_two_keys_names_its_config_path(tmp_path, capsys, command, payload, path, message):
+        "evaluate-adhoc", "optimize-search-adhoc", "table-row-M", "table-row-pin"])
+def test_error_of_two_keys_names_its_config_path(
+    tmp_path, capsys, monkeypatch, command, payload, path, message
+):
     # each of these depends on two config values, and was refused with no
     # config path, a wrong one, or the wrong cutoff; all are refused before
     # any compute
+    for name in ("score", "optimize", "local_polish", "sweep_parameter_deviation",
+                 "sweep_efficiency"):
+        def computed(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called before the config was refused")
+        monkeypatch.setattr(cli, name, computed)
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
@@ -657,6 +672,27 @@ def test_sweep_efficiency_unit_endpoint(tmp_path):
     assert float(rows[0]["misfit_mean"]) > float(rows[-1]["misfit_mean"])
 
 
+def test_sweep_reports_the_density_at_x_whatever_the_window(tmp_path):
+    # a sweep accepts an HM point's delta and never reads it: no window is
+    # integrated, and the herald weight is the outcome density at x
+    for mode in (DEVIATION, EFFICIENCY):
+        outs = []
+        for delta in (0.0, 0.2, 9.0):
+            name = f"{mode['mode']}-{delta}"
+            cfg = write_config(tmp_path, {
+                "target": {"family": "binomial", "p": 0.45, "M": 8}, "cutoff": 30,
+                "sweep": dict(mode, kind="hm", params=dict(ROW3_PARAMS, delta=delta)),
+            }, f"{name}.yaml")
+            outs.append(tmp_path / name / "sweep.csv")
+            assert main(["sweep", "--config", cfg, "--out", str(outs[-1].parent),
+                         "--quiet"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    at_x = vector_to_params([ROW3_PARAMS[name] for name in scheme.HM_LAYOUT])
+    level_0 = read_rows(tmp_path / "deviation-9.0" / "sweep.csv")[0]
+    assert float(level_0["herald_weight"]) == conditional_output(
+        at_x, 30, check_input_tail=False).raw_weight
+
+
 def efficiency_sweep_rows(tmp_path, which: str, etas: list[float]) -> list[dict]:
     cfg = write_config(tmp_path, {
         "target": {"family": "binomial", "p": 0.3, "M": 7},
@@ -760,24 +796,34 @@ def test_configured_bounds_bind_the_polish(tmp_path):
     assert 0.0 <= params["r2"] <= 0.05
 
 
-def test_equal_bound_limits_pin_as_the_mask_does(tmp_path):
-    # one box states the search: a [v, v] range is the pin the mask sets
-    outs = []
-    for key, value in (("bounds", {"T": [0.69, 0.69]}), ("mask", {"T": 0.69})):
-        payload = small_optimize_config()
-        payload["optimize"][key] = value
-        cfg = write_config(tmp_path, payload, f"{key}.yaml")
-        outs.append(tmp_path / key)
-        assert main(["optimize", "--config", cfg, "--out", str(outs[-1]), "--quiet"]) == 0
-    for name in ("row.csv", "result.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    assert json.loads((outs[0] / "result.json").read_text())["params"]["T"] == 0.69
+def test_optimize_mask_refused(tmp_path, capsys):
+    # a pin is a pair of equal limits in bounds; there is no second route to one
+    payload = small_optimize_config()
+    payload["optimize"]["mask"] = {"T": 0.69}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "config error: optimize.mask: unknown key\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,pair,reported", [
+    ("T", [0.69, 0.69], 0.69),
+    ("theta1", [7.0, 7.0], 0.7168146928204138),  # any finite angle, reported wrapped
+])
+def test_equal_bound_limits_pin_the_dimension(tmp_path, name, pair, reported):
+    payload = small_optimize_config()
+    payload["optimize"]["bounds"] = {name: pair}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "result.json").read_text())["params"][name] == reported
 
 
 def test_optimize_with_every_dimension_pinned_polishes_nothing(tmp_path):
     # no free dimension leaves nothing to descend: the start is scored, once
     payload = small_optimize_config()
-    payload["optimize"]["mask"] = ROW2_PARAMS
+    payload["optimize"]["bounds"] = {name: [v, v] for name, v in ROW2_PARAMS.items()}
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 0
@@ -893,6 +939,34 @@ def test_reproduce_overflowing_squeezing_is_a_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric failure: row 02-binom-0.3-7-spd: input r=800," in err
     assert "is not finite" in err and "RuntimeWarning" not in err
+
+
+def test_reproduce_pins_each_rows_fixed_dimensions(tmp_path, monkeypatch):
+    # each row's box is the default one with its fixed dimensions pinned at
+    # the row's own values, overrides included
+    boxes = []
+    polish = cli.local_polish
+    def recorded(params, target, cutoff, max_iters, bounds):
+        boxes.append(bounds)
+        return polish(params, target, cutoff, max_iters, bounds)
+    monkeypatch.setattr(cli, "local_polish", recorded)
+    overrides = {"16-ampsq-1-0.5-1-spd-pinned": {"r1": 2.0}}
+    cfg = write_config(tmp_path, {"cutoff": 40, "reproduce_table": {
+        "rows": "all", "polish_iters": 1, "overrides": overrides}})
+    assert main(["reproduce-table", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    rows = all_rows()
+    assert len(boxes) == len(rows) and sum(1 for row in rows if row.fixed) == 13
+    for row, box in zip(rows, boxes):
+        vec, kind, _ = params_to_vector(cli._override(row, overrides.get(row.row_id), ""))
+        want = Bounds.for_kind(kind)
+        lower, upper = list(want.lower), list(want.upper)
+        for i, name in enumerate(want.names):
+            if name in row.fixed:
+                lower[i] = upper[i] = float(vec[i])
+        assert (box.lower, box.upper) == (tuple(lower), tuple(upper))
+        if row.row_id in overrides:
+            assert box.lower[0] == box.upper[0] == 2.0
 
 
 def test_reproduce_unknown_row_id(tmp_path, capsys):

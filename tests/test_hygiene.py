@@ -414,7 +414,7 @@ def test_benchmark_tracer_reads_the_search_arguments(tmp_path):
         "target": {"family": "binomial", "p": 0.5, "M": 2},
         "cutoff": 12,
         "optimize": {"kind": "spd", "search_cutoff": 12, "polish_iters": 20, "ga": ga,
-                     "mask": {"T": 0.5}},
+                     "bounds": {"T": [0.5, 0.5]}},
     }))
     tracer = tracing.Tracer()
     try:

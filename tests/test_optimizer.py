@@ -453,11 +453,40 @@ def test_optimize_fully_pinned_is_flat():
 
 def test_optimize_pin_outside_bounds_rejected():
     # the box refuses the pin, so no search can start from it
-    with pytest.raises(ValueError, match=re.escape("pinned T=0.95 outside [0.1, 0.9]")):
+    with pytest.raises(ValueError, match=re.escape("[0.95, 0.95] outside [0.1, 0.9]")):
         SPD_BOX.pin("T", 0.95)
+    # a pin replaces the limits it is given, so a narrowed box's limits do
+    # not bind it, as they do not bind a [v, v] pair
     narrowed = Bounds(SPD_BOX.lower[:8] + (0.3,), SPD_BOX.upper[:8] + (0.7,))
-    with pytest.raises(ValueError, match=re.escape("pinned T=0.2 outside [0.3, 0.7]")):
-        narrowed.pin("T", 0.2)
+    assert narrowed.pin("T", 0.2) == SPD_BOX.pin("T", 0.2)
+
+
+_DIMENSIONS = [(kind, name) for kind in ("spd", "hm") for name in layout_for_kind(kind)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from(_DIMENSIONS),
+       value=st.one_of(st.floats(-8.0, 26.0), st.floats(allow_nan=True)))
+@example(dim=("spd", "r1"), value=optimizer._R_MAX)
+@example(dim=("spd", "r2"), value=math.nextafter(optimizer._R_MAX, math.inf))
+@example(dim=("hm", "x"), value=4.0)
+@example(dim=("hm", "lam"), value=-1e300)
+@example(dim=("spd", "T"), value=math.inf)
+def test_pin_is_the_pair_of_equal_limits(dim, value):
+    # one limit check: a pin is the box with [v, v] at that dimension, or
+    # both refuse it with the same _limits_fault text
+    kind, name = dim
+    box = Bounds.for_kind(kind)
+    lower, upper = list(box.lower), list(box.upper)
+    lower[box.names.index(name)] = upper[box.names.index(name)] = value
+    try:
+        paired = Bounds(tuple(lower), tuple(upper))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            box.pin(name, value)
+        assert f"{name}: {refused.value}" == str(exc)
+    else:
+        assert box.pin(name, value) == paired
 
 
 def test_optimize_then_polish_finds_easy_target():
