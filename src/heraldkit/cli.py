@@ -7,9 +7,10 @@ are emitted in a fixed order, so re-runs are byte-identical.
 Exit codes: 0 success, 1 config or validation error, 2 numeric failure
 (truncation tails, normalization/truncation-quality guards, a NaN or
 infinite output value), 3 regression gate failure from
-reproduce-table.  Config files are validated before any computation, and
-output files are only written once the computation has finished and every
-value bound for them is finite, so a failing run leaves no partial outputs.
+reproduce-table.  Config files and the output path (an existing one must
+be a directory) are validated before any computation, and output files are
+only written once the computation has finished and every value bound for
+them is finite, so a failing run leaves no partial outputs.
 A pin, in optimize.bounds or at a reproduce-table row's fixed dimensions,
 is a pair of equal limits, checked as every limit of the search box is.  A
 sweep reports the outcome density at x and never reads params.delta.
@@ -317,12 +318,8 @@ _OPTIMIZE = ("kind", {
 })
 
 _GA = {
-    "population_size": _key(int, GAConfig.population_size, "[1, inf)"),
+    "population_size": _key(int, GAConfig.population_size, "[3, inf)"),  # above 2 elites
     "generations": _key(int, GAConfig.generations, "[1, inf)"),
-    "tournament_size": _key(int, GAConfig.tournament_size, "[1, inf)"),
-    "crossover_rate": _key(_number, GAConfig.crossover_rate, "[0, 1]"),
-    "mutation_sigma_fraction": _key(_number, GAConfig.mutation_sigma_fraction, "[0, inf)"),
-    "elitism_count": _key(int, GAConfig.elitism_count, "[0, inf)"),
     "restarts": _key(int, GAConfig.restarts, "[1, inf)"),
 }
 
@@ -345,15 +342,7 @@ _SWEEP = ("mode", {
 _REPRODUCE = {
     "rows": _key(_select_rows, designated_rows()),
     "polish_iters": _key(int, 400, "[0, inf)"),
-    "tolerance": _key(_mapping, None),
     "overrides": _key(_mapping, None),
-}
-
-_TOLERANCE = {
-    "eps_raw_max": _key(_number, 5e-2, "[0, inf)"),
-    "eps_polish_factor": _key(_number, 10.0, "[1, inf)"),
-    "p_abs": _key(_number, 0.05, "[0, inf)"),
-    "eps_avg_max": _key(_number, 1e-2, "[0, inf)"),
 }
 
 
@@ -593,7 +582,6 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
     for row in rows:
         _check_fits(row.target, cutoff, "cutoff", _sub("reproduce_table.rows", row.row_id))
     polish_iters = section["polish_iters"]
-    limits = _read(section["tolerance"], _TOLERANCE, "reproduce_table.tolerance")
     path = "reproduce_table.overrides"
     # only the selected rows can be overridden
     table = {row.row_id: _key(_mapping, None) for row in rows}
@@ -625,18 +613,18 @@ def cmd_reproduce_table(cfg: dict, cutoff: int, seed: int, out_dir: Path, quiet:
         except _NUMERIC_ERRORS as exc:
             raise _RowFailure(f"row {row.row_id}: {exc}") from exc
 
-        gate = limits["eps_polish_factor"] * row.eps
+        gate = tol.EPS_POLISH_FACTOR * row.eps
         failures = []
-        if eps_raw > limits["eps_raw_max"]:
-            failures.append(f"eps_raw {_fmt(eps_raw)} > {_fmt(limits['eps_raw_max'])}")
+        if eps_raw > tol.EPS_RAW_MAX:
+            failures.append(f"eps_raw {_fmt(eps_raw)} > {_fmt(tol.EPS_RAW_MAX)}")
         if eps_polished > gate:
             failures.append(f"eps_polished {_fmt(eps_polished)} > {_fmt(gate)}")
-        if abs(prob - row.success_prob) > limits["p_abs"]:
+        if abs(prob - row.success_prob) > tol.P_ABS:
             failures.append(
-                f"P {_fmt(prob)} outside {_fmt(row.success_prob)} +/- {_fmt(limits['p_abs'])}"
+                f"P {_fmt(prob)} outside {_fmt(row.success_prob)} +/- {_fmt(tol.P_ABS)}"
             )
-        if row.kind == "hm" and eps_avg is not None and eps_avg > limits["eps_avg_max"]:
-            failures.append(f"eps_avg {_fmt(eps_avg)} > {_fmt(limits['eps_avg_max'])}")
+        if row.kind == "hm" and eps_avg is not None and eps_avg > tol.EPS_AVG_MAX:
+            failures.append(f"eps_avg {_fmt(eps_avg)} > {_fmt(tol.EPS_AVG_MAX)}")
 
         status = "PASS" if not failures else "FAIL"
         any_fail = any_fail or bool(failures)
@@ -669,11 +657,14 @@ def _load_config(path: str | None) -> Any:
     """The parsed config file, None without one."""
     if path is None:
         return None
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError("", f"config file not found: {path}")
     try:
-        return yaml.load(p.read_text(), Loader=_YAML_LOADER)
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigError("", f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError("", f"cannot read config file {path}: {exc.strerror}") from None
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError("", f"cannot parse config: {exc}") from None
 
@@ -715,6 +706,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         seed = cfg["seed"] if args.seed is None else _value(args.seed, _TOP["seed"], "--seed")
         out_dir = Path(cfg["output"] if args.out is None else args.out)
+        if out_dir.exists() and not out_dir.is_dir():
+            raise ConfigError("output" if args.out is None else "--out",
+                              f"{out_dir} exists and is not a directory")
         return _COMMANDS[args.command](cfg, cutoff, seed, out_dir, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ outcome x and the phase lam.  Angle dimensions live on [0, 2*pi) and use
 wrapped arithmetic in crossover and mutation, so 0 and 2*pi are the same
 point and the boundary attracts nothing.  Bounded dimensions reflect
 off their limits during mutation instead of clipping, which keeps the
-population strictly inside the box almost surely.
+population strictly inside the box almost surely.  The operators are
+fixed; a GAConfig sets only the population, generations, restarts, seed.
 
 Each generation is scored in one call of scheme._core_misfit_batch(
 target), built once per search, on the exact Gaussian core: the inputs
@@ -186,30 +187,27 @@ class Bounds:
         return Bounds(tuple(lower), tuple(upper))
 
 
+# the GA's operators: tournament size, blend probability, mutation sigma per range, elites
+_TOURNAMENT = 4
+_CROSSOVER_RATE = 0.9
+_SIGMA_FRACTION = 0.05
+_ELITES = 2
+
+
 @dataclass(frozen=True)
 class GAConfig:
+    """The search's size and seed: population_size points per generation,
+    above the _ELITES elites, generations per restart, restarts and seed."""
+
     population_size: int = 200
     generations: int = 500
-    tournament_size: int = 4
-    crossover_rate: float = 0.9
-    mutation_sigma_fraction: float = 0.05
-    elitism_count: int = 2
     restarts: int = 4
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("population_size", "generations", "tournament_size", "restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}={getattr(self, name)} must be a positive integer")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError(f"crossover_rate={self.crossover_rate} must lie in [0, 1]")
-        if self.mutation_sigma_fraction < 0.0:
-            raise ValueError(f"mutation_sigma_fraction={self.mutation_sigma_fraction} must be >= 0")
-        if not 0 <= self.elitism_count < self.population_size:
-            raise ValueError(
-                f"elitism_count={self.elitism_count} must be non-negative and below "
-                f"population_size={self.population_size}"
-            )
+        for name, least in (("population_size", _ELITES + 1), ("generations", 1), ("restarts", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name}={getattr(self, name)} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -259,7 +257,7 @@ def _run_restart(
     pinned = lo == hi
     hard = ~per & ~pinned  # a zero span cannot reflect
     span = hi - lo
-    sigma = cfg.mutation_sigma_fraction * span
+    sigma = _SIGMA_FRACTION * span
 
     pop = lo + rng.uniform(size=(cfg.population_size, lo.size)) * span
     pop[:, pinned] = lo[pinned]
@@ -267,14 +265,14 @@ def _run_restart(
     evals = cfg.population_size
     gen_best: list[float] = []
 
-    n_child = cfg.population_size - cfg.elitism_count
+    n_child = cfg.population_size - _ELITES
     for _ in range(cfg.generations):
         order = np.argsort(fit, kind="stable")
-        elites = pop[order[: cfg.elitism_count]].copy()
-        elite_fit = fit[order[: cfg.elitism_count]].copy()
+        elites = pop[order[:_ELITES]].copy()
+        elite_fit = fit[order[:_ELITES]].copy()
 
         # One batched draw per generation keeps the stream layout fixed.
-        t_idx = rng.integers(0, cfg.population_size, size=(n_child, 2, cfg.tournament_size))
+        t_idx = rng.integers(0, cfg.population_size, size=(n_child, 2, _TOURNAMENT))
         coin = rng.uniform(size=n_child)
         blend = rng.uniform(size=(n_child, lo.size))
         noise = rng.standard_normal(size=(n_child, lo.size))
@@ -288,7 +286,7 @@ def _run_restart(
 
         delta = p2 - p1
         delta[:, per] = np.mod(delta[:, per] + np.pi, _TWO_PI) - np.pi
-        children = p1 + np.where(coin[:, None] < cfg.crossover_rate, blend, 0.0) * delta
+        children = p1 + np.where(coin[:, None] < _CROSSOVER_RATE, blend, 0.0) * delta
         children = children + sigma * noise
         children[:, per] = np.mod(children[:, per], _TWO_PI)
         children[:, hard] = _reflect_into(children[:, hard], lo[hard], hi[hard])
@@ -320,11 +318,11 @@ def optimize(
     The width of bounds gives the measurement kind, and its pinned
     dimensions (equal limits) never move; window_halfwidth is the HM
     acceptance halfwidth (finite and >= 0, and 0 for SPD; checked before
-    the search).  Tournament selection, blend crossover (shortest-arc on
-    angles), Gaussian mutation with per-dimension sigma equal to
-    mutation_sigma_fraction times the range, elitism, and independent
-    restarts keeping the overall best, against the target built at
-    search_cutoff.  The trace is the running best misfit over all
+    the search).  Tournaments of 4, blend crossover at rate 0.9
+    (shortest-arc on angles), Gaussian mutation with sigma 0.05 of each
+    range, 2 elites, and independent restarts keeping the overall best,
+    against the target built at search_cutoff; cfg sets only their size
+    and the seed.  The trace is the running best misfit over all
     generations of all restarts, so it is monotone by construction.
 
     With polish_iters > 0 the best point goes through local_polish at

@@ -379,8 +379,8 @@ def conditional_output(
 
     method selects the evaluation route: "closed" (default; one reading of
     the arms, _herald) or "oracle".  Both take every squeezing
-    magnitude r >= 0, coherent inputs included.
-    """
+    magnitude r >= 0, coherent inputs included.  Open defect: above cutoff
+    60 the closed HM route can be far off the oracle (an xfail test)."""
     if method == "oracle":
         return output_oracle(p, cutoff, check_input_tail)
     if method != "closed":

@@ -24,3 +24,10 @@ DEFAULT_CUTOFF = 40
 
 # Cutoff the genetic search builds its target at (its score reads K only).
 SEARCH_CUTOFF = 30
+
+# reproduce-table's gates: a row fails above EPS_RAW_MAX, above EPS_POLISH_FACTOR
+# times its recorded misfit, P_ABS off its recorded P, or (HM) above EPS_AVG_MAX.
+EPS_RAW_MAX = 5e-2
+EPS_POLISH_FACTOR = 10.0
+P_ABS = 0.05
+EPS_AVG_MAX = 1e-2

@@ -124,6 +124,43 @@ def test_evaluate_self_target_is_exact(tmp_path):
 # -------------------------------------------------------------- validation
 
 
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Make every computation the commands start fail the test."""
+    for name in ("score", "optimize", "local_polish", "sweep_parameter_deviation",
+                 "sweep_efficiency"):
+        def computed(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called before the config was refused")
+        monkeypatch.setattr(cli, name, computed)
+
+
+def test_config_path_that_is_a_directory_refused(tmp_path, capsys):
+    # was an IsADirectoryError traceback
+    assert main(["evaluate", "--config", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("by_flag", [True, False], ids=["--out", "output"])
+def test_output_path_that_is_a_file_refused(tmp_path, capsys, no_compute, by_flag):
+    # was a FileExistsError traceback, raised after the whole computation
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    payload = {"target": {"family": "binomial", "p": 0.3, "M": 7},
+               "evaluate": {"kind": "spd", "params": ROW2_PARAMS}}
+    if not by_flag:
+        payload["output"] = str(taken)
+    cfg = write_config(tmp_path, payload)
+    argv = ["evaluate", "--config", cfg, "--quiet"] + (["--out", str(taken)] if by_flag else [])
+    assert main(argv) == 1
+    key = "--out" if by_flag else "output"
+    assert capsys.readouterr().err == (
+        f"config error: {key}: {taken} exists and is not a directory\n"
+    )
+    assert taken.read_text() == "keep\n"
+
+
 def test_unknown_key_rejected_with_path(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "target": {"family": "binomial", "p": 0.3, "M": 7},
@@ -222,10 +259,10 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("command,payload,path", [
-    ("reproduce-table",
-     {"reproduce_table": {"rows": ["02-binom-0.3-7-spd"], "polish_iters": 0,
-                          "tolerance": {"eps_polish_factor": NAN, "p_abs": NAN}}},
-     "reproduce_table.tolerance.eps_polish_factor"),
+    ("optimize",
+     {"target": {"family": "binomial", "p": 0.5, "M": 1},
+      "optimize": {"kind": "hm", "window_halfwidth": INF}},
+     "optimize.window_halfwidth"),
     ("evaluate",
      {"target": {"family": "binomial", "p": 0.45, "M": 8},
       "evaluate": {"kind": "hm", "params": dict(ROW3_PARAMS, lam=INF)}},
@@ -307,17 +344,27 @@ TINY_GA = {"population_size": 6, "generations": 1, "restarts": 1}
     ("optimize", {"target": B37, "optimize": {"kind": "hm", "bounds": {"lam": [0, 1]},
                                               "ga": TINY_GA}},
      "optimize.bounds.lam", "angle bounds are fixed at [0, 2*pi)"),
+    # the GA's operators and reproduce-table's gates are fixed
+    *[("optimize", {"target": B37, "optimize": {"kind": "spd", "ga": dict(TINY_GA, **{key: 3})}},
+       f"optimize.ga.{key}", "unknown key")
+      for key in ("tournament_size", "crossover_rate", "mutation_sigma_fraction",
+                  "elitism_count")],
+    ("reproduce-table", {"reproduce_table": {"rows": ["02-binom-0.3-7-spd"],
+                                             "tolerance": {"p_abs": 0.05}}},
+     "reproduce_table.tolerance", "unknown key"),
 ], ids=[
     "spd-window", "deviation-etas", "deviation-which", "deviation-strict_tails",
     "efficiency-deviations", "efficiency-sampling", "efficiency-n_samples",
     "eta-above-1", "deviation-above-0.2", "alpha0-zero", "u-zero",
     "bounds-T", "bounds-x", "bounds-alpha", "bounds-reversed", "bounds-angle",
+    "ga-tournament_size", "ga-crossover_rate", "ga-mutation_sigma_fraction",
+    "ga-elitism_count", "reproduce-tolerance",
 ])
 def test_option_the_command_would_not_use_or_out_of_range_refused(
-    tmp_path, capsys, command, payload, path, message
+    tmp_path, capsys, no_compute, command, payload, path, message
 ):
     # each of these was dropped without a word, or refused only at compute
-    # time with no config path
+    # time with no config path; all are refused before any compute
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
@@ -348,9 +395,10 @@ B9 = {"family": "binomial", "p": 0.3, "M": 9}
 
 
 @pytest.mark.parametrize("command,payload,path,message", [
+    # a population must hold the GA's 2 elites and at least one child
     ("optimize", {"target": B37, "optimize": {
-        "kind": "spd", "ga": dict(TINY_GA, population_size=4, elitism_count=4)}},
-     "optimize.ga", "elitism_count=4 must be non-negative and below population_size=4"),
+        "kind": "spd", "ga": dict(TINY_GA, population_size=2)}},
+     "optimize.ga.population_size", "2 below minimum 3"),
     ("evaluate", {"target": B9, "cutoff": 8, "evaluate": SPD_POINT},
      "target.M", "9 above cutoff 8"),
     ("sweep", {"target": B9, "cutoff": 8, "sweep": DEVIATION},
@@ -378,16 +426,11 @@ B9 = {"family": "binomial", "p": 0.3, "M": 9}
 ], ids=["elitism", "evaluate-M", "sweep-M", "optimize-search-M", "pin-outside-box",
         "evaluate-adhoc", "optimize-search-adhoc", "table-row-M", "table-row-pin"])
 def test_error_of_two_keys_names_its_config_path(
-    tmp_path, capsys, monkeypatch, command, payload, path, message
+    tmp_path, capsys, no_compute, command, payload, path, message
 ):
     # each of these depends on two config values, and was refused with no
     # config path, a wrong one, or the wrong cutoff; all are refused before
     # any compute
-    for name in ("score", "optimize", "local_polish", "sweep_parameter_deviation",
-                 "sweep_efficiency"):
-        def computed(*args, _name=name, **kwargs):
-            raise AssertionError(f"{_name} called before the config was refused")
-        monkeypatch.setattr(cli, name, computed)
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
